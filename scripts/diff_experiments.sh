@@ -1,0 +1,79 @@
+#!/usr/bin/env bash
+# Checks that two builds produce the same experiment results: runs
+# scripts/run_experiments.sh against each build directory into its own
+# output directory, then cmp's every CSV and machine-metrics JSONL.
+#
+# Use it to show that a host-side change (a faster data structure, a
+# refactor) moves no charged I/O, no ledger high-water mark and no table
+# entry: build the old and the new tree, then compare.
+#
+# Skipped, because their contents are set by wall-clock time:
+#   bench_m0_overhead.*     — iteration counts and timings are time-driven;
+#   bench_e10_ablation.txt  — google-benchmark timings (stdout only, so it
+#                             has no CSV or metrics file to compare anyway).
+#
+# Usage: scripts/diff_experiments.sh <build-a> <build-b> [out-root]
+#   Results land in <out-root>/a and <out-root>/b (default: a fresh
+#   temporary directory, printed at the end).  AEM_JOBS is passed through to
+#   run_experiments.sh.  Exits nonzero on any difference, including a file
+#   present in only one of the two result sets.
+set -euo pipefail
+
+if [[ $# -lt 2 ]]; then
+  echo "usage: $0 <build-a> <build-b> [out-root]" >&2
+  exit 2
+fi
+BUILD_A="$1"
+BUILD_B="$2"
+OUT_ROOT="${3:-$(mktemp -d)}"
+SCRIPT_DIR="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
+
+for b in "$BUILD_A" "$BUILD_B"; do
+  if [[ ! -d "$b/bench" ]]; then
+    echo "error: $b/bench not found (build the tree first)" >&2
+    exit 2
+  fi
+done
+
+mkdir -p "$OUT_ROOT/a" "$OUT_ROOT/b"
+echo "=== run_experiments.sh on $BUILD_A ==="
+"$SCRIPT_DIR/run_experiments.sh" "$BUILD_A" "$OUT_ROOT/a" > "$OUT_ROOT/a.log"
+echo "=== run_experiments.sh on $BUILD_B ==="
+"$SCRIPT_DIR/run_experiments.sh" "$BUILD_B" "$OUT_ROOT/b" > "$OUT_ROOT/b.log"
+
+skipped() {
+  [[ "$1" == bench_m0_overhead.* || "$1" == bench_e10_ablation.txt ]]
+}
+
+list_results() {
+  (cd "$1" && ls -1 -- *.csv *.metrics.jsonl bench_e10_ablation.txt \
+     2>/dev/null || true) | sort -u
+}
+
+fail=0
+same=0
+while IFS= read -r f; do
+  [[ -n "$f" ]] || continue
+  if skipped "$f"; then
+    echo "SKIP $f (wall-clock driven)"
+    continue
+  fi
+  if [[ ! -f "$OUT_ROOT/a/$f" || ! -f "$OUT_ROOT/b/$f" ]]; then
+    echo "DIFF $f (present in only one result set)"
+    fail=1
+  elif cmp -s "$OUT_ROOT/a/$f" "$OUT_ROOT/b/$f"; then
+    same=$((same + 1))
+  else
+    echo "DIFF $f"
+    diff "$OUT_ROOT/a/$f" "$OUT_ROOT/b/$f" | head -6 || true
+    fail=1
+  fi
+done < <({ list_results "$OUT_ROOT/a"; list_results "$OUT_ROOT/b"; } |
+         sort -u)
+
+echo "$same files byte-identical; results in $OUT_ROOT"
+if [[ $fail -ne 0 ]]; then
+  echo "FAIL: the two builds' experiment results differ"
+  exit 1
+fi
+echo "OK: every compared CSV and metrics JSONL is byte-identical"

@@ -52,13 +52,13 @@
 #include <cstddef>
 #include <functional>
 #include <optional>
-#include <set>
 #include <stdexcept>
 #include <vector>
 
 #include "core/ext_array.hpp"
 #include "io/scanner.hpp"
 #include "io/writer.hpp"
+#include "sort/bounded_heap.hpp"
 #include "sort/budget.hpp"
 #include "sort/merge.hpp"
 #include "util/math.hpp"
@@ -319,7 +319,13 @@ class ExtPriorityQueue {
       if (a.index != b.index) return a.index < b.index;
       return a.pos < b.pos;
     };
-    std::multiset<Cand, decltype(cand_less)> out(cand_less);
+    // The staged cut: the min_cap_ smallest candidates fed so far (a strict
+    // total order, so exactly what a bounded ordered set would keep).
+    std::size_t remaining = 0;
+    for (const auto& level : levels_)
+      for (const Run& r : level) remaining += r.remaining();
+    sort_detail::BoundedMaxHeap<Cand, decltype(cand_less)> out(
+        min_cap_, remaining, cand_less);
     MemoryReservation out_res(mach_.ledger(), min_cap_);
     Buffer<T> block(mach_, mach_.B());
 
@@ -346,8 +352,7 @@ class ExtPriorityQueue {
     auto prune = [&](const RunCursor& rc) {
       const Run& r = levels_[rc.level][rc.index];
       if (rc.frontier >= r.length) return true;
-      return out.size() == min_cap_ &&
-             !cand_less(rc.last, *std::prev(out.end()));
+      return !out.admits(rc.last);
     };
 
     // Feeds [frontier, frontier + elems) of a run into `out`, advancing the
@@ -362,12 +367,7 @@ class ExtPriorityQueue {
         const std::size_t hi = std::min(lo + io.count, r.length);
         for (std::size_t p = rc.frontier; p < hi; ++p) {
           Cand c{block[p - lo], rc.level, rc.index, p};
-          if (out.size() < min_cap_) {
-            out.insert(c);
-          } else if (cand_less(c, *std::prev(out.end()))) {
-            out.erase(std::prev(out.end()));
-            out.insert(c);
-          }
+          out.offer(c);
           rc.last = c;
         }
         rc.frontier = hi;
@@ -414,7 +414,7 @@ class ExtPriorityQueue {
 
     // Consume: candidates per run are a prefix; advance cursors.
     min_cache_.clear();
-    for (const Cand& c : out) {
+    for (const Cand& c : out.sorted()) {
       min_cache_.push_back(c.val);
       Run& r = levels_[c.level][c.index];
       r.cursor = std::max(r.cursor, c.pos + 1);

@@ -9,6 +9,10 @@
 //      (they may not fit in memory when omega > B) and read up to TWO blocks
 //      per run, folding unconsumed occurrences into the staged batch OUT
 //      (capacity Mout, larger elements evicted as smaller ones arrive);
+//      OUT is a host-side bounded max-heap (bounded_heap.hpp), so "is this
+//      element among the Mout smallest" is one comparison with its O(1)
+//      maximum, and it never holds more than the Mout occurrences the round
+//      reserves on the ledger;
 //   B. active-run identification — re-read the same <= 2 blocks per run
 //      (the paper's trick to avoid storing per-run state for all d runs) and
 //      keep the runs that might still contribute: more unread blocks AND
@@ -34,13 +38,13 @@
 #include <cstddef>
 #include <functional>
 #include <optional>
-#include <set>
 #include <span>
 #include <stdexcept>
 #include <vector>
 
 #include "core/ext_array.hpp"
 #include "io/ext_pointer_array.hpp"
+#include "sort/bounded_heap.hpp"
 #include "sort/budget.hpp"
 #include "sort/loser_tree.hpp"
 #include "sort/occ.hpp"
@@ -69,7 +73,8 @@ class MergeJob {
         budget_(SortBudget::from(mach_)),
         occ_less_(less),
         sink_(dst, dst_begin, dst_begin + total_length(runs), key_eq(),
-              combine) {
+              combine),
+        out_(budget_.out_batch, total_length(runs), occ_less_) {
     validate();
   }
 
@@ -101,8 +106,6 @@ class MergeJob {
     std::uint64_t next_block;  // absolute block index of the next unread block
   };
 
-  using OutSet = std::set<Occ<T>, OccLess<T, Less>>;
-
   static std::size_t total_length(std::span<const RunBounds> runs) {
     std::size_t t = 0;
     for (const auto& r : runs) t += r.length();
@@ -133,8 +136,8 @@ class MergeJob {
   }
 
   /// Reads absolute block `abs_block`, folds its in-range unconsumed
-  /// occurrences into `out`, and returns the last in-range occurrence.
-  Occ<T> read_into(std::uint32_t r, std::uint64_t abs_block, OutSet& out,
+  /// occurrences into OUT, and returns the last in-range occurrence.
+  Occ<T> read_into(std::uint32_t r, std::uint64_t abs_block,
                    Buffer<T>& blockbuf) {
     BlockIo io = src_.read_block(abs_block, blockbuf.span());
     const std::size_t lo = static_cast<std::size_t>(abs_block) * mach_.B();
@@ -144,7 +147,8 @@ class MergeJob {
       const std::size_t pos = lo + i;
       if (pos < runs_[r].begin || pos >= runs_[r].end) continue;
       Occ<T> o{blockbuf[i], r, pos, io.ticket};
-      try_insert(o, out);
+      if (!watermark_.has_value() || occ_less_(*watermark_, o))
+        out_.offer(o);  // else already consumed
       last = o;
       any = true;
     }
@@ -153,34 +157,21 @@ class MergeJob {
     return last;
   }
 
-  void try_insert(const Occ<T>& o, OutSet& out) {
-    if (watermark_.has_value() && !occ_less_(*watermark_, o)) return;  // consumed
-    if (out.size() < budget_.out_batch) {
-      out.insert(o);
-      return;
-    }
-    auto largest = std::prev(out.end());
-    if (occ_less_(o, *largest)) {
-      out.erase(largest);
-      out.insert(o);
-    }
-  }
-
   /// One round: returns the number of source occurrences consumed.
   std::size_t round(ExtPointerArray& bptr) {
     MemoryReservation out_res(mach_.ledger(), budget_.out_batch);
-    OutSet out(occ_less_);
+    out_.clear();
     Buffer<T> blockbuf(mach_, mach_.B());
 
     // Phase A: initialization — up to two blocks per non-exhausted run.
     bptr.for_each(0, runs_.size(), [&](std::size_t r, std::uint64_t b) {
       const auto run = static_cast<std::uint32_t>(r);
       if (exhausted(run, b)) return;
-      read_into(run, b, out, blockbuf);
-      if (b + 1 < run_end_block(run)) read_into(run, b + 1, out, blockbuf);
+      read_into(run, b, blockbuf);
+      if (b + 1 < run_end_block(run)) read_into(run, b + 1, blockbuf);
     });
 
-    if (out.empty())
+    if (out_.empty())
       throw std::logic_error("merge: no progress (pointer invariant broken)");
 
     // Phase B: identify active runs by re-reading the initialization blocks
@@ -211,9 +202,7 @@ class MergeJob {
       const std::uint64_t next = last_block + 1;
       const bool more_blocks = next < run_end_block(run);
       if (!more_blocks) return;  // everything loaded: never active again
-      const bool among_smallest =
-          out.size() < budget_.out_batch || occ_less_(s, *out.rbegin());
-      if (among_smallest) actives.push_back(Active{run, s, next});
+      if (out_.admits(s)) actives.push_back(Active{run, s, next});
     });
     if (actives.size() > budget_.m_eff)
       throw std::logic_error("merge: Lemma 3.1 violated (active runs > m_eff)");
@@ -241,10 +230,9 @@ class MergeJob {
       tree.rebuild();
       for (std::size_t j = tree.winner(); j != Tree::npos; j = tree.winner()) {
         Active& a = actives[j];
-        if (out.size() == budget_.out_batch &&
-            !occ_less_(a.last_loaded, *out.rbegin()))
+        if (!out_.admits(a.last_loaded))
           break;  // the smallest s_i is out of range, so every s_i is
-        a.last_loaded = read_into(a.run, a.next_block, out, blockbuf);
+        a.last_loaded = read_into(a.run, a.next_block, blockbuf);
         ++a.next_block;
         if (a.next_block >= run_end_block(a.run)) {
           tree.set_exhausted(j);
@@ -257,8 +245,7 @@ class MergeJob {
       while (!actives.empty()) {
         // Lazily drop runs whose last-loaded element fell out of OUT's range.
         std::erase_if(actives, [&](const Active& a) {
-          return out.size() == budget_.out_batch &&
-                 !occ_less_(a.last_loaded, *out.rbegin());
+          return !out_.admits(a.last_loaded);
         });
         if (actives.empty()) break;
         auto j = std::min_element(actives.begin(), actives.end(),
@@ -266,7 +253,7 @@ class MergeJob {
                                     return occ_less_(a.last_loaded,
                                                      b.last_loaded);
                                   });
-        j->last_loaded = read_into(j->run, j->next_block, out, blockbuf);
+        j->last_loaded = read_into(j->run, j->next_block, blockbuf);
         ++j->next_block;
         if (j->next_block >= run_end_block(j->run)) actives.erase(j);
       }
@@ -274,10 +261,10 @@ class MergeJob {
 
     // Phase D: output the batch, advance the watermark, and advance b[i]
     // past fully consumed blocks (their last element is in this batch).
-    const std::size_t batch = out.size();
+    const auto batch = out_.sorted();
     const std::size_t B = mach_.B();
     const bool mark = mach_.tracing() && src_.has_atom_extractor();
-    for (const Occ<T>& o : out) {
+    for (const Occ<T>& o : batch) {
       // Lemma 4.3 use-sets: the read whose copy reached the output batch is
       // the one that consumes the atom from its block.
       if (mark && o.ticket.valid())
@@ -287,8 +274,8 @@ class MergeJob {
           (o.pos % B == B - 1) || (o.pos == runs_[o.run].end - 1);
       if (block_last) bptr.set(o.run, o.pos / B + 1);
     }
-    watermark_ = *out.rbegin();
-    return batch;
+    watermark_ = batch.back();
+    return batch.size();
   }
 
   Machine& mach_;
@@ -297,6 +284,8 @@ class MergeJob {
   SortBudget budget_;
   OccLess<T, Less> occ_less_;
   CombineSink<T, std::function<bool(const T&, const T&)>, Combine> sink_;
+  // OUT, the staged batch; its storage is reused by every round.
+  BoundedMaxHeap<Occ<T>, OccLess<T, Less>> out_;
   std::optional<Occ<T>> watermark_;
   MergeStats* stats_ = nullptr;
   MergeKernel kernel_ = MergeKernel::kLoserTree;

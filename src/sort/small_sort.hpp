@@ -5,7 +5,10 @@
 // Strategy: multi-pass selection.  Each round scans the whole input range,
 // keeps the Mout smallest not-yet-output occurrences in internal memory
 // (evicting larger ones as smaller ones arrive), then writes that batch to
-// the output in sorted order and advances the consumption watermark.  With
+// the output in sorted order and advances the consumption watermark.  The
+// staged batch is a host-side bounded max-heap (bounded_heap.hpp) that
+// never holds more than the Mout occurrences the round reserves on the
+// ledger; its storage is allocated once and reused by every round.  With
 // R' = ceil(N'/Mout) rounds this costs R' * n' <= (4*omega + 1) * n' reads
 // and n' (+ R') writes — the Lemma 4.2 budget, since N' <= omega*M =
 // 4*omega*Mout implies R' <= 4*omega.
@@ -16,11 +19,11 @@
 
 #include <cstddef>
 #include <optional>
-#include <set>
 #include <stdexcept>
 
 #include "core/ext_array.hpp"
 #include "io/scanner.hpp"
+#include "sort/bounded_heap.hpp"
 #include "sort/budget.hpp"
 #include "sort/occ.hpp"
 #include "sort/sink.hpp"
@@ -55,12 +58,14 @@ std::size_t small_sort(const ExtArray<T>& src, std::size_t begin,
   sort_detail::CombineSink<T, decltype(key_eq), Combine> sink(
       dst, dst_begin, dst_begin + total, key_eq, combine);
 
+  // The staged batch: the Mout smallest unconsumed occurrences.
+  sort_detail::BoundedMaxHeap<Occ, OccLess> out(budget.small_batch, total,
+                                                occ_less);
   std::optional<Occ> watermark;
   std::size_t consumed = 0;
   while (consumed < total) {
-    // The staged batch: the Mout smallest unconsumed occurrences.
     MemoryReservation out_res(mach.ledger(), budget.small_batch);
-    std::set<Occ, OccLess> out(occ_less);
+    out.clear();
 
     Scanner<T> scan(src, begin, end);
     while (!scan.done()) {
@@ -68,27 +73,20 @@ std::size_t small_sort(const ExtArray<T>& src, std::size_t begin,
       const T val = scan.next();
       Occ o{val, /*run=*/0, pos, scan.last_ticket()};
       if (watermark.has_value() && !occ_less(*watermark, o)) continue;
-      if (out.size() < budget.small_batch) {
-        out.insert(o);
-      } else {
-        auto last = std::prev(out.end());
-        if (occ_less(o, *last)) {
-          out.erase(last);
-          out.insert(o);
-        }
-      }
+      out.offer(o);
     }
 
     if (out.empty())
       throw std::logic_error("small_sort: no progress (corrupt watermark)");
     const bool mark = mach.tracing() && src.has_atom_extractor();
-    for (const Occ& o : out) {
+    const auto batch = out.sorted();
+    for (const Occ& o : batch) {
       if (mark && o.ticket.valid())
         mach.trace()->mark_used(o.ticket, src.atom_id(o.val));
       sink.push(o.val);
     }
-    watermark = *out.rbegin();
-    consumed += out.size();
+    watermark = batch.back();
+    consumed += batch.size();
   }
   return sink.finish();
 }

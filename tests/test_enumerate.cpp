@@ -121,8 +121,9 @@ TEST(EnumerateTest, MoreLocationsCannotHurt) {
   auto roomy = enumerate_reachable_permutations(
       {.N = 4, .M = 8, .B = 2, .omega = 1, .locations = 7, .max_rounds = 8});
   ASSERT_TRUE(roomy.rounds_to_complete.has_value());
-  if (tight.rounds_to_complete.has_value())
+  if (tight.rounds_to_complete.has_value()) {
     EXPECT_LE(*roomy.rounds_to_complete, *tight.rounds_to_complete);
+  }
   for (std::size_t r = 0;
        r < std::min(tight.reachable.size(), roomy.reachable.size()); ++r)
     EXPECT_GE(roomy.reachable[r], tight.reachable[r]);

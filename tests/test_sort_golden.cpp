@@ -1,0 +1,294 @@
+// Golden pins for the sort kernels' charged cost and traces.
+//
+// Host-side data-structure changes inside small_sort, merge_runs and the
+// external priority queue must never move a charged I/O.  These tests pin,
+// on a small grid of (M, B, omega, N) shapes and on uniform and
+// duplicate-heavy inputs, the exact Q_r / Q_w, the ledger high-water mark
+// and an FNV-1a hash of the full trace (op kind, array, block, written
+// atoms, use-sets).  The constants were recorded with the std::set-based
+// staged batch the kernels originally used, so any drift in an I/O, in the
+// order of I/Os, in the Lemma 4.3 use-sets or in the output shows up here.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cinttypes>
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <vector>
+
+#include "core/ext_array.hpp"
+#include "core/machine.hpp"
+#include "core/trace.hpp"
+#include "pq/ext_pq.hpp"
+#include "sort/budget.hpp"
+#include "sort/merge.hpp"
+#include "sort/mergesort.hpp"
+#include "sort/small_sort.hpp"
+#include "util/math.hpp"
+#include "util/rng.hpp"
+
+namespace {
+
+using namespace aem;
+
+/// Orders by the high 56 bits only, so the low byte is a payload that makes
+/// ties visible: stability and tie-breaking show up in the written atoms.
+struct KeyLess {
+  bool operator()(std::uint64_t a, std::uint64_t b) const {
+    return (a >> 8) < (b >> 8);
+  }
+};
+
+struct Shape {
+  std::size_t M, B;
+  std::uint64_t omega;
+  std::size_t N;
+};
+
+// A: two merge levels (12 base runs, fanout 8).  B: high omega, one level.
+// C: small B, three base runs.  D: omega > B, the Section 3.1 case with
+// externally stored block pointers.
+constexpr Shape kShapes[] = {
+    {128, 8, 2, 1500},
+    {256, 16, 16, 3000},
+    {512, 8, 4, 2500},
+    {128, 4, 8, 2000},
+};
+
+enum class Input { kUniform, kDuplicates };
+
+std::vector<std::uint64_t> make_input(std::size_t n, Input kind,
+                                      std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<std::uint64_t> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (kind == Input::kUniform) {
+      v[i] = rng.next();
+    } else {
+      v[i] = ((rng.next() % 5) << 8) | (i & 0xff);
+    }
+  }
+  return v;
+}
+
+struct Pin {
+  std::uint64_t reads = 0, writes = 0, high_water = 0, trace = 0;
+  bool operator==(const Pin&) const = default;
+};
+
+class Fnv {
+ public:
+  void add(std::uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (x >> (8 * i)) & 0xff;
+      h_ *= 0x100000001B3ull;
+    }
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xCBF29CE484222325ull;
+};
+
+std::uint64_t trace_hash(const Trace& t) {
+  Fnv h;
+  for (const TraceOp& op : t.ops()) {
+    h.add(static_cast<std::uint64_t>(op.kind));
+    h.add(op.array);
+    h.add(op.block);
+    h.add(op.atoms.size());
+    for (std::uint64_t a : op.atoms) h.add(a);
+    h.add(op.used.size());
+    for (std::uint64_t u : op.used) h.add(u);
+  }
+  return h.value();
+}
+
+Config cfg(const Shape& s) {
+  Config c;
+  c.memory_elems = s.M;
+  c.block_elems = s.B;
+  c.write_cost = s.omega;
+  return c;
+}
+
+/// A traced machine with atom-tracked input and output arrays of `n_out`
+/// elements; `body(in, out)` runs the algorithm under test.
+template <class Body>
+Pin measure(const Shape& s, const std::vector<std::uint64_t>& host,
+            std::size_t n_out, Body body) {
+  Machine mach(cfg(s));
+  auto atom = [](const std::uint64_t& v) { return v; };
+  ExtArray<std::uint64_t> in(mach, host.size(), "in");
+  in.unsafe_host_fill(host);
+  in.set_atom_extractor(atom);
+  ExtArray<std::uint64_t> out(mach, n_out, "out");
+  out.set_atom_extractor(atom);
+  mach.enable_trace();
+  body(in, out);
+  const IoStats st = mach.stats();
+  return Pin{st.reads, st.writes, mach.ledger().high_water(),
+             trace_hash(*mach.trace())};
+}
+
+/// Host-sorted runs at block-aligned offsets (unaligned lengths), as many
+/// as the merge fanout allows up to 9; returns the staged source layout.
+std::vector<std::uint64_t> make_runs(const Shape& s,
+                                     const std::vector<std::uint64_t>& keys,
+                                     std::vector<RunBounds>& bounds) {
+  Machine probe(cfg(s));
+  const std::size_t k = std::min<std::size_t>(
+      SortBudget::from(probe).fanout, 9);
+  std::vector<std::uint64_t> src;
+  std::size_t taken = 0;
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::size_t len =
+        i + 1 == k ? keys.size() - taken
+                   : std::min(keys.size() - taken,
+                              keys.size() / k + (i % 3) * (s.B / 2 + 1));
+    const std::size_t begin = util::round_up(src.size(), s.B);
+    src.resize(begin, 0);
+    src.insert(src.end(), keys.begin() + static_cast<std::ptrdiff_t>(taken),
+               keys.begin() + static_cast<std::ptrdiff_t>(taken + len));
+    std::stable_sort(src.begin() + static_cast<std::ptrdiff_t>(begin),
+                     src.end(), KeyLess{});
+    bounds.push_back(RunBounds{begin, begin + len});
+    taken += len;
+  }
+  return src;
+}
+
+Pin run_case(const std::string& algo, const Shape& s, Input kind) {
+  const auto keys = make_input(s.N, kind, 0xA11CE + s.N);
+  const std::size_t n = keys.size();
+  if (algo == "small_sort") {
+    return measure(s, keys, n, [&](auto& in, auto& out) {
+      small_sort(in, 0, n, out, 0, KeyLess{});
+    });
+  }
+  if (algo == "small_sort_combine") {
+    return measure(s, keys, n, [&](auto& in, auto& out) {
+      small_sort(in, 0, n, out, 0, KeyLess{},
+                 [](std::uint64_t& acc, const std::uint64_t& next) {
+                   acc = (acc & ~std::uint64_t{0xff}) |
+                         ((acc + next) & 0xff);
+                 });
+    });
+  }
+  if (algo == "merge_loser" || algo == "merge_scan") {
+    std::vector<RunBounds> bounds;
+    const auto src = make_runs(s, keys, bounds);
+    const MergeKernel kernel = algo == "merge_loser" ? MergeKernel::kLoserTree
+                                                     : MergeKernel::kScanSelect;
+    return measure(s, src, n, [&](auto& in, auto& out) {
+      merge_runs(in, std::span<const RunBounds>(bounds), out, 0, KeyLess{},
+                 nullptr, nullptr, kernel);
+    });
+  }
+  if (algo == "aem_merge_sort") {
+    return measure(s, keys, n, [&](auto& in, auto& out) {
+      aem_merge_sort(in, out, KeyLess{});
+    });
+  }
+  const PqTuning tuning =
+      algo == "heap_legacy" ? PqTuning::kLegacy : PqTuning::kBuffered;
+  return measure(s, keys, n, [&](auto& in, auto& out) {
+    aem_heap_sort(in, out, KeyLess{}, tuning);
+  });
+}
+
+struct Golden {
+  const char* algo;
+  std::size_t shape;
+  Input input;
+  Pin pin;
+};
+
+constexpr Input U = Input::kUniform;
+constexpr Input D = Input::kDuplicates;
+
+const Golden kGolden[] = {
+    {"small_sort", 0, U, {4512, 188, 80, 0x5df4ae317b99ca4dull}},
+    {"small_sort", 0, D, {4512, 188, 80, 0x6334f33bf35d341full}},
+    {"small_sort", 1, U, {4512, 188, 160, 0x0363b4a66418c7f1ull}},
+    {"small_sort", 1, D, {4512, 188, 160, 0x55b609a69d1c8a5bull}},
+    {"small_sort", 2, U, {3130, 313, 272, 0xbaedcbd1d92b5e40ull}},
+    {"small_sort", 2, D, {3130, 313, 272, 0xbf8558e07d2f9e92ull}},
+    {"small_sort", 3, U, {16000, 500, 72, 0xdf2438150a4a53b1ull}},
+    {"small_sort", 3, D, {16000, 500, 72, 0x6376c411eb54aabbull}},
+    {"small_sort_combine", 0, U, {4512, 188, 80, 0x98d1e617a8b7090dull}},
+    {"small_sort_combine", 0, D, {4513, 1, 80, 0xb844202b76c5fd9bull}},
+    {"small_sort_combine", 1, U, {4512, 188, 160, 0x1b84c3f1b3ce13e5ull}},
+    {"small_sort_combine", 1, D, {4513, 1, 160, 0x566db63be0f939efull}},
+    {"small_sort_combine", 2, U, {3130, 313, 272, 0xe52aa36586514a80ull}},
+    {"small_sort_combine", 2, D, {3131, 1, 272, 0x66fa0a34957bc28eull}},
+    {"small_sort_combine", 3, U, {16000, 500, 72, 0xd1d756f97e0317e9ull}},
+    {"small_sort_combine", 3, D, {16001, 2, 72, 0xdd9b1ad1faac7366ull}},
+    {"merge_loser", 0, U, {1405, 380, 60, 0xfdebedfe7e1d46e4ull}},
+    {"merge_loser", 0, D, {1430, 380, 60, 0x11093325189af9aeull}},
+    {"merge_loser", 1, U, {1544, 380, 116, 0xceb11dc838c45ddaull}},
+    {"merge_loser", 1, D, {1550, 380, 116, 0xacb7eda9625f11afull}},
+    {"merge_loser", 2, U, {1065, 632, 168, 0x79ec898dcbe73dedull}},
+    {"merge_loser", 2, D, {1134, 632, 168, 0x833fad35d140549full}},
+    {"merge_loser", 3, U, {2630, 1007, 52, 0xb141f07ecb604d66ull}},
+    {"merge_loser", 3, D, {2815, 1007, 52, 0x1635574c6d8d06b9ull}},
+    {"merge_scan", 0, U, {1405, 380, 60, 0xfdebedfe7e1d46e4ull}},
+    {"merge_scan", 0, D, {1430, 380, 60, 0x11093325189af9aeull}},
+    {"merge_scan", 1, U, {1544, 380, 116, 0xceb11dc838c45ddaull}},
+    {"merge_scan", 1, D, {1550, 380, 116, 0xacb7eda9625f11afull}},
+    {"merge_scan", 2, U, {1065, 632, 168, 0x79ec898dcbe73dedull}},
+    {"merge_scan", 2, D, {1134, 632, 168, 0x833fad35d140549full}},
+    {"merge_scan", 3, U, {2630, 1007, 52, 0xb141f07ecb604d66ull}},
+    {"merge_scan", 3, D, {2815, 1007, 52, 0x1635574c6d8d06b9ull}},
+    {"aem_merge_sort", 0, U, {2241, 943, 80, 0x92ae3b24828446c8ull}},
+    {"aem_merge_sort", 0, D, {2296, 943, 80, 0xbe94c8849bf42bafull}},
+    {"aem_merge_sort", 1, U, {3185, 565, 160, 0xffda2c71b6f47436ull}},
+    {"aem_merge_sort", 1, D, {3202, 565, 160, 0x1367c53c27849937ull}},
+    {"aem_merge_sort", 2, U, {1919, 940, 272, 0x963be09395188dc4ull}},
+    {"aem_merge_sort", 2, D, {1937, 940, 272, 0xe1e7cea6d4af250cull}},
+    {"aem_merge_sort", 3, U, {5615, 1501, 72, 0x6ba97e86b48a7b18ull}},
+    {"aem_merge_sort", 3, D, {5722, 1501, 72, 0xcd6795c7f1a1011dull}},
+    {"heap_legacy", 0, U, {4113, 1819, 85, 0x18cb869acedc0e8aull}},
+    {"heap_legacy", 0, D, {3930, 1819, 85, 0xa1c8cae9fd1956f2ull}},
+    {"heap_legacy", 1, U, {4140, 1819, 157, 0x21a2306b9aa72e8aull}},
+    {"heap_legacy", 1, D, {4045, 1819, 157, 0x2967c487d1620b7dull}},
+    {"heap_legacy", 2, U, {2693, 1397, 200, 0x4761d85ecd2f06f4ull}},
+    {"heap_legacy", 2, D, {2671, 1397, 200, 0xa8c3f662cabcf18full}},
+    {"heap_legacy", 3, U, {8508, 3240, 74, 0xca6f6b683de84cecull}},
+    {"heap_legacy", 3, D, {8236, 3240, 74, 0x6a6ece73a81e6be0ull}},
+    {"heap_buffered", 0, U, {4330, 1298, 76, 0xc43ef6b807ab666cull}},
+    {"heap_buffered", 0, D, {4114, 1298, 76, 0xae88c29970e11136ull}},
+    {"heap_buffered", 1, U, {9975, 762, 148, 0xf98e133a0705159aull}},
+    {"heap_buffered", 1, D, {9137, 762, 148, 0x35da5eb304f13403ull}},
+    {"heap_buffered", 2, U, {4136, 625, 153, 0x4ff5c53b2c86abc1ull}},
+    {"heap_buffered", 2, D, {3954, 625, 153, 0x4d3fc86e15caf07aull}},
+    {"heap_buffered", 3, U, {23243, 1784, 60, 0xf7f1318db419a614ull}},
+    {"heap_buffered", 3, D, {21645, 1784, 60, 0x5a3f08ac0563c5a0ull}},
+};
+
+const char* const kAlgos[] = {"small_sort",     "small_sort_combine",
+                              "merge_loser",    "merge_scan",
+                              "aem_merge_sort", "heap_legacy",
+                              "heap_buffered"};
+
+TEST(SortGoldenTest, ChargesAndTracesMatchPins) {
+  for (const char* algo : kAlgos)
+    for (std::size_t si = 0; si < std::size(kShapes); ++si)
+      for (Input kind : {U, D}) {
+        const Pin got = run_case(algo, kShapes[si], kind);
+        const Golden* want = nullptr;
+        for (const Golden& g : kGolden)
+          if (std::string(g.algo) == algo && g.shape == si && g.input == kind)
+            want = &g;
+        char line[160];
+        std::snprintf(line, sizeof line,
+                      "{\"%s\", %zu, %c, {%" PRIu64 ", %" PRIu64 ", %" PRIu64
+                      ", 0x%016" PRIx64 "ull}},",
+                      algo, si, kind == U ? 'U' : 'D', got.reads, got.writes,
+                      got.high_water, got.trace);
+        EXPECT_TRUE(want != nullptr && want->pin == got) << line;
+      }
+}
+
+}  // namespace
