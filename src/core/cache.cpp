@@ -77,13 +77,53 @@ void BlockCache::touch(std::uint32_t frame) {
       frames_[frame].ref = true;
       break;
     case CachePolicy::kLru:
-    case CachePolicy::kCleanFirst:
       if (head_ != frame) {
         list_unlink(frame);
         list_push_front(frame);
       }
       break;
+    case CachePolicy::kCleanFirst: {
+      // Runs even when `frame` is already the head: a write hit may just
+      // have dirtied the coldest clean frame.
+      Frame& f = frames_[frame];
+      if (frame == clean_lru_) {
+        advance_clean_lru(f.prev);
+      } else if (f.cold && clean_lru_ != kNil) {
+        leave_cold_run(f);  // now warmer than clean_lru_
+      }
+      if (head_ != frame) {
+        list_unlink(frame);
+        list_push_front(frame);
+      }
+      if (clean_lru_ == kNil) {
+        // Every other frame is dirty: the head is either the coldest clean
+        // frame or one more member of the all-dirty cold run.
+        if (!f.dirty) {
+          clean_lru_ = frame;
+        } else if (!f.cold) {
+          join_cold_run(f);
+        }
+      }
+      break;
+    }
   }
+}
+
+void BlockCache::advance_clean_lru(std::uint32_t frame) {
+  // Amortized O(1): a frame joins the cold run here at most once per time
+  // it left it (touch) or entered the pool (insert).
+  while (frame != kNil && frames_[frame].dirty) {
+    join_cold_run(frames_[frame]);
+    frame = frames_[frame].prev;
+  }
+  clean_lru_ = frame;
+}
+
+void BlockCache::rebuild_cold_run() {
+  if (cfg_.policy != CachePolicy::kCleanFirst) return;
+  for (Frame& f : frames_) f.cold = false;
+  cold_run_ = 0;
+  advance_clean_lru(tail_);
 }
 
 std::uint32_t BlockCache::pick_victim() {
@@ -104,18 +144,13 @@ std::uint32_t BlockCache::pick_victim() {
         return static_cast<std::uint32_t>(here);
       }
     }
-    case CachePolicy::kCleanFirst: {
-      // Scan up to window() blocks from the cold end for a clean victim;
-      // a clean eviction costs at most one future read, a dirty one a
-      // certain omega-priced write-back.  No clean block in the window
-      // (or window 0, the omega = 1 degeneration): plain LRU.
-      std::uint32_t f = tail_;
-      for (std::size_t scanned = 0; f != kNil && scanned < window_;
-           ++scanned, f = frames_[f].prev) {
-        if (!frames_[f].dirty) return f;
-      }
-      return tail_;
-    }
+    case CachePolicy::kCleanFirst:
+      // The coldest clean frame if it lies within window() frames of the
+      // cold end — exactly what scanning the window would find; a clean
+      // eviction costs at most one future read, a dirty one a certain
+      // omega-priced write-back.  No clean frame in the window (or window
+      // 0, the omega = 1 degeneration): plain LRU.
+      return clean_lru_ != kNil && cold_run_ < window_ ? clean_lru_ : tail_;
     case CachePolicy::kLru:
       return tail_;
   }
@@ -140,6 +175,11 @@ void BlockCache::evict_one() {
     f.dirty = false;
   } else {
     ++stats_.evictions_clean;
+  }
+  if (v == clean_lru_) {
+    advance_clean_lru(f.prev);
+  } else if (f.cold) {
+    leave_cold_run(f);
   }
   index_[f.array].erase(f.block);
   list_unlink(v);
@@ -166,6 +206,13 @@ void BlockCache::insert(std::uint32_t array, std::uint64_t block, bool dirty,
   f.dirty = dirty;
   f.ref = true;
   list_push_front(slot);
+  if (cfg_.policy == CachePolicy::kCleanFirst && clean_lru_ == kNil) {
+    if (dirty) {
+      join_cold_run(f);
+    } else {
+      clean_lru_ = slot;
+    }
+  }
   index_[array].emplace(block, Entry{slot});
   ++resident_;
   if (dirty) ++resident_dirty_;
@@ -197,6 +244,12 @@ std::size_t BlockCache::flush() {
   // blocks the sink completed, so an exception mid-run marks exactly the
   // written-back prefix clean and leaves the failing block (and everything
   // after it) dirty — identical retry semantics to the per-block flush.
+  // However the loop exits, the frames it cleaned move the clean-first
+  // cursor: rebuild it on the way out (flush is O(capacity) already).
+  struct CursorRebuild {
+    BlockCache* cache;
+    ~CursorRebuild() { cache->rebuild_cold_run(); }
+  } rebuild_on_exit{this};
   std::vector<std::uint64_t> run;
   std::size_t i = 0;
   while (i < dirty_blocks.size()) {
@@ -248,6 +301,7 @@ void BlockCache::invalidate_array(std::uint32_t array) {
     free_.push_back(v);
   }
   index_[array].clear();
+  rebuild_cold_run();
 }
 
 bool BlockCache::contains(std::uint32_t array, std::uint64_t block) const {

@@ -12,12 +12,15 @@
 //  * kClock      — second-chance approximation of LRU (reference bits);
 //  * kCleanFirst — the asymmetry-aware policy (CFLRU-style): evicting a
 //    clean block costs a possible future read (1), evicting a dirty block
-//    costs a certain write (omega) plus the future read, so the policy
-//    scans a window of coldest blocks for a clean victim before giving up
-//    and evicting the true LRU block.  The window is derived from the
-//    machine's omega (capacity - max(1, capacity/omega)), so at omega = 1
-//    the window is empty and the policy degenerates to exact LRU — the
-//    classic EM special case stays classic.
+//    costs a certain write (omega) plus the future read, so the victim is
+//    the coldest clean block within a window of the coldest blocks, and
+//    the true LRU block when that window holds none.  The window is
+//    derived from the machine's omega (capacity - max(1, capacity/omega)),
+//    so at omega = 1 the window is empty and the policy degenerates to
+//    exact LRU — the classic EM special case stays classic.  The victim is
+//    the one a scan of the window would return, but it is read off a
+//    maintained cold-run cursor (the coldest clean frame plus the count of
+//    dirty frames colder than it) in amortized O(1), not found by a scan.
 //
 // The pool models a device-side buffer (an SSD's DRAM cache, a controller
 // buffer): its capacity does NOT count against the algorithm's internal
@@ -221,6 +224,7 @@ class BlockCache {
     bool valid = false;
     bool dirty = false;
     bool ref = false;  // kClock reference bit
+    bool cold = false;  // kCleanFirst: in the cold run (see clean_lru_)
     // Recency list links (head = MRU, tail = LRU).
     std::uint32_t prev = kNil;
     std::uint32_t next = kNil;
@@ -245,6 +249,23 @@ class BlockCache {
 
   /// Picks the policy's victim frame (the pool must be full).
   std::uint32_t pick_victim();
+
+  // kCleanFirst cursor.  Walks warmer from `frame` (kNil: none), adding
+  // each dirty frame to the cold run, and makes the first clean frame met
+  // the new clean_lru_ (kNil if there is none).
+  void advance_clean_lru(std::uint32_t frame);
+  void leave_cold_run(Frame& f) {
+    f.cold = false;
+    --cold_run_;
+  }
+  void join_cold_run(Frame& f) {
+    f.cold = true;
+    ++cold_run_;
+  }
+  /// Recomputes the cursor from the recency list in O(capacity) (after
+  /// flush() and invalidate_array(), which change many frames at once).
+  void rebuild_cold_run();
+
   /// Writes back (if dirty) and removes the victim.  May throw from the
   /// write-back; in that case the victim is untouched.
   void evict_one();
@@ -259,6 +280,13 @@ class BlockCache {
   std::vector<Sink*> sinks_;
   std::uint32_t head_ = kNil;  // MRU
   std::uint32_t tail_ = kNil;  // LRU
+  // kCleanFirst only.  clean_lru_ is the coldest clean frame (kNil: every
+  // resident frame is dirty); the cold run is the frames colder than it —
+  // all dirty, all flagged `cold` — or every resident frame when
+  // clean_lru_ is kNil.  A window scan from the tail reaches clean_lru_
+  // exactly when cold_run_ < window_.
+  std::uint32_t clean_lru_ = kNil;
+  std::size_t cold_run_ = 0;
   std::size_t clock_hand_ = 0;
   std::size_t resident_ = 0;
   std::size_t resident_dirty_ = 0;

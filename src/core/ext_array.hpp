@@ -433,8 +433,8 @@ class ExtArray : private BlockCache::Sink {
     }
     // The faulty write path mutates the located device region in place, so
     // stage the intended payload out of the (aliasing) native region.
-    const std::vector<T> tmp(native(bi), native(bi) + count);
-    faulty_write(*fp, bi, std::span<const T>(tmp), count);
+    write_back_buf_.assign(native(bi), native(bi) + count);
+    faulty_write(*fp, bi, std::span<const T>(write_back_buf_), count);
   }
 
   /// BlockCache::Sink batch write-back: on a plain device the whole run is
@@ -652,6 +652,8 @@ class ExtArray : private BlockCache::Sink {
   // read_blocks stays const like read_block).
   mutable std::vector<BlockOp> batch_ops_;
   mutable std::vector<IoTicket> batch_tickets_;
+  // Scratch for staging a write-back payload under fault injection.
+  std::vector<T> write_back_buf_;
 };
 
 /// An internal-memory allocation of `elems` elements, registered with the

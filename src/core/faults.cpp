@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 
 namespace aem {
@@ -123,12 +124,28 @@ FaultError::FaultError(bool is_write, std::uint32_t array, std::uint64_t block,
       attempts_(attempts) {}
 
 std::uint64_t fault_checksum(const void* data, std::size_t bytes) {
+  constexpr std::uint64_t kBasis = 0xCBF29CE484222325ull;  // FNV offset
+  constexpr std::uint64_t kPrime = 0x100000001B3ull;       // FNV prime
+  constexpr std::size_t kLanes = 4;
+  constexpr std::size_t kWord = sizeof(std::uint64_t);
   const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = 0xCBF29CE484222325ull;  // FNV offset basis
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 0x100000001B3ull;  // FNV prime
+  auto word_at = [p](std::size_t i) {
+    std::uint64_t w;
+    std::memcpy(&w, p + i, kWord);
+    return w;
+  };
+  std::uint64_t h = kBasis;
+  std::size_t i = 0;
+  if (bytes >= kLanes * kWord) {
+    // Four independent multiply chains, so the multiplies overlap.
+    std::uint64_t lane[kLanes] = {kBasis, kBasis, kBasis, kBasis};
+    for (; i + kLanes * kWord <= bytes; i += kLanes * kWord)
+      for (std::size_t k = 0; k < kLanes; ++k)
+        lane[k] = (lane[k] ^ word_at(i + k * kWord)) * kPrime;
+    for (std::uint64_t l : lane) h = (h ^ l) * kPrime;
   }
+  for (; i + kWord <= bytes; i += kWord) h = (h ^ word_at(i)) * kPrime;
+  for (; i < bytes; ++i) h = (h ^ p[i]) * kPrime;
   return h;
 }
 

@@ -243,8 +243,14 @@ class FaultError : public std::runtime_error {
   std::size_t attempts_;
 };
 
-/// FNV-1a 64 over a byte range — the per-block checksum of the recovery
-/// layer (exposed for tests).
+/// The per-block checksum of the recovery layer (exposed for tests): an
+/// FNV-1a-style hash over 8-byte words, h = (h ^ w) * FNV_prime, run in
+/// four independent lanes over each 32-byte chunk, the lanes then folded
+/// into h the same way, with a word-wise and then byte-wise tail for
+/// lengths that are not a multiple of 32.  Every step is a bijection in
+/// both h (the prime is odd) and w, so a change confined to one word —
+/// every single-byte corruption the fault layer injects — always changes
+/// the result.  Zero bytes hash to the FNV offset basis.
 std::uint64_t fault_checksum(const void* data, std::size_t bytes);
 
 /// The seed-driven fault schedule plus endurance bookkeeping.  Installed on

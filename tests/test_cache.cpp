@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/cache.hpp"
@@ -717,6 +719,273 @@ TEST(CachedMachineTest, DestroyingArrayWithResidentBlocksThenFlushingIsSafe) {
   std::vector<std::uint64_t> back(8, 0);
   fresh.read_block(0, std::span<std::uint64_t>(back));
   EXPECT_EQ(back, blk);
+}
+
+// --- clean-first victim: differential check against the window scan ------
+// BlockCache finds the clean-first victim from a maintained cursor (the
+// coldest clean frame plus the length of the dirty run colder than it).
+// The reference below is the definition that cursor must reproduce: an
+// explicit recency list and a linear scan of window() frames from the cold
+// end.  Both are driven with the same randomized operations and compared
+// after every one: residency, dirtiness, and the write-back sequence.
+
+/// Write-back log shared by every array's sink (and by the reference);
+/// `fail_in` >= 0 makes the write-back that many calls from now fail, once.
+struct WriteBackLog {
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> written;
+  long fail_in = -1;
+  bool write(std::uint32_t array, std::uint64_t block) {
+    if (fail_in == 0) {
+      fail_in = -1;
+      return false;
+    }
+    if (fail_in > 0) --fail_in;
+    written.emplace_back(array, block);
+    return true;
+  }
+};
+
+struct LogSink : BlockCache::Sink {
+  LogSink(WriteBackLog& log, std::uint32_t array) : log_(log), array_(array) {}
+  void cache_write_back(std::uint64_t block) override {
+    if (!log_.write(array_, block))
+      throw std::runtime_error("write-back failed");
+  }
+  WriteBackLog& log_;
+  std::uint32_t array_;
+};
+
+/// The clean-first policy by definition: front of `frames` is the MRU.
+class CleanFirstReference {
+ public:
+  struct Frame {
+    std::uint32_t array;
+    std::uint64_t block;
+    bool dirty;
+  };
+
+  CleanFirstReference(std::size_t capacity, std::size_t window)
+      : capacity_(capacity), window_(window) {}
+
+  const std::vector<Frame>& frames() const { return frames_; }
+
+  bool find(std::uint32_t array, std::uint64_t block, bool write) {
+    const auto it = locate(array, block);
+    if (it == frames_.end()) return false;
+    Frame f = *it;
+    f.dirty = f.dirty || write;
+    frames_.erase(it);
+    frames_.insert(frames_.begin(), f);
+    return true;
+  }
+
+  void insert(std::uint32_t array, std::uint64_t block, bool dirty,
+              WriteBackLog& log) {
+    if (frames_.size() == capacity_) {
+      const auto v = victim();
+      if (v->dirty && !log.write(v->array, v->block))
+        throw std::runtime_error("write-back failed");
+      frames_.erase(v);
+    }
+    frames_.insert(frames_.begin(), Frame{array, block, dirty});
+  }
+
+  void flush(WriteBackLog& log) {
+    std::vector<std::pair<std::uint32_t, std::uint64_t>> dirty;
+    for (const Frame& f : frames_)
+      if (f.dirty) dirty.emplace_back(f.array, f.block);
+    std::sort(dirty.begin(), dirty.end());
+    for (const auto& [array, block] : dirty) {
+      if (!log.write(array, block))
+        throw std::runtime_error("write-back failed");
+      locate(array, block)->dirty = false;
+    }
+  }
+
+  void invalidate_array(std::uint32_t array) {
+    std::erase_if(frames_, [&](const Frame& f) { return f.array == array; });
+  }
+
+  std::size_t resident_dirty() const {
+    return static_cast<std::size_t>(
+        std::count_if(frames_.begin(), frames_.end(),
+                      [](const Frame& f) { return f.dirty; }));
+  }
+
+ private:
+  std::vector<Frame>::iterator locate(std::uint32_t array,
+                                      std::uint64_t block) {
+    return std::find_if(frames_.begin(), frames_.end(), [&](const Frame& f) {
+      return f.array == array && f.block == block;
+    });
+  }
+
+  // The linear window scan: the first clean frame among the window()
+  // coldest, else the LRU frame.
+  std::vector<Frame>::iterator victim() {
+    for (std::size_t scanned = 0;
+         scanned < window_ && scanned < frames_.size(); ++scanned) {
+      const auto it = frames_.end() - 1 - static_cast<std::ptrdiff_t>(scanned);
+      if (!it->dirty) return it;
+    }
+    return frames_.end() - 1;
+  }
+
+  std::size_t capacity_;
+  std::size_t window_;
+  std::vector<Frame> frames_;
+};
+
+/// Drives a kCleanFirst BlockCache and the reference with `ops` random
+/// operations and returns a description of the first divergence ("" if
+/// none).  Write probability drifts between phases, so pools run all
+/// clean, mixed, and all dirty.
+std::string diverges_from_window_scan(std::size_t capacity,
+                                      std::size_t clean_window,
+                                      std::uint64_t omega,
+                                      std::size_t expected_window,
+                                      std::uint64_t seed, std::size_t ops) {
+  constexpr std::uint32_t kArrays = 3;
+  CacheConfig c;
+  c.capacity_blocks = capacity;
+  c.policy = CachePolicy::kCleanFirst;
+  c.clean_window = clean_window;
+  BlockCache bc(c, omega);
+  if (bc.window() != expected_window)
+    return "window " + std::to_string(bc.window()) + " != " +
+           std::to_string(expected_window);
+  CleanFirstReference ref(capacity, expected_window);
+  WriteBackLog real_log, ref_log;
+  std::vector<LogSink> sinks;
+  for (std::uint32_t a = 0; a < kArrays; ++a) sinks.emplace_back(real_log, a);
+  util::Rng rng(seed);
+  const std::uint64_t blocks_per_array = capacity / 2 + 2;
+  const double phases[] = {0.0, 0.3, 0.9, 1.0};
+  double write_p = 0.5;
+
+  // One cached access, the way ExtArray issues it: hit, or miss + insert.
+  auto access = [&](std::uint32_t a, std::uint64_t b, bool write) {
+    bool real_threw = false, ref_threw = false;
+    const bool hit = write ? bc.find_write(a, b) : bc.find_read(a, b);
+    if (!hit) {
+      try {
+        bc.insert(a, b, write, &sinks[a]);
+      } catch (const std::runtime_error&) {
+        real_threw = true;
+      }
+    }
+    if (!ref.find(a, b, write)) {
+      try {
+        ref.insert(a, b, write, ref_log);
+      } catch (const std::runtime_error&) {
+        ref_threw = true;
+      }
+    }
+    return real_threw == ref_threw;
+  };
+
+  for (std::size_t op = 0; op < ops; ++op) {
+    if (op % 64 == 0) write_p = phases[rng.below(4)];
+    const std::uint64_t kind = rng.below(100);
+    std::string what;
+    bool same_throw = true;
+    if (kind < 45) {  // random block: misses, evictions, some hits
+      const auto a = static_cast<std::uint32_t>(rng.below(kArrays));
+      const std::uint64_t b = rng.below(blocks_per_array);
+      what = "access";
+      same_throw = access(a, b, rng.uniform01() < write_p);
+    } else if (kind < 75 && !ref.frames().empty()) {  // resident: a hit
+      const auto& f = ref.frames()[rng.below(ref.frames().size())];
+      what = "hit";
+      same_throw = access(f.array, f.block, rng.uniform01() < write_p);
+    } else if (kind < 83) {  // the coldest clean frame, read or written
+      const auto& fr = ref.frames();
+      auto it = std::find_if(fr.rbegin(), fr.rend(),
+                             [](const auto& f) { return !f.dirty; });
+      if (it == fr.rend()) continue;
+      what = "coldest-clean";
+      same_throw = access(it->array, it->block, rng.below(2) == 0);
+    } else if (kind < 88) {  // fresh clean block at the MRU head, then write
+      const auto a = static_cast<std::uint32_t>(rng.below(kArrays));
+      const std::uint64_t b = blocks_per_array + rng.below(4);
+      what = "clean-head-then-write";
+      same_throw = access(a, b, false) && access(a, b, true);
+    } else if (kind < 93) {  // eviction whose write-back fails
+      real_log.fail_in = ref_log.fail_in = 0;
+      const auto a = static_cast<std::uint32_t>(rng.below(kArrays));
+      what = "failing-eviction";
+      same_throw = access(a, rng.below(blocks_per_array), true);
+      real_log.fail_in = ref_log.fail_in = -1;
+    } else if (kind < 97) {  // flush, sometimes failing mid-run
+      const std::size_t dirty = ref.resident_dirty();
+      const long fail =
+          dirty > 0 && rng.below(2) == 0 ? static_cast<long>(rng.below(dirty))
+                                         : -1;
+      real_log.fail_in = ref_log.fail_in = fail;
+      bool real_threw = false, ref_threw = false;
+      try {
+        bc.flush();
+      } catch (const std::runtime_error&) {
+        real_threw = true;
+      }
+      try {
+        ref.flush(ref_log);
+      } catch (const std::runtime_error&) {
+        ref_threw = true;
+      }
+      real_log.fail_in = ref_log.fail_in = -1;
+      what = "flush";
+      same_throw = real_threw == ref_threw;
+    } else {
+      const auto a = static_cast<std::uint32_t>(rng.below(kArrays));
+      bc.invalidate_array(a);
+      ref.invalidate_array(a);
+      what = "invalidate_array";
+    }
+    const std::string at = " after op " + std::to_string(op) + " (" + what +
+                           ", capacity " + std::to_string(capacity) +
+                           ", window " + std::to_string(expected_window) + ")";
+    if (!same_throw) return "write-back failure mismatch" + at;
+    if (real_log.written != ref_log.written) return "write-backs differ" + at;
+    if (bc.resident() != ref.frames().size()) return "resident differs" + at;
+    if (bc.resident_dirty() != ref.resident_dirty())
+      return "resident_dirty differs" + at;
+    for (const auto& f : ref.frames()) {
+      if (!bc.contains(f.array, f.block))
+        return "block " + std::to_string(f.block) + " of array " +
+               std::to_string(f.array) + " missing" + at;
+      if (bc.dirty(f.array, f.block) != f.dirty)
+        return "dirtiness differs" + at;
+    }
+  }
+  return "";
+}
+
+TEST(CleanFirstDifferentialTest, ExplicitWindowsMatchTheWindowScan) {
+  for (std::size_t cap = 1; cap <= 64; ++cap) {
+    std::vector<std::size_t> windows = {1, cap / 2, cap - 1, cap};
+    std::sort(windows.begin(), windows.end());
+    windows.erase(std::unique(windows.begin(), windows.end()), windows.end());
+    for (std::size_t w : windows) {
+      if (w == 0) continue;  // clean_window 0 means "derive from omega"
+      EXPECT_EQ(diverges_from_window_scan(cap, w, 8, w, 1000 * cap + w, 1500),
+                "");
+    }
+  }
+}
+
+TEST(CleanFirstDifferentialTest, OmegaDerivedWindowsMatchTheWindowScan) {
+  for (std::size_t cap = 1; cap <= 64; ++cap) {
+    for (std::uint64_t omega : {1u, 2u, 16u}) {
+      const std::size_t w =
+          omega == 1 ? 0
+                     : cap - std::max<std::size_t>(
+                                 1, cap / std::min<std::size_t>(omega, cap));
+      EXPECT_EQ(diverges_from_window_scan(cap, 0, omega, w, 7 * cap + omega,
+                                          1500),
+                "");
+    }
+  }
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "core/remap.hpp"
 #include "core/trace_io.hpp"
 #include "sort/mergesort.hpp"
+#include "store/kv_store.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -203,6 +204,40 @@ TEST(FaultChecksumTest, SensitiveToEveryByte) {
   EXPECT_NE(fault_checksum(a, 4), fault_checksum(a, 3));
   EXPECT_EQ(fault_checksum(a, 4), fault_checksum(a, 4));
   EXPECT_EQ(fault_checksum(a, 0), 0xCBF29CE484222325ull);  // FNV basis
+}
+
+// Every single-byte flip — the only corruption corrupt() injects for read
+// and silent-write faults — must change the checksum, on a full 64-Slot
+// store block (the four-lane path) and on every short length (the word and
+// byte tails, and lane chunks followed by both).
+TEST(FaultChecksumTest, EverySingleByteFlipIsDetected) {
+  const unsigned char masks[] = {0x01, 0x80, 0xFF, 0x5A, 0xA5, 0x10};
+  auto expect_flips_detected = [&](std::vector<unsigned char> bytes) {
+    const std::uint64_t clean = fault_checksum(bytes.data(), bytes.size());
+    for (std::size_t off = 0; off < bytes.size(); ++off) {
+      for (unsigned char m : masks) {
+        bytes[off] ^= m;
+        EXPECT_NE(fault_checksum(bytes.data(), bytes.size()), clean)
+            << "length " << bytes.size() << " offset " << off << " mask "
+            << int{m};
+        bytes[off] ^= m;
+      }
+    }
+  };
+  util::Rng rng(0xC5);
+  std::vector<store::Slot> block(64);
+  for (store::Slot& s : block) s = {rng.next(), rng.next(), rng.next()};
+  ASSERT_EQ(block.size() * sizeof(store::Slot), 1536u);
+  const auto* raw = reinterpret_cast<const unsigned char*>(block.data());
+  expect_flips_detected({raw, raw + block.size() * sizeof(store::Slot)});
+  // An all-zero block: the flips must not be absorbed by zero words.
+  expect_flips_detected(std::vector<unsigned char>(1536, 0));
+  for (std::size_t len = 1; len <= 40; ++len) {
+    std::vector<unsigned char> bytes(len);
+    for (unsigned char& b : bytes) b = static_cast<unsigned char>(rng.next());
+    expect_flips_detected(bytes);
+  }
+  EXPECT_EQ(fault_checksum(nullptr, 0), 0xCBF29CE484222325ull);
 }
 
 TEST(BudgetTest, CostCeilingThrowsStructuredError) {
