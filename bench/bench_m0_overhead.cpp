@@ -18,8 +18,8 @@
 //  * batch-dispatch speedup — Machine::submit vs the per-op virtual loop
 //    for the same op sequence at batch sizes {16, 64, 256, 1024}; guard:
 //    >= --min-batch-speedup (default 2x) at batch >= 64, backed by
-//    byte-identity guards (plain, ExtArray, sharded, store) proving the
-//    batched path charges exactly what the per-op path charges;
+//    byte-identity guards (plain, sharded) proving the batched path
+//    charges exactly what the per-op path charges;
 //  * fence-lookup speedup — the branchless Eytzinger rank kernel vs
 //    std::upper_bound on the same fence array (report-only: both are
 //    host-side and charge nothing, so only the wall clock differs);
@@ -644,50 +644,7 @@ int main(int argc, char** argv) try {
                  "crash schedule fires on the same Nth charged write\n\n";
   }
 
-  // Batch equivalence guard #2 (ExtArray): the multi-block read_blocks /
-  // write_blocks entry points must charge exactly what a per-block loop
-  // charges, in the same order.
-  {
-    auto drive = [](Machine& mach, bool bulk) {
-      ExtArray<std::uint64_t> arr(mach, 64 * mach.B(), "hot");
-      Buffer<std::uint64_t> buf(mach, 8 * mach.B());
-      for (std::uint64_t b = 0; b + 8 <= arr.blocks(); b += 8) {
-        if (bulk) {
-          arr.read_blocks(b, 8, buf.span());
-          arr.write_blocks(b, 8,
-                           std::span<const std::uint64_t>(buf.data(),
-                                                          8 * mach.B()));
-        } else {
-          for (std::uint64_t i = 0; i < 8; ++i) {
-            arr.read_block(b + i, std::span<std::uint64_t>(
-                                      buf.data() + i * mach.B(), mach.B()));
-          }
-          for (std::uint64_t i = 0; i < 8; ++i) {
-            arr.write_block(b + i, std::span<const std::uint64_t>(
-                                       buf.data() + i * mach.B(), mach.B()));
-          }
-        }
-      }
-    };
-    Machine per_block(cfg);
-    per_block.enable_trace();
-    drive(per_block, false);
-    Machine bulk(cfg);
-    bulk.enable_trace();
-    drive(bulk, true);
-    if (!(per_block.stats() == bulk.stats()) ||
-        per_block.cost() != bulk.cost() || !traces_equal(per_block, bulk)) {
-      std::cerr << "FAIL: ExtArray bulk transfers diverged from the "
-                   "per-block loop (reads " << per_block.stats().reads
-                << " vs " << bulk.stats().reads << ", cost "
-                << per_block.cost() << " vs " << bulk.cost() << ")\n";
-      return 1;
-    }
-    std::cout << "batch equivalence guard: ExtArray read_blocks/write_blocks "
-                 "byte-identical to the per-block loop\n\n";
-  }
-
-  // Batch equivalence guard #3 (sharded): a whole batch routed per device
+  // Batch equivalence guard #2 (sharded): a whole batch routed per device
   // must leave the facade AND every member device byte-identical to the
   // per-op routed path.
   {
@@ -717,56 +674,6 @@ int main(int argc, char** argv) try {
     std::cout << "batch equivalence guard: ShardedMachine submit "
                  "byte-identical to per-op routing on the facade and every "
                  "device\n\n";
-  }
-
-  // Batch equivalence guard #4 (store): a KvStore built and scanned with
-  // io_batch_blocks=8 must charge exactly what the io_batch_blocks=1
-  // (legacy per-block) configuration charges — counters, cost, scan
-  // results, and the metrics JSON once ledger_used/ledger_high_water (the
-  // two fields batching legitimately moves: chunk buffers are transient
-  // ledger tenants) are cleared on both sides.
-  {
-    auto run_store = [&](std::size_t io_batch, std::string& json) {
-      Machine mach(cfg);
-      std::vector<store::Slot> slots_host;
-      util::Rng rng(io.seed + 77);
-      for (std::size_t i = 0; i < 600; ++i)
-        slots_host.push_back(store::Slot{3 * i, 1, rng.next()});
-      ExtArray<store::Slot> slots(mach, slots_host.size(), "input.slots");
-      slots.unsafe_host_fill(std::span<const store::Slot>(slots_host));
-      ExtArray<std::uint64_t> payload(mach, 0, "input.payload");
-      store::StoreConfig scfg{store::IndexKind::kFence, 8};
-      scfg.io_batch_blocks = io_batch;
-      store::KvStore kv(mach, scfg);
-      kv.build(slots, payload);
-      std::uint64_t sum = 0;
-      auto visit = [&](std::uint64_t k, std::span<const std::uint64_t> v) {
-        sum += k + (v.empty() ? 0 : v[0]);
-      };
-      sum += kv.scan(100, 1500, visit);
-      sum += kv.scan(0, ~0ull, visit);         // full range
-      sum += kv.scan(3 * 600 + 10, ~0ull, visit);  // empty tail
-      MetricsSnapshot ms = snapshot_metrics(mach, "store-batch-guard");
-      ms.ledger_used = 0;
-      ms.ledger_high_water = 0;
-      json = to_json(ms);
-      return std::pair<IoStats, std::uint64_t>(mach.stats(),
-                                               mach.cost() + sum);
-    };
-    std::string legacy_json, batched_json;
-    const auto legacy = run_store(1, legacy_json);
-    const auto batched = run_store(8, batched_json);
-    if (!(legacy.first == batched.first) || legacy.second != batched.second ||
-        legacy_json != batched_json) {
-      std::cerr << "FAIL: KvStore io_batch_blocks=8 diverged from the "
-                   "per-block build/scan (reads " << legacy.first.reads
-                << " vs " << batched.first.reads << ", cost+sum "
-                << legacy.second << " vs " << batched.second << ")\n";
-      return 1;
-    }
-    std::cout << "batch equivalence guard: KvStore build+scan at "
-                 "io_batch_blocks=8 byte-identical to the per-block path "
-                 "(counters, results, metrics sans ledger water marks)\n\n";
   }
 
   // --- Batch-dispatch speedup: submit() vs the per-op virtual loop -------

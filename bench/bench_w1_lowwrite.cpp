@@ -15,10 +15,9 @@
 //            the wider base absorbs cascades that cost the legacy queue
 //            whole rewrite passes.
 //  * puts  — KvStore::put_inline_batch vs per-op put_inline over the same
-//            ops on identically built stores (fence index, io_batch_blocks
-//            = 4, so construction and scans ride the batched submit path):
-//            K ops absorbed into one page group charge 1 read + 1
-//            omega-write for the group instead of K of each.
+//            ops on identically built stores (fence index): K ops absorbed
+//            into one page group charge 1 read + 1 omega-write for the
+//            group instead of K of each.
 //
 // Every cell appends a v8 metrics snapshot with the `lowwrite` section
 // filled (variant vs baseline I/O, wear horizons, absorbed page groups).
@@ -308,10 +307,7 @@ PutsResult run_puts(const Config& cfg, const PutsWorkload& w, bool batched,
   ExtArray<std::uint64_t> payload(mach, w.payload.size(), "input.payload");
   payload.unsafe_host_fill(std::span<const std::uint64_t>(w.payload));
 
-  StoreConfig sc;
-  sc.index = IndexKind::kFence;
-  sc.io_batch_blocks = 4;  // construction + scans ride the batched path
-  KvStore kv(mach, sc);
+  KvStore kv(mach, StoreConfig{IndexKind::kFence});
   kv.build(slots, payload);
 
   mach.enable_wear_tracking();  // wear of the put phase alone
@@ -534,7 +530,7 @@ int main(int argc, char** argv) try {
            &t, io.metrics);
     emit(t, "W1 batched puts (fence index, " +
                 util::fmt(std::uint64_t(kPutRecords)) +
-                " records, io_batch_blocks=4): per-op vs page-group "
+                " records): per-op vs page-group "
                 "absorption:",
          io.csv);
 

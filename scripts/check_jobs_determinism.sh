@@ -48,11 +48,10 @@ for name in "${BENCHES[@]}"; do
   [[ $ok -eq 1 ]] && echo "OK   $name (stdout, csv, metrics byte-identical)"
 done
 
-# Batched-path phase: bench_t1_traffic settles its request batches through
-# Machine::submit (MODEL.md section 17), and bench_w1_lowwrite drives its
-# store puts through the same path (io_batch_blocks > 1), so their batch
-# sizing must never leak into the output.  Deeper jobs fan-out than the
-# sweep above: 1 vs 4 vs 16.
+# Deep fan-out phase: bench_t1_traffic groups requests into admission
+# windows and bench_w1_lowwrite groups puts into page-group batches; how
+# the sweep splits those cells across workers must never leak into the
+# output.  Deeper jobs fan-out than the sweep above: 1 vs 4 vs 16.
 for batched in bench_t1_traffic bench_w1_lowwrite; do
   bin="$BUILD_DIR/bench/$batched"
   if [[ ! -x "$bin" ]]; then

@@ -97,14 +97,12 @@ UBSAN_OPTIONS="print_stacktrace=1" \
   "$BUILD_DIR/bench/bench_t1_traffic" --jobs=2 > /dev/null
 echo "traffic tests + bench_t1_traffic clean under ASan+UBSan"
 
-# Batch pass: Machine::submit's bulk_charge, the ExtArray multi-block
-# span plumbing, the cache's grouped flush runs, and the KV store's
-# chunked scan buffers all move whole spans at once — exactly where an
-# off-by-one block count or a stale scratch-vector reuse would corrupt
-# memory without failing a release-build equality check.  Run the batch
-# gtests under ASan+UBSan, then bench_t1_traffic (whose per-request
-# batches now settle through the batched engine path) and bench_m0 with
-# its batch byte-identity guards as asserts (speedup floors zeroed: a
+# Batch pass: Machine::submit's bulk_charge and the cache's grouped flush
+# runs move whole spans at once — exactly where an off-by-one block count
+# or a stale scratch-vector reuse would corrupt memory without failing a
+# release-build equality check.  Run the batch gtests under ASan+UBSan,
+# then bench_t1_traffic (admission-window request batches) and bench_m0
+# with its batch byte-identity guards as asserts (speedup floors zeroed: a
 # sanitized build proves memory safety, not throughput).
 echo "=== batch pass (submit/search tests + bench_t1_traffic + bench_m0 guards under ASan+UBSan) ==="
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \

@@ -171,85 +171,6 @@ class ExtArray : private BlockCache::Sink {
     return faulty_write(*fp, bi, src, count);
   }
 
-  /// Reads blocks [first, first+nblocks) into `dst` (which must hold the
-  /// combined element count; the last block may be partial).  Exactly
-  /// equivalent to nblocks read_block calls in ascending order — same
-  /// counters, wear, phase attribution, and trace op sequence.  On a plain
-  /// uncached device (no pool, no injected-fault path) the charges land as
-  /// ONE batched Machine::submit (docs/MODEL.md section 17), amortizing the
-  /// per-op dispatch; under a cache or fault injection it degrades to the
-  /// per-block loop so hit/retry/remap semantics stay untouched.  Returns
-  /// the element count read.
-  std::size_t read_blocks(std::uint64_t first, std::size_t nblocks,
-                          std::span<T> dst) const {
-    if (nblocks == 0) return 0;
-    check_block(first + nblocks - 1);
-    const std::size_t B = mach_->B();
-    const std::size_t begin = static_cast<std::size_t>(first) * B;
-    const std::size_t total =
-        std::min(data_.size(), begin + nblocks * B) - begin;
-    if (dst.size() < total)
-      throw std::invalid_argument("read_blocks: destination too small");
-    FaultPolicy* fp = mach_->faults();
-    if (mach_->cache() == nullptr && (fp == nullptr || !fp->injects_faults())) {
-      for (std::size_t i = 0; i < total; ++i) dst[i] = data_[begin + i];
-      batch_ops_.clear();
-      for (std::size_t j = 0; j < nblocks; ++j)
-        batch_ops_.push_back(BlockOp{OpKind::kRead, id_, first + j});
-      mach_->submit(batch_ops_);
-      return total;
-    }
-    std::size_t off = 0;
-    for (std::size_t j = 0; j < nblocks; ++j)
-      off += read_block(first + j, dst.subspan(off)).count;
-    return off;
-  }
-
-  /// Writes blocks [first, first+nblocks) from `src` (which must hold
-  /// exactly the combined element count).  Exactly equivalent to nblocks
-  /// write_block calls in ascending order; on a plain uncached device with
-  /// NO fault policy at all (even a crash-only schedule takes the per-block
-  /// loop, so the crash discipline — data persisted before its charge,
-  /// nothing past the cut — is preserved verbatim) the charges land as ONE
-  /// batched Machine::submit.  Returns the element count written.
-  std::size_t write_blocks(std::uint64_t first, std::size_t nblocks,
-                           std::span<const T> src) {
-    if (nblocks == 0) return 0;
-    check_block(first + nblocks - 1);
-    const std::size_t B = mach_->B();
-    const std::size_t begin = static_cast<std::size_t>(first) * B;
-    const std::size_t total =
-        std::min(data_.size(), begin + nblocks * B) - begin;
-    if (src.size() != total)
-      throw std::invalid_argument("write_blocks: source size mismatch");
-    if (mach_->cache() == nullptr && mach_->faults() == nullptr) {
-      for (std::size_t i = 0; i < total; ++i) data_[begin + i] = src[i];
-      batch_ops_.clear();
-      for (std::size_t j = 0; j < nblocks; ++j)
-        batch_ops_.push_back(BlockOp{OpKind::kWrite, id_, first + j});
-      if (mach_->tracing() && atom_of_) {
-        batch_tickets_.assign(nblocks, IoTicket{});
-        mach_->submit(batch_ops_, batch_tickets_);
-        std::size_t off = 0;
-        for (std::size_t j = 0; j < nblocks; ++j) {
-          const std::size_t count = std::min(B, total - off);
-          annotate_atoms(batch_tickets_[j], src.subspan(off, count), count);
-          off += count;
-        }
-      } else {
-        mach_->submit(batch_ops_);
-      }
-      return total;
-    }
-    std::size_t off = 0;
-    for (std::size_t j = 0; j < nblocks; ++j) {
-      const std::size_t count = block_elems(first + j);
-      write_block(first + j, src.subspan(off, count));
-      off += count;
-    }
-    return off;
-  }
-
   /// Grows the array to `elems` elements (new space default-initialized).
   /// Free in the model: this only reserves external address space.
   void grow_to(std::size_t elems) {
@@ -648,10 +569,9 @@ class ExtArray : private BlockCache::Sink {
   std::function<std::uint64_t(const T&)> atom_of_;
   // Mutable: reads must be able to lazily create recovery state and retry.
   mutable std::unique_ptr<Recovery> rec_;
-  // Scratch for the batched submit paths (reused across calls; mutable so
-  // read_blocks stays const like read_block).
-  mutable std::vector<BlockOp> batch_ops_;
-  mutable std::vector<IoTicket> batch_tickets_;
+  // Scratch for the batched cache write-back (reused across calls).
+  std::vector<BlockOp> batch_ops_;
+  std::vector<IoTicket> batch_tickets_;
   // Scratch for staging a write-back payload under fault injection.
   std::vector<T> write_back_buf_;
 };

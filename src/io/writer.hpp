@@ -1,26 +1,16 @@
 // Sequential block-buffered writing to an external array range.
 //
-// A Writer holds `batch_blocks` blocks of internal memory (one by default),
-// emits write I/O per full buffer, and — when a range boundary falls inside
-// a block that holds live data outside the range — performs the
-// read-modify-write that a real block device would need (charging the extra
-// read).  Ranges used by the library's algorithms are block-aligned, so the
-// RMW path only triggers at terminal partial blocks.
+// A Writer holds one block of internal memory, emits one write I/O per full
+// block, and — when a range boundary falls inside a block that holds live
+// data outside the range — performs the read-modify-write that a real block
+// device would need (charging the extra read).  Ranges used by the library's
+// algorithms are block-aligned, so the RMW path only triggers at terminal
+// partial blocks.
 //
-// With batch_blocks == 1 (the default) every charge is byte-identical to
-// the historical one-block writer.  With batch_blocks >= 2, aligned
-// whole-block runs are emitted through ExtArray::write_blocks as ONE
-// batched Machine::submit (docs/MODEL.md section 17): the same blocks are
-// written exactly once each in the same order, so end-of-stream counters
-// and wear are unchanged, but the writes land later (at buffer boundaries)
-// — callers that interleave reads of just-written data, or that need
-// checkpoint-granular durability, must keep batch_blocks == 1.
-//
-// finish() must be called to flush the final partial buffer; the destructor
+// finish() must be called to flush the final partial block; the destructor
 // asserts (in debug builds) that no buffered data is silently dropped.
 #pragma once
 
-#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <exception>
@@ -37,17 +27,12 @@ class Writer {
 
   /// Writes into arr[begin, end) sequentially.  end == npos means
   /// arr.size().  The array must be pre-sized (grow_to) to cover the range.
-  /// `batch_blocks` sizes the staging buffer; values >= 2 defer and batch
-  /// aligned whole-block writes (see file comment).
-  Writer(ExtArray<T>& arr, std::size_t begin = 0, std::size_t end = npos,
-         std::size_t batch_blocks = 1)
+  Writer(ExtArray<T>& arr, std::size_t begin = 0, std::size_t end = npos)
       : arr_(&arr),
-        buf_(arr.machine(),
-             arr.machine().B() * std::max<std::size_t>(1, batch_blocks)),
+        buf_(arr.machine(), arr.machine().B()),
         pos_(begin),
         end_(end == npos ? arr.size() : end) {
     assert(pos_ <= end_ && end_ <= arr.size());
-    buf_fill_ = 0;
   }
 
   Writer(Writer&&) noexcept = default;
@@ -65,63 +50,40 @@ class Writer {
   std::size_t remaining() const { return end_ - position(); }
   bool full() const { return position() >= end_; }
 
-  /// Appends one element; flushes automatically when the staging buffer is
-  /// full up to a block boundary.
+  /// Appends one element; flushes automatically on block boundaries.
   void push(const T& v) {
     assert(!full());
-    const std::size_t B = arr_->machine().B();
     buf_[buf_fill_++] = v;
-    // The buffer window starts at pos_'s block, so filling it always ends
-    // on a block boundary (pos_ mid-block only before the first flush).
-    if (pos_ % B + buf_fill_ == buf_.size()) flush_buffered();
+    // pos_ is mid-block only before the first flush, so the buffer always
+    // fills up to a block boundary.
+    if (pos_ % buf_.size() + buf_fill_ == buf_.size()) flush_block();
   }
 
-  /// Flushes any buffered data (the final, possibly partial, blocks).
-  /// Idempotent.
+  /// Flushes any buffered partial block.  Idempotent.
   void finish() {
-    if (buf_fill_ > 0) flush_buffered();
+    if (buf_fill_ > 0) flush_block();
   }
 
  private:
-  void flush_buffered() {
+  void flush_block() {
     const std::size_t B = arr_->machine().B();
-    std::size_t off = 0;  // elements of buf_ already written out
-    while (off < buf_fill_) {
-      const std::uint64_t bi = pos_ / B;
-      const std::size_t block_off = pos_ % B;
-      const std::size_t block_count = arr_->block_elems(bi);
-      const std::size_t avail = buf_fill_ - off;
-      if (block_off == 0 && avail >= block_count) {
-        // Aligned whole-block run: extend over every consecutive block the
-        // buffer fully covers and emit it as one (batched) transfer.
-        std::size_t nblocks = 0;
-        std::size_t span_elems = 0;
-        while (off + span_elems < buf_fill_) {
-          const std::size_t bc = arr_->block_elems(bi + nblocks);
-          if (avail - span_elems < bc) break;
-          span_elems += bc;
-          ++nblocks;
-        }
-        const std::span<const T> src(buf_.data() + off, span_elems);
-        if (nblocks >= 2) {
-          arr_->write_blocks(bi, nblocks, src);
-        } else {
-          arr_->write_block(bi, src);
-        }
-        pos_ += span_elems;
-        off += span_elems;
-      } else {
-        // Range boundary inside a live block (partial head or tail):
-        // read-modify-write, exactly as a real block device would.
-        const std::size_t n = std::min(avail, block_count - block_off);
-        Buffer<T> merge(arr_->machine(), B);
-        arr_->read_block(bi, merge.span());
-        for (std::size_t i = 0; i < n; ++i) merge[block_off + i] = buf_[off + i];
-        arr_->write_block(bi, std::span<const T>(merge.data(), block_count));
-        pos_ += n;
-        off += n;
-      }
+    const std::uint64_t bi = pos_ / B;
+    const std::size_t block_off = pos_ % B;
+    const std::size_t block_count = arr_->block_elems(bi);
+    if (block_off == 0 && buf_fill_ == block_count) {
+      // The common case: the buffer covers the whole (possibly terminal
+      // partial) block.
+      arr_->write_block(bi, std::span<const T>(buf_.data(), buf_fill_));
+    } else {
+      // Range boundary inside a live block: read-modify-write, exactly as a
+      // real block device would.
+      Buffer<T> merge(arr_->machine(), B);
+      arr_->read_block(bi, merge.span());
+      for (std::size_t i = 0; i < buf_fill_; ++i)
+        merge[block_off + i] = buf_[i];
+      arr_->write_block(bi, std::span<const T>(merge.data(), block_count));
     }
+    pos_ += buf_fill_;
     buf_fill_ = 0;
   }
 

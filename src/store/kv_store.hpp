@@ -119,17 +119,6 @@ struct StoreConfig {
   /// exactly as before: no manifest array, no checkpoint writes, charges
   /// byte-identical to the pre-reliability-layer store.
   std::size_t manifest_interval = 0;
-
-  /// Blocks per batched Machine::submit on the store's bulk paths (layout
-  /// writes during build, sequential log reads during scan).  1 (the
-  /// default) keeps every transfer on the historical per-op path —
-  /// byte-identical charges.  Values >= 2 batch only where the deferral
-  /// cannot be observed: a plain machine (no cache, no fault policy) and,
-  /// for writes, a non-durable build (manifest checkpoints need the
-  /// frontier flushed); elsewhere the store silently falls back to 1.  The
-  /// same blocks are charged exactly once each in the same order either
-  /// way (docs/MODEL.md section 17).
-  std::size_t io_batch_blocks = 1;
 };
 
 /// What KvStore::recover() found and did.  The charged I/O of the whole
@@ -515,7 +504,7 @@ class KvStore {
   ///
   /// Page membership is only decidable host-side under the fence index;
   /// kCompact (whose locate probes and walks) falls back to sequential
-  /// put_inline calls — the same fallback rule as the batched scan path.
+  /// put_inline calls.
   /// Returns the number of ops that hit.
   std::size_t put_inline_batch(
       std::span<const std::pair<std::uint64_t, std::uint64_t>> ops) {
@@ -607,15 +596,6 @@ class KvStore {
       std::size_t count = 0;
       std::uint64_t probe_reads = 0;
       start_page = locate_page(lo - 1, page, count, probe_reads).value_or(0);
-    }
-
-    // Batched fast path: the fence index bounds the page range host-side,
-    // so the sequential log reads can go out as chunked Machine::submit
-    // batches — same blocks, same order, same charges as the Scanner path.
-    if (cfg_.index == IndexKind::kFence && read_batch_blocks() >= 2) {
-      const std::size_t visited = scan_batched(lo, hi, visit, start_page);
-      stats_.scan_records += visited;
-      return visited;
     }
 
     std::size_t visited = 0;
@@ -791,12 +771,8 @@ class KvStore {
     Machine& mach = *mach_;
     const std::size_t B = mach.B();
     Scanner<Slot> in(sorted, start_record, records_);
-    // Batched layout writes where deferral is unobservable (plain machine,
-    // non-durable build); wb == 1 elsewhere is the historical path.
-    const std::size_t wb = write_batch_blocks();
-    Writer<Slot> out(log_, start_record, Writer<Slot>::npos, wb);
-    Writer<std::uint64_t> pay(payload_, static_cast<std::size_t>(start_word),
-                              Writer<std::uint64_t>::npos, wb);
+    Writer<Slot> out(log_, start_record);
+    Writer<std::uint64_t> pay(payload_, static_cast<std::size_t>(start_word));
     detail::WordReader gather(in_payload);
     std::size_t idx = start_record;
     std::uint64_t next_word = start_word;
@@ -970,88 +946,6 @@ class KvStore {
       if (i == 0) return std::nullopt;
       --i;
     }
-  }
-
-  /// Effective blocks per batched read submit: the configured knob on a
-  /// plain machine, 1 (per-op path) under a cache or fault policy, where
-  /// hit accounting and fault/crash interleavings must see every transfer
-  /// individually.
-  std::size_t read_batch_blocks() const {
-    if (cfg_.io_batch_blocks < 2) return 1;
-    if (mach_->cache() != nullptr || mach_->faults() != nullptr) return 1;
-    return cfg_.io_batch_blocks;
-  }
-
-  /// Effective blocks per batched write submit: additionally 1 on durable
-  /// builds, whose checkpoint manifests need the layout frontier flushed at
-  /// exact record boundaries.
-  std::size_t write_batch_blocks() const {
-    if (cfg_.manifest_interval != 0) return 1;
-    return read_batch_blocks();
-  }
-
-  /// The scan() body on the batched path (kFence, plain machine): the fence
-  /// index decides host-side that the legacy Scanner would read every page
-  /// in [start_page, q) — their fences are <= hi and the log is globally
-  /// sorted, so no break can occur before the last of them — and issues
-  /// those reads as io_batch_blocks-sized batches, then reads the one extra
-  /// page the Scanner reads when the range was not already cut short.
-  /// Identical charge set and order to the Scanner path.
-  std::size_t scan_batched(
-      std::uint64_t lo, std::uint64_t hi,
-      const std::function<void(std::uint64_t key,
-                               std::span<const std::uint64_t> value)>& visit,
-      std::size_t start_page) {
-    const std::size_t B = mach_->B();
-    const std::size_t q = fence_idx_.rank_upper(hi);  // pages with fence <= hi
-    const std::size_t pages = log_.blocks();
-    const std::size_t chunk = read_batch_blocks();
-    Buffer<Slot> buf(*mach_, chunk * B);
-    std::optional<Scanner<std::uint64_t>> pay;
-    std::vector<std::uint64_t> value;
-    std::size_t visited = 0;
-    bool past_hi = false;
-
-    auto consume = [&](const Slot* slots, std::size_t count) {
-      for (std::size_t k = 0; k < count; ++k) {
-        const Slot& s = slots[k];
-        if (s.key < lo) continue;
-        if (s.key > hi) {
-          past_hi = true;
-          return;
-        }
-        value.clear();
-        if (s.len == 1) {
-          value.push_back(s.pos);
-        } else if (s.len >= 2) {
-          if (!pay) pay.emplace(payload_, 0, payload_words_);
-          pay->skip(static_cast<std::size_t>(s.pos) - pay->position());
-          for (std::uint64_t w = 0; w < s.len; ++w)
-            value.push_back(pay->next());
-        }
-        visit(s.key, std::span<const std::uint64_t>(value));
-        ++visited;
-      }
-    };
-
-    std::size_t p = start_page;
-    while (!past_hi && p < q) {
-      const std::size_t n = std::min(chunk, q - p);
-      std::size_t total = 0;
-      for (std::size_t j = 0; j < n; ++j) total += log_.block_elems(p + j);
-      log_.read_blocks(p, n, std::span<Slot>(buf.data(), total));
-      consume(buf.data(), total);
-      p += n;
-    }
-    // Page q starts past hi (its fence is > hi); the Scanner still reads it
-    // to see that first key, unless an in-page break or the end of the
-    // records already stopped the loop.
-    if (!past_hi && p < pages) {
-      const std::size_t count = log_.block_elems(p);
-      log_.read_block(p, std::span<Slot>(buf.data(), B));
-      consume(buf.data(), count);
-    }
-    return visited;
   }
 
   void note_get(std::uint64_t log_reads) {

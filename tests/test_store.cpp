@@ -2,11 +2,14 @@
 // KV object store — round-trips against host mirrors for both index
 // flavors, duplicate (upsert) semantics, spilled payloads, scan ranges,
 // charged-cost and ledger discipline, cache interaction, fault-injection
-// round-trips, and facade invariance on a sharded machine.
+// round-trips, facade invariance on a sharded machine, and golden pins of
+// the store's charges, traces and scan results.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cinttypes>
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <numeric>
 #include <optional>
@@ -19,6 +22,7 @@
 #include "core/machine.hpp"
 #include "core/metrics.hpp"
 #include "core/sharding.hpp"
+#include "core/trace.hpp"
 #include "store/elias_fano.hpp"
 #include "store/kv_store.hpp"
 #include "util/rng.hpp"
@@ -772,6 +776,121 @@ TEST(KvStorePutTest, PutInlineFacadeInvariantOnShardedMachine) {
   EXPECT_EQ(plain.stats().reads, sharded.stats().reads);
   EXPECT_EQ(plain.stats().writes, sharded.stats().writes);
   EXPECT_EQ(sharded.devices_stats().writes, sharded.stats().writes);
+}
+
+// --- golden pins: the store's block-transfer path ------------------------
+//
+// Build, scans, gets and an in-place put on four store configurations, with
+// the exact build bill, the ledger high-water mark, an FNV-1a hash of the
+// full trace (op kind, array, block), a checksum of everything the scans
+// visited, and the final StoreStats pinned.  The constants do not depend on
+// how the store issues its transfers, only on which blocks move in what
+// order, so any refactor of the store's I/O path that moves a charge, an
+// I/O's position or a visited value shows up here.
+
+class Fnv {
+ public:
+  void add(std::uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (x >> (8 * i)) & 0xff;
+      h_ *= 0x100000001B3ull;
+    }
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xCBF29CE484222325ull;
+};
+
+struct StorePin {
+  std::uint64_t build_reads = 0, build_writes = 0, build_cost = 0;
+  std::uint64_t high_water = 0, trace = 0, scan = 0;
+  store::StoreStats stats;
+  bool operator==(const StorePin&) const = default;
+};
+
+struct StoreCase {
+  const char* name;
+  StoreConfig store;
+  std::size_t cache_blocks;  // 0 = plain machine
+  StorePin pin;
+};
+
+StorePin run_store_case(const StoreCase& c) {
+  Config mc = cfg(4096, 16, 8);
+  mc.cache.capacity_blocks = c.cache_blocks;
+  Machine mach(mc);
+  mach.enable_trace();
+  const Dataset d = make_dataset(900, 77);
+  auto [slots, payload] = stage(mach, d);
+  KvStore kv(mach, c.store);
+  kv.build(slots, payload);
+
+  StorePin pin;
+  pin.build_reads = kv.build_reads();
+  pin.build_writes = kv.build_writes();
+  pin.build_cost = kv.build_cost();
+  Fnv visits;
+  auto visit = [&](std::uint64_t key, std::span<const std::uint64_t> value) {
+    visits.add(key);
+    visits.add(value.size());
+    for (std::uint64_t w : value) visits.add(w);
+  };
+  kv.scan(1ull << 62, 1ull << 63, visit);  // middle range
+  kv.scan(0, ~0ull, visit);                // full range
+  kv.scan(~0ull - 1, ~0ull, visit);        // empty tail
+  for (std::size_t i : {0u, 311u, 899u}) kv.get(d.slots[i].key);
+  kv.get(d.slots[5].key | 1);  // keys are even: a guaranteed miss
+  kv.put_inline(d.slots[42].key, 0xfeed);
+  kv.scan(d.slots[42].key, d.slots[42].key, visit);
+  pin.scan = visits.value();
+
+  Fnv trace;
+  for (const TraceOp& op : mach.trace()->ops()) {
+    trace.add(static_cast<std::uint64_t>(op.kind));
+    trace.add(op.array);
+    trace.add(op.block);
+  }
+  pin.trace = trace.value();
+  pin.high_water = mach.ledger().high_water();
+  pin.stats = kv.stats();
+  return pin;
+}
+
+// compact_extra_bits = 1 makes adjacent fences collide, so the compact
+// case pins probe walks (max_get_log_reads 2) as well.
+const StoreCase kStoreGolden[] = {
+    {"fence", StoreConfig{IndexKind::kFence, 8}, 0,
+     {783, 494, 4735, 2137, 0xf953613244ac13a7ull, 0xe7b8efb5539fa0d3ull,
+      {4, 3, 4, 4, 1, 4, 1175, 1, 1, 1, 1, 13}}},
+    {"compact", StoreConfig{IndexKind::kCompact, 1}, 0,
+     {783, 494, 4735, 2137, 0xbdcfbce27b367b2full, 0xe7b8efb5539fa0d3ull,
+      {4, 3, 5, 4, 2, 4, 1175, 1, 1, 1, 1, 13}}},
+    {"fence+lru", StoreConfig{IndexKind::kFence, 8}, 32,
+     {755, 494, 4707, 2137, 0x874e4d7185bde60full, 0xe7b8efb5539fa0d3ull,
+      {4, 3, 4, 4, 1, 4, 1175, 1, 1, 1, 1, 13}}},
+    {"fence+durable", StoreConfig{IndexKind::kFence, 8, 4}, 0,
+     {809, 523, 4993, 2137, 0x400aed1182e85aadull, 0xe7b8efb5539fa0d3ull,
+      {4, 3, 4, 4, 1, 4, 1175, 1, 1, 1, 1, 13}}},
+};
+
+TEST(KvStoreGoldenTest, ChargesTracesAndScansMatchPins) {
+  for (const StoreCase& c : kStoreGolden) {
+    const StorePin got = run_store_case(c);
+    const store::StoreStats& s = got.stats;
+    char line[400];
+    std::snprintf(
+        line, sizeof line,
+        "{%" PRIu64 ", %" PRIu64 ", %" PRIu64 ", %" PRIu64 ", 0x%016" PRIx64
+        "ull, 0x%016" PRIx64 "ull, {%" PRIu64 ", %" PRIu64 ", %" PRIu64
+        ", %" PRIu64 ", %" PRIu64 ", %" PRIu64 ", %" PRIu64 ", %" PRIu64
+        ", %" PRIu64 ", %" PRIu64 ", %" PRIu64 ", %" PRIu64 "}}",
+        got.build_reads, got.build_writes, got.build_cost, got.high_water,
+        got.trace, got.scan, s.gets, s.get_hits, s.get_log_reads,
+        s.get_payload_reads, s.max_get_log_reads, s.scans, s.scan_records,
+        s.puts, s.put_hits, s.put_log_reads, s.put_writes, s.orphaned_words);
+    EXPECT_EQ(got, c.pin) << c.name << ": " << line;
+  }
 }
 
 }  // namespace

@@ -1,9 +1,8 @@
 // Tests for Machine::submit, the io_uring-shaped batched submission path
 // (docs/MODEL.md section 17): byte-identity of counters / phases / wear /
 // trace with the per-op hooks, completion tickets, per-op degradation under
-// armed crash points and fault injection, all-or-nothing ceiling admission,
-// the sharded per-device batch routing, the batched cache flush, and the
-// batch-aware Writer / KvStore bulk paths.
+// armed crash points, all-or-nothing ceiling admission, the sharded
+// per-device batch routing, and the batched cache flush.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,9 +14,6 @@
 #include "core/metrics.hpp"
 #include "core/sharding.hpp"
 #include "core/trace.hpp"
-#include "io/writer.hpp"
-#include "store/kv_store.hpp"
-#include "util/rng.hpp"
 
 namespace {
 
@@ -194,67 +190,6 @@ TEST(SubmitTest, CeilingRejectsWholeBatchWithoutPartialCharges) {
   }
 }
 
-TEST(SubmitTest, ExtArrayBulkReadsWritesMatchPerBlock) {
-  // read_blocks/write_blocks on a plain machine must be byte-identical to
-  // the per-block loops, including trace op order and atom annotations.
-  Machine a(cfg());
-  Machine b(cfg());
-  a.enable_trace();
-  b.enable_trace();
-  ExtArray<std::uint64_t> arr_a(a, 160, "arr");
-  ExtArray<std::uint64_t> arr_b(b, 160, "arr");
-  std::vector<std::uint64_t> src(160);
-  for (std::size_t i = 0; i < src.size(); ++i) src[i] = 1000 + i;
-
-  std::size_t off = 0;
-  for (std::uint64_t bi = 0; bi < 10; ++bi) {
-    const std::size_t count = arr_a.block_elems(bi);
-    arr_a.write_block(bi, std::span<const std::uint64_t>(&src[off], count));
-    off += count;
-  }
-  arr_b.write_blocks(0, 10, std::span<const std::uint64_t>(src));
-
-  std::vector<std::uint64_t> got_a(160);
-  std::vector<std::uint64_t> got_b(160);
-  off = 0;
-  for (std::uint64_t bi = 0; bi < 10; ++bi)
-    off += arr_a.read_block(bi, std::span<std::uint64_t>(got_a).subspan(off))
-               .count;
-  arr_b.read_blocks(0, 10, std::span<std::uint64_t>(got_b));
-
-  EXPECT_EQ(got_a, got_b);
-  EXPECT_EQ(got_b, src);
-  EXPECT_EQ(a.stats(), b.stats());
-  expect_same_traces(a.trace(), b.trace());
-}
-
-TEST(SubmitTest, ExtArrayBulkDegradesPerBlockUnderInjectedFaults) {
-  // With an injecting fault schedule the bulk entry points must take the
-  // per-block loop, so retries/verifies consume the SAME deterministic
-  // fault stream as the historical path.
-  FaultConfig fc;
-  fc.seed = 99;
-  fc.read_fault_rate = 0.2;
-  Machine a(cfg());
-  Machine b(cfg());
-  a.install_faults(fc);
-  b.install_faults(fc);
-  ExtArray<std::uint64_t> arr_a(a, 160, "arr");
-  ExtArray<std::uint64_t> arr_b(b, 160, "arr");
-
-  std::vector<std::uint64_t> got_a(160);
-  std::vector<std::uint64_t> got_b(160);
-  std::size_t off = 0;
-  for (std::uint64_t bi = 0; bi < 10; ++bi)
-    off += arr_a.read_block(bi, std::span<std::uint64_t>(got_a).subspan(off))
-               .count;
-  arr_b.read_blocks(0, 10, std::span<std::uint64_t>(got_b));
-
-  EXPECT_EQ(got_a, got_b);
-  EXPECT_EQ(a.stats(), b.stats());
-  EXPECT_EQ(a.faults()->stats(), b.faults()->stats());
-}
-
 ShardConfig shard_cfg(std::size_t devices, std::size_t dev_block = 16) {
   ShardConfig sc;
   sc.frontend.memory_elems = 1024;
@@ -343,75 +278,6 @@ TEST(SubmitTest, CacheFlushBatchesIdenticallyToPerBlockFlush) {
   EXPECT_EQ(batched.stats(), per_block.stats());
   EXPECT_EQ(batched.cache()->stats().write_backs,
             per_block.cache()->stats().write_backs);
-}
-
-TEST(SubmitTest, BatchedWriterMatchesLegacyWriter) {
-  for (const std::size_t batch : {2u, 4u, 7u}) {
-    Machine legacy(cfg());
-    Machine batched(cfg());
-    ExtArray<std::uint64_t> arr_l(legacy, 250, "arr");  // terminal partial
-    ExtArray<std::uint64_t> arr_b(batched, 250, "arr");
-    Writer<std::uint64_t> w_l(arr_l);
-    Writer<std::uint64_t> w_b(arr_b, 0, Writer<std::uint64_t>::npos, batch);
-    for (std::uint64_t i = 0; i < 250; ++i) {
-      w_l.push(i * 3);
-      w_b.push(i * 3);
-    }
-    w_l.finish();
-    w_b.finish();
-    EXPECT_EQ(legacy.stats(), batched.stats()) << "batch " << batch;
-
-    std::vector<std::uint64_t> got_l(250);
-    std::vector<std::uint64_t> got_b(250);
-    arr_l.read_blocks(0, arr_l.blocks(), std::span<std::uint64_t>(got_l));
-    arr_b.read_blocks(0, arr_b.blocks(), std::span<std::uint64_t>(got_b));
-    EXPECT_EQ(got_l, got_b);
-  }
-}
-
-TEST(SubmitTest, KvStoreBatchedBuildAndScanMatchLegacyCharges) {
-  using namespace aem::store;
-  util::Rng rng(5);
-  std::vector<Slot> recs;
-  for (int i = 0; i < 900; ++i)
-    recs.push_back(Slot{rng.next() >> 40, 1, rng.next()});
-
-  auto run = [&](std::size_t io_batch) {
-    Machine mach(cfg(4096, 16, 8));
-    ExtArray<Slot> slots(mach, recs.size(), "in");
-    slots.unsafe_host_fill(std::span<const Slot>(recs));
-    ExtArray<std::uint64_t> payload(mach, 1, "pay");
-    StoreConfig sc;
-    sc.io_batch_blocks = io_batch;
-    KvStore kv(mach, sc);
-    kv.build(slots, payload);
-
-    struct Result {
-      std::uint64_t build_reads, build_writes, build_cost;
-      std::size_t scanned;
-      std::uint64_t scan_keysum;
-      IoStats after_scan;
-    } r{};
-    r.build_reads = kv.build_reads();
-    r.build_writes = kv.build_writes();
-    r.build_cost = kv.build_cost();
-    r.scan_keysum = 0;
-    r.scanned = kv.scan(
-        1ull << 20, 1ull << 23,
-        [&](std::uint64_t key, std::span<const std::uint64_t> value) {
-          r.scan_keysum += key + value.size();
-        });
-    // And a full scan plus an empty one, so the page-q edge paths run.
-    kv.scan(0, ~std::uint64_t{0}, [](std::uint64_t, auto) {});
-    kv.scan(~std::uint64_t{0}, ~std::uint64_t{0}, [](std::uint64_t, auto) {});
-    r.after_scan = mach.stats();
-    return std::tuple{r.build_reads, r.build_writes, r.build_cost, r.scanned,
-                      r.scan_keysum, r.after_scan.reads, r.after_scan.writes};
-  };
-
-  const auto legacy = run(1);
-  const auto batched = run(8);
-  EXPECT_EQ(legacy, batched);
 }
 
 }  // namespace
