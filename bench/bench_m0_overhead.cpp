@@ -15,11 +15,6 @@
 // More wall-clock sections ride along (M0 is the one bench whose
 // tables legitimately contain timings, so it is excluded from the --jobs
 // byte-determinism check):
-//  * batch-dispatch speedup — Machine::submit vs the per-op virtual loop
-//    for the same op sequence at batch sizes {16, 64, 256, 1024}; guard:
-//    >= --min-batch-speedup (default 2x) at batch >= 64, backed by
-//    byte-identity guards (plain, sharded) proving the batched path
-//    charges exactly what the per-op path charges;
 //  * fence-lookup speedup — the branchless Eytzinger rank kernel vs
 //    std::upper_bound on the same fence array (report-only: both are
 //    host-side and charge nothing, so only the wall clock differs);
@@ -155,7 +150,6 @@ int main(int argc, char** argv) try {
   const bool full = io.full;
   const double min_speedup = cli.f64("min-speedup", 3.0);
   const double min_kernel_speedup = cli.f64("min-kernel-speedup", 2.0);
-  const double min_batch_speedup = cli.f64("min-batch-speedup", 2.0);
   const double min_sweep_speedup = cli.f64("min-sweep-speedup", 0.0);
   const std::uint64_t batch = full ? (1u << 22) : (1u << 20);
 
@@ -550,184 +544,6 @@ int main(int argc, char** argv) try {
                  "byte-identical\n\n";
   }
 
-  // --- Batch submission: byte-identity guards, then the speedup table ----
-  // The mixed op sequence every batch guard replays: writes every third op,
-  // block churn across a small working set.
-  auto mixed_ops = [](std::uint32_t array, std::size_t n) {
-    std::vector<BlockOp> ops;
-    ops.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-      ops.push_back(BlockOp{i % 3 == 2 ? OpKind::kWrite : OpKind::kRead,
-                            array, (i * 7) % 97});
-    return ops;
-  };
-  auto replay_per_op = [](Machine& m, std::span<const BlockOp> ops) {
-    for (const BlockOp& op : ops) {
-      if (op.kind == OpKind::kWrite) {
-        m.on_write(op.array, op.block);
-      } else {
-        m.on_read(op.array, op.block);
-      }
-    }
-  };
-  auto traces_equal = [](const Machine& a, const Machine& b) {
-    const auto& ao = a.trace()->ops();
-    const auto& bo = b.trace()->ops();
-    if (ao.size() != bo.size()) return false;
-    for (std::size_t i = 0; i < ao.size(); ++i) {
-      if (ao[i].kind != bo[i].kind || ao[i].array != bo[i].array ||
-          ao[i].block != bo[i].block)
-        return false;
-    }
-    return true;
-  };
-
-  // Batch equivalence guard #1 (machine): one submit() must charge exactly
-  // what the per-op loop charges — counters, cost, phases, wear, trace, and
-  // the full metrics JSON — and an armed crash schedule must fire on the
-  // same Nth charged write whether that write arrives alone or mid-batch.
-  {
-    Machine per_op(cfg);
-    per_op.enable_wear_tracking();
-    per_op.enable_trace();
-    Machine batched(cfg);
-    batched.enable_wear_tracking();
-    batched.enable_trace();
-    const std::uint32_t pa = per_op.register_array("hot");
-    const std::uint32_t ba = batched.register_array("hot");
-    {
-      auto p1 = per_op.phase("batch-guard");
-      replay_per_op(per_op, mixed_ops(pa, 512));
-      auto p2 = batched.phase("batch-guard");
-      const auto ops = mixed_ops(ba, 512);
-      batched.submit(std::span<const BlockOp>(ops));
-    }
-    MetricsSnapshot mp = snapshot_metrics(per_op, "batch-guard");
-    MetricsSnapshot mb = snapshot_metrics(batched, "batch-guard");
-    bool ok = per_op.stats() == batched.stats() &&
-              per_op.cost() == batched.cost() &&
-              traces_equal(per_op, batched) && to_json(mp) == to_json(mb);
-
-    auto crash_stats = [&](bool use_submit) {
-      Machine m(cfg);
-      FaultConfig fc;
-      fc.crash_after_writes = 100;
-      m.install_faults(fc);
-      const std::uint32_t a = m.register_array("hot");
-      const auto ops = mixed_ops(a, 512);
-      try {
-        for (int round = 0; round < 8; ++round) {
-          if (use_submit) {
-            m.submit(std::span<const BlockOp>(ops));
-          } else {
-            replay_per_op(m, ops);
-          }
-        }
-      } catch (const CrashError&) {
-      }
-      return m.stats();
-    };
-    const IoStats crash_batched = crash_stats(true);
-    const IoStats crash_per_op = crash_stats(false);
-    ok = ok && crash_batched == crash_per_op && crash_batched.writes == 100;
-    if (!ok) {
-      std::cerr << "FAIL: Machine::submit diverged from the per-op loop "
-                   "(reads " << per_op.stats().reads << " vs "
-                << batched.stats().reads << ", cost " << per_op.cost()
-                << " vs " << batched.cost() << ", crash writes "
-                << crash_per_op.writes << " vs " << crash_batched.writes
-                << ")\n";
-      return 1;
-    }
-    std::cout << "batch equivalence guard: submit() byte-identical to the "
-                 "per-op loop (counters, phases, wear, trace, metrics), "
-                 "crash schedule fires on the same Nth charged write\n\n";
-  }
-
-  // Batch equivalence guard #2 (sharded): a whole batch routed per device
-  // must leave the facade AND every member device byte-identical to the
-  // per-op routed path.
-  {
-    ShardConfig sc;
-    sc.frontend = cfg;
-    sc.devices.assign(4, cfg);
-    ShardedMachine per_op(sc);
-    per_op.enable_trace();
-    ShardedMachine batched(sc);
-    batched.enable_trace();
-    const std::uint32_t pa = per_op.register_array("hot");
-    const std::uint32_t ba = batched.register_array("hot");
-    replay_per_op(per_op, mixed_ops(pa, 512));
-    const auto ops = mixed_ops(ba, 512);
-    batched.submit(std::span<const BlockOp>(ops));
-    bool ok = per_op.stats() == batched.stats() &&
-              per_op.cost() == batched.cost() &&
-              per_op.devices_stats() == batched.devices_stats() &&
-              traces_equal(per_op, batched);
-    if (!ok) {
-      std::cerr << "FAIL: ShardedMachine batch submit diverged from the "
-                   "per-op routed path (reads " << per_op.stats().reads
-                << " vs " << batched.stats().reads << ", cost "
-                << per_op.cost() << " vs " << batched.cost() << ")\n";
-      return 1;
-    }
-    std::cout << "batch equivalence guard: ShardedMachine submit "
-                 "byte-identical to per-op routing on the facade and every "
-                 "device\n\n";
-  }
-
-  // --- Batch-dispatch speedup: submit() vs the per-op virtual loop -------
-  // The same phase-attributed op mix dispatched both ways.  One submit is a
-  // single virtual call with counters and phase attribution charged once
-  // per batch, so the gap must widen with the batch size.
-  bool batch_ok = true;
-  {
-    util::Table bt({"batch", "ops", "per_op_Mops/s", "submit_Mops/s",
-                    "speedup"});
-    for (const std::size_t bs : {16u, 64u, 256u, 1024u}) {
-      Machine per_op(cfg);
-      const std::uint32_t pa = per_op.register_array("hot");
-      auto pp1 = per_op.phase(kOuter);
-      auto pp2 = per_op.phase(kMid);
-      auto pp3 = per_op.phase(kDup);
-      const auto per_ops = mixed_ops(pa, bs);
-      const Measurement per = measure(
-          [&](std::uint64_t n) {
-            for (std::uint64_t done = 0; done < n; done += bs)
-              replay_per_op(per_op, per_ops);
-            keep(per_op.stats().reads);
-          },
-          batch / 4);
-
-      Machine batched(cfg);
-      const std::uint32_t ba = batched.register_array("hot");
-      auto bp1 = batched.phase(kOuter);
-      auto bp2 = batched.phase(kMid);
-      auto bp3 = batched.phase(kDup);
-      const auto sub_ops = mixed_ops(ba, bs);
-      const Measurement sub = measure(
-          [&](std::uint64_t n) {
-            for (std::uint64_t done = 0; done < n; done += bs)
-              batched.submit(std::span<const BlockOp>(sub_ops));
-            keep(batched.stats().reads);
-          },
-          batch / 4);
-
-      const double ratio = sub.mops() / per.mops();
-      bt.add_row({util::fmt(std::uint64_t(bs)), util::fmt(sub.ops),
-                  util::fmt(per.mops(), 1), util::fmt(sub.mops(), 1),
-                  util::fmt(ratio, 2)});
-      if (bs >= 64 && ratio < min_batch_speedup) {
-        std::cerr << "FAIL: batch-dispatch speedup " << util::fmt(ratio, 2)
-                  << "x below the " << util::fmt(min_batch_speedup, 1)
-                  << "x floor at batch=" << bs << "\n";
-        batch_ok = false;
-      }
-    }
-    emit(bt, "Batch dispatch: Machine::submit vs per-op virtual loop "
-             "(same charge sequence; phases depth 3):", csv);
-  }
-
   // --- Fence-lookup speedup: Eytzinger rank kernel vs std::upper_bound ---
   // Report-only: both kernels are host-side (zero charged I/O — the store
   // tests pin that), so only the wall clock differs.  On sorted arrays past
@@ -872,7 +688,7 @@ int main(int argc, char** argv) try {
     }
   }
 
-  if (!kernel_ok || !batch_ok) return 1;
+  if (!kernel_ok) return 1;
 
   const double speedup = phased_mops / legacy_mops;
   std::cout << "phase-attributed I/O speedup vs seed: " << util::fmt(speedup, 2)

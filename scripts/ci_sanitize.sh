@@ -97,13 +97,14 @@ UBSAN_OPTIONS="print_stacktrace=1" \
   "$BUILD_DIR/bench/bench_t1_traffic" --jobs=2 > /dev/null
 echo "traffic tests + bench_t1_traffic clean under ASan+UBSan"
 
-# Batch pass: Machine::submit's bulk_charge and the cache's grouped flush
-# runs move whole spans at once — exactly where an off-by-one block count
-# or a stale scratch-vector reuse would corrupt memory without failing a
-# release-build equality check.  Run the batch gtests under ASan+UBSan,
-# then bench_t1_traffic (admission-window request batches) and bench_m0
-# with its batch byte-identity guards as asserts (speedup floors zeroed: a
-# sanitized build proves memory safety, not throughput).
+# Batch pass: code that walks spans and scratch vectors — the Submit*
+# tests (Machine::submit's in-order loop and its per-op ceiling, crash and
+# outage cases), the Eytzinger/FastDiv/route kernels, bench_t1_traffic's
+# admission-window request batches, and bench_m0 with its bypass
+# byte-identity guards as asserts.  An off-by-one index or a stale scratch
+# reuse there would corrupt memory without failing a release-build equality
+# check.  Speedup floors are zeroed: a sanitized build proves memory
+# safety, not throughput.
 echo "=== batch pass (submit/search tests + bench_t1_traffic + bench_m0 guards under ASan+UBSan) ==="
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
 UBSAN_OPTIONS="print_stacktrace=1" \
@@ -115,7 +116,7 @@ UBSAN_OPTIONS="print_stacktrace=1" \
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
 UBSAN_OPTIONS="print_stacktrace=1" \
   "$BUILD_DIR/bench/bench_m0_overhead" \
-  --min-speedup=0 --min-kernel-speedup=0 --min-batch-speedup=0 > /dev/null
+  --min-speedup=0 --min-kernel-speedup=0 > /dev/null
 echo "batch pass clean (submit/search tests, bench_t1_traffic, bench_m0 byte-identity guards)"
 
 # Low-write pass: the read-favoring samplesort's windowed distribution, the

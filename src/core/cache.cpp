@@ -230,49 +230,27 @@ std::size_t BlockCache::flush() {
   for (const Frame& f : frames_)
     if (f.valid && f.dirty) dirty_blocks.emplace_back(f.array, f.block);
   std::sort(dirty_blocks.begin(), dirty_blocks.end());
-  std::size_t written = 0;
-  auto mark_clean = [&](std::uint32_t array, std::uint64_t block) {
-    Frame& f = frames_[lookup(array, block)->frame];
-    f.dirty = false;
-    --resident_dirty_;
-    ++stats_.write_backs;
-    ++written;
-  };
-  // Group the sorted dirty list into per-array runs and hand each run to
-  // the sink as one batch (one Machine::submit on a plain device; the
-  // default sink falls back to the per-block loop).  `done` counts the
-  // blocks the sink completed, so an exception mid-run marks exactly the
-  // written-back prefix clean and leaves the failing block (and everything
-  // after it) dirty — identical retry semantics to the per-block flush.
+  // One charged write-back per block, in sorted (array, block) order.  A
+  // block is marked clean only after its write-back returns, so a throw
+  // leaves the failing block and every later one dirty for a retry.
   // However the loop exits, the frames it cleaned move the clean-first
   // cursor: rebuild it on the way out (flush is O(capacity) already).
   struct CursorRebuild {
     BlockCache* cache;
     ~CursorRebuild() { cache->rebuild_cold_run(); }
   } rebuild_on_exit{this};
-  std::vector<std::uint64_t> run;
-  std::size_t i = 0;
-  while (i < dirty_blocks.size()) {
-    const std::uint32_t array = dirty_blocks[i].first;
+  std::size_t written = 0;
+  for (const auto& [array, block] : dirty_blocks) {
     if (sinks_[array] == nullptr)
       throw std::logic_error(
-          "BlockCache::flush: dirty block " +
-          std::to_string(dirty_blocks[i].second) + " of array " +
-          std::to_string(array) +
+          "BlockCache::flush: dirty block " + std::to_string(block) +
+          " of array " + std::to_string(array) +
           " has no write-back sink (array destroyed or never registered)");
-    run.clear();
-    std::size_t j = i;
-    while (j < dirty_blocks.size() && dirty_blocks[j].first == array)
-      run.push_back(dirty_blocks[j++].second);
-    std::size_t done = 0;
-    try {
-      sinks_[array]->cache_write_back_batch(run, done);
-    } catch (...) {
-      for (std::size_t k = 0; k < done; ++k) mark_clean(array, run[k]);
-      throw;
-    }
-    for (std::uint64_t block : run) mark_clean(array, block);
-    i = j;
+    sinks_[array]->cache_write_back(block);
+    frames_[lookup(array, block)->frame].dirty = false;
+    --resident_dirty_;
+    ++stats_.write_backs;
+    ++written;
   }
   return written;
 }

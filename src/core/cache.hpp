@@ -38,7 +38,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <span>
 #include <stdexcept>
 #include <unordered_map>
 #include <vector>
@@ -105,24 +104,11 @@ class BlockCache {
   /// Write-back target of one array, implemented by ExtArray<T>.  The sink
   /// must perform a charged device write of the block's current (pool)
   /// contents; under fault injection that write retries, verifies, and
-  /// remaps like any other.
+  /// remaps like any other.  Eviction and flush() both write back through
+  /// it, one block per call.
   class Sink {
    public:
     virtual void cache_write_back(std::uint64_t block) = 0;
-
-    /// Writes back a RUN of blocks of one array (ascending order).  `done`
-    /// counts blocks fully written back so far — on an exception the caller
-    /// marks exactly those clean and keeps the rest dirty, preserving the
-    /// per-block flush retry contract.  The default is the per-block loop;
-    /// ExtArray overrides it to charge the run as one batched
-    /// Machine::submit on plain devices (docs/MODEL.md section 17).
-    virtual void cache_write_back_batch(std::span<const std::uint64_t> blocks,
-                                        std::size_t& done) {
-      for (std::uint64_t b : blocks) {
-        cache_write_back(b);
-        ++done;
-      }
-    }
 
    protected:
     ~Sink() = default;

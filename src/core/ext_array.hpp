@@ -358,38 +358,6 @@ class ExtArray : private BlockCache::Sink {
     faulty_write(*fp, bi, std::span<const T>(write_back_buf_), count);
   }
 
-  /// BlockCache::Sink batch write-back: on a plain device the whole run is
-  /// charged as ONE Machine::submit (payloads already sit in the native
-  /// region, and with no policy installed no per-block throw can strand a
-  /// partially-flushed run).  Any installed fault policy — including a
-  /// crash-only or ceiling-only one, whose throws must land between the
-  /// exact per-block charges — takes the per-block recovery loop.
-  void cache_write_back_batch(std::span<const std::uint64_t> blocks,
-                              std::size_t& done) override {
-    if (mach_->faults() != nullptr || blocks.size() < 2) {
-      for (std::uint64_t bi : blocks) {
-        cache_write_back(bi);
-        ++done;
-      }
-      return;
-    }
-    batch_ops_.clear();
-    for (std::uint64_t bi : blocks)
-      batch_ops_.push_back(BlockOp{OpKind::kWrite, id_, bi});
-    if (mach_->tracing() && atom_of_) {
-      batch_tickets_.assign(blocks.size(), IoTicket{});
-      mach_->submit(batch_ops_, batch_tickets_);
-      for (std::size_t j = 0; j < blocks.size(); ++j) {
-        const std::size_t count = block_elems(blocks[j]);
-        annotate_atoms(batch_tickets_[j],
-                       std::span<const T>(native(blocks[j]), count), count);
-      }
-    } else {
-      mach_->submit(batch_ops_);
-    }
-    done = blocks.size();
-  }
-
   Recovery& recovery(const FaultPolicy& fp) const {
     if (rec_ == nullptr) {
       rec_ = std::make_unique<Recovery>(fp.config().spare_blocks);
@@ -569,9 +537,6 @@ class ExtArray : private BlockCache::Sink {
   std::function<std::uint64_t(const T&)> atom_of_;
   // Mutable: reads must be able to lazily create recovery state and retry.
   mutable std::unique_ptr<Recovery> rec_;
-  // Scratch for the batched cache write-back (reused across calls).
-  std::vector<BlockOp> batch_ops_;
-  std::vector<IoTicket> batch_tickets_;
   // Scratch for staging a write-back payload under fault injection.
   std::vector<T> write_back_buf_;
 };

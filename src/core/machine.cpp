@@ -128,90 +128,14 @@ IoTicket Machine::on_write(std::uint32_t array, std::uint64_t block) {
   return IoTicket{};
 }
 
-void Machine::validate_tickets(std::span<const BlockOp> ops,
-                               std::span<IoTicket> tickets) {
-  if (!tickets.empty() && tickets.size() != ops.size())
-    throw std::invalid_argument(
-        "Machine::submit: tickets span must be empty or match ops");
-}
-
-Machine::BatchPlan Machine::plan_batch(std::uint64_t reads,
-                                       std::uint64_t writes) const {
-  if (!faults_) return BatchPlan::kBulk;
-  const FaultConfig& fc = faults_->config();
-  // The armed power cut falls inside this batch: replay per op, so the
-  // CrashError fires on exactly the same Nth charged write (and any ceiling
-  // it races is resolved in per-op order too).
-  if (faults_->crash_armed() && writes != 0 &&
-      stats_.writes + writes >= fc.crash_after_writes)
-    return BatchPlan::kPerOp;
-  // All-or-nothing admission against the ceilings: project the post-batch
-  // totals; if they land past a ceiling, reject before charging anything.
-  // Both ceilings are monotone in (reads, writes), so a batch whose TOTAL
-  // stays inside also stays inside at every intermediate op — bulk charging
-  // cannot skip a would-have-fired check.
-  IoStats projected = stats_;
-  projected.reads += reads;
-  projected.writes += writes;
-  if (fc.max_cost != 0 && projected.cost(cfg_.write_cost) > fc.max_cost)
-    throw BudgetExceeded(BudgetExceeded::Kind::kCost, fc.max_cost,
-                         projected.cost(cfg_.write_cost), stats_);
-  if (fc.max_ios != 0 && projected.total_ios() > fc.max_ios)
-    throw BudgetExceeded(BudgetExceeded::Kind::kIos, fc.max_ios,
-                         projected.total_ios(), stats_);
-  return BatchPlan::kBulk;
-}
-
-void Machine::bulk_charge(std::span<const BlockOp> ops, std::uint64_t reads,
-                          std::uint64_t writes, std::span<IoTicket> tickets) {
-  stats_.reads += reads;
-  stats_.writes += writes;
-  for (std::uint32_t id : active_phases_) {
-    IoStats& s = phase_totals_[id];
-    s.reads += reads;
-    s.writes += writes;
-  }
-  if (wear_ && writes != 0)
-    for (const BlockOp& op : ops)
-      if (op.kind == OpKind::kWrite) record_wear(op.array, op.block);
-  if (trace_) {
-    if (tickets.empty()) {
-      for (const BlockOp& op : ops) trace_->add(op.kind, op.array, op.block);
+void Machine::submit(std::span<const BlockOp> ops) {
+  for (const BlockOp& op : ops) {
+    if (op.kind == OpKind::kWrite) {
+      on_write(op.array, op.block);
     } else {
-      for (std::size_t i = 0; i < ops.size(); ++i)
-        tickets[i] = trace_->add(ops[i].kind, ops[i].array, ops[i].block);
+      on_read(op.array, op.block);
     }
-  } else {
-    for (IoTicket& t : tickets) t = IoTicket{};
   }
-  // plan_batch() proved the batch lands inside every ceiling, so this is a
-  // no-throw re-validation keeping the watchdog's view of the counters
-  // current.
-  if (faults_) faults_->check_budget(stats_, cfg_.write_cost);
-}
-
-void Machine::per_op_submit(std::span<const BlockOp> ops,
-                            std::span<IoTicket> tickets) {
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    const IoTicket t = ops[i].kind == OpKind::kWrite
-                           ? on_write(ops[i].array, ops[i].block)
-                           : on_read(ops[i].array, ops[i].block);
-    if (!tickets.empty()) tickets[i] = t;
-  }
-}
-
-void Machine::submit(std::span<const BlockOp> ops, std::span<IoTicket> tickets) {
-  validate_tickets(ops, tickets);
-  if (ops.empty()) return;
-  std::uint64_t writes = 0;
-  for (const BlockOp& op : ops)
-    writes += static_cast<std::uint64_t>(op.kind == OpKind::kWrite);
-  const std::uint64_t reads = ops.size() - writes;
-  if (faults_ && plan_batch(reads, writes) == BatchPlan::kPerOp) {
-    per_op_submit(ops, tickets);
-    return;
-  }
-  bulk_charge(ops, reads, writes, tickets);
 }
 
 Machine::WearStats Machine::wear_stats() const {

@@ -38,9 +38,8 @@
 
 namespace aem {
 
-/// One operation of a batched submission (Machine::submit): the same
-/// (kind, array, block) triple on_read/on_write take, queued instead of
-/// dispatched.
+/// One queued block transfer for Machine::submit: the same
+/// (kind, array, block) triple on_read/on_write take.
 struct BlockOp {
   OpKind kind = OpKind::kRead;
   std::uint32_t array = 0;
@@ -200,46 +199,10 @@ class Machine {
   virtual IoTicket on_read(std::uint32_t array, std::uint64_t block);
   virtual IoTicket on_write(std::uint32_t array, std::uint64_t block);
 
-  /// Batched submission (docs/MODEL.md section 17): charges every op in
-  /// `ops` with ONE virtual dispatch, amortizing the per-op counter /
-  /// phase / budget bookkeeping across the batch.  Counters, wear, phase
-  /// attribution, and the trace op sequence are byte-identical to issuing
-  /// the same ops through on_read/on_write in order; `tickets` (empty, or
-  /// exactly ops.size()) receives the per-op completion tickets in
-  /// submission order.
-  ///
-  /// Fault/crash schedules keep their per-op firing points: a batch that
-  /// contains the armed crash write degrades to the per-op loop so
-  /// CrashError fires on exactly the same Nth charged write; a batch whose
-  /// total would land past a configured cost/I/O ceiling is rejected with
-  /// BudgetExceeded UP FRONT, charging nothing (all-or-nothing admission —
-  /// the one documented divergence from the per-op path, which charges up
-  /// to and including the crossing op).
-  virtual void submit(std::span<const BlockOp> ops,
-                      std::span<IoTicket> tickets);
-  /// Convenience drain when no caller wants the tickets.
-  void submit(std::span<const BlockOp> ops) { submit(ops, {}); }
-
- protected:
-  /// How submit() must charge a batch of `reads` + `writes` ops given the
-  /// installed fault policy.  Throws BudgetExceeded (charging nothing) when
-  /// the batch total would cross a ceiling; returns kPerOp when the armed
-  /// crash point falls inside the batch.
-  enum class BatchPlan { kBulk, kPerOp };
-  BatchPlan plan_batch(std::uint64_t reads, std::uint64_t writes) const;
-
-  /// The bulk half of submit(): counters/phases charged once for the whole
-  /// batch, wear and trace recorded per op in submission order.  Callers
-  /// must have cleared the plan (plan_batch == kBulk) first.
-  void bulk_charge(std::span<const BlockOp> ops, std::uint64_t reads,
-                   std::uint64_t writes, std::span<IoTicket> tickets);
-
-  /// The degraded half: replays the batch through the virtual per-op hooks
-  /// (exact per-op semantics, including mid-batch throws).
-  void per_op_submit(std::span<const BlockOp> ops, std::span<IoTicket> tickets);
-
-  static void validate_tickets(std::span<const BlockOp> ops,
-                               std::span<IoTicket> tickets);
+  /// Charges `ops` in order, each through on_write/on_read exactly as a
+  /// caller's own loop would (docs/MODEL.md section 17): same counters,
+  /// wear, phases, trace, fault schedule, and mid-span throws.
+  void submit(std::span<const BlockOp> ops);
 
  private:
   friend class PhaseScope;

@@ -86,7 +86,6 @@ ShardedMachine::ShardedMachine(ShardConfig cfg)
   }
   div_devices_ = util::FastDiv64(devices_.size());
   div_chunk_ = util::FastDiv64(scfg_.range_chunk_blocks);
-  batch_by_device_.resize(devices_.size());
   down_at_.assign(devices_.size(), 0);
   up_at_.assign(devices_.size(), 0);
   queued_.resize(devices_.size());
@@ -234,50 +233,6 @@ IoTicket ShardedMachine::on_read(std::uint32_t array, std::uint64_t block) {
   for (std::size_t j = 0; j < amp_[r.device]; ++j)
     dev.on_read(array, base + j);
   return ticket;
-}
-
-void ShardedMachine::submit(std::span<const BlockOp> ops,
-                            std::span<IoTicket> tickets) {
-  validate_tickets(ops, tickets);
-  if (ops.empty()) return;
-  std::uint64_t writes = 0;
-  for (const BlockOp& op : ops)
-    writes += static_cast<std::uint64_t>(op.kind == OpKind::kWrite);
-  const std::uint64_t reads = ops.size() - writes;
-  // Outage windows are evaluated against the frontend op clock between
-  // transfers, and an in-batch crash point must cut on its exact write:
-  // both degrade to the per-op loop (the full sharded on_read/on_write
-  // path, so waits, deferred writes, and drains behave identically).
-  // plan_batch() itself rejects a ceiling-crossing batch up front, before
-  // the frontend or any device has charged an op.
-  if (outages_armed_ ||
-      (faults() && plan_batch(reads, writes) == BatchPlan::kPerOp)) {
-    per_op_submit(ops, tickets);
-    return;
-  }
-  // Facade first (one bulk charge — byte-identical counters/trace to the
-  // per-op path), then the whole batch grouped by route(): one member
-  // submit per touched device instead of one virtual call per native op.
-  bulk_charge(ops, reads, writes, tickets);
-  for (const BlockOp& op : ops) {
-    const Route r = route(op.block);
-    const std::uint64_t base = r.local * amp_[r.device];
-    auto& dev_ops = batch_by_device_[r.device];
-    for (std::size_t j = 0; j < amp_[r.device]; ++j)
-      dev_ops.push_back(BlockOp{op.kind, op.array, base + j});
-  }
-  for (std::size_t d = 0; d < devices_.size(); ++d) {
-    if (batch_by_device_[d].empty()) continue;
-    try {
-      devices_[d]->submit(batch_by_device_[d]);
-    } catch (...) {
-      // A device-side throw (its own ceiling/crash schedule) must not leave
-      // stale native ops behind for the next batch.
-      for (auto& q : batch_by_device_) q.clear();
-      throw;
-    }
-    batch_by_device_[d].clear();
-  }
 }
 
 IoTicket ShardedMachine::on_write(std::uint32_t array, std::uint64_t block) {

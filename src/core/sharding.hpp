@@ -178,17 +178,6 @@ class ShardedMachine : public Machine {
   void reset_stats() override;
   IoTicket on_read(std::uint32_t array, std::uint64_t block) override;
   IoTicket on_write(std::uint32_t array, std::uint64_t block) override;
-  /// Batched submission across the array: the frontend facade is charged as
-  /// one bulk batch (identical counters/trace to the per-op path), then the
-  /// ops are grouped by route() and each device receives its whole native
-  /// batch in ONE member-machine submit — D calls instead of one per block.
-  /// Per-device native order is preserved; only the interleaving BETWEEN
-  /// devices differs from the per-op path (each device's counters are
-  /// order-insensitive, so every aggregate stays byte-identical).  Armed
-  /// outage windows and in-batch crash points degrade to the per-op loop.
-  void submit(std::span<const BlockOp> ops,
-              std::span<IoTicket> tickets) override;
-  using Machine::submit;
 
  private:
   struct QueuedWrite {
@@ -210,10 +199,6 @@ class ShardedMachine : public Machine {
   // a high multiply plus shifts instead of two hardware divides per block.
   util::FastDiv64 div_devices_;
   util::FastDiv64 div_chunk_;
-
-  // Per-device native-op staging for submit(); members so a steady stream
-  // of batches reuses the allocations.
-  std::vector<std::vector<BlockOp>> batch_by_device_;
 
   // Outage state (all empty-schedule costs: one bool test per transfer).
   bool outages_armed_ = false;

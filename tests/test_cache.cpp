@@ -521,6 +521,26 @@ TEST(CacheFaultTest, EvictionBudgetFailureKeepsVictimAndDataIntact) {
   EXPECT_EQ(back[0], 2);
 }
 
+TEST(CacheFaultTest, ZeroRateFaultPolicyLeavesFlushChargesUnchanged) {
+  // A fault policy with every rate zero takes the recovery write-back path
+  // but injects nothing: the flush must charge exactly what the plain
+  // machine's flush does and leave both pools clean.
+  Machine plain(cached_cfg(1024, 16, 8, 8));
+  Machine guarded(cached_cfg(1024, 16, 8, 8));
+  guarded.install_faults(FaultConfig{});
+  for (Machine* m : {&plain, &guarded}) {
+    ExtArray<std::uint64_t> arr(*m, 320, "arr");
+    std::vector<std::uint64_t> block(16, 7);
+    for (std::uint64_t bi = 0; bi < 20; ++bi)
+      arr.write_block(bi, std::span<const std::uint64_t>(block));
+    m->flush_cache();
+    EXPECT_EQ(m->cache()->resident_dirty(), 0u);
+  }
+  EXPECT_EQ(plain.stats(), guarded.stats());
+  EXPECT_EQ(plain.cache()->stats().write_backs,
+            guarded.cache()->stats().write_backs);
+}
+
 TEST(CacheFaultTest, TornWriteDuringFlushPinsExactCharges) {
   // Regression guard for the write-back/retry accounting audit: a torn
   // write injected during flush() must charge EXACTLY one extra write and

@@ -1,17 +1,15 @@
-// Tests for Machine::submit, the io_uring-shaped batched submission path
-// (docs/MODEL.md section 17): byte-identity of counters / phases / wear /
-// trace with the per-op hooks, completion tickets, per-op degradation under
-// armed crash points, all-or-nothing ceiling admission, the sharded
-// per-device batch routing, and the batched cache flush.
+// Tests for Machine::submit, the in-order loop over on_read/on_write
+// (docs/MODEL.md section 17): a span charges exactly what the caller's own
+// per-op loop would — counters, phases, wear, trace, the crash point, the
+// per-op ceiling rule, and, on a ShardedMachine, every device and outage
+// window.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
-#include "core/ext_array.hpp"
 #include "core/faults.hpp"
 #include "core/machine.hpp"
-#include "core/metrics.hpp"
 #include "core/sharding.hpp"
 #include "core/trace.hpp"
 
@@ -39,12 +37,13 @@ std::vector<BlockOp> mixed_ops(std::size_t n) {
   return ops;
 }
 
-void replay_per_op(Machine& m, const std::vector<BlockOp>& ops,
-                   std::vector<IoTicket>* tickets = nullptr) {
+void replay_per_op(Machine& m, const std::vector<BlockOp>& ops) {
   for (const BlockOp& op : ops) {
-    const IoTicket t = op.kind == OpKind::kWrite ? m.on_write(op.array, op.block)
-                                                 : m.on_read(op.array, op.block);
-    if (tickets != nullptr) tickets->push_back(t);
+    if (op.kind == OpKind::kWrite) {
+      m.on_write(op.array, op.block);
+    } else {
+      m.on_read(op.array, op.block);
+    }
   }
 }
 
@@ -59,7 +58,7 @@ void expect_same_traces(const Trace* a, const Trace* b) {
   }
 }
 
-TEST(SubmitTest, MatchesPerOpCountersPhasesWearTraceAndTickets) {
+TEST(SubmitTest, MatchesPerOpCountersPhasesWearAndTrace) {
   Machine per_op(cfg());
   Machine batched(cfg());
   for (Machine* m : {&per_op, &batched}) {
@@ -69,18 +68,15 @@ TEST(SubmitTest, MatchesPerOpCountersPhasesWearTraceAndTickets) {
     m->enable_trace();
   }
   const std::vector<BlockOp> ops = mixed_ops(100);
-
-  std::vector<IoTicket> per_tickets;
-  std::vector<IoTicket> batch_tickets(ops.size());
   {
     auto outer = per_op.phase("outer");
     auto inner = per_op.phase("inner");
-    replay_per_op(per_op, ops, &per_tickets);
+    replay_per_op(per_op, ops);
   }
   {
     auto outer = batched.phase("outer");
     auto inner = batched.phase("inner");
-    batched.submit(ops, batch_tickets);
+    batched.submit(ops);
   }
 
   EXPECT_EQ(per_op.stats(), batched.stats());
@@ -92,39 +88,19 @@ TEST(SubmitTest, MatchesPerOpCountersPhasesWearTraceAndTickets) {
   EXPECT_EQ(w1.max_writes, w2.max_writes);
   EXPECT_DOUBLE_EQ(w1.mean_writes, w2.mean_writes);
   expect_same_traces(per_op.trace(), batched.trace());
-  ASSERT_EQ(per_tickets.size(), batch_tickets.size());
-  for (std::size_t i = 0; i < per_tickets.size(); ++i) {
-    EXPECT_TRUE(batch_tickets[i].valid());
-    EXPECT_EQ(per_tickets[i].index, batch_tickets[i].index) << "ticket " << i;
-  }
 }
 
-TEST(SubmitTest, EmptyBatchChargesNothingAndBadTicketsThrow) {
+TEST(SubmitTest, EmptySpanChargesNothing) {
   Machine m(cfg());
   m.register_array("a");
   m.submit({});
   EXPECT_EQ(m.stats().total_ios(), 0u);
-
-  const std::vector<BlockOp> ops = mixed_ops(4);
-  std::vector<IoTicket> wrong(3);
-  EXPECT_THROW(m.submit(ops, wrong), std::invalid_argument);
-  EXPECT_EQ(m.stats().total_ios(), 0u);  // rejected before any charge
-}
-
-TEST(SubmitTest, TicketsInvalidWhenNotTracing) {
-  Machine m(cfg());
-  m.register_array("a");
-  const std::vector<BlockOp> ops = mixed_ops(8);
-  std::vector<IoTicket> tickets(ops.size());
-  tickets[0].index = 7;  // stale garbage must be overwritten
-  m.submit(ops, tickets);
-  for (const IoTicket& t : tickets) EXPECT_FALSE(t.valid());
 }
 
 TEST(SubmitTest, CrashFiresOnExactNthChargedWriteInsideBatch) {
-  // The armed power cut lands mid-batch: the batch must degrade to the
-  // per-op loop so CrashError fires on exactly the same charged write as
-  // the historical path, with every op before it charged and none after.
+  // The armed power cut lands mid-span: CrashError fires on exactly the
+  // same charged write as the caller's own loop, with every op before it
+  // charged and none after.
   FaultConfig fc;
   fc.crash_after_writes = 5;
 
@@ -144,14 +120,14 @@ TEST(SubmitTest, CrashFiresOnExactNthChargedWriteInsideBatch) {
   EXPECT_EQ(per_at_crash, batch_at_crash);
   EXPECT_EQ(batch_at_crash.writes, fc.crash_after_writes);
 
-  // One-shot: the fired crash point stays disarmed, so the remaining ops
-  // can be resubmitted — and then they bulk-charge cleanly.
+  // One-shot: the fired crash point stays disarmed, so the ops can be
+  // resubmitted and charge cleanly.
   EXPECT_NO_THROW(per_op.submit(ops));
   EXPECT_NO_THROW(batched.submit(ops));
   EXPECT_EQ(per_op.stats(), batched.stats());
 }
 
-TEST(SubmitTest, CrashBeyondBatchStaysArmedAndBulk) {
+TEST(SubmitTest, CrashBeyondSpanStaysArmed) {
   FaultConfig fc;
   fc.crash_after_writes = 1000;
   Machine m(cfg());
@@ -163,30 +139,33 @@ TEST(SubmitTest, CrashBeyondBatchStaysArmedAndBulk) {
   EXPECT_TRUE(m.faults()->crash_armed());
 }
 
-TEST(SubmitTest, CeilingRejectsWholeBatchWithoutPartialCharges) {
-  // All-or-nothing admission: a batch whose projected total crosses the
-  // ceiling throws BudgetExceeded BEFORE any op is charged (the per-op
-  // path would charge up to and including the crossing op — the one
-  // documented divergence).
-  for (const bool use_cost_ceiling : {true, false}) {
-    FaultConfig fc;
-    if (use_cost_ceiling) {
-      fc.max_cost = 50;  // 20 reads + 10 writes at omega 8 = 100 > 50
-    } else {
-      fc.max_ios = 25;
-    }
-    Machine m(cfg());
-    m.register_array("a");
-    m.register_array("b");
-    m.install_faults(fc);
-    const std::vector<BlockOp> ops = mixed_ops(30);
-    EXPECT_THROW(m.submit(ops), BudgetExceeded);
-    EXPECT_EQ(m.stats().total_ios(), 0u) << "cost=" << use_cost_ceiling;
+FaultConfig ceiling(bool use_cost_ceiling) {
+  FaultConfig fc;
+  if (use_cost_ceiling) {
+    fc.max_cost = 50;  // 20 reads + 10 writes at omega 8 = 100 > 50
+  } else {
+    fc.max_ios = 25;
+  }
+  return fc;
+}
 
-    // A batch that fits is admitted and charged in full.
-    const std::vector<BlockOp> small = mixed_ops(6);
-    EXPECT_NO_THROW(m.submit(small));
-    EXPECT_EQ(m.stats().total_ios(), 6u);
+TEST(SubmitTest, CeilingChargesUpToAndIncludingTheCrossingOp) {
+  // The one budget rule: the op that crosses max_cost / max_ios is charged,
+  // then BudgetExceeded is thrown — a span stops exactly where the
+  // caller's own loop would.
+  for (const bool use_cost_ceiling : {true, false}) {
+    Machine per_op(cfg());
+    Machine batched(cfg());
+    for (Machine* m : {&per_op, &batched}) {
+      m->register_array("a");
+      m->register_array("b");
+      m->install_faults(ceiling(use_cost_ceiling));
+    }
+    const std::vector<BlockOp> ops = mixed_ops(30);
+    EXPECT_THROW(replay_per_op(per_op, ops), BudgetExceeded);
+    EXPECT_THROW(batched.submit(ops), BudgetExceeded);
+    EXPECT_NE(batched.stats().total_ios(), 0u) << "cost=" << use_cost_ceiling;
+    EXPECT_EQ(per_op.stats(), batched.stats()) << "cost=" << use_cost_ceiling;
   }
 }
 
@@ -235,6 +214,25 @@ TEST(SubmitTest, ShardedBatchMatchesPerOpOnEveryDevice) {
   }
 }
 
+TEST(SubmitTest, ShardedCeilingChargesUpToAndIncludingTheCrossingOp) {
+  for (const bool use_cost_ceiling : {true, false}) {
+    ShardedMachine per_op(shard_cfg(3, 4));
+    ShardedMachine batched(shard_cfg(3, 4));
+    for (ShardedMachine* m : {&per_op, &batched}) {
+      m->register_array("a");
+      m->register_array("b");
+      m->install_faults(ceiling(use_cost_ceiling));
+    }
+    const std::vector<BlockOp> ops = mixed_ops(30);
+    EXPECT_THROW(replay_per_op(per_op, ops), BudgetExceeded);
+    EXPECT_THROW(batched.submit(ops), BudgetExceeded);
+    EXPECT_NE(batched.stats().total_ios(), 0u) << "cost=" << use_cost_ceiling;
+    EXPECT_EQ(per_op.stats(), batched.stats()) << "cost=" << use_cost_ceiling;
+    EXPECT_EQ(per_op.devices_stats(), batched.devices_stats())
+        << "cost=" << use_cost_ceiling;
+  }
+}
+
 TEST(SubmitTest, ShardedOutageWindowDegradesToPerOpPath) {
   ShardConfig sc_a = shard_cfg(2);
   sc_a.outages.push_back(OutageSpec{1, 3, 20});
@@ -255,29 +253,6 @@ TEST(SubmitTest, ShardedOutageWindowDegradesToPerOpPath) {
     EXPECT_EQ(per_op.outage_stats(d), batched.outage_stats(d)) << "dev " << d;
     EXPECT_EQ(per_op.pending_writes(d), batched.pending_writes(d));
   }
-}
-
-TEST(SubmitTest, CacheFlushBatchesIdenticallyToPerBlockFlush) {
-  // The grouped flush hands per-array runs to ExtArray's batch sink; with a
-  // zero-rate fault policy installed the sink degrades to the per-block
-  // loop.  Both machines must end with identical charges and clean pools.
-  Config plain = cfg();
-  plain.cache.capacity_blocks = 8;
-  Config guarded = plain;
-  Machine batched(plain);
-  Machine per_block(guarded);
-  per_block.install_faults(FaultConfig{});  // zero rates: only a path toggle
-  for (Machine* m : {&batched, &per_block}) {
-    ExtArray<std::uint64_t> arr(*m, 320, "arr");
-    std::vector<std::uint64_t> block(16, 7);
-    for (std::uint64_t bi = 0; bi < 20; ++bi)
-      arr.write_block(bi, std::span<const std::uint64_t>(block));
-    m->flush_cache();
-    EXPECT_EQ(m->cache()->resident_dirty(), 0u);
-  }
-  EXPECT_EQ(batched.stats(), per_block.stats());
-  EXPECT_EQ(batched.cache()->stats().write_backs,
-            per_block.cache()->stats().write_backs);
 }
 
 }  // namespace
