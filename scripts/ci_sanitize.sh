@@ -6,6 +6,10 @@
 # signed overflow in the accounting layer fails this job even when the
 # release build happens to pass.
 #
+# Both sanitizer trees are RelWithDebInfo with NDEBUG left undefined, so
+# every assert() is live here (the ctest job builds Release, which compiles
+# them out).  An assert that fires is a finding like any sanitizer report.
+#
 # Usage: scripts/ci_sanitize.sh [build-dir]
 set -euo pipefail
 
@@ -14,6 +18,7 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 
 cmake -B "$BUILD_DIR" -S "$(dirname "$0")/.." \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g" \
   -DAEM_SANITIZE=ON
 cmake --build "$BUILD_DIR" -j "$JOBS"
 
@@ -152,6 +157,7 @@ TSAN_BUILD_DIR="${BUILD_DIR}-tsan"
 echo "=== ThreadSanitizer pass (build dir $TSAN_BUILD_DIR) ==="
 cmake -B "$TSAN_BUILD_DIR" -S "$(dirname "$0")/.." \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g" \
   -DAEM_SANITIZE_THREAD=ON
 cmake --build "$TSAN_BUILD_DIR" -j "$JOBS" --target aem_tests bench_e3_sort_shootout
 TSAN_OPTIONS="halt_on_error=1" \

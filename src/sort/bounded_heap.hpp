@@ -1,13 +1,13 @@
 // The staged batch of the Section 3 sort kernels: a host-side bounded
 // max-heap that keeps the `cap` smallest elements offered to it.
 //
-// small_sort (the Lemma 4.2 base case), merge_runs (Section 3.1's OUT) and
-// ExtPriorityQueue::refill all stage "the cap smallest not-yet-output
-// elements seen so far" while scanning, and repeatedly ask whether a new
-// element is below the staged maximum.  A flat heap answers that in O(1)
-// and admits an element with one Floyd bottom-up replace-top (about
-// log2(cap) comparisons, no allocation), instead of a node-allocating
-// ordered tree.  The batch is sorted once, when it is emitted.
+// merge_runs (Section 3.1's OUT) and ExtPriorityQueue::refill both stage
+// "the cap smallest not-yet-output elements seen so far" while scanning,
+// and repeatedly ask whether a new element is below the staged maximum.  A
+// flat heap answers that in O(1) and admits an element with one Floyd
+// bottom-up replace-top (about log2(cap) comparisons, no allocation),
+// instead of a node-allocating ordered tree.  The batch is sorted once,
+// when it is emitted.
 //
 // The heap is host-side bookkeeping only: it never holds more than `cap`
 // elements, and every caller reserves `cap` elements on the ledger before

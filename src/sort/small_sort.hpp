@@ -2,30 +2,26 @@
 // paper's Section 3 recursion: sort N' <= omega*M elements with O(omega*n')
 // reads and O(n') writes.
 //
-// Strategy: multi-pass selection.  Each round scans the whole input range,
-// keeps the Mout smallest not-yet-output occurrences in internal memory
-// (evicting larger ones as smaller ones arrive), then writes that batch to
-// the output in sorted order and advances the consumption watermark.  The
-// staged batch is a host-side bounded max-heap (bounded_heap.hpp) that
-// never holds more than the Mout occurrences the round reserves on the
-// ledger; its storage is allocated once and reused by every round.  With
-// R' = ceil(N'/Mout) rounds this costs R' * n' <= (4*omega + 1) * n' reads
-// and n' (+ R') writes — the Lemma 4.2 budget, since N' <= omega*M =
-// 4*omega*Mout implies R' <= 4*omega.
-//
-// Internal memory: Mout staged occurrences + one scan block + one write
-// block, within the SortBudget split (see budget.hpp).
+// Each of R' = ceil(N'/Mout) rounds (<= omega for a SortBudget::base chunk)
+// reserves Mout staged elements and one scan block, reads every block of
+// the range, and writes the next Mout occurrences of the (value, position)
+// order: R' * n' reads and n' (+ R') writes.  The host selects each round's
+// slice from one sort of a copy of the range (MODEL.md §3, host
+// recomputation); a round whose blocks differ from the copy (unchecksummed
+// reads, an aliased output) re-sorts and resumes just above the watermark.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
-#include <optional>
+#include <cstdint>
+#include <cstring>
+#include <numeric>
 #include <stdexcept>
+#include <type_traits>
+#include <vector>
 
 #include "core/ext_array.hpp"
-#include "io/scanner.hpp"
-#include "sort/bounded_heap.hpp"
 #include "sort/budget.hpp"
-#include "sort/occ.hpp"
 #include "sort/sink.hpp"
 
 namespace aem {
@@ -37,56 +33,85 @@ namespace aem {
 /// (== end - begin when not combining).  The sort is stable.
 ///
 /// Intended for ranges of at most SortBudget::base elements (the paper's
-/// N' <= omega*M); larger ranges still sort correctly but the cost grows as
-/// ceil(N'/Mout) passes over the input.
+/// N' <= omega*M); larger ranges cost ceil(N'/Mout) passes over the input,
+/// and ranges of 2^32 elements or more throw std::length_error.
 template <class T, class Less, class Combine = std::nullptr_t>
 std::size_t small_sort(const ExtArray<T>& src, std::size_t begin,
                        std::size_t end, ExtArray<T>& dst,
                        std::size_t dst_begin, Less less, Combine combine = {}) {
+  static_assert(std::is_trivially_copyable_v<T>,
+                "small_sort compares delivered blocks bytewise");
   if (end < begin || end > src.size())
     throw std::invalid_argument("small_sort: bad range");
   const std::size_t total = end - begin;
+  if (total > UINT32_MAX)
+    throw std::length_error("small_sort: range of 2^32 or more elements");
 
   Machine& mach = src.machine();
   const SortBudget budget = SortBudget::from(mach);
-  using Occ = sort_detail::Occ<T>;
-  using OccLess = sort_detail::OccLess<T, Less>;
-  const OccLess occ_less(less);
-  auto key_eq = [occ_less](const T& a, const T& b) {
-    return occ_less.equiv(a, b);
+  const std::size_t B = mach.B();
+  auto key_eq = [less](const T& a, const T& b) {
+    return !less(a, b) && !less(b, a);
   };
   sort_detail::CombineSink<T, decltype(key_eq), Combine> sink(
       dst, dst_begin, dst_begin + total, key_eq, combine);
 
-  // The staged batch: the Mout smallest unconsumed occurrences.
-  sort_detail::BoundedMaxHeap<Occ, OccLess> out(budget.small_batch, total,
-                                                occ_less);
-  std::optional<Occ> watermark;
+  // Host scratch: the range as delivered, its sorted offsets, read tickets.
+  std::vector<T> vals(total);
+  std::vector<std::uint32_t> order(total);
+  const std::size_t first = begin / B;  // the range's first block
+  std::vector<IoTicket> tickets(mach.n_of(end) - first);
+  auto occ_less = [less](const T& a, std::uint32_t ia, const T& b,
+                         std::uint32_t ib) {
+    return less(a, b) || (!less(b, a) && ia < ib);
+  };
+
   std::size_t consumed = 0;
+  std::size_t next = 0;  // order[next]: the first occurrence above the mark
+  T mark_val{};          // the watermark: the last emitted (value, offset)
+  std::uint32_t mark_off = 0;
   while (consumed < total) {
     MemoryReservation out_res(mach.ledger(), budget.small_batch);
-    out.clear();
-
-    Scanner<T> scan(src, begin, end);
-    while (!scan.done()) {
-      const std::size_t pos = scan.position();
-      const T val = scan.next();
-      Occ o{val, /*run=*/0, pos, scan.last_ticket()};
-      if (watermark.has_value() && !occ_less(*watermark, o)) continue;
-      out.offer(o);
+    Buffer<T> block(mach, B);
+    bool changed = consumed == 0;
+    for (std::size_t t = 0; t < tickets.size(); ++t) {
+      const BlockIo io = src.read_block(first + t, block.span());
+      tickets[t] = io.ticket;
+      const std::size_t lo = std::max(begin, (first + t) * B);
+      const std::size_t hi = std::min(end, (first + t) * B + io.count);
+      const T* got = block.data() + (lo - (first + t) * B);
+      T* have = vals.data() + (lo - begin);
+      if (changed || std::memcmp(have, got, (hi - lo) * sizeof(T)) != 0) {
+        std::memcpy(have, got, (hi - lo) * sizeof(T));
+        changed = true;
+      }
     }
-
-    if (out.empty())
+    if (changed) {
+      std::iota(order.begin(), order.end(), std::uint32_t{0});
+      std::sort(order.begin(), order.end(), [&](auto a, auto b) {
+        return occ_less(vals[a], a, vals[b], b);
+      });
+      if (consumed > 0)  // resume just above the watermark
+        next = std::partition_point(order.begin(), order.end(), [&](auto o) {
+          return !occ_less(mark_val, mark_off, vals[o], o);
+        }) - order.begin();
+    }
+    const std::size_t batch =
+        std::min({budget.small_batch, total - consumed, total - next});
+    if (batch == 0)
       throw std::logic_error("small_sort: no progress (corrupt watermark)");
     const bool mark = mach.tracing() && src.has_atom_extractor();
-    const auto batch = out.sorted();
-    for (const Occ& o : batch) {
-      if (mark && o.ticket.valid())
-        mach.trace()->mark_used(o.ticket, src.atom_id(o.val));
-      sink.push(o.val);
+    for (std::size_t i = next; i < next + batch; ++i) {
+      const std::uint32_t o = order[i];
+      const IoTicket tk = tickets[(begin + o) / B - first];
+      if (mark && tk.valid())
+        mach.trace()->mark_used(tk, src.atom_id(vals[o]));
+      sink.push(vals[o]);
     }
-    watermark = batch.back();
-    consumed += batch.size();
+    next += batch;
+    consumed += batch;
+    mark_off = order[next - 1];
+    mark_val = vals[mark_off];
   }
   return sink.finish();
 }

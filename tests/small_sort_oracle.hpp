@@ -1,0 +1,77 @@
+// The offer loop small_sort ran before it computed its selection once on
+// the host, kept as the oracle of test_small_sort.cpp's differential test.
+//
+// Every round reserves Mout staged occurrences, scans the whole range with a
+// Scanner, offers each occurrence above the watermark to a bounded max-heap
+// of Mout, then emits the heap in (value, position) order.  It carries one
+// fix the shipped kernel also has: a round's batch is capped at the elements
+// still owed to the output, so a round whose unchecksummed reads deliver
+// extra occurrences above the watermark cannot push past the output range.
+#pragma once
+
+#include <algorithm>
+#include <cstddef>
+#include <optional>
+#include <stdexcept>
+
+#include "core/ext_array.hpp"
+#include "io/scanner.hpp"
+#include "sort/bounded_heap.hpp"
+#include "sort/budget.hpp"
+#include "sort/occ.hpp"
+#include "sort/sink.hpp"
+
+namespace aem::test {
+
+template <class T, class Less, class Combine = std::nullptr_t>
+std::size_t offer_loop_small_sort(const ExtArray<T>& src, std::size_t begin,
+                                  std::size_t end, ExtArray<T>& dst,
+                                  std::size_t dst_begin, Less less,
+                                  Combine combine = {}) {
+  if (end < begin || end > src.size())
+    throw std::invalid_argument("small_sort: bad range");
+  const std::size_t total = end - begin;
+
+  Machine& mach = src.machine();
+  const SortBudget budget = SortBudget::from(mach);
+  using Occ = sort_detail::Occ<T>;
+  using OccLess = sort_detail::OccLess<T, Less>;
+  const OccLess occ_less(less);
+  auto key_eq = [occ_less](const T& a, const T& b) {
+    return occ_less.equiv(a, b);
+  };
+  sort_detail::CombineSink<T, decltype(key_eq), Combine> sink(
+      dst, dst_begin, dst_begin + total, key_eq, combine);
+
+  std::optional<Occ> watermark;
+  std::size_t consumed = 0;
+  while (consumed < total) {
+    MemoryReservation out_res(mach.ledger(), budget.small_batch);
+    sort_detail::BoundedMaxHeap<Occ, OccLess> out(
+        std::min(budget.small_batch, total - consumed), total, occ_less);
+
+    Scanner<T> scan(src, begin, end);
+    while (!scan.done()) {
+      const std::size_t pos = scan.position();
+      const T val = scan.next();
+      Occ o{val, /*run=*/0, pos, scan.last_ticket()};
+      if (watermark.has_value() && !occ_less(*watermark, o)) continue;
+      out.offer(o);
+    }
+
+    if (out.empty())
+      throw std::logic_error("small_sort: no progress (corrupt watermark)");
+    const bool mark = mach.tracing() && src.has_atom_extractor();
+    const auto batch = out.sorted();
+    for (const Occ& o : batch) {
+      if (mark && o.ticket.valid())
+        mach.trace()->mark_used(o.ticket, src.atom_id(o.val));
+      sink.push(o.val);
+    }
+    watermark = batch.back();
+    consumed += batch.size();
+  }
+  return sink.finish();
+}
+
+}  // namespace aem::test

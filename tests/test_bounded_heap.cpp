@@ -1,7 +1,7 @@
-// Tests for sort/bounded_heap.hpp: the staged batch of small_sort,
-// merge_runs and the external priority queue's refill.  The heap must keep
-// exactly what a bounded std::set (the reference) keeps after every offer,
-// so the kernels' "below the staged max" decisions cannot change.
+// Tests for sort/bounded_heap.hpp: the staged batch of merge_runs and the
+// external priority queue's refill.  The heap must keep exactly what a
+// bounded std::set (the reference) keeps after every offer, so the kernels'
+// "below the staged max" decisions cannot change.
 #include <gtest/gtest.h>
 
 #include <algorithm>

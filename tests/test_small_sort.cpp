@@ -1,0 +1,242 @@
+// small_sort under caches and read faults: a regression for the output
+// overrun on unchecksummed reads, and a differential test against the offer
+// loop the kernel ran before it computed its selection once on the host
+// (small_sort_oracle.hpp).  The two must agree on every output byte, the
+// return value, Q_r / Q_w, the ledger high-water mark and the full trace —
+// including runs whose faulty reads deliver different bytes in different
+// rounds, which is what the kernel's per-round block comparison is for.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <exception>
+#include <string>
+#include <typeinfo>
+#include <vector>
+
+#include "core/ext_array.hpp"
+#include "core/machine.hpp"
+#include "sort/small_sort.hpp"
+#include "util/rng.hpp"
+#include "small_sort_oracle.hpp"
+#include "trace_fnv.hpp"
+
+namespace {
+
+using namespace aem;
+
+/// Orders by the high 56 bits only, so the low byte makes ties visible.
+struct KeyLess {
+  bool operator()(std::uint64_t a, std::uint64_t b) const {
+    return (a >> 8) < (b >> 8);
+  }
+};
+
+/// Folds key-equal elements by summing their payload bytes.
+struct AddPayload {
+  void operator()(std::uint64_t& acc, const std::uint64_t& next) const {
+    acc = (acc & ~std::uint64_t{0xff}) | ((acc + next) & 0xff);
+  }
+};
+
+constexpr std::uint64_t kSentinel = 0xDEADBEEFDEADBEEFull;
+constexpr std::size_t kSlack = 512;  // sentinel-filled tail past the output
+
+std::vector<std::uint64_t> duplicate_keys(std::size_t n, std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<std::uint64_t> v(n);
+  for (std::size_t i = 0; i < n; ++i)
+    v[i] = ((rng.next() % 5) << 8) | (i & 0xff);
+  return v;
+}
+
+std::vector<std::uint64_t> uniform_keys(std::size_t n, std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<std::uint64_t> v(n);
+  for (auto& x : v) x = rng.next();
+  return v;
+}
+
+Config cfg() {
+  Config c;
+  c.memory_elems = 128;
+  c.block_elems = 8;
+  c.write_cost = 4;
+  return c;
+}
+
+FaultConfig read_faults(bool checksummed, std::uint64_t seed) {
+  FaultConfig fc;
+  fc.seed = seed;
+  fc.read_fault_rate = 0.05;
+  fc.checksum_reads = checksummed;
+  fc.verify_writes = checksummed;
+  return fc;
+}
+
+TEST(SmallSortFaultTest, UncheckedReadFaultsStayInsideTheOutputRange) {
+  Machine mach(cfg());
+  mach.install_faults(read_faults(/*checksummed=*/false, /*seed=*/9));
+  const std::vector<std::uint64_t> keys = duplicate_keys(1500, 1623);
+  ExtArray<std::uint64_t> in(mach, keys.size(), "in");
+  in.unsafe_host_fill(keys);
+  ExtArray<std::uint64_t> out(mach, keys.size() + kSlack, "out");
+  out.unsafe_host_fill(
+      std::vector<std::uint64_t>(keys.size() + kSlack, kSentinel));
+
+  const std::size_t written =
+      small_sort(in, 0, keys.size(), out, 0, KeyLess{});
+
+  EXPECT_GT(mach.faults()->stats().read_faults, 0u);
+  EXPECT_EQ(written, keys.size());
+  const auto& host = out.unsafe_host_view();
+  for (std::size_t i = keys.size(); i < host.size(); ++i)
+    ASSERT_EQ(host[i], kSentinel) << "overwrote slot " << i;
+}
+
+// A fault seed whose schedule fires within the first 8 reads, so even the
+// one-round [0,64) range sees a fault.
+constexpr std::uint64_t kGridSeed = 8;
+
+enum class Variant { kPlain, kLru6, kFaultsChecked, kFaultsUnchecked };
+
+struct Range {
+  std::size_t begin, end, n;
+};
+
+struct Outcome {
+  std::vector<std::uint64_t> out;
+  std::size_t written = 0;
+  std::string error;  // "<type>: <what>" of a thrown exception, else empty
+  std::uint64_t reads = 0, writes = 0, high_water = 0, trace = 0;
+  std::uint64_t read_faults = 0;
+};
+
+/// Turns on tracing, runs `body` and records what it left in `out` and what
+/// it cost, including a thrown exception.
+template <class Body>
+Outcome observe(Machine& mach, const ExtArray<std::uint64_t>& out,
+                Body body) {
+  mach.enable_trace();
+  Outcome o;
+  try {
+    o.written = body();
+    mach.flush_cache();
+  } catch (const std::exception& e) {
+    o.error = std::string(typeid(e).name()) + ": " + e.what();
+  }
+  o.out = out.unsafe_host_view();
+  o.reads = mach.stats().reads;
+  o.writes = mach.stats().writes;
+  o.high_water = mach.ledger().high_water();
+  o.trace = test::trace_hash(*mach.trace());
+  if (mach.faults() != nullptr)
+    o.read_faults = mach.faults()->stats().read_faults;
+  return o;
+}
+
+std::uint64_t identity_atom(const std::uint64_t& x) { return x; }
+
+/// Runs `kernel(in, out)` on a fresh machine of the given variant.
+template <class Kernel>
+Outcome run(Variant v, const std::vector<std::uint64_t>& keys, Range r,
+            Kernel kernel) {
+  Config c = cfg();
+  if (v == Variant::kLru6) c.cache.capacity_blocks = 6;
+  Machine mach(c);
+  if (v == Variant::kFaultsChecked || v == Variant::kFaultsUnchecked)
+    mach.install_faults(read_faults(v == Variant::kFaultsChecked, kGridSeed));
+  ExtArray<std::uint64_t> in(mach, keys.size(), "in");
+  in.unsafe_host_fill(keys);
+  in.set_atom_extractor(identity_atom);
+  const std::size_t n_out = r.end - r.begin + kSlack;
+  ExtArray<std::uint64_t> out(mach, n_out, "out");
+  out.unsafe_host_fill(std::vector<std::uint64_t>(n_out, kSentinel));
+  out.set_atom_extractor(identity_atom);
+  return observe(mach, out, [&] { return kernel(in, out); });
+}
+
+void expect_same(const Outcome& got, const Outcome& want,
+                 const std::string& label) {
+  EXPECT_EQ(got.error, want.error) << label;
+  EXPECT_EQ(got.written, want.written) << label;
+  EXPECT_EQ(got.reads, want.reads) << label;
+  EXPECT_EQ(got.writes, want.writes) << label;
+  EXPECT_EQ(got.high_water, want.high_water) << label;
+  EXPECT_EQ(got.trace, want.trace) << label;
+  EXPECT_TRUE(got.out == want.out) << label << ": output bytes differ";
+}
+
+TEST(SmallSortDiffTest, MatchesTheOfferLoopOnEveryVariant) {
+  const Range ranges[] = {{0, 1500, 1500}, {5, 1497, 1500}, {3, 700, 777},
+                          {0, 64, 64}};
+  std::size_t unchecked_changed = 0, throws = 0;
+  for (const Range& r : ranges)
+    for (bool dup : {false, true})
+      for (bool combining : {false, true}) {
+        const std::vector<std::uint64_t> keys =
+            dup ? duplicate_keys(r.n, 1623 + r.n)
+                : uniform_keys(r.n, 77 + r.n);
+        auto shipped = [&](auto& in, auto& out) {
+          return combining
+                     ? small_sort(in, r.begin, r.end, out, 0, KeyLess{},
+                                  AddPayload{})
+                     : small_sort(in, r.begin, r.end, out, 0, KeyLess{});
+        };
+        auto oracle = [&](auto& in, auto& out) {
+          return combining ? test::offer_loop_small_sort(
+                                 in, r.begin, r.end, out, 0, KeyLess{},
+                                 AddPayload{})
+                           : test::offer_loop_small_sort(
+                                 in, r.begin, r.end, out, 0, KeyLess{});
+        };
+        Outcome fault_free;
+        for (Variant v : {Variant::kPlain, Variant::kLru6,
+                          Variant::kFaultsChecked, Variant::kFaultsUnchecked}) {
+          const std::string label =
+              "variant " + std::to_string(static_cast<int>(v)) + " range [" +
+              std::to_string(r.begin) + "," + std::to_string(r.end) + ") of " +
+              std::to_string(r.n) + (dup ? " dup" : " uniform") +
+              (combining ? " combine" : "");
+          const Outcome got = run(v, keys, r, shipped);
+          expect_same(got, run(v, keys, r, oracle), label);
+          if (v == Variant::kPlain) {
+            EXPECT_TRUE(got.error.empty()) << label << ": " << got.error;
+            fault_free = got;
+          }
+          if (v == Variant::kFaultsUnchecked) {
+            EXPECT_GT(got.read_faults, 0u) << label;
+            if (got.out != fault_free.out) ++unchecked_changed;
+          }
+          if (!got.error.empty()) ++throws;
+        }
+      }
+  // The unchecked cases must really exercise the re-sort path, and in some
+  // a corrupted value becomes the watermark with nothing left above it, so
+  // both kernels give up.
+  EXPECT_GT(unchecked_changed, 0u);
+  EXPECT_GT(throws, 0u);
+}
+
+// Sorting an array onto itself: round 0's output blocks overwrite the input
+// that round 1 reads back, so later rounds see changed bytes.  The
+// result is not a sort, but both kernels must produce the same one.
+TEST(SmallSortDiffTest, InPlaceMatchesTheOfferLoop) {
+  const std::vector<std::uint64_t> keys = duplicate_keys(1500, 4242);
+  auto in_place = [&](auto kernel) {
+    Machine mach(cfg());
+    ExtArray<std::uint64_t> a(mach, keys.size(), "a");
+    a.unsafe_host_fill(keys);
+    a.set_atom_extractor(identity_atom);
+    return observe(mach, a, [&] { return kernel(a); });
+  };
+  const Outcome got = in_place([&](auto& a) {
+    return small_sort(a, 0, keys.size(), a, 0, KeyLess{});
+  });
+  const Outcome want = in_place([&](auto& a) {
+    return test::offer_loop_small_sort(a, 0, keys.size(), a, 0, KeyLess{});
+  });
+  expect_same(got, want, "in place");
+  EXPECT_NE(got.out, keys);
+}
+
+}  // namespace

@@ -27,6 +27,7 @@
 #include "sort/small_sort.hpp"
 #include "util/math.hpp"
 #include "util/rng.hpp"
+#include "trace_fnv.hpp"
 
 namespace {
 
@@ -77,33 +78,7 @@ struct Pin {
   bool operator==(const Pin&) const = default;
 };
 
-class Fnv {
- public:
-  void add(std::uint64_t x) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (x >> (8 * i)) & 0xff;
-      h_ *= 0x100000001B3ull;
-    }
-  }
-  std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xCBF29CE484222325ull;
-};
-
-std::uint64_t trace_hash(const Trace& t) {
-  Fnv h;
-  for (const TraceOp& op : t.ops()) {
-    h.add(static_cast<std::uint64_t>(op.kind));
-    h.add(op.array);
-    h.add(op.block);
-    h.add(op.atoms.size());
-    for (std::uint64_t a : op.atoms) h.add(a);
-    h.add(op.used.size());
-    for (std::uint64_t u : op.used) h.add(u);
-  }
-  return h.value();
-}
+using test::trace_hash;
 
 Config cfg(const Shape& s) {
   Config c;
