@@ -131,7 +131,8 @@ inline void emit_metrics(const Machine& mach, const std::string& label,
   append_metrics(snapshot_metrics(mach, label), path);
 }
 
-/// The flags every experiment binary shares, parsed once.
+/// The flags every experiment binary shares, parsed once.  They are the
+/// only flags a bench takes: bench_io rejects any other.
 struct BenchIo {
   std::string csv;              ///< --csv=FILE (empty: no CSV)
   std::string metrics;          ///< --metrics=FILE (empty: no metrics log)
@@ -148,6 +149,7 @@ inline BenchIo bench_io(const util::Cli& cli, std::uint64_t default_seed) {
   io.seed = cli.u64("seed", default_seed);
   io.sweep.jobs = cli.jobs();
   io.sweep.base_seed = io.seed;
+  cli.reject_unknown_flags();
   return io;
 }
 

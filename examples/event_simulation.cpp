@@ -42,6 +42,7 @@ int main(int argc, char** argv) try {
   util::Cli cli(argc, argv);
   const std::uint64_t jobs = cli.u64("jobs", 20000);
   const std::uint64_t omega = cli.u64("omega", 16);
+  cli.reject_unknown_flags();
   const std::uint64_t service = 7;  // fixed service time per job
 
   Config cfg;

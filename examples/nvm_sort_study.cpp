@@ -57,6 +57,7 @@ int main(int argc, char** argv) try {
   const std::size_t N = cli.u64("n", 1 << 15);
   const std::size_t M = cli.u64("memory", 64);
   const std::size_t B = cli.u64("block", 8);
+  cli.reject_unknown_flags();
 
   std::cout << "Sorting " << N << " records on four memory technologies\n"
             << "(M=" << M << ", B=" << B << ").  omega = write/read cost "

@@ -28,6 +28,8 @@ int main(int argc, char** argv) try {
   const std::size_t N = cli.u64("n", 4096);
   const std::uint64_t omega = cli.u64("omega", 4);
   const std::string kind = cli.str("perm", "random");
+  const std::string save = cli.str("save-trace", "");
+  cli.reject_unknown_flags();
   const std::size_t M = 128, B = 16;  // B multiple of omega for Lemma 4.3
 
   Config cfg;
@@ -78,7 +80,6 @@ int main(int argc, char** argv) try {
   std::cout << "recorded trace: " << trace->size() << " I/O ops\n";
 
   // Optional: persist the program for offline analysis with tools/aem_trace.
-  const std::string save = cli.str("save-trace", "");
   if (!save.empty()) {
     std::ofstream os(save);
     write_trace(os, *trace);

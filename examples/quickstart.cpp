@@ -34,6 +34,8 @@ int main(int argc, char** argv) try {
   const std::size_t M = cli.u64("memory", 1024);
   const std::size_t B = cli.u64("block", 16);
   const std::uint64_t omega = cli.u64("omega", 8);
+  const std::string metrics_path = cli.str("metrics", "");
+  cli.reject_unknown_flags();
 
   // 1. An (M,B,omega)-AEM machine: M elements of fast symmetric memory,
   //    block transfers of B elements, writes omega times pricier than reads.
@@ -73,11 +75,11 @@ int main(int argc, char** argv) try {
 
   // Machine-readable form of everything above: one JSON snapshot in the
   // aem.machine.metrics/v8 schema (same as the bench --metrics output).
-  if (const std::string path = cli.str("metrics", ""); !path.empty()) {
-    std::ofstream os(path);
+  if (!metrics_path.empty()) {
+    std::ofstream os(metrics_path);
     write_json(os, snapshot_metrics(mach, "quickstart"));
     os << "\n";
-    std::cout << "\nmetrics snapshot written to " << path << "\n";
+    std::cout << "\nmetrics snapshot written to " << metrics_path << "\n";
   }
 
   bounds::AemParams p{.N = N, .M = M, .B = B, .omega = omega};

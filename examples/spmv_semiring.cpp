@@ -84,6 +84,7 @@ int main(int argc, char** argv) try {
   util::Cli cli(argc, argv);
   const std::uint64_t N = cli.u64("n", 4096);
   const std::uint64_t delta = cli.u64("delta", 4);
+  cli.reject_unknown_flags();
 
   std::cout << "SpMxV on a delta-regular " << N << "x" << N << " matrix ("
             << delta << " non-zeros per column, column-major layout)\n\n";

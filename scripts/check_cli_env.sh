@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# CLI/env robustness contract: a malformed AEM_JOBS value (or integer flag)
-# must make a bench binary exit with a ONE-LINE diagnostic and a clean
-# nonzero status — never an uncaught-exception std::terminate (which shows
-# up as SIGABRT, exit code 134).  Registered as the `cli_env_guard` ctest.
+# CLI/env robustness contract: a malformed AEM_JOBS value, a malformed
+# integer flag or an unknown flag must make a bench binary exit with a
+# ONE-LINE diagnostic and a clean nonzero status — never an
+# uncaught-exception std::terminate (which shows up as SIGABRT, exit code
+# 134).  Registered as the `cli_env_guard` ctest.
 #
 # Usage: scripts/check_cli_env.sh [build-dir] [bench ...]
 set -euo pipefail
@@ -23,6 +24,7 @@ check_rejected() {
   [[ "$status" -ne 0 ]] || fail "$desc: accepted (exit 0)"
   [[ "$status" -lt 128 ]] || fail "$desc: died on a signal (exit $status) — uncaught exception?"
   [[ "$out" == *"$needle"* ]] || fail "$desc: diagnostic missing '$needle' (got: $out)"
+  [[ "$out" != *$'\n'* ]] || fail "$desc: diagnostic is not one line (got: $out)"
   echo "ok: $desc -> exit $status, diagnostic mentions '$needle'"
 }
 
@@ -44,6 +46,9 @@ for name in "${BENCHES[@]}"; do
   # Malformed integer flags go through the same strict parser.
   check_rejected "$name --seed=junk" "--seed" "$bench" --seed=junk
   check_rejected "$name --jobs=-1" "--jobs" "$bench" --jobs=-1
+
+  # An unknown flag (a typo, or one a bench no longer takes) is an error.
+  check_rejected "$name --no-such-flag" "--no-such-flag" "$bench" --no-such-flag
 done
 
-echo "cli_env_guard passed: malformed AEM_JOBS/flags exit nonzero with diagnostics"
+echo "cli_env_guard passed: malformed AEM_JOBS/flags and unknown flags exit nonzero with diagnostics"

@@ -104,13 +104,12 @@ echo "traffic tests + bench_t1_traffic clean under ASan+UBSan"
 
 # Batch pass: code that walks spans and scratch vectors — the Submit*
 # tests (Machine::submit's in-order loop and its per-op ceiling, crash and
-# outage cases), the Eytzinger/FastDiv/route kernels, bench_t1_traffic's
-# admission-window request batches, and bench_m0 with its bypass
-# byte-identity guards as asserts.  An off-by-one index or a stale scratch
-# reuse there would corrupt memory without failing a release-build equality
-# check.  Speedup floors are zeroed: a sanitized build proves memory
-# safety, not throughput.
-echo "=== batch pass (submit/search tests + bench_t1_traffic + bench_m0 guards under ASan+UBSan) ==="
+# outage cases), the Eytzinger/FastDiv/route kernels, and
+# bench_t1_traffic's admission-window request batches.  An off-by-one index
+# or a stale scratch reuse there would corrupt memory without failing a
+# release-build equality check.  (The idle-feature byte-identity tests run
+# in the first ctest pass above.)
+echo "=== batch pass (submit/search tests + bench_t1_traffic under ASan+UBSan) ==="
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
 UBSAN_OPTIONS="print_stacktrace=1" \
   "$BUILD_DIR/tests/aem_tests" \
@@ -118,11 +117,7 @@ UBSAN_OPTIONS="print_stacktrace=1" \
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
 UBSAN_OPTIONS="print_stacktrace=1" \
   "$BUILD_DIR/bench/bench_t1_traffic" --jobs=2 > /dev/null
-ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
-UBSAN_OPTIONS="print_stacktrace=1" \
-  "$BUILD_DIR/bench/bench_m0_overhead" \
-  --min-speedup=0 --min-kernel-speedup=0 > /dev/null
-echo "batch pass clean (submit/search tests, bench_t1_traffic, bench_m0 byte-identity guards)"
+echo "batch pass clean (submit/search tests, bench_t1_traffic)"
 
 # Low-write pass: the read-favoring samplesort's windowed distribution, the
 # buffered PQ's widened merge cascade, and the store's page-grouped batch

@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <functional>
-#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -32,19 +31,12 @@ namespace sort_detail {
 
 /// Classic k-way merge: one Scanner (one block) per run plus one Writer.
 /// Requires (k + 1) * B + O(k) <= M, which em_merge_fanout guarantees.
-///
-/// Selection kernel (host CPU only — the element consumption order, and
-/// therefore every charged block I/O, is identical for both):
-///  * kLoserTree (default): ceil(log2 k) comparisons per output element
-///    along one leaf-to-root path (sort/loser_tree.hpp);
-///  * kScanSelect: the reference O(k) linear scan over run heads, kept for
-///    the I/O-invariance tests and the bench_m0_overhead speedup section.
-/// Both break ties by run index (runs are in input order), so the merge is
-/// stable either way.
+/// Selection is a loser tree (sort/loser_tree.hpp): ceil(log2 k) host
+/// comparisons per output element, ties broken by run index (runs are in
+/// input order), so the merge is stable.
 template <class T, class Less>
 void em_merge_group(const ExtArray<T>& src, std::span<const RunBounds> runs,
-                    ExtArray<T>& dst, std::size_t dst_begin, Less less,
-                    MergeKernel kernel = MergeKernel::kLoserTree) {
+                    ExtArray<T>& dst, std::size_t dst_begin, Less less) {
   Machine& mach = src.machine();
   std::vector<Scanner<T>> heads;
   heads.reserve(runs.size());
@@ -56,42 +48,27 @@ void em_merge_group(const ExtArray<T>& src, std::span<const RunBounds> runs,
   MemoryReservation head_state(mach.ledger(), 2 * runs.size());
   Writer<T> out(dst, dst_begin, dst_begin + total);
 
-  if (kernel == MergeKernel::kLoserTree) {
-    // Note on peek(): loading run i's first block is charged when leaf i is
-    // staged — the same moment the scan kernel's first selection pass would
-    // charge it, and every later refill happens right after the element
-    // that exposes it is consumed in both kernels, so read order matches.
-    LoserTree<T, Less> tree(heads.size(), less);
-    for (std::size_t i = 0; i < heads.size(); ++i) {
-      if (heads[i].done()) {
-        tree.set_exhausted(i);
-      } else {
-        tree.set_key(i, heads[i].peek());
-      }
+  // Loading run i's first block (peek) is charged when leaf i is staged;
+  // every later refill happens right after the element that exposes it is
+  // consumed.
+  LoserTree<T, Less> tree(heads.size(), less);
+  for (std::size_t i = 0; i < heads.size(); ++i) {
+    if (heads[i].done()) {
+      tree.set_exhausted(i);
+    } else {
+      tree.set_key(i, heads[i].peek());
     }
-    tree.rebuild();
-    for (std::size_t i = tree.winner(); i != LoserTree<T, Less>::npos;
-         i = tree.winner()) {
-      out.push(heads[i].next());
-      if (heads[i].done()) {
-        tree.set_exhausted(i);
-      } else {
-        tree.set_key(i, heads[i].peek());
-      }
-      tree.update(i);
+  }
+  tree.rebuild();
+  for (std::size_t i = tree.winner(); i != LoserTree<T, Less>::npos;
+       i = tree.winner()) {
+    out.push(heads[i].next());
+    if (heads[i].done()) {
+      tree.set_exhausted(i);
+    } else {
+      tree.set_key(i, heads[i].peek());
     }
-  } else {
-    // Stable selection: ties broken by run index (runs are in input order).
-    while (true) {
-      std::optional<std::size_t> best;
-      for (std::size_t i = 0; i < heads.size(); ++i) {
-        if (heads[i].done()) continue;
-        if (!best.has_value() || less(heads[i].peek(), heads[*best].peek()))
-          best = i;
-      }
-      if (!best.has_value()) break;
-      out.push(heads[*best].next());
-    }
+    tree.update(i);
   }
   out.finish();
 }

@@ -15,10 +15,10 @@
 // nothing per output element.
 //
 // Ties are broken by contestant index (lower wins), which makes selection
-// order identical to a stable linear scan ("first strictly-smallest head")
-// and therefore keeps merge output — and, in the AEM simulator, the exact
-// sequence of charged block I/Os — byte-identical to the scan kernel.
-// tests/test_loser_tree.cpp asserts that Q/Qr/Qw invariance.
+// order identical to a stable linear scan ("first strictly-smallest head"),
+// so the merges built on it are stable.  tests/test_loser_tree.cpp checks
+// em_merge_group against such a scan (tests/merge_scan_oracle.hpp) and
+// pins merge_runs' charges.
 //
 // Host-side only: the tree holds copies of the <= k resident head elements
 // that the merge's MemoryReservation already accounts for, plus O(k) index
@@ -32,12 +32,6 @@
 #include <vector>
 
 namespace aem {
-
-/// Which selection kernel a k-way merge uses.  kScanSelect is the
-/// pre-loser-tree reference (O(k) per selection); it is kept callable so
-/// tests and bench_m0_overhead can assert I/O invariance and measure the
-/// host-time speedup against it.
-enum class MergeKernel { kLoserTree, kScanSelect };
 
 template <class Key, class Less>
 class LoserTree {

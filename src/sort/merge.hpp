@@ -97,7 +97,6 @@ class MergeJob {
   }
 
   void set_stats(MergeStats* stats) { stats_ = stats; }
-  void set_kernel(MergeKernel kernel) { kernel_ = kernel; }
 
  private:
   struct Active {
@@ -212,51 +211,30 @@ class MergeJob {
           std::max(stats_->max_active_runs, actives.size());
     }
 
-    // Phase C: classical m_eff-way merging from the active runs.  Both
-    // kernels read the same blocks in the same order (asserted by the
-    // invariance tests): max(OUT) only shrinks as smaller occurrences
-    // arrive, so a run whose s_i ever falls out of OUT's range stays out —
-    // dropping it eagerly (scan kernel) and checking only the current
-    // minimum (loser tree) reject exactly the same reads, and when the
-    // MINIMUM s_i is out of range every active run is, ending the phase.
-    if (kernel_ == MergeKernel::kLoserTree) {
-      // Host-side selection state only: the tree mirrors the <= m_eff
-      // resident boundary elements actives_res already reserves, so the
-      // simulated footprint is unchanged (see loser_tree.hpp).
-      using Tree = LoserTree<Occ<T>, OccLess<T, Less>>;
-      Tree tree(actives.size(), occ_less_);
-      for (std::size_t i = 0; i < actives.size(); ++i)
-        tree.set_key(i, actives[i].last_loaded);
-      tree.rebuild();
-      for (std::size_t j = tree.winner(); j != Tree::npos; j = tree.winner()) {
-        Active& a = actives[j];
-        if (!out_.admits(a.last_loaded))
-          break;  // the smallest s_i is out of range, so every s_i is
-        a.last_loaded = read_into(a.run, a.next_block, blockbuf);
-        ++a.next_block;
-        if (a.next_block >= run_end_block(a.run)) {
-          tree.set_exhausted(j);
-        } else {
-          tree.set_key(j, a.last_loaded);
-        }
-        tree.update(j);
+    // Phase C: classical m_eff-way merging from the active runs.  max(OUT)
+    // only shrinks as smaller occurrences arrive, so a run whose s_i ever
+    // falls out of OUT's range stays out: checking only the current minimum
+    // suffices, and when the MINIMUM s_i is out of range every active run
+    // is, ending the phase.  Host-side selection state only: the tree
+    // mirrors the <= m_eff resident boundary elements actives_res already
+    // reserves, so the simulated footprint is unchanged (see loser_tree.hpp).
+    using Tree = LoserTree<Occ<T>, OccLess<T, Less>>;
+    Tree tree(actives.size(), occ_less_);
+    for (std::size_t i = 0; i < actives.size(); ++i)
+      tree.set_key(i, actives[i].last_loaded);
+    tree.rebuild();
+    for (std::size_t j = tree.winner(); j != Tree::npos; j = tree.winner()) {
+      Active& a = actives[j];
+      if (!out_.admits(a.last_loaded))
+        break;  // the smallest s_i is out of range, so every s_i is
+      a.last_loaded = read_into(a.run, a.next_block, blockbuf);
+      ++a.next_block;
+      if (a.next_block >= run_end_block(a.run)) {
+        tree.set_exhausted(j);
+      } else {
+        tree.set_key(j, a.last_loaded);
       }
-    } else {
-      while (!actives.empty()) {
-        // Lazily drop runs whose last-loaded element fell out of OUT's range.
-        std::erase_if(actives, [&](const Active& a) {
-          return !out_.admits(a.last_loaded);
-        });
-        if (actives.empty()) break;
-        auto j = std::min_element(actives.begin(), actives.end(),
-                                  [&](const Active& a, const Active& b) {
-                                    return occ_less_(a.last_loaded,
-                                                     b.last_loaded);
-                                  });
-        j->last_loaded = read_into(j->run, j->next_block, blockbuf);
-        ++j->next_block;
-        if (j->next_block >= run_end_block(j->run)) actives.erase(j);
-      }
+      tree.update(j);
     }
 
     // Phase D: output the batch, advance the watermark, and advance b[i]
@@ -288,7 +266,6 @@ class MergeJob {
   BoundedMaxHeap<Occ<T>, OccLess<T, Less>> out_;
   std::optional<Occ<T>> watermark_;
   MergeStats* stats_ = nullptr;
-  MergeKernel kernel_ = MergeKernel::kLoserTree;
 };
 
 }  // namespace sort_detail
@@ -300,19 +277,17 @@ class MergeJob {
 /// elements written (the total input length when not combining).
 ///
 /// Cost (Theorem 3.2, for d <= omega * m runs totalling N elements):
-/// O(omega(n + m)) reads and O(n + m) writes — for EITHER kernel; the
-/// kernel choice moves host CPU time only (loser tree: ceil(log2 k)
-/// comparisons per selection instead of the scan's O(k)), never a charged
-/// I/O, which tests/test_loser_tree.cpp asserts exactly.
+/// O(omega(n + m)) reads and O(n + m) writes.  Phase C selects with a
+/// loser tree, ceil(log2 k) host comparisons per selection; that moves host
+/// CPU time only, never a charged I/O (tests/test_loser_tree.cpp pins the
+/// charges).
 template <class T, class Less, class Combine = std::nullptr_t>
 std::size_t merge_runs(const ExtArray<T>& src, std::span<const RunBounds> runs,
                        ExtArray<T>& dst, std::size_t dst_begin, Less less,
-                       Combine combine = {}, MergeStats* stats = nullptr,
-                       MergeKernel kernel = MergeKernel::kLoserTree) {
+                       Combine combine = {}, MergeStats* stats = nullptr) {
   sort_detail::MergeJob<T, Less, Combine> job(src, runs, dst, dst_begin, less,
                                               combine);
   job.set_stats(stats);
-  job.set_kernel(kernel);
   return job.run();
 }
 

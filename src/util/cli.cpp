@@ -47,38 +47,43 @@ Cli::Cli(int argc, char** argv) {
   }
 }
 
-bool Cli::has(const std::string& name) const { return values_.count(name) > 0; }
+const std::string* Cli::find(const std::string& name) const {
+  queried_.insert(name);
+  auto it = values_.find(name);
+  return it == values_.end() ? nullptr : &it->second;
+}
+
+bool Cli::has(const std::string& name) const { return find(name) != nullptr; }
 
 std::uint64_t Cli::u64(const std::string& name, std::uint64_t def) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return def;
-  if (auto v = parse_u64(it->second)) return *v;
+  const std::string* v = find(name);
+  if (v == nullptr) return def;
+  if (auto n = parse_u64(*v)) return *n;
   throw std::invalid_argument("flag --" + name +
                               " expects a non-negative base-10 integer < 2^64"
                               ", got '" +
-                              it->second + "'");
+                              *v + "'");
 }
 
 double Cli::f64(const std::string& name, double def) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return def;
+  const std::string* v = find(name);
+  if (v == nullptr) return def;
   try {
-    return std::stod(it->second);
+    return std::stod(*v);
   } catch (const std::exception&) {
     throw std::invalid_argument("flag --" + name + " expects a number, got '" +
-                                it->second + "'");
+                                *v + "'");
   }
 }
 
 std::string Cli::str(const std::string& name, const std::string& def) const {
-  auto it = values_.find(name);
-  return it == values_.end() ? def : it->second;
+  const std::string* v = find(name);
+  return v == nullptr ? def : *v;
 }
 
 bool Cli::flag(const std::string& name) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return false;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string* v = find(name);
+  return v != nullptr && (*v == "true" || *v == "1" || *v == "yes");
 }
 
 std::size_t Cli::jobs() const {
@@ -95,10 +100,10 @@ std::size_t Cli::jobs() const {
 
 std::vector<std::uint64_t> Cli::u64_list(
     const std::string& name, std::vector<std::uint64_t> def) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return def;
+  const std::string* v = find(name);
+  if (v == nullptr) return def;
   std::vector<std::uint64_t> out;
-  const std::string& s = it->second;
+  const std::string& s = *v;
   std::size_t pos = 0;
   while (pos < s.size()) {
     auto comma = s.find(',', pos);
@@ -117,6 +122,17 @@ std::vector<std::uint64_t> Cli::u64_list(
     throw std::invalid_argument("flag --" + name + " expects at least one value");
   }
   return out;
+}
+
+void Cli::reject_unknown_flags() const {
+  std::string unknown;
+  for (const auto& kv : values_) {
+    if (queried_.count(kv.first) != 0) continue;
+    unknown += unknown.empty() ? "--" : ", --";
+    unknown += kv.first;
+  }
+  if (!unknown.empty())
+    throw std::invalid_argument("unknown flag(s): " + unknown);
 }
 
 }  // namespace aem::util

@@ -1,12 +1,15 @@
 // Minimal command-line flag parsing for the bench and example binaries.
 //
 // Supports "--name=value" and "--name value" forms plus boolean switches.
-// Unknown flags are an error, so typos in sweep scripts fail loudly.
+// Unknown flags are an error, so typos in sweep scripts fail loudly: every
+// lookup records the name it asked for, and a main calls
+// reject_unknown_flags() after its last lookup.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -48,9 +51,17 @@ class Cli {
   /// a one-line actionable message; bench mains catch it and exit nonzero.
   std::size_t jobs() const;
 
+  /// Throws std::invalid_argument naming every given flag that no lookup
+  /// above has asked for.  Call once, after the last lookup.
+  void reject_unknown_flags() const;
+
  private:
+  /// The given value of --name, or nullptr; records the name as queried.
+  const std::string* find(const std::string& name) const;
+
   std::string program_;
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> queried_;
 };
 
 }  // namespace aem::util

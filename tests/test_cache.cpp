@@ -389,6 +389,30 @@ TEST(CachedMachineTest, InstallAndRemoveAtRuntime) {
   EXPECT_EQ(mach.cache(), nullptr);
 }
 
+TEST(CachedMachineTest, CapacityZeroConfigIsAPlainMachine) {
+  // Bypass through the Config path: capacity 0 builds no pool, whatever
+  // the policy, so ExtArray traffic (where cache dispatch lives) charges
+  // exactly what a machine without a cache config charges.
+  auto drive = [](Machine& mach) {
+    ExtArray<std::uint64_t> arr(mach, 1024, "hot");
+    std::vector<std::uint64_t> buf(mach.B());
+    for (std::uint64_t i = 0; i < 4 * arr.blocks(); ++i) {
+      const std::uint64_t bi = (i * 7) % arr.blocks();
+      arr.read_block(bi, std::span<std::uint64_t>(buf));
+      buf[0] = i;
+      arr.write_block(bi, std::span<const std::uint64_t>(
+                              buf.data(), arr.block_elems(bi)));
+    }
+  };
+  Machine plain(cfg(1024, 16, 8));
+  drive(plain);
+  Machine bypass(cached_cfg(1024, 16, 8, 0, CachePolicy::kCleanFirst));
+  drive(bypass);
+  EXPECT_EQ(bypass.cache(), nullptr);
+  EXPECT_EQ(plain.stats(), bypass.stats());
+  EXPECT_EQ(plain.cost(), bypass.cost());
+}
+
 // --- interaction with fault injection -------------------------------------
 
 TEST(CacheFaultTest, WriteBackRetriesThroughFaultPolicy) {

@@ -1,6 +1,8 @@
-// Unit tests for sort/loser_tree.hpp and the I/O-invariance property the
-// merge kernels promise: switching MergeKernel moves host comparisons only,
-// never a charged read or write.
+// Unit tests for sort/loser_tree.hpp and the I/O-invariance property of the
+// merges that select with it: the tree moves host comparisons only, never a
+// charged read or write.  em_merge_group is compared with the O(k) scan it
+// replaced (merge_scan_oracle.hpp); merge_runs' charges and output are
+// pinned at the values its scan and loser-tree selections both produced.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +17,8 @@
 #include "sort/loser_tree.hpp"
 #include "sort/merge.hpp"
 #include "util/rng.hpp"
+#include "merge_scan_oracle.hpp"
+#include "trace_fnv.hpp"
 
 namespace aem {
 namespace {
@@ -134,22 +138,24 @@ TEST(LoserTree, MatchesSortAcrossShapes) {
   }
 }
 
-// --- I/O invariance: the kernel choice never moves a charged I/O ----------
+// --- I/O invariance: loser-tree selection never moves a charged I/O ------
 
 struct KernelRun {
-  std::uint64_t reads, writes, cost;
-  std::vector<std::uint64_t> output;
+  std::uint64_t reads, writes, cost, output_fnv;
 };
 
-KernelRun run_merge_runs(std::size_t k, std::size_t M, std::size_t B,
-                         std::uint64_t omega, MergeKernel kernel,
-                         std::uint64_t seed) {
+/// Merges k sorted runs of random keys on an (M, B, omega) machine with
+/// `merge(in, runs, out)`; run r is `run_blocks(rng)` blocks long.
+template <class RunBlocks, class Merge>
+KernelRun run_merge(std::size_t k, std::size_t M, std::size_t B,
+                    std::uint64_t omega, std::uint64_t seed,
+                    RunBlocks run_blocks, Merge merge) {
   Machine mach(cfg_of(M, B, omega));
   util::Rng rng(seed);
   std::vector<std::uint64_t> host;
   std::vector<RunBounds> runs;
-  const std::size_t run_len = 4 * B;
   for (std::size_t r = 0; r < k; ++r) {
+    const std::size_t run_len = run_blocks(rng) * B;
     auto keys = util::random_keys(run_len, rng);
     std::sort(keys.begin(), keys.end());
     runs.push_back(RunBounds{host.size(), host.size() + run_len});
@@ -159,88 +165,112 @@ KernelRun run_merge_runs(std::size_t k, std::size_t M, std::size_t B,
   in.unsafe_host_fill(host);
   ExtArray<std::uint64_t> out(mach, host.size(), "out");
   mach.reset_stats();
-  merge_runs(in, std::span<const RunBounds>(runs), out, 0,
-             std::less<std::uint64_t>{}, std::nullptr_t{}, nullptr, kernel);
-  return {mach.stats().reads, mach.stats().writes, mach.cost(),
-          out.unsafe_host_view()};
+  merge(in, std::span<const RunBounds>(runs), out);
+  test::Fnv h;
+  for (std::uint64_t v : out.unsafe_host_view()) h.add(v);
+  return {mach.stats().reads, mach.stats().writes, mach.cost(), h.value()};
 }
+
+struct MergePin {
+  std::size_t k, B;
+  std::uint64_t omega;
+  KernelRun want;
+};
+
+// Recorded when merge_runs still offered the O(k) scan selection; scan and
+// loser tree charged exactly these values and wrote the same output.
+const MergePin kMergePins[] = {
+    {1, 8, 1, {11, 9, 20, 0x33284804a97ab806ull}},
+    {1, 8, 8, {11, 9, 83, 0xa462d5490a0f3239ull}},
+    {1, 8, 64, {11, 9, 587, 0x14c45ad4f2fc3bdaull}},
+    {1, 16, 1, {11, 9, 20, 0x989de95b9ac9c251ull}},
+    {1, 16, 8, {11, 9, 83, 0xb224f7b6ffa037fdull}},
+    {1, 16, 64, {11, 9, 587, 0x4be20aa7e9dbfc91ull}},
+    {2, 8, 1, {26, 17, 43, 0xfab4e3a514b5b329ull}},
+    {2, 8, 8, {26, 17, 162, 0x2707ea68bc96df39ull}},
+    {2, 8, 64, {26, 17, 1114, 0x0f413cfd04e4a422ull}},
+    {2, 16, 1, {25, 17, 42, 0x181e23ecaac66edbull}},
+    {2, 16, 8, {25, 17, 161, 0x23fd8aa0ebb6e0acull}},
+    {2, 16, 64, {26, 17, 1114, 0xa0e6a3882d05588bull}},
+    {3, 8, 1, {46, 25, 71, 0x2bfa9b14beeddab3ull}},
+    {3, 8, 8, {44, 25, 244, 0x5a5d9d09830ba072ull}},
+    {3, 8, 64, {45, 25, 1645, 0xb008101ac3d63694ull}},
+    {3, 16, 1, {45, 25, 70, 0xf43a85328813dc1cull}},
+    {3, 16, 8, {45, 25, 245, 0x2016dd3bb5a53803ull}},
+    {3, 16, 64, {45, 25, 1645, 0x359af2d7e5b2a354ull}},
+    {5, 8, 1, {85, 41, 126, 0x46e5581f4c81dc08ull}},
+    {5, 8, 8, {85, 41, 413, 0x91ed77b755d3edefull}},
+    {5, 8, 64, {86, 41, 2710, 0xf0419b918c7da77eull}},
+    {5, 16, 1, {86, 41, 127, 0x74624f91e1c25e2cull}},
+    {5, 16, 8, {87, 41, 415, 0xa1658cc7e521212dull}},
+    {5, 16, 64, {86, 41, 2710, 0x1a7bae4c9dedcba9ull}},
+    {8, 8, 1, {132, 65, 197, 0x20737ff65bea4d9full}},
+    {8, 8, 8, {133, 65, 653, 0x58c15035ea249862ull}},
+    {8, 8, 64, {134, 65, 4294, 0xee879e14a70a5954ull}},
+    {8, 16, 1, {134, 65, 199, 0x006f5c22c4a9bcdfull}},
+    {8, 16, 8, {136, 65, 656, 0x326344e5fc26a0fdull}},
+    {8, 16, 64, {134, 65, 4294, 0x24e969462a0544f0ull}},
+    {16, 8, 1, {270, 130, 400, 0x64ae1c27677526d4ull}},
+    {16, 8, 8, {265, 130, 1305, 0x586070b5d3a38e06ull}},
+    {16, 8, 64, {264, 130, 8584, 0xc841fd2dc971f58cull}},
+    {16, 16, 1, {259, 129, 388, 0x39c5200bbcdc7377ull}},
+    {16, 16, 8, {259, 129, 1291, 0x4fe7888db866070eull}},
+    {16, 16, 64, {260, 129, 8516, 0xbfc9afcd4f433eaeull}},
+};
 
 TEST(MergeKernelInvariance, MergeRunsQExactlyUnchangedAcrossGrid) {
-  // Property: for every (k, B, omega) point, the loser-tree merge charges
-  // EXACTLY the reads, writes, and Q of the reference scan — and writes the
-  // same output.  Not "close": equal.
-  for (std::size_t k : {1u, 2u, 3u, 5u, 8u, 16u}) {
-    for (std::size_t B : {8u, 16u}) {
-      for (std::uint64_t omega : {1u, 8u, 64u}) {
-        const std::size_t M = std::max<std::size_t>(16 * B, 4 * k * B);
-        const std::uint64_t seed = 1000 * k + 10 * B + omega;
-        const KernelRun scan =
-            run_merge_runs(k, M, B, omega, MergeKernel::kScanSelect, seed);
-        const KernelRun loser =
-            run_merge_runs(k, M, B, omega, MergeKernel::kLoserTree, seed);
-        EXPECT_EQ(scan.reads, loser.reads)
-            << "k=" << k << " B=" << B << " omega=" << omega;
-        EXPECT_EQ(scan.writes, loser.writes)
-            << "k=" << k << " B=" << B << " omega=" << omega;
-        EXPECT_EQ(scan.cost, loser.cost)
-            << "k=" << k << " B=" << B << " omega=" << omega;
-        EXPECT_EQ(scan.output, loser.output)
-            << "k=" << k << " B=" << B << " omega=" << omega;
-      }
-    }
+  // For every (k, B, omega) point the merge charges EXACTLY the pinned
+  // reads, writes and Q, and writes the pinned output.  Not "close": equal.
+  for (const MergePin& p : kMergePins) {
+    SCOPED_TRACE("k=" + std::to_string(p.k) + " B=" + std::to_string(p.B) +
+                 " omega=" + std::to_string(p.omega));
+    const KernelRun got = run_merge(
+        p.k, std::max<std::size_t>(16 * p.B, 4 * p.k * p.B), p.B, p.omega,
+        1000 * p.k + 10 * p.B + p.omega, [](util::Rng&) { return 4; },
+        [](auto& in, auto runs, auto& out) {
+          merge_runs(in, runs, out, 0, std::less<std::uint64_t>{});
+        });
+    EXPECT_EQ(got.reads, p.want.reads);
+    EXPECT_EQ(got.writes, p.want.writes);
+    EXPECT_EQ(got.cost, p.want.cost);
+    EXPECT_EQ(got.output_fnv, p.want.output_fnv);
   }
-}
-
-KernelRun run_em_group(std::size_t k, std::size_t B, std::uint64_t omega,
-                       MergeKernel kernel, std::uint64_t seed) {
-  const std::size_t M = (k + 2) * B + 4 * k;
-  Machine mach(cfg_of(M, B, omega));
-  util::Rng rng(seed);
-  std::vector<std::uint64_t> host;
-  std::vector<RunBounds> runs;
-  for (std::size_t r = 0; r < k; ++r) {
-    const std::size_t run_len = (1 + rng.next() % 4) * B;
-    auto keys = util::random_keys(run_len, rng);
-    std::sort(keys.begin(), keys.end());
-    runs.push_back(RunBounds{host.size(), host.size() + run_len});
-    host.insert(host.end(), keys.begin(), keys.end());
-  }
-  ExtArray<std::uint64_t> in(mach, host.size(), "runs");
-  in.unsafe_host_fill(host);
-  ExtArray<std::uint64_t> out(mach, host.size(), "out");
-  mach.reset_stats();
-  sort_detail::em_merge_group(in, std::span<const RunBounds>(runs), out, 0,
-                              std::less<std::uint64_t>{}, kernel);
-  return {mach.stats().reads, mach.stats().writes, mach.cost(),
-          out.unsafe_host_view()};
 }
 
 TEST(MergeKernelInvariance, EmMergeGroupQExactlyUnchangedAcrossGrid) {
+  const auto random_blocks = [](util::Rng& rng) { return 1 + rng.next() % 4; };
   for (std::size_t k : {1u, 2u, 3u, 6u, 9u, 16u}) {
     for (std::size_t B : {8u, 16u}) {
       for (std::uint64_t omega : {1u, 16u}) {
+        SCOPED_TRACE("k=" + std::to_string(k) + " B=" + std::to_string(B) +
+                     " omega=" + std::to_string(omega));
+        const std::size_t M = (k + 2) * B + 4 * k;
         const std::uint64_t seed = 2000 * k + 10 * B + omega;
-        const KernelRun scan =
-            run_em_group(k, B, omega, MergeKernel::kScanSelect, seed);
-        const KernelRun loser =
-            run_em_group(k, B, omega, MergeKernel::kLoserTree, seed);
-        EXPECT_EQ(scan.reads, loser.reads)
-            << "k=" << k << " B=" << B << " omega=" << omega;
-        EXPECT_EQ(scan.writes, loser.writes)
-            << "k=" << k << " B=" << B << " omega=" << omega;
-        EXPECT_EQ(scan.cost, loser.cost)
-            << "k=" << k << " B=" << B << " omega=" << omega;
-        EXPECT_EQ(scan.output, loser.output)
-            << "k=" << k << " B=" << B << " omega=" << omega;
+        const KernelRun scan = run_merge(
+            k, M, B, omega, seed, random_blocks,
+            [](auto& in, auto runs, auto& out) {
+              test::scan_merge_group(in, runs, out, 0,
+                                     std::less<std::uint64_t>{});
+            });
+        const KernelRun loser = run_merge(
+            k, M, B, omega, seed, random_blocks,
+            [](auto& in, auto runs, auto& out) {
+              sort_detail::em_merge_group(in, runs, out, 0,
+                                          std::less<std::uint64_t>{});
+            });
+        EXPECT_EQ(scan.reads, loser.reads);
+        EXPECT_EQ(scan.writes, loser.writes);
+        EXPECT_EQ(scan.cost, loser.cost);
+        EXPECT_EQ(scan.output_fnv, loser.output_fnv);
       }
     }
   }
 }
 
 TEST(MergeKernelInvariance, FullSortsAgreeAcrossKernels) {
-  // End-to-end: both sorts produce sorted output with the default
-  // (loser-tree) kernel — the kernels are exercised through their real
-  // call sites, not just the unit harness above.
+  // End-to-end: both sorts produce sorted output — the loser-tree merges
+  // are exercised through their real call sites, not just the unit
+  // harness above.
   Machine mach(cfg_of(256, 16, 8));
   util::Rng rng(7);
   const std::size_t N = 1 << 12;

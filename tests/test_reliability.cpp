@@ -530,7 +530,7 @@ TEST(OutageConfigTest, ValidateRejectsBadWindows) {
 
 /// Reads and writes every block of an array a few times; returns the sum
 /// of the first word of every block read, so callers can compare results.
-std::uint64_t drive(ShardedMachine& mach) {
+std::uint64_t drive(Machine& mach) {
   ExtArray<std::uint64_t> arr(mach, 40 * mach.B(), "traffic");
   Buffer<std::uint64_t> buf(mach, mach.B());
   std::uint64_t acc = 0;
@@ -578,6 +578,37 @@ TEST(OutageTest, ReadsWaitWritesQueueAndDrainWithExactAccounting) {
   ASSERT_EQ(s.reliability.outages.size(), 1u);
   EXPECT_EQ(s.reliability.outages[0].device, 1u);
   EXPECT_EQ(s.reliability.outages[0].drained_writes, os.drained_writes);
+}
+
+TEST(ReliabilityZeroCostTest, UnhitCrashPointAndUnopenedOutageAreFree) {
+  // The insurance is free until the disaster happens.  An armed crash point
+  // beyond the horizon plus a retry backoff that no fault triggers: the same
+  // traffic charges exactly what a plain machine charges.
+  Machine plain(cfg(4096, 16, 8));
+  Machine armed(cfg(4096, 16, 8));
+  FaultConfig fc;
+  fc.crash_after_writes = ~0ull >> 1;
+  fc.retry_backoff_base = 4;  // priced only on actual retries
+  armed.install_faults(fc);
+  EXPECT_EQ(drive(plain), drive(armed));
+  EXPECT_EQ(plain.stats(), armed.stats());
+  EXPECT_EQ(plain.cost(), armed.cost());
+  EXPECT_EQ(armed.faults()->crashes_fired(), 0u);
+
+  // An outage window that never opens: counters, per-device totals and the
+  // metrics JSON match the calm twin once the reliability section (where
+  // the configured window legitimately shows as a row) is cleared.
+  ShardedMachine calm(shard_cfg(2, {}));
+  ShardedMachine far(shard_cfg(2, {{1, ~0ull >> 1, 0}}));
+  EXPECT_EQ(drive(calm), drive(far));
+  EXPECT_EQ(calm.stats(), far.stats());
+  EXPECT_EQ(calm.cost(), far.cost());
+  EXPECT_EQ(calm.devices_stats(), far.devices_stats());
+  MetricsSnapshot mc = snapshot_metrics(calm, "t");
+  MetricsSnapshot mf = snapshot_metrics(far, "t");
+  mc.reliability = ReliabilityMetrics{};
+  mf.reliability = ReliabilityMetrics{};
+  EXPECT_EQ(to_json(mc), to_json(mf));
 }
 
 TEST(OutageTest, PermanentOutageExhaustsIntoFaultError) {

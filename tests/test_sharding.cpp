@@ -129,12 +129,16 @@ TEST(ShardRoutingTest, SingleDeviceRoutesIdentity) {
 }
 
 TEST(ShardedMachineTest, FacadeMatchesPlainMachineExactly) {
-  for (Placement p : {Placement::kRoundRobin, Placement::kRange}) {
+  const std::pair<std::size_t, Placement> shapes[] = {
+      {1, Placement::kRoundRobin}, {1, Placement::kRange},
+      {3, Placement::kRoundRobin}, {3, Placement::kRange}};
+  for (const auto& [devices, p] : shapes) {
+    SCOPED_TRACE("D=" + std::to_string(devices));
     Machine plain(base_config());
     plain.enable_trace();
     drive(plain);
 
-    ShardedMachine sharded(uniform_shard(3, p));
+    ShardedMachine sharded(uniform_shard(devices, p));
     sharded.enable_trace();
     drive(sharded);
 
@@ -155,6 +159,12 @@ TEST(ShardedMachineTest, FacadeMatchesPlainMachineExactly) {
     mp.sharding = ShardingMetrics{};
     ms.sharding = ShardingMetrics{};
     EXPECT_EQ(to_json(mp), to_json(ms));
+    // D = 1 (MODEL.md section 13): the one device mirrors the facade, with
+    // amplification 1 and identity routing.
+    if (devices == 1) {
+      EXPECT_TRUE(sharded.device(0).stats() == plain.stats());
+      EXPECT_EQ(sharded.device(0).cost(), plain.cost());
+    }
   }
 }
 

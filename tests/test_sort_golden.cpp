@@ -151,14 +151,11 @@ Pin run_case(const std::string& algo, const Shape& s, Input kind) {
                  });
     });
   }
-  if (algo == "merge_loser" || algo == "merge_scan") {
+  if (algo == "merge_loser") {
     std::vector<RunBounds> bounds;
     const auto src = make_runs(s, keys, bounds);
-    const MergeKernel kernel = algo == "merge_loser" ? MergeKernel::kLoserTree
-                                                     : MergeKernel::kScanSelect;
     return measure(s, src, n, [&](auto& in, auto& out) {
-      merge_runs(in, std::span<const RunBounds>(bounds), out, 0, KeyLess{},
-                 nullptr, nullptr, kernel);
+      merge_runs(in, std::span<const RunBounds>(bounds), out, 0, KeyLess{});
     });
   }
   if (algo == "aem_merge_sort") {
@@ -208,14 +205,6 @@ const Golden kGolden[] = {
     {"merge_loser", 2, D, {1134, 632, 168, 0x833fad35d140549full}},
     {"merge_loser", 3, U, {2630, 1007, 52, 0xb141f07ecb604d66ull}},
     {"merge_loser", 3, D, {2815, 1007, 52, 0x1635574c6d8d06b9ull}},
-    {"merge_scan", 0, U, {1405, 380, 60, 0xfdebedfe7e1d46e4ull}},
-    {"merge_scan", 0, D, {1430, 380, 60, 0x11093325189af9aeull}},
-    {"merge_scan", 1, U, {1544, 380, 116, 0xceb11dc838c45ddaull}},
-    {"merge_scan", 1, D, {1550, 380, 116, 0xacb7eda9625f11afull}},
-    {"merge_scan", 2, U, {1065, 632, 168, 0x79ec898dcbe73dedull}},
-    {"merge_scan", 2, D, {1134, 632, 168, 0x833fad35d140549full}},
-    {"merge_scan", 3, U, {2630, 1007, 52, 0xb141f07ecb604d66ull}},
-    {"merge_scan", 3, D, {2815, 1007, 52, 0x1635574c6d8d06b9ull}},
     {"aem_merge_sort", 0, U, {2241, 943, 80, 0x92ae3b24828446c8ull}},
     {"aem_merge_sort", 0, D, {2296, 943, 80, 0xbe94c8849bf42bafull}},
     {"aem_merge_sort", 1, U, {3185, 565, 160, 0xffda2c71b6f47436ull}},
@@ -243,9 +232,8 @@ const Golden kGolden[] = {
 };
 
 const char* const kAlgos[] = {"small_sort",     "small_sort_combine",
-                              "merge_loser",    "merge_scan",
-                              "aem_merge_sort", "heap_legacy",
-                              "heap_buffered"};
+                              "merge_loser",    "aem_merge_sort",
+                              "heap_legacy",    "heap_buffered"};
 
 TEST(SortGoldenTest, ChargesAndTracesMatchPins) {
   for (const char* algo : kAlgos)

@@ -2,7 +2,7 @@
 // power-of-two coarse floors, merge associativity), the deterministic
 // request generator (pure-function substreams, Zipf shape, hot-set drift),
 // and the TrafficEngine (served/rejected identity, admission control,
-// idle-engine zero charge, --jobs byte-equality through the sweep harness).
+// idle-engine zero charge and identical metrics, --jobs byte-equality through the sweep harness).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,6 +14,7 @@
 #include "core/ext_array.hpp"
 #include "core/faults.hpp"
 #include "core/machine.hpp"
+#include "core/metrics.hpp"
 #include "core/sharding.hpp"
 #include "harness/parallel_sweep.hpp"
 #include "store/kv_store.hpp"
@@ -358,6 +359,7 @@ TEST(TrafficEngineTest, ZeroBudgetStillAdvancesAndRejectsEverything) {
 }
 
 TEST(TrafficEngineTest, IdleEngineChargesNothing) {
+  Rig bare(64);  // the same store, never touched by an engine
   Rig rig(64);
   const IoStats before = rig.mach.stats();
   const std::uint64_t cost_before = rig.mach.cost();
@@ -374,6 +376,10 @@ TEST(TrafficEngineTest, IdleEngineChargesNothing) {
   EXPECT_EQ(eng.histogram().total(), 0u);
   EXPECT_EQ(eng.throughput_mille(), 0u);
   EXPECT_DOUBLE_EQ(eng.rejection_rate(), 0.0);
+  // Instrumenting a store for serving is free until requests arrive: the
+  // whole metrics snapshot matches the engine-free twin's.
+  EXPECT_EQ(to_json(snapshot_metrics(rig.mach, "t")),
+            to_json(snapshot_metrics(bare.mach, "t")));
 }
 
 TEST(TrafficEngineTest, BooksBalanceOnAFaultyDevice) {

@@ -218,6 +218,21 @@ TEST(CliTest, StringAndDouble) {
   EXPECT_EQ(cli.str("missing", "def"), "def");
 }
 
+TEST(CliTest, RejectsFlagsNoLookupAskedFor) {
+  const char* argv[] = {"prog", "--n=100", "--min-speedup=0", "--typo"};
+  Cli cli(4, const_cast<char**>(argv));
+  EXPECT_EQ(cli.u64("n", 0), 100u);
+  try {
+    cli.reject_unknown_flags();
+    FAIL() << "unqueried flags were accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "unknown flag(s): --min-speedup, --typo");
+  }
+  EXPECT_TRUE(cli.has("min-speedup"));
+  EXPECT_TRUE(cli.flag("typo"));
+  EXPECT_NO_THROW(cli.reject_unknown_flags());  // every flag now queried
+}
+
 // --- strict integer parsing (parse_u64 + the flag/env paths built on it) ---
 
 TEST(ParseU64Test, AcceptsPlainDecimal) {

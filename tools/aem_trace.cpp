@@ -73,13 +73,17 @@ int main(int argc, char** argv) {
   try {
     util::Cli cli(argc, argv);
     const std::string path = cli.str("file", "");
+    const std::uint64_t omega = cli.u64("omega", 1);
+    const std::size_t m = cli.u64("m", 16);
+    const std::string json = cli.str("json", "");
+    const bool show_rounds = cli.flag("rounds");
+    const bool rewrite = cli.flag("rewrite");
+    cli.reject_unknown_flags();
     if (path.empty()) {
       std::cerr << "usage: aem_trace --file=prog.trace --omega=W --m=M_blocks"
                    " [--rounds] [--rewrite] [--json=FILE]\n";
       return 2;
     }
-    const std::uint64_t omega = cli.u64("omega", 1);
-    const std::size_t m = cli.u64("m", 16);
 
     std::ifstream in(path);
     if (!in) {
@@ -101,7 +105,7 @@ int main(int argc, char** argv) {
               << "atoms written  : " << written_atoms << "\n"
               << "atoms consumed : " << used_atoms << "\n";
 
-    if (const std::string json = cli.str("json", ""); !json.empty()) {
+    if (!json.empty()) {
       std::ofstream os(json);
       if (!os) {
         std::cerr << "aem_trace: cannot write " << json << "\n";
@@ -112,7 +116,7 @@ int main(int argc, char** argv) {
       std::cout << "metrics snapshot written to " << json << "\n";
     }
 
-    if (cli.flag("rounds")) {
+    if (show_rounds) {
       auto rounds = rounds::split_rounds(trace, m, omega);
       std::cout << "\nround decomposition (budget omega*m = " << omega * m
                 << "):\n  rounds: " << rounds.size() << "\n";
@@ -128,7 +132,7 @@ int main(int argc, char** argv) {
                 << "\n";
     }
 
-    if (cli.flag("rewrite")) {
+    if (rewrite) {
       auto rb = rounds::make_round_based(trace, m, omega);
       std::cout << "\nLemma 4.1 rewrite (onto the 2M machine):\n"
                 << "  cost " << rb.original_cost << " -> "
