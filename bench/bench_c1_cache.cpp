@@ -26,6 +26,7 @@
 // PASS criteria (hard guards, exit 1 on violation):
 //  * every cached run's output is identical to the uncached run's — the
 //    pool may only change Q, never results;
+//  * some cached run absorbs both read hits and write hits;
 //  * at omega = 1 clean-first degenerates to exact LRU (equal Q);
 //  * at omega >= 16 clean-first is never above LRU on the scatter
 //    workloads, and strictly below it on both.
@@ -177,6 +178,7 @@ int main(int argc, char** argv) try {
            std::map<CachePolicy, std::uint64_t>> q_of;
   bool ok = true;
 
+  bool absorbed = false;  // some pool took both read hits and write hits
   std::size_t idx = 0;
   for (Workload w :
        {Workload::kSort, Workload::kScatterRandom, Workload::kScatterCyclic}) {
@@ -192,6 +194,7 @@ int main(int argc, char** argv) try {
         for (CachePolicy p : policies) {
           const CaseResult& r = slots[idx++];
           q_of[{static_cast<int>(w), omega, cap}][p] = r.q;
+          absorbed |= r.cache.read_hits > 0 && r.cache.write_hits > 0;
           if (r.output != base.output) {
             std::cerr << "FAIL: " << name_of(w) << " policy=" << to_string(p)
                       << " omega=" << omega << " cap=" << cap
@@ -212,6 +215,11 @@ int main(int argc, char** argv) try {
          io.csv);
   }
 
+  if (!absorbed) {
+    std::cerr << "FAIL: no cached run absorbed both read hits and write "
+                 "hits\n";
+    ok = false;
+  }
   if (ok)
     std::cout << "output-invariance guard: every cached run produced the "
                  "uncached run's output\n";

@@ -109,13 +109,15 @@ inline void emit(const util::Table& t, const std::string& title,
   }
 }
 
-/// Appends one already-taken metrics snapshot (one line, schema
-/// aem.machine.metrics/v8) to `path` through the sink.  No-op when `path`
-/// is empty, so benches can call it unconditionally and let --metrics=FILE
-/// opt in.
+/// Checks one already-taken metrics snapshot (check_metrics throws
+/// std::logic_error on a broken identity, which the bench's main turns into
+/// a nonzero exit) and appends it as one line to `path` through the sink.
+/// No-op when `path` is empty, so benches can call it unconditionally and
+/// let --metrics=FILE opt in.
 inline void append_metrics(const MetricsSnapshot& snap,
                            const std::string& path) {
   if (path.empty()) return;
+  check_metrics(snap);
   std::ostringstream os;
   write_json(os, snap);
   os << "\n";

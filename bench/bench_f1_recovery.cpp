@@ -30,8 +30,8 @@
 //    fixed manifest slack;
 //  * a 2% crash point recovers by restart, a 100% one by reindex only, and
 //    the sweep exercises resume as well;
-//  * the metrics v6 reliability section is live: 1 crash, 1 recovery scan,
-//    and the recovery bill of the report;
+//  * the metrics reliability section is live: 1 crash, 1 recovery scan,
+//    and the recovery bill of the report (at least one read);
 //  * unarmed durable builds serve identically to non-durable ones, with
 //    checkpoint overhead under 2x in Q;
 //  * degraded serving: identical results, identical charged writes, reads
@@ -214,6 +214,7 @@ CellResult run_cell(const Workload& w, const Cell& c,
   r.metrics_live = snap.reliability.enabled && snap.reliability.crashes == 1 &&
                    snap.reliability.crash_after_writes == r.crash_at &&
                    snap.reliability.recovery.scans == 1 &&
+                   snap.reliability.recovery.reads > 0 &&
                    snap.reliability.recovery.reads == rep.reads &&
                    snap.reliability.recovery.writes == rep.writes &&
                    snap.reliability.recovery.cost == rep.cost;

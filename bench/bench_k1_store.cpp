@@ -33,6 +33,7 @@
 //  * construction I/O is index-flavor-invariant (the index is built
 //    host-side from one layout pass);
 //  * a 64-block cache never makes serving dearer than cache-off;
+//  * every cell builds with writes, a nonempty index, and serves gets;
 //  * full scans visit every record;
 //  * sharded: facade invariance, device conservation, wear spread <= 1.25.
 #include <algorithm>
@@ -247,6 +248,11 @@ int main(int argc, char** argv) try {
     }
     if (r.sm.build_writes == 0) {
       std::cerr << "FAIL: " << tag << ": construction reported zero writes\n";
+      ok = false;
+    }
+    if (r.sm.gets == 0 || r.sm.index_bits == 0) {
+      std::cerr << "FAIL: " << tag << ": served no gets or built an empty "
+                << "index\n";
       ok = false;
     }
     if (c.index == IndexKind::kFence && r.sm.max_get_log_reads > 1) {

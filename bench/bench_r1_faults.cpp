@@ -21,7 +21,8 @@
 //
 // Every output is verified against the host-side expectation; an
 // unverified output is a hard failure (exit 1), because a recovery layer
-// that silently loses data is worse than none.
+// that silently loses data is worse than none.  So is a sweep whose fault
+// schedules never fired: it would measure nothing.
 #include <algorithm>
 #include <iostream>
 #include <optional>
@@ -125,6 +126,7 @@ int main(int argc, char** argv) try {
   util::Table t({"rate", "omega", "Q_clean", "Q_faulty", "overhead",
                  "rd_flt", "wr_flt", "retries", "verified"});
   const FaultRunResult* clean = nullptr;
+  bool fired = false;  // some schedule injected a read fault or forced a retry
   for (std::size_t i = 0; i < grid.size(); ++i) {
     const Point& pt = grid[i];
     const FaultRunResult& r = slots[i];
@@ -138,6 +140,7 @@ int main(int argc, char** argv) try {
                 << " omega=" << pt.omega << "\n";
       ok = false;
     }
+    fired |= r.fs.read_faults > 0 || r.fs.write_retries > 0;
     if (*pt.rate == 0.0 && (r.q != clean->q || !(r.io == clean->io))) {
       std::cerr << "FAIL: zero-rate policy changed the cost: Q " << clean->q
                 << " -> " << r.q << " (zero-overhead-when-off is broken)\n";
@@ -150,6 +153,11 @@ int main(int argc, char** argv) try {
                util::fmt(r.fs.silent_write_faults + r.fs.torn_write_faults),
                util::fmt(r.fs.read_retries + r.fs.write_retries),
                r.verified ? "yes" : "NO"});
+  }
+  if (!fired) {
+    std::cerr << "FAIL: no fault schedule fired (no read fault, no write "
+                 "retry at any rate)\n";
+    ok = false;
   }
   emit(t,
        "Mergesort under injected faults, N=" + util::fmt(std::uint64_t(N)) +
@@ -204,8 +212,8 @@ int main(int argc, char** argv) try {
        io.csv);
 
   if (!ok) {
-    std::cerr << "bench_r1_faults: FAILED (unverified output or broken "
-                 "zero-overhead guarantee)\n";
+    std::cerr << "bench_r1_faults: FAILED (unverified output, broken "
+                 "zero-overhead guarantee, or no fault fired)\n";
     return 1;
   }
   std::cout << "all outputs verified; zero-rate Q identical to no-policy Q\n";

@@ -74,7 +74,7 @@ int main(int argc, char** argv) try {
     std::cout << "  " << phase << ": " << to_string(stats) << "\n";
 
   // Machine-readable form of everything above: one JSON snapshot in the
-  // aem.machine.metrics/v8 schema (same as the bench --metrics output).
+  // same schema as the bench --metrics output (MetricsSnapshot::kSchema).
   if (!metrics_path.empty()) {
     std::ofstream os(metrics_path);
     write_json(os, snapshot_metrics(mach, "quickstart"));

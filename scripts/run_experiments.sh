@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Regenerates every experiment table (E1-E10, A1-A2, M0, R1, C1, S1, K1,
-# F1, T1, W1) and
-# collects CSVs plus machine-metrics JSON snapshots (schema
-# aem.machine.metrics/v8, one JSON object per line in
-# $OUT_DIR/<bench>.metrics.jsonl).
+# F1, T1, W1) and collects CSVs plus machine-metrics JSON snapshots (one
+# JSON object per line in $OUT_DIR/<bench>.metrics.jsonl).  Each bench
+# checks every line it writes (check_metrics in src/core/metrics.cpp) and
+# its own PASS criteria, and exits nonzero on a violation, which stops
+# this script.
 #
 # Usage: scripts/run_experiments.sh [build-dir] [out-dir] [--full]
 #
@@ -36,267 +37,5 @@ for bench in "$BUILD_DIR"/bench/bench_*; do
   fi
   echo
 done
-
-# Sanity-check the collected metrics: every line must be a JSON object of
-# the expected schema (python3 is present on any box that runs these
-# scripts; skip quietly if not).
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$OUT_DIR" <<'EOF'
-import json, pathlib, sys
-out = pathlib.Path(sys.argv[1])
-FAULT_KEYS = {"enabled", "seed", "read_fault_rate", "silent_write_rate",
-              "torn_write_rate", "endurance", "spare_blocks", "max_retries",
-              "verify_writes", "checksum_reads", "max_cost", "max_ios",
-              "injected", "recovery"}
-CACHE_KEYS = {"enabled", "policy", "capacity_blocks", "clean_window",
-              "read_hits", "read_misses", "write_hits", "write_misses",
-              "evictions_clean", "evictions_dirty", "write_backs", "flushes",
-              "invalidated_dirty", "resident", "resident_dirty"}
-SHARD_KEYS = {"enabled", "placement", "devices", "chunk_blocks", "total",
-              "wear_spread", "per_device"}
-SHARD_DEV_KEYS = {"name", "memory_elems", "block_elems", "write_cost",
-                  "amplification", "io", "wear"}
-STORE_KEYS = {"enabled", "index", "records", "log_blocks", "payload_words",
-              "payload_blocks", "index_bits", "index_bits_per_page", "gets",
-              "get_hits", "get_log_reads", "get_payload_reads",
-              "max_get_log_reads", "scans", "scan_records", "puts",
-              "put_hits", "put_log_reads", "put_writes", "orphaned_words",
-              "build"}
-RELIABILITY_KEYS = {"enabled", "crash_after_writes", "crashes",
-                    "retry_attempts", "backoff_ios", "recovery", "outages"}
-OUTAGE_KEYS = {"name", "device", "down_at", "up_at", "down_now",
-               "wait_rounds", "backoff_ios", "failed_reads", "queued_writes",
-               "drained_writes", "pending_writes"}
-TRAFFIC_KEYS = {"enabled", "dist", "generated", "served", "rejected",
-                "rejection_rate", "gets", "puts", "scans", "io", "q",
-                "imbalance", "wear_horizon", "windows", "q_budget"}
-LOWWRITE_KEYS = {"enabled", "family", "variant", "n", "io", "baseline",
-                 "wear_horizon", "baseline_wear_horizon", "absorbed_groups",
-                 "q_winner", "writes_winner"}
-total = 0
-faulty_runs = 0
-cached_runs = 0
-sharded_runs = 0
-store_runs = 0
-reliability_runs = 0
-traffic_runs = 0
-lowwrite_runs = 0
-for f in sorted(out.glob("*.metrics.jsonl")):
-    for i, line in enumerate(f.read_text().splitlines(), 1):
-        snap = json.loads(line)
-        assert snap.get("schema") == "aem.machine.metrics/v8", \
-            f"{f.name}:{i}: unexpected schema {snap.get('schema')!r}"
-        faults = snap.get("faults")
-        assert isinstance(faults, dict) and FAULT_KEYS <= faults.keys(), \
-            f"{f.name}:{i}: malformed faults section {faults!r}"
-        cache = snap.get("cache")
-        assert isinstance(cache, dict) and CACHE_KEYS <= cache.keys(), \
-            f"{f.name}:{i}: malformed cache section {cache!r}"
-        shard = snap.get("sharding")
-        assert isinstance(shard, dict) and SHARD_KEYS <= shard.keys(), \
-            f"{f.name}:{i}: malformed sharding section {shard!r}"
-        if shard["enabled"]:
-            sharded_runs += 1
-            assert shard["devices"] > 0 and \
-                shard["devices"] == len(shard["per_device"]), \
-                f"{f.name}:{i}: sharding device count mismatch"
-            assert all(SHARD_DEV_KEYS <= d.keys()
-                       for d in shard["per_device"]), \
-                f"{f.name}:{i}: malformed per_device row"
-            # Device conservation: summed native transfers must equal the
-            # facade totals the section reports (docs/MODEL.md section 13).
-            for k in ("reads", "writes"):
-                assert sum(d["io"][k] for d in shard["per_device"]) == \
-                    shard["total"][k], \
-                    f"{f.name}:{i}: per-device {k} do not sum to the total"
-        if cache["enabled"]:
-            cached_runs += 1
-            # Deferred writes must have been flushed before the snapshot
-            # was taken, or Q under-reports the algorithm's writes.
-            assert cache["resident_dirty"] == 0, \
-                f"{f.name}:{i}: snapshot taken with unflushed dirty blocks"
-        store = snap.get("store")
-        assert isinstance(store, dict) and STORE_KEYS <= store.keys(), \
-            f"{f.name}:{i}: malformed store section {store!r}"
-        if store["enabled"]:
-            store_runs += 1
-            assert store["index"] in ("fence", "compact"), \
-                f"{f.name}:{i}: unknown store index {store['index']!r}"
-            assert {"reads", "writes", "cost"} <= store["build"].keys(), \
-                f"{f.name}:{i}: malformed store build section"
-        rel = snap.get("reliability")
-        assert isinstance(rel, dict) and RELIABILITY_KEYS <= rel.keys(), \
-            f"{f.name}:{i}: malformed reliability section {rel!r}"
-        assert {"scans", "reads", "writes", "cost"} <= \
-            rel["recovery"].keys(), \
-            f"{f.name}:{i}: malformed reliability recovery section"
-        assert all(OUTAGE_KEYS <= o.keys() for o in rel["outages"]), \
-            f"{f.name}:{i}: malformed outage row"
-        if rel["enabled"]:
-            reliability_runs += 1
-        else:
-            # The zero-cost contract: an idle reliability layer reports all
-            # zeros, never residue from another run.
-            assert rel["crashes"] == 0 and rel["backoff_ios"] == 0 and \
-                rel["recovery"]["scans"] == 0 and not rel["outages"], \
-                f"{f.name}:{i}: disabled reliability section has residue"
-        traffic = snap.get("traffic")
-        assert isinstance(traffic, dict) and TRAFFIC_KEYS <= traffic.keys(), \
-            f"{f.name}:{i}: malformed traffic section {traffic!r}"
-        assert {"reads", "writes", "cost"} <= traffic["io"].keys(), \
-            f"{f.name}:{i}: malformed traffic io section"
-        assert {"p50", "p99", "p999", "max", "mean"} <= \
-            traffic["q"].keys(), \
-            f"{f.name}:{i}: malformed traffic q section"
-        if traffic["enabled"]:
-            traffic_runs += 1
-            # Admission books must balance: every generated request was
-            # either served (and charged into the histogram) or rejected
-            # (and charged nothing).
-            assert traffic["served"] + traffic["rejected"] == \
-                traffic["generated"], \
-                f"{f.name}:{i}: served + rejected != generated"
-            q = traffic["q"]
-            assert q["p50"] <= q["p99"] <= q["p999"] <= q["max"], \
-                f"{f.name}:{i}: traffic Q percentiles not monotone"
-        else:
-            # The zero-cost contract: an idle traffic section reports all
-            # zeros, never residue from another run.
-            assert traffic["generated"] == 0 and \
-                traffic["io"]["cost"] == 0, \
-                f"{f.name}:{i}: disabled traffic section has residue"
-        lowwrite = snap.get("lowwrite")
-        assert isinstance(lowwrite, dict) and \
-            LOWWRITE_KEYS <= lowwrite.keys(), \
-            f"{f.name}:{i}: malformed lowwrite section {lowwrite!r}"
-        assert {"reads", "writes", "cost"} <= lowwrite["io"].keys(), \
-            f"{f.name}:{i}: malformed lowwrite io section"
-        assert {"reads", "writes", "cost"} <= lowwrite["baseline"].keys(), \
-            f"{f.name}:{i}: malformed lowwrite baseline section"
-        if lowwrite["enabled"]:
-            lowwrite_runs += 1
-            assert lowwrite["family"] in ("sort", "pq", "puts"), \
-                f"{f.name}:{i}: unknown lowwrite family {lowwrite['family']!r}"
-            assert lowwrite["q_winner"] in ("variant", "baseline", "tie") \
-                and lowwrite["writes_winner"] in ("variant", "baseline",
-                                                  "tie"), \
-                f"{f.name}:{i}: malformed lowwrite winner verdicts"
-        else:
-            # The zero-cost contract: an idle lowwrite section reports all
-            # zeros, never residue from another run.
-            assert lowwrite["n"] == 0 and lowwrite["io"]["cost"] == 0 and \
-                lowwrite["baseline"]["cost"] == 0 and \
-                lowwrite["family"] == "", \
-                f"{f.name}:{i}: disabled lowwrite section has residue"
-        if faults["enabled"]:
-            faulty_runs += 1
-        total += 1
-# bench_r1_faults must have produced fault-enabled snapshots with live
-# injected/recovery counters.
-r1 = out / "bench_r1_faults.metrics.jsonl"
-assert r1.exists(), "bench_r1_faults produced no metrics file"
-r1_active = [json.loads(l) for l in r1.read_text().splitlines()
-             if json.loads(l)["faults"]["enabled"]]
-assert r1_active, "bench_r1_faults: no fault-enabled snapshots"
-assert any(s["faults"]["injected"]["read"] > 0 or
-           s["faults"]["recovery"]["write_retries"] > 0
-           for s in r1_active), \
-    "bench_r1_faults: fault schedules never fired"
-# bench_c1_cache must have produced cache-enabled snapshots whose pools
-# actually absorbed traffic (hits + coalesced writes).
-c1 = out / "bench_c1_cache.metrics.jsonl"
-assert c1.exists(), "bench_c1_cache produced no metrics file"
-c1_active = [json.loads(l) for l in c1.read_text().splitlines()
-             if json.loads(l)["cache"]["enabled"]]
-assert c1_active, "bench_c1_cache: no cache-enabled snapshots"
-assert any(s["cache"]["read_hits"] > 0 and s["cache"]["write_hits"] > 0
-           for s in c1_active), \
-    "bench_c1_cache: the pool never absorbed any traffic"
-# bench_s1_shard must have produced sharding-enabled snapshots with live
-# per-device traffic and a computed wear-spread ratio.
-s1 = out / "bench_s1_shard.metrics.jsonl"
-assert s1.exists(), "bench_s1_shard produced no metrics file"
-s1_active = [json.loads(l) for l in s1.read_text().splitlines()
-             if json.loads(l)["sharding"]["enabled"]]
-assert s1_active, "bench_s1_shard: no sharding-enabled snapshots"
-assert any(s["sharding"]["devices"] > 1 and
-           s["sharding"]["total"]["writes"] > 0 and
-           s["sharding"]["wear_spread"] >= 1.0
-           for s in s1_active), \
-    "bench_s1_shard: no multi-device snapshot with live write traffic"
-# bench_k1_store must have produced store-enabled snapshots of BOTH index
-# flavors, with live serving traffic and real construction writes.
-k1 = out / "bench_k1_store.metrics.jsonl"
-assert k1.exists(), "bench_k1_store produced no metrics file"
-k1_active = [json.loads(l) for l in k1.read_text().splitlines()
-             if json.loads(l)["store"]["enabled"]]
-assert k1_active, "bench_k1_store: no store-enabled snapshots"
-assert {"fence", "compact"} <= {s["store"]["index"] for s in k1_active}, \
-    "bench_k1_store: missing an index flavor"
-assert all(s["store"]["gets"] > 0 and s["store"]["index_bits"] > 0
-           for s in k1_active), \
-    "bench_k1_store: a store snapshot served no gets or has an empty index"
-assert any(s["store"]["build"]["writes"] > 0 for s in k1_active), \
-    "bench_k1_store: construction reported zero writes"
-# bench_f1_recovery must have produced reliability-enabled snapshots: crash
-# episodes with a billed recovery scan, and an outage row whose deferred
-# writes all drained.
-f1 = out / "bench_f1_recovery.metrics.jsonl"
-assert f1.exists(), "bench_f1_recovery produced no metrics file"
-f1_active = [json.loads(l) for l in f1.read_text().splitlines()
-             if json.loads(l)["reliability"]["enabled"]]
-assert f1_active, "bench_f1_recovery: no reliability-enabled snapshots"
-assert any(s["reliability"]["crashes"] == 1 and
-           s["reliability"]["recovery"]["scans"] == 1 and
-           s["reliability"]["recovery"]["reads"] > 0
-           for s in f1_active), \
-    "bench_f1_recovery: no crash episode with a billed recovery scan"
-assert any(o["drained_writes"] > 0 and
-           o["drained_writes"] == o["queued_writes"] and
-           o["pending_writes"] == 0
-           for s in f1_active for o in s["reliability"]["outages"]), \
-    "bench_f1_recovery: no outage snapshot with fully drained writes"
-# bench_t1_traffic must have produced traffic-enabled snapshots with live
-# serving traffic, and its admission-control cells must actually have
-# exercised the per-window budget (some rejections with charged Q below the
-# open run's).
-t1 = out / "bench_t1_traffic.metrics.jsonl"
-assert t1.exists(), "bench_t1_traffic produced no metrics file"
-t1_active = [json.loads(l) for l in t1.read_text().splitlines()
-             if json.loads(l)["traffic"]["enabled"]]
-assert t1_active, "bench_t1_traffic: no traffic-enabled snapshots"
-assert all(s["traffic"]["served"] > 0 and s["traffic"]["io"]["cost"] > 0
-           for s in t1_active), \
-    "bench_t1_traffic: a traffic snapshot served nothing or charged no Q"
-assert any(s["traffic"]["rejected"] > 0 and s["traffic"]["q_budget"] > 0
-           for s in t1_active), \
-    "bench_t1_traffic: the admission budget never rejected a batch"
-# bench_w1_lowwrite must have produced lowwrite-enabled snapshots covering
-# all three families, with the variant strictly winning on writes somewhere
-# (the whole point of the suite) and the puts family absorbing page groups.
-w1 = out / "bench_w1_lowwrite.metrics.jsonl"
-assert w1.exists(), "bench_w1_lowwrite produced no metrics file"
-w1_active = [json.loads(l) for l in w1.read_text().splitlines()
-             if json.loads(l)["lowwrite"]["enabled"]]
-assert w1_active, "bench_w1_lowwrite: no lowwrite-enabled snapshots"
-assert {"sort", "pq", "puts"} <= \
-    {s["lowwrite"]["family"] for s in w1_active}, \
-    "bench_w1_lowwrite: missing a suite family"
-assert any(s["lowwrite"]["writes_winner"] == "variant"
-           for s in w1_active), \
-    "bench_w1_lowwrite: no cell where the variant wins on writes"
-assert any(s["lowwrite"]["family"] == "puts" and
-           s["lowwrite"]["absorbed_groups"] > 0
-           for s in w1_active), \
-    "bench_w1_lowwrite: batched puts never absorbed a page group"
-print(f"validated {total} machine-metrics snapshots "
-      f"({faulty_runs} fault-enabled, {cached_runs} cache-enabled, "
-      f"{sharded_runs} sharding-enabled, {store_runs} store-enabled, "
-      f"{reliability_runs} reliability-enabled, "
-      f"{traffic_runs} traffic-enabled, "
-      f"{lowwrite_runs} lowwrite-enabled) "
-      f"across {len(list(out.glob('*.metrics.jsonl')))} files")
-EOF
-fi
 
 echo "All experiment outputs are in $OUT_DIR/"

@@ -73,7 +73,7 @@ struct CacheConfig {
 };
 
 /// Counters of everything the cache did.  Flows into the metrics snapshot
-/// (schema aem.machine.metrics/v8, docs/MODEL.md sec. 11).
+/// (docs/MODEL.md sections 8 and 11).
 struct CacheStats {
   std::uint64_t read_hits = 0;
   std::uint64_t read_misses = 0;   // each paid one charged device read

@@ -146,7 +146,7 @@ struct RetryPolicy {
 };
 
 /// Counters of everything the fault/recovery machinery did.  Flows into the
-/// metrics snapshot (schema aem.machine.metrics/v8, docs/MODEL.md sec. 10).
+/// metrics snapshot (docs/MODEL.md sections 8 and 10).
 struct FaultStats {
   // injected faults
   std::uint64_t read_faults = 0;
@@ -168,7 +168,7 @@ struct FaultStats {
 /// Machine-level recovery accounting: every recovery pass (e.g.
 /// KvStore::recover()) notes its full charged bill on the machine it ran
 /// on, and the totals surface in the metrics snapshot's "reliability"
-/// section (schema v7).  The underlying I/Os are also counted in the
+/// section.  The underlying I/Os are also counted in the
 /// machine's IoStats like any other charged transfer — this is
 /// attribution, not double-charging.
 struct RecoveryStats {

@@ -190,7 +190,7 @@ class Machine {
   /// Virtual (with on_read/on_write/reset_stats) so core/sharding's
   /// ShardedMachine can mirror the call onto its member devices; the
   /// overhead on the plain machine is one indirect call per simulated I/O,
-  /// re-measured by bench_m0_overhead's speedup floor.
+  /// measured by perfbench's core.machine_ns_per_op.
   virtual std::uint32_t register_array(std::string name);
   const std::string& array_name(std::uint32_t id) const;
   std::size_t array_count() const { return arrays_.size(); }

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 
 #include "core/machine.hpp"
 #include "core/sharding.hpp"
@@ -370,25 +371,6 @@ void write_json(std::ostream& os, const MetricsSnapshot& s) {
        << "}";
   }
 
-  {
-    const LowwriteMetrics& lw = s.lowwrite;
-    os << ",\"lowwrite\":{\"enabled\":" << fmt_bool(lw.enabled)
-       << ",\"family\":\"" << json_escape(lw.family) << "\""
-       << ",\"variant\":\"" << json_escape(lw.variant) << "\""
-       << ",\"n\":" << lw.n
-       << ",\"io\":{\"reads\":" << lw.reads << ",\"writes\":" << lw.writes
-       << ",\"cost\":" << lw.cost << "}"
-       << ",\"baseline\":{\"reads\":" << lw.base_reads
-       << ",\"writes\":" << lw.base_writes << ",\"cost\":" << lw.base_cost
-       << "}"
-       << ",\"wear_horizon\":" << lw.wear_horizon
-       << ",\"baseline_wear_horizon\":" << lw.base_wear_horizon
-       << ",\"absorbed_groups\":" << lw.absorbed_groups
-       << ",\"q_winner\":\"" << json_escape(lw.q_winner) << "\""
-       << ",\"writes_winner\":\"" << json_escape(lw.writes_winner) << "\""
-       << "}";
-  }
-
   os << ",\"trace\":{\"enabled\":" << fmt_bool(s.trace_enabled)
      << ",\"ops\":" << s.trace_ops << "}";
 
@@ -404,6 +386,49 @@ std::string to_json(const MetricsSnapshot& s) {
   std::ostringstream os;
   write_json(os, s);
   return os.str();
+}
+
+void check_metrics(const MetricsSnapshot& s) {
+  const auto fail = [&s](const std::string& what) {
+    throw std::logic_error("metrics line \"" + s.label + "\": " + what);
+  };
+  const auto num = [](std::uint64_t v) { return std::to_string(v); };
+
+  if (s.sharding.enabled) {
+    if (s.sharding.devices.empty()) fail("sharding.per_device is empty");
+    IoStats sum;
+    for (const ShardDeviceMetrics& d : s.sharding.devices) sum += d.io;
+    if (!(sum == s.sharding.total_io))
+      fail("sharding.per_device io sums to " + to_string(sum) +
+           ", sharding.total says " + to_string(s.sharding.total_io));
+  }
+  if (s.cache_enabled && s.cache_resident_dirty != 0)
+    fail("cache.resident_dirty = " + num(s.cache_resident_dirty) +
+         " (snapshot taken before a flush)");
+  if (s.store.enabled && s.store.index != "fence" &&
+      s.store.index != "compact")
+    fail("store.index \"" + s.store.index + "\" is neither fence nor compact");
+  const ReliabilityMetrics& r = s.reliability;
+  if (!r.enabled && (r.crashes != 0 || r.backoff_ios != 0 ||
+                     r.recovery.scans != 0 || !r.outages.empty()))
+    fail("reliability disabled with residue: reliability.crashes = " +
+         num(r.crashes) + ", reliability.backoff_ios = " +
+         num(r.backoff_ios) + ", reliability.recovery.scans = " +
+         num(r.recovery.scans) + ", reliability.outages = " +
+         num(r.outages.size()));
+  const TrafficMetrics& t = s.traffic;
+  if (t.enabled) {
+    if (t.served + t.rejected != t.generated)
+      fail("traffic.served + traffic.rejected = " + num(t.served) + " + " +
+           num(t.rejected) + " != traffic.generated = " + num(t.generated));
+    if (t.q_p50 > t.q_p99 || t.q_p99 > t.q_p999 || t.q_p999 > t.q_max)
+      fail("traffic.q not monotone: p50 = " + num(t.q_p50) + ", p99 = " +
+           num(t.q_p99) + ", p999 = " + num(t.q_p999) +
+           ", max = " + num(t.q_max));
+  } else if (t.generated != 0 || t.cost != 0) {
+    fail("traffic disabled with residue: traffic.generated = " +
+         num(t.generated) + ", traffic.io.cost = " + num(t.cost));
+  }
 }
 
 }  // namespace aem

@@ -4,11 +4,12 @@
 // configuration — serialized to a line of JSON.
 //
 // Consumers: bench binaries (--metrics=FILE appends one snapshot per
-// measured case), scripts/run_experiments.sh (collects the per-bench
-// .metrics.jsonl files), and tools/aem_trace (--json=FILE renders a
-// recorded trace in the same schema).  The schema is documented in
-// docs/MODEL.md section 8 and versioned by the "schema" field, so external
-// tooling can detect incompatible changes.
+// measured case, each checked by check_metrics first), scripts/
+// run_experiments.sh (collects the per-bench .metrics.jsonl files), and
+// tools/aem_trace (--json=FILE renders a recorded trace in the same
+// schema).  The schema is documented in docs/MODEL.md section 8 and
+// versioned by the "schema" field: kSchema changes when a key is removed,
+// renamed or changes meaning, never for an added key.
 #pragma once
 
 #include <cstdint>
@@ -53,7 +54,7 @@ struct ShardDeviceMetrics {
   double wear_mean_writes = 0.0;
 };
 
-/// The v4 `sharding` section: per-device rows plus totals.  Default-state
+/// The `sharding` section: per-device rows plus totals.  Default-state
 /// (`enabled == false`, empty rows) on a plain Machine.
 struct ShardingMetrics {
   bool enabled = false;
@@ -65,7 +66,7 @@ struct ShardingMetrics {
   std::vector<ShardDeviceMetrics> devices;
 };
 
-/// The v5 `store` section: KV-store layout, index size, and serving
+/// The `store` section: KV-store layout, index size, and serving
 /// counters.  The machine knows nothing about stores, so snapshot_metrics
 /// leaves this default (`enabled == false`); benches that measure a store
 /// attach it by hand (`snap.store = store.metrics_section()`).
@@ -95,7 +96,7 @@ struct StoreMetrics {
   std::uint64_t build_cost = 0;
 };
 
-/// One row per device with a configured outage window (v6 `reliability`
+/// One row per device with a configured outage window (`reliability`
 /// section; core/sharding.hpp OutageSpec/OutageStats).
 struct OutageMetrics {
   std::string name;  // "dev0", "dev1", ...
@@ -111,7 +112,7 @@ struct OutageMetrics {
   std::uint64_t pending_writes = 0;  // still queued at snapshot time
 };
 
-/// The v6 `reliability` section: the crash-point schedule and hits, the
+/// The `reliability` section: the crash-point schedule and hits, the
 /// unified retry/backoff counters, the recovery bill noted on the machine
 /// (Machine::note_recovery — e.g. KvStore::recover), and one degraded-
 /// serving row per device with an outage window.  `enabled` is false — and
@@ -127,7 +128,7 @@ struct ReliabilityMetrics {
   std::vector<OutageMetrics> outages;
 };
 
-/// The v7 `traffic` section: request-stream serving figures — the generated
+/// The `traffic` section: request-stream serving figures — the generated
 /// /served/rejected identity, per-request charged-Q percentiles over the
 /// engine's fixed-bucket histogram, device-load imbalance, and the wear-out
 /// horizon.  The machine knows nothing about traffic engines, so
@@ -160,36 +161,11 @@ struct TrafficMetrics {
   std::uint64_t q_budget = 0;  // per-window Q budget (0 = off)
 };
 
-/// The v8 `lowwrite` section: one low-write-suite comparison row
-/// (bench_w1_lowwrite) — the measured variant's charged I/O against its
-/// classical counterpart on the same input, the wear horizon each sustains
-/// (reruns until the hottest block reaches the configured endurance), and
-/// the put path's absorbed page-group count.  The machine knows nothing
-/// about algorithm variants, so snapshot_metrics leaves this default
-/// (`enabled == false`); the bench attaches it by hand.
-struct LowwriteMetrics {
-  bool enabled = false;
-  std::string family;   // "sort" | "pq" | "puts"
-  std::string variant;  // "samplesort_rf" | "pq_buffered" | "puts_batched"
-  std::uint64_t n = 0;  // elements sorted / stream length / put ops
-  std::uint64_t reads = 0;   // variant charged reads
-  std::uint64_t writes = 0;  // variant charged writes
-  std::uint64_t cost = 0;    // variant charged Q
-  std::uint64_t base_reads = 0;   // classical baseline, same input
-  std::uint64_t base_writes = 0;
-  std::uint64_t base_cost = 0;
-  std::uint64_t wear_horizon = 0;       // variant (0 = endurance unset)
-  std::uint64_t base_wear_horizon = 0;  // baseline
-  std::uint64_t absorbed_groups = 0;    // puts: distinct page groups touched
-  std::string q_winner;       // "variant" | "baseline" | "tie"
-  std::string writes_winner;  // same, on writes alone
-};
-
 /// A point-in-time copy of a Machine's observable state.  Plain data: it can
 /// also be filled by hand (tools/aem_trace builds one from a trace without a
 /// live machine).
 struct MetricsSnapshot {
-  static constexpr std::string_view kSchema = "aem.machine.metrics/v8";
+  static constexpr std::string_view kSchema = "aem.machine.metrics/v9";
 
   /// Free-form tag naming the measured case ("E1 N=65536 omega=16", ...).
   std::string label;
@@ -222,14 +198,14 @@ struct MetricsSnapshot {
   double wear_mean_writes = 0.0;
   std::vector<ArrayWearMetrics> wear_arrays;
 
-  // faults (v2: fault-injection config and counters; `faults.enabled` is
-  // false — and the counters zero — when no FaultPolicy is installed)
+  // faults (fault-injection config and counters; `faults.enabled` is false
+  // — and the counters zero — when no FaultPolicy is installed)
   bool faults_enabled = false;
   FaultConfig fault_config;
   FaultStats fault_stats;
 
-  // cache (v3: block-cache config, counters, and residency; `cache.enabled`
-  // is false — and everything else zero/default — in bypass mode)
+  // cache (block-cache config, counters, and residency; `cache.enabled` is
+  // false — and everything else zero/default — in bypass mode)
   bool cache_enabled = false;
   CacheConfig cache_config;
   std::uint64_t cache_window = 0;  // effective kCleanFirst window
@@ -237,25 +213,21 @@ struct MetricsSnapshot {
   std::uint64_t cache_resident = 0;
   std::uint64_t cache_resident_dirty = 0;
 
-  // sharding (v4: multi-device aggregation; `sharding.enabled` is false —
-  // and the rows empty — when the machine is not a ShardedMachine)
+  // sharding (multi-device aggregation; `sharding.enabled` is false — and
+  // the rows empty — when the machine is not a ShardedMachine)
   ShardingMetrics sharding;
 
-  // store (v5: KV-store section, attached by the measuring bench — see
+  // store (KV-store section, attached by the measuring bench — see
   // StoreMetrics above)
   StoreMetrics store;
 
-  // reliability (v6: crash schedule, retry/backoff, recovery bill, and
+  // reliability (crash schedule, retry/backoff, recovery bill, and
   // per-device outage rows — see ReliabilityMetrics above)
   ReliabilityMetrics reliability;
 
-  // traffic (v7: request-stream serving section, attached by the measuring
+  // traffic (request-stream serving section, attached by the measuring
   // bench — see TrafficMetrics above)
   TrafficMetrics traffic;
-
-  // lowwrite (v8: low-write algorithm-suite comparison row, attached by the
-  // measuring bench — see LowwriteMetrics above)
-  LowwriteMetrics lowwrite;
 
   // trace
   bool trace_enabled = false;
@@ -270,7 +242,15 @@ struct MetricsSnapshot {
 MetricsSnapshot snapshot_metrics(const Machine& mach, std::string label = "");
 
 /// Serializes the snapshot as a single-line JSON object (stable key order).
+/// Every key is written whatever its value; nothing is checked.
 void write_json(std::ostream& os, const MetricsSnapshot& s);
+
+/// Checks the per-line identities of an emitted snapshot: sharding devices
+/// present and summing to the totals, no dirty cache residue, a known store
+/// index, an idle reliability section with no residue, and balanced,
+/// monotone traffic books (or an idle traffic section charging nothing).
+/// Throws std::logic_error naming the label and the broken identity.
+void check_metrics(const MetricsSnapshot& s);
 std::string to_json(const MetricsSnapshot& s);
 
 /// JSON string escaping (exposed for tests and ad-hoc emitters).

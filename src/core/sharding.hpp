@@ -17,8 +17,9 @@
 //  * Facade invariance: the frontend counters, trace, ledger, and metrics
 //    are byte-identical to a plain Machine(frontend) run of the same
 //    program, for every D and placement (at D=1 the whole snapshot is —
-//    bench_m0_overhead holds the guard).  Placement can never change an
-//    algorithm's measured Q; it changes where the cost LANDS.
+//    ShardedMachineTest.FacadeMatchesPlainMachineExactly holds the guard).
+//    Placement can never change an algorithm's measured Q; it changes
+//    where the cost LANDS.
 //  * Device conservation: each logical block maps to exactly one device
 //    (route() is a bijection logical -> (device, local)), and every logical
 //    transfer becomes exactly frontend_B / device_B native transfers on
@@ -66,7 +67,7 @@ struct OutageSpec {
 };
 
 /// Degraded-serving counters of one device's outage handling (metrics
-/// reliability section, schema v7).
+/// reliability section).
 struct OutageStats {
   std::uint64_t wait_rounds = 0;     // read retry rounds spent waiting
   std::uint64_t backoff_ios = 0;     // charged frontend poll reads

@@ -24,7 +24,7 @@
 // All I/O goes through the Machine stack — ExtArray block transfers under
 // whatever BlockCache / FaultPolicy / ShardedMachine the machine has
 // installed — and all resident index state is charged to the MemoryLedger,
-// so the metrics snapshot's `store` section (core/metrics.hpp, schema v7)
+// so the metrics snapshot's `store` section (core/metrics.hpp)
 // reports honest figures.  Cost model: docs/MODEL.md section 14; measured
 // by bench/bench_k1_store.
 //
@@ -253,28 +253,13 @@ class KvStore {
     if (durable())
       manifest_ = ExtArray<std::uint64_t>(
           mach, 2 * manifest_slot_blocks() * mach.B(), "store.manifest");
+    sorted_ = ExtArray<Slot>(mach, records_, "store.sorted");
 
     std::vector<std::uint64_t> fences;
     {
       MemoryReservation fence_res(mach.ledger(), mach.n_of(records_));
       fences.reserve(mach.n_of(records_));
-      if (durable()) {
-        run_durable_build(in_slots, in_payload, fences);
-      } else {
-        {
-          auto sort_phase = mach.phase("store.build.sort");
-          ExtArray<Slot> sorted(mach, records_, "store.sorted");
-          em_merge_sort(in_slots, sorted, SlotKeyLess{});
-
-          auto layout_phase = mach.phase("store.build.layout");
-          layout_stream(sorted, in_payload, 0, 0, fences);
-          // `sorted` dies here; its blocks were only ever read after the
-          // sort, so no dirty write-backs are lost.
-        }
-
-        auto index_phase = mach.phase("store.build.index");
-        build_index(fences);
-      }
+      run_build(in_slots, in_payload, fences);
       // The full fence vector was a build-time temporary; fence_res (and for
       // kCompact the vector itself) is released here, leaving only the
       // serving index charged.
@@ -377,7 +362,7 @@ class KvStore {
         // Nothing durable to trust: run the whole build again.
         max_value_words_ = 0;
         payload_words_ = 0;
-        run_durable_build(in_slots, in_payload, fences);
+        run_build(in_slots, in_payload, fences);
         rep.outcome = RecoveryReport::Outcome::kRestarted;
       }
     }
@@ -647,7 +632,7 @@ class KvStore {
   const StoreStats& stats() const { return stats_; }
   void reset_stats() { stats_ = StoreStats{}; }
 
-  /// The metrics-snapshot `store` section (schema v7).  Attach it to a
+  /// The metrics-snapshot `store` section.  Attach it to a
   /// snapshot taken from the same machine:
   ///   auto snap = snapshot_metrics(mach, label);
   ///   snap.store = store.metrics_section();
@@ -725,32 +710,34 @@ class KvStore {
     if (!built_) throw std::logic_error("KvStore: not built yet");
   }
 
-  /// The durable build body, shared by build() and recover()'s restart
-  /// path: sort into the sorted_ member (kept until commit so a resume can
-  /// re-read it), checkpoint the sorted run, stream the layout with
-  /// periodic checkpoints, build the index, commit.  Assumes log_,
-  /// payload_, and manifest_ are allocated.
-  void run_durable_build(const ExtArray<Slot>& in_slots,
-                         const ExtArray<std::uint64_t>& in_payload,
-                         std::vector<std::uint64_t>& fences) {
+  /// The build body, shared by build() and recover()'s restart path: sort
+  /// into sorted_, stream the layout, build the index.  A durable store
+  /// also checkpoints the sorted run (kept until commit so a resume can
+  /// re-read it) and the layout, and commits after a flush.  A non-durable
+  /// store drops the sorted run before the index phase, so its dirty cached
+  /// blocks are discarded, never written back.  Assumes log_, payload_,
+  /// sorted_ and (durable) manifest_ are allocated.
+  void run_build(const ExtArray<Slot>& in_slots,
+                 const ExtArray<std::uint64_t>& in_payload,
+                 std::vector<std::uint64_t>& fences) {
     Machine& mach = *mach_;
     {
       auto sort_phase = mach.phase("store.build.sort");
-      if (sorted_.size() != records_)
-        sorted_ = ExtArray<Slot>(mach, records_, "store.sorted");
       em_merge_sort(in_slots, sorted_, SlotKeyLess{});
     }
     // The sorted run is the durable input of every later resume: commit it
     // before the first layout write can tear.
-    commit_manifest(kPhaseSorted, 0, 0);
+    if (durable()) commit_manifest(kPhaseSorted, 0, 0);
     {
       auto layout_phase = mach.phase("store.build.layout");
       layout_stream(sorted_, in_payload, 0, 0, fences);
     }
+    if (!durable()) sorted_ = ExtArray<Slot>();
     {
       auto index_phase = mach.phase("store.build.index");
       build_index(fences);
     }
+    if (!durable()) return;
     mach.flush_cache();
     commit_manifest(kPhaseCommitted, records_, payload_words_);
     sorted_ = ExtArray<Slot>();
@@ -972,9 +959,11 @@ class KvStore {
   std::uint64_t payload_words_ = 0;
   std::uint64_t max_value_words_ = 0;
 
-  // Durable-build state (cfg_.manifest_interval > 0 only).
+  // Durable-build state (cfg_.manifest_interval > 0 only), except sorted_:
+  // every build sorts into it, and a durable one keeps it until commit so
+  // recover() can resume.
   ExtArray<std::uint64_t> manifest_;  // two alternating superblock slots
-  ExtArray<Slot> sorted_;  // kept until commit so recover() can resume
+  ExtArray<Slot> sorted_;
   std::uint64_t manifest_seq_ = 0;
 
   // Serving index (one of the two, per cfg_.index), charged for the store's

@@ -204,7 +204,7 @@ class TrafficEngine {
     return max_writes == 0 ? 0 : cfg_.endurance / max_writes;
   }
 
-  /// The metrics-snapshot `traffic` section (schema v7).  Attach it to a
+  /// The metrics-snapshot `traffic` section.  Attach it to a
   /// snapshot taken from the same machine:
   ///   auto snap = snapshot_metrics(mach, label);
   ///   snap.traffic = engine.metrics_section();

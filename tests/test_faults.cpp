@@ -1,6 +1,6 @@
 // Tests for core/faults + core/remap: deterministic fault schedules,
 // endurance bookkeeping, budget ceilings, config validation/env overrides,
-// metrics/v7 surfacing, the zero-overhead-when-off guarantee, and the
+// metrics surfacing, the zero-overhead-when-off guarantee, and the
 // descriptive-misuse errors on machine-less arrays and buffers.
 #include <gtest/gtest.h>
 
@@ -368,8 +368,7 @@ TEST(FaultMetricsTest, V2SchemaCarriesFaultCounters) {
   EXPECT_GT(s.fault_stats.read_retries, 0u);
 
   const std::string j = to_json(s);
-  EXPECT_NE(j.find("\"schema\":\"aem.machine.metrics/v8\""),
-            std::string::npos);
+  EXPECT_NE(j.find(MetricsSnapshot::kSchema), std::string::npos);
   EXPECT_NE(j.find("\"faults\":{\"enabled\":true,\"seed\":5"),
             std::string::npos);
   EXPECT_NE(j.find("\"injected\":{\"read\":" +

@@ -436,7 +436,7 @@ TEST(DurableBuildTest, CrashAndRecoverAcrossCrashPoints) {
       EXPECT_EQ(kv.get(key), ref.get(key));
     }
 
-    // The pass was billed on the machine and surfaced in metrics v6.
+    // The pass was billed on the machine and surfaced in the metrics.
     EXPECT_EQ(mach.recovery_stats().scans, 1u);
     EXPECT_EQ(mach.recovery_stats().reads, rep.reads);
     EXPECT_EQ(mach.recovery_stats().writes, rep.writes);

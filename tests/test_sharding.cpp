@@ -1,6 +1,6 @@
 // core/sharding: routing bijections, facade invariance against the plain
 // machine, device conservation, write amplification across unequal block
-// sizes, wear-spread aggregation, and the metrics v4 sharding section.
+// sizes, wear-spread aggregation, and the metrics sharding section.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -284,8 +284,7 @@ TEST(ShardedMachineTest, MetricsV4ShardingSection) {
   EXPECT_DOUBLE_EQ(s.sharding.wear_spread, mach.wear_spread());
 
   const std::string j = to_json(s);
-  EXPECT_NE(j.find("\"schema\":\"aem.machine.metrics/v8\""),
-            std::string::npos);
+  EXPECT_NE(j.find(MetricsSnapshot::kSchema), std::string::npos);
   EXPECT_NE(j.find("\"sharding\":{\"enabled\":true,\"placement\":\"range\""),
             std::string::npos);
   EXPECT_NE(j.find("\"per_device\":[{\"name\":\"dev0\""), std::string::npos);

@@ -546,10 +546,27 @@ TEST(KvStoreTest, MetricsSectionReflectsStoreState) {
   EXPECT_EQ(snap.store.scans, 1u);
   EXPECT_EQ(snap.store.scan_records, kv.records());
   const std::string j = to_json(snap);
-  EXPECT_NE(j.find("\"schema\":\"aem.machine.metrics/v8\""),
-            std::string::npos);
+  EXPECT_NE(j.find(MetricsSnapshot::kSchema), std::string::npos);
   EXPECT_NE(j.find("\"store\":{\"enabled\":true,\"index\":\"compact\""),
             std::string::npos);
+}
+
+// The sort phase charges the sort alone, durable or not: the layout pass
+// is billed to store.build.layout, never to both phases.
+TEST(KvStoreTest, SortPhaseIsTheSameDurableOrNot) {
+  const Dataset d = make_dataset(800, 12);
+  std::vector<IoStats> sort_io;
+  for (std::size_t interval : {0, 4}) {
+    Machine mach(cfg(4096, 16, 8));
+    auto [slots, payload] = stage(mach, d);
+    KvStore kv(mach, StoreConfig{IndexKind::kFence, 8, interval});
+    kv.build(slots, payload);
+    for (const PhaseMetrics& p : snapshot_metrics(mach).phases)
+      if (p.name == "store.build.sort") sort_io.push_back(p.io);
+  }
+  ASSERT_EQ(sort_io.size(), 2u);
+  EXPECT_GT(sort_io[0].writes, 0u);
+  EXPECT_EQ(sort_io[0], sort_io[1]);
 }
 
 TEST(KvStoreTest, RebuildAndUnbuiltUseThrow) {

@@ -6,10 +6,11 @@
 // Reads a trace in the core/trace_io.hpp text format and prints its I/O
 // statistics; with --rounds, its Section 4 round decomposition; with
 // --rewrite, the Lemma 4.1 round-based rewrite and the measured constant;
-// with --json, a machine-metrics snapshot (schema aem.machine.metrics/v8,
-// same as the bench --metrics output) including the write-wear histogram
-// reconstructed from the trace.  Traces are produced by any Machine with
-// tracing enabled and write_trace(); see examples/permute_pipeline.cpp.
+// with --json, a machine-metrics snapshot (the schema of the bench
+// --metrics output, MetricsSnapshot::kSchema) including the write-wear
+// histogram reconstructed from the trace.  Traces are produced by any
+// Machine with tracing enabled and write_trace(); see
+// examples/permute_pipeline.cpp.
 #include <algorithm>
 #include <fstream>
 #include <iostream>
