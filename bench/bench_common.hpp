@@ -3,9 +3,9 @@
 // Every binary prints a header naming the paper claim it reproduces, one or
 // more tables in paper style, and (with --csv=FILE) a machine-readable
 // duplicate.  Default grids are sized to finish in seconds on one core;
-// --full enlarges them, and --jobs=N (or AEM_JOBS) runs the sweep grid on N
-// worker threads via harness/parallel_sweep with BYTE-IDENTICAL output for
-// every N (tables, CSVs, and metrics logs; see docs/MODEL.md section 12).
+// --full enlarges them, and --jobs=N runs the sweep grid on N worker threads
+// via harness/parallel_sweep with BYTE-IDENTICAL output for every N
+// (tables, CSVs, and metrics logs; see docs/MODEL.md section 12).
 #pragma once
 
 #include <cstdio>
@@ -140,7 +140,7 @@ struct BenchIo {
   std::string metrics;          ///< --metrics=FILE (empty: no metrics log)
   bool full = false;            ///< --full: larger grids
   std::uint64_t seed = 0;       ///< --seed: the sweep's base seed
-  harness::SweepConfig sweep;   ///< jobs (--jobs / AEM_JOBS) + base_seed
+  harness::SweepConfig sweep;   ///< jobs (--jobs) + base_seed
 };
 
 inline BenchIo bench_io(const util::Cli& cli, std::uint64_t default_seed) {

@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <iostream>
-#include <string_view>
 
 #include "bench_common.hpp"
 #include "bounds/permute_bounds.hpp"
@@ -122,17 +121,6 @@ BENCHMARK(bm_sort)->Arg(1 << 12)->Arg(1 << 14);
 
 int main(int argc, char** argv) try {
   omega_one_table();
-  // E10's sweep is google-benchmark's, not the harness's: accept and drop
-  // the fleet-wide --jobs flag (run_experiments.sh passes it to every
-  // bench) before benchmark::Initialize rejects it as unknown.  Timing
-  // benchmarks are inherently serial here.
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg(argv[i]);
-    if (arg.rfind("--jobs", 0) == 0) continue;
-    argv[kept++] = argv[i];
-  }
-  argc = kept;
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

@@ -13,19 +13,23 @@
 #                             has no CSV or metrics file to compare anyway).
 #
 # Usage: scripts/diff_experiments.sh <build-a> <build-b> [out-root]
+#                                     [bench-flag ...]
+#   e.g. scripts/diff_experiments.sh ../parent/build build /tmp/diff --jobs=4
 #   Results land in <out-root>/a and <out-root>/b (default: a fresh
-#   temporary directory, printed at the end).  AEM_JOBS is passed through to
-#   run_experiments.sh.  Exits nonzero on any difference, including a file
-#   present in only one of the two result sets.
+#   temporary directory, printed at the end).  Trailing flags are passed to
+#   run_experiments.sh, which passes them to every harness bench.  Exits
+#   nonzero on any difference, including a file present in only one of the
+#   two result sets.
 set -euo pipefail
 
 if [[ $# -lt 2 ]]; then
-  echo "usage: $0 <build-a> <build-b> [out-root]" >&2
+  echo "usage: $0 <build-a> <build-b> [out-root] [bench-flag ...]" >&2
   exit 2
 fi
 BUILD_A="$1"
 BUILD_B="$2"
 OUT_ROOT="${3:-$(mktemp -d)}"
+shift $(( $# < 3 ? $# : 3 ))
 SCRIPT_DIR="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
 
 for b in "$BUILD_A" "$BUILD_B"; do
@@ -37,9 +41,9 @@ done
 
 mkdir -p "$OUT_ROOT/a" "$OUT_ROOT/b"
 echo "=== run_experiments.sh on $BUILD_A ==="
-"$SCRIPT_DIR/run_experiments.sh" "$BUILD_A" "$OUT_ROOT/a" > "$OUT_ROOT/a.log"
+"$SCRIPT_DIR/run_experiments.sh" "$BUILD_A" "$OUT_ROOT/a" "$@" > "$OUT_ROOT/a.log"
 echo "=== run_experiments.sh on $BUILD_B ==="
-"$SCRIPT_DIR/run_experiments.sh" "$BUILD_B" "$OUT_ROOT/b" > "$OUT_ROOT/b.log"
+"$SCRIPT_DIR/run_experiments.sh" "$BUILD_B" "$OUT_ROOT/b" "$@" > "$OUT_ROOT/b.log"
 
 skipped() {
   [[ "$1" == bench_m0_overhead.* || "$1" == bench_e10_ablation.txt ]]

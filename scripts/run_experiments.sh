@@ -6,18 +6,19 @@
 # its own PASS criteria, and exits nonzero on a violation, which stops
 # this script.
 #
-# Usage: scripts/run_experiments.sh [build-dir] [out-dir] [--full]
+# Usage: scripts/run_experiments.sh [build-dir] [out-dir] [bench-flag ...]
+#   e.g. scripts/run_experiments.sh build results --jobs=0 --full
 #
-# Parallelism: AEM_JOBS=N runs each bench's sweep grid on N worker threads
-# (0 = one per hardware thread).  Outputs are byte-identical for every N —
-# the harness contract, enforced by scripts/check_jobs_determinism.sh — so
-# cranking AEM_JOBS only changes the wall clock.
+# Every trailing flag is passed to each harness bench.  --jobs=N runs each
+# bench's sweep grid on N worker threads (0 = one per hardware thread).
+# Outputs are byte-identical for every N — the harness contract, enforced
+# by scripts/check_jobs_determinism.sh — so --jobs only changes the wall
+# clock.  --full enlarges the sweeps.
 set -euo pipefail
 
 BUILD_DIR="${1:-build}"
 OUT_DIR="${2:-results}"
-FULL_FLAG="${3:-}"
-JOBS="${AEM_JOBS:-1}"
+shift $(( $# < 2 ? $# : 2 ))
 
 mkdir -p "$OUT_DIR"
 
@@ -26,14 +27,12 @@ for bench in "$BUILD_DIR"/bench/bench_*; do
   name="$(basename "$bench")"
   echo "=== running $name ==="
   if [[ "$name" == "bench_e10_ablation" ]]; then
-    # google-benchmark binary: accepts (and ignores) --jobs, no other
-    # custom flags.
+    # google-benchmark binary: takes none of the harness flags.
     "$bench" | tee "$OUT_DIR/$name.txt"
   else
     "$bench" --csv="$OUT_DIR/$name.csv" \
              --metrics="$OUT_DIR/$name.metrics.jsonl" \
-             --jobs="$JOBS" \
-             $FULL_FLAG | tee "$OUT_DIR/$name.txt"
+             "$@" | tee "$OUT_DIR/$name.txt"
   fi
   echo
 done

@@ -31,8 +31,8 @@
 //
 // Capacity 0 is the strict bypass mode: no cache object is installed and
 // the transfer path — and therefore Q — is byte-identical to the uncached
-// library (enforced by a hard guard in bench_m0_overhead, same pattern as
-// the fault subsystem's zero-rate guarantee).
+// library (pinned by CachedMachineTest.CapacityZeroConfigIsAPlainMachine,
+// same pattern as the fault subsystem's zero-rate guarantee).
 #pragma once
 
 #include <cstddef>

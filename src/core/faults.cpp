@@ -1,7 +1,6 @@
 #include "core/faults.hpp"
 
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 
@@ -55,39 +54,6 @@ void FaultConfig::validate() const {
   if (retry_backoff_base != 0 && retry_backoff_cap < retry_backoff_base)
     throw std::invalid_argument(
         "FaultConfig: retry_backoff_cap must be >= retry_backoff_base");
-}
-
-FaultConfig FaultConfig::from_env() { return from_env(FaultConfig{}); }
-
-FaultConfig FaultConfig::from_env(FaultConfig base) {
-  if (const char* rate = std::getenv("AEM_FAULT_RATE")) {
-    char* end = nullptr;
-    const double r = std::strtod(rate, &end);
-    if (end == rate || !(r >= 0.0 && r <= 1.0))
-      throw std::invalid_argument(std::string("AEM_FAULT_RATE: '") + rate +
-                                  "' is not a probability in [0, 1]");
-    base.read_fault_rate = r;
-    base.silent_write_rate = r / 2;
-    base.torn_write_rate = r / 2;
-  }
-  if (const char* seed = std::getenv("AEM_FAULT_SEED")) {
-    char* end = nullptr;
-    const unsigned long long s = std::strtoull(seed, &end, 10);
-    if (end == seed || *end != '\0')
-      throw std::invalid_argument(std::string("AEM_FAULT_SEED: '") + seed +
-                                  "' is not an unsigned integer");
-    base.seed = s;
-  }
-  if (const char* crash = std::getenv("AEM_CRASH_AFTER_WRITES")) {
-    char* end = nullptr;
-    const unsigned long long c = std::strtoull(crash, &end, 10);
-    // strtoull wraps a leading '-' to a huge value instead of failing.
-    if (end == crash || *end != '\0' || crash[0] == '-')
-      throw std::invalid_argument(std::string("AEM_CRASH_AFTER_WRITES: '") +
-                                  crash + "' is not an unsigned integer");
-    base.crash_after_writes = c;
-  }
-  return base;
 }
 
 BudgetExceeded::BudgetExceeded(Kind kind, std::uint64_t limit,

@@ -104,14 +104,6 @@ struct FaultConfig {
 
   /// Throws std::invalid_argument on out-of-range rates.
   void validate() const;
-
-  /// `base` with AEM_FAULT_RATE / AEM_FAULT_SEED / AEM_CRASH_AFTER_WRITES
-  /// environment overrides applied (used by CI to run the whole test suite
-  /// under a nonzero default fault rate, and to cut builds at a chosen
-  /// write).  AEM_FAULT_RATE=r sets read_fault_rate = r and splits r
-  /// evenly between the two write fault kinds.
-  static FaultConfig from_env(FaultConfig base);
-  static FaultConfig from_env();
 };
 
 /// Bounded-retry / deterministic-backoff schedule shared by every retry

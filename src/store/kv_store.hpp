@@ -399,16 +399,9 @@ class KvStore {
         locate_page(key, page, count, log_reads);
     if (!located) return miss();  // key precedes every stored key
 
-    // Last slot in the page with this key (duplicate runs never extend into
-    // the next page: its fence would then be <= key, contradicting the page
-    // choice above).
-    const Slot* begin = page.data();
-    const Slot* end = begin + count;
-    const Slot* it = std::upper_bound(
-        begin, end, key,
-        [](std::uint64_t k, const Slot& s) { return k < s.key; });
-    if (it == begin || (it - 1)->key != key) return miss();
-    const Slot& hit = *(it - 1);
+    const Slot* found = last_with_key(page.data(), count, key);
+    if (found == nullptr) return miss();
+    const Slot& hit = *found;
     ++stats_.get_hits;
 
     std::vector<std::uint64_t> value;
@@ -457,13 +450,9 @@ class KvStore {
         locate_page(key, page, count, log_reads);
     if (!located) return miss();
 
-    Slot* begin = page.data();
-    Slot* end = begin + count;
-    Slot* it = std::upper_bound(
-        begin, end, key,
-        [](std::uint64_t k, const Slot& s) { return k < s.key; });
-    if (it == begin || (it - 1)->key != key) return miss();
-    Slot& hit = *(it - 1);
+    Slot* found = last_with_key(page.data(), count, key);
+    if (found == nullptr) return miss();
+    Slot& hit = *found;
     ++stats_.put_hits;
     if (hit.len >= 2) stats_.orphaned_words += hit.len;
     hit.len = 1;
@@ -537,13 +526,9 @@ class KvStore {
         ++log_reads;  // the group's one absorbed read
         cur = bi;
       }
-      Slot* begin = page.data();
-      Slot* end = begin + count;
-      Slot* it = std::upper_bound(
-          begin, end, key,
-          [](std::uint64_t k, const Slot& s) { return k < s.key; });
-      if (it == begin || (it - 1)->key != key) continue;  // in-page miss
-      Slot& hit = *(it - 1);
+      Slot* found = last_with_key(page.data(), count, key);
+      if (found == nullptr) continue;  // in-page miss
+      Slot& hit = *found;
       ++stats_.put_hits;
       ++hits;
       if (hit.len >= 2) stats_.orphaned_words += hit.len;
@@ -708,6 +693,16 @@ class KvStore {
 
   void check_built() const {
     if (!built_) throw std::logic_error("KvStore: not built yet");
+  }
+
+  /// The last slot of page[0, count) with this key, or nullptr.  Duplicate
+  /// runs never extend into the next page: its fence would then be <= key,
+  /// contradicting the page choice.
+  static Slot* last_with_key(Slot* page, std::size_t count, std::uint64_t key) {
+    Slot* it = std::upper_bound(
+        page, page + count, key,
+        [](std::uint64_t k, const Slot& s) { return k < s.key; });
+    return it == page || (it - 1)->key != key ? nullptr : it - 1;
   }
 
   /// The build body, shared by build() and recover()'s restart path: sort

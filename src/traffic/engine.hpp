@@ -86,9 +86,9 @@ struct EngineStats {
 class TrafficEngine {
  public:
   /// Binds the engine to a BUILT store and the machine it lives on.
-  /// Construction performs no I/O (the idle-engine guard in
-  /// bench_m0_overhead holds it to that): it only records the per-device
-  /// cost baseline imbalance() measures serving deltas against.
+  /// Construction performs no I/O (TrafficEngineTest.IdleEngineChargesNothing
+  /// holds it to that): it only records the per-device cost baseline
+  /// imbalance() measures serving deltas against.
   TrafficEngine(store::KvStore& store, Machine& mach, EngineConfig cfg,
                 std::uint64_t stream_seed)
       : store_(&store), mach_(&mach), cfg_(cfg), gen_(cfg.traffic, stream_seed) {

@@ -75,9 +75,10 @@ class QHistogram {
   /// max(1, ceil(total * permyriad / 10000)), reported at the bucket floor.
   ///
   /// Pinned boundary behavior (tests/test_traffic.cpp asserts each):
-  ///  * empty histogram: returns the sentinel 0 for EVERY permyriad — the
-  ///    bench validators rely on disabled sections reporting all-zero
-  ///    percentiles, so this is a documented contract, not an accident;
+  ///  * empty histogram: returns the sentinel 0 for EVERY permyriad — a
+  ///    disabled traffic section (check_metrics' traffic-disabled identity:
+  ///    nothing generated, nothing charged) reports all-zero percentiles,
+  ///    so this is a documented contract, not an accident;
   ///  * permyriad = 0: the rank clamps to 1, i.e. the smallest recorded
   ///    bucket floor (the minimum, not a 0 sentinel);
   ///  * permyriad = 10000: the bucket floor of the maximum (max() itself

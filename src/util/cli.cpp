@@ -1,7 +1,6 @@
 #include "util/cli.hpp"
 
 #include <charconv>
-#include <cstdlib>
 #include <stdexcept>
 #include <system_error>
 
@@ -65,17 +64,6 @@ std::uint64_t Cli::u64(const std::string& name, std::uint64_t def) const {
                               *v + "'");
 }
 
-double Cli::f64(const std::string& name, double def) const {
-  const std::string* v = find(name);
-  if (v == nullptr) return def;
-  try {
-    return std::stod(*v);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("flag --" + name + " expects a number, got '" +
-                                *v + "'");
-  }
-}
-
 std::string Cli::str(const std::string& name, const std::string& def) const {
   const std::string* v = find(name);
   return v == nullptr ? def : *v;
@@ -87,41 +75,7 @@ bool Cli::flag(const std::string& name) const {
 }
 
 std::size_t Cli::jobs() const {
-  if (has("jobs")) return static_cast<std::size_t>(u64("jobs", 1));
-  if (const char* env = std::getenv("AEM_JOBS"); env != nullptr && *env != '\0') {
-    if (auto v = parse_u64(env)) return static_cast<std::size_t>(*v);
-    throw std::invalid_argument(
-        std::string("AEM_JOBS expects a non-negative base-10 integer "
-                    "(0 = one worker per hardware thread), got '") +
-        env + "' — unset it or export AEM_JOBS=<count>");
-  }
-  return 1;
-}
-
-std::vector<std::uint64_t> Cli::u64_list(
-    const std::string& name, std::vector<std::uint64_t> def) const {
-  const std::string* v = find(name);
-  if (v == nullptr) return def;
-  std::vector<std::uint64_t> out;
-  const std::string& s = *v;
-  std::size_t pos = 0;
-  while (pos < s.size()) {
-    auto comma = s.find(',', pos);
-    if (comma == std::string::npos) comma = s.size();
-    auto v = parse_u64(std::string_view(s).substr(pos, comma - pos));
-    if (!v) {
-      throw std::invalid_argument(
-          "flag --" + name +
-          " expects comma-separated non-negative base-10 integers, got '" + s +
-          "'");
-    }
-    out.push_back(*v);
-    pos = comma + 1;
-  }
-  if (out.empty()) {
-    throw std::invalid_argument("flag --" + name + " expects at least one value");
-  }
-  return out;
+  return static_cast<std::size_t>(u64("jobs", 1));
 }
 
 void Cli::reject_unknown_flags() const {

@@ -12,15 +12,14 @@
 #include <set>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace aem::util {
 
-/// Strict base-10 unsigned parser used for every integer flag and the
-/// AEM_JOBS environment variable: the whole string must be plain decimal
-/// digits and the value must fit in 64 bits.  Rejects what std::stoull
-/// quietly accepts — leading whitespace, '+'/'-' signs (a negative count
-/// would wrap to a huge unsigned), hex, and trailing garbage ("123abc").
+/// Strict base-10 unsigned parser used for every integer flag: the whole
+/// string must be plain decimal digits and the value must fit in 64 bits.
+/// Rejects what std::stoull quietly accepts — leading whitespace, '+'/'-'
+/// signs (a negative count would wrap to a huge unsigned), hex, and
+/// trailing garbage ("123abc").
 /// Returns nullopt instead of throwing so callers own the error message.
 std::optional<std::uint64_t> parse_u64(std::string_view s);
 
@@ -32,23 +31,18 @@ class Cli {
   /// Value lookups with defaults.  Throw std::invalid_argument if a flag is
   /// present but not parseable at the requested type.
   std::uint64_t u64(const std::string& name, std::uint64_t def) const;
-  double f64(const std::string& name, double def) const;
   std::string str(const std::string& name, const std::string& def) const;
   bool flag(const std::string& name) const;
-
-  /// Comma-separated list of integers, e.g. --omega=1,4,16.
-  std::vector<std::uint64_t> u64_list(const std::string& name,
-                                      std::vector<std::uint64_t> def) const;
 
   bool has(const std::string& name) const;
   const std::string& program() const { return program_; }
 
   /// Worker-thread count for sweep parallelism (see harness/parallel_sweep):
-  /// `--jobs=N` if given, else the AEM_JOBS environment variable, else 1.
-  /// 0 means "one worker per hardware thread".  Parallelism never changes
-  /// results (MODEL.md section 12), so 1 is always a safe default.
-  /// A malformed value (in either source) throws std::invalid_argument with
-  /// a one-line actionable message; bench mains catch it and exit nonzero.
+  /// `--jobs=N` if given, else 1; the environment is never read.  0 means
+  /// "one worker per hardware thread".  Parallelism never changes results
+  /// (MODEL.md section 12), so 1 is always a safe default.  A malformed
+  /// value throws std::invalid_argument like any integer flag; bench mains
+  /// catch it and exit nonzero.
   std::size_t jobs() const;
 
   /// Throws std::invalid_argument naming every given flag that no lookup

@@ -4,7 +4,6 @@
 // descriptive-misuse errors on machine-less arrays and buffers.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <sstream>
 #include <vector>
 
@@ -30,21 +29,6 @@ Config cfg(std::size_t M, std::size_t B, std::uint64_t w) {
   return c;
 }
 
-// Restores (or clears) an environment variable on scope exit.
-struct EnvGuard {
-  explicit EnvGuard(const char* name) : name_(name) {
-    if (const char* v = std::getenv(name)) old_ = v;
-  }
-  ~EnvGuard() {
-    if (old_.empty())
-      ::unsetenv(name_);
-    else
-      ::setenv(name_, old_.c_str(), 1);
-  }
-  const char* name_;
-  std::string old_;
-};
-
 TEST(FaultConfigTest, ValidateRejectsBadRates) {
   FaultConfig c;
   c.read_fault_rate = 1.5;
@@ -61,35 +45,6 @@ TEST(FaultConfigTest, ValidateRejectsBadRates) {
   FaultConfig bad;
   bad.torn_write_rate = 2.0;
   EXPECT_THROW(FaultPolicy{bad}, std::invalid_argument);
-}
-
-TEST(FaultConfigTest, FromEnvOverrides) {
-  EnvGuard g1("AEM_FAULT_RATE");
-  EnvGuard g2("AEM_FAULT_SEED");
-  ::setenv("AEM_FAULT_RATE", "0.5", 1);
-  ::setenv("AEM_FAULT_SEED", "42", 1);
-  FaultConfig c = FaultConfig::from_env();
-  EXPECT_DOUBLE_EQ(c.read_fault_rate, 0.5);
-  EXPECT_DOUBLE_EQ(c.silent_write_rate, 0.25);
-  EXPECT_DOUBLE_EQ(c.torn_write_rate, 0.25);
-  EXPECT_EQ(c.seed, 42u);
-
-  ::setenv("AEM_FAULT_RATE", "2.0", 1);
-  EXPECT_THROW(FaultConfig::from_env(), std::invalid_argument);
-  ::setenv("AEM_FAULT_RATE", "banana", 1);
-  EXPECT_THROW(FaultConfig::from_env(), std::invalid_argument);
-  ::setenv("AEM_FAULT_RATE", "0.01", 1);
-  ::setenv("AEM_FAULT_SEED", "not-a-number", 1);
-  EXPECT_THROW(FaultConfig::from_env(), std::invalid_argument);
-
-  ::unsetenv("AEM_FAULT_RATE");
-  ::unsetenv("AEM_FAULT_SEED");
-  FaultConfig base;
-  base.read_fault_rate = 0.125;
-  base.seed = 9;
-  FaultConfig same = FaultConfig::from_env(base);
-  EXPECT_DOUBLE_EQ(same.read_fault_rate, 0.125);
-  EXPECT_EQ(same.seed, 9u);
 }
 
 TEST(FaultPolicyTest, ScheduleIsDeterministic) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "core/ext_array.hpp"
@@ -39,9 +40,7 @@ Config cfg(std::size_t M, std::size_t B, std::uint64_t w) {
 }
 
 /// A moderate all-kinds fault schedule that a bounded retry budget always
-/// survives (rates are low; max_retries is generous).  Routed through
-/// from_env so the CI fault pass (AEM_FAULT_RATE / AEM_FAULT_SEED) can
-/// crank these suite runs without touching exact-cost tests elsewhere.
+/// survives (rates are low; max_retries is generous).
 FaultConfig moderate_faults(std::uint64_t seed) {
   FaultConfig c;
   c.seed = seed;
@@ -49,17 +48,20 @@ FaultConfig moderate_faults(std::uint64_t seed) {
   c.silent_write_rate = 0.01;
   c.torn_write_rate = 0.01;
   c.max_retries = 64;
-  return FaultConfig::from_env(c);
+  return c;
 }
 
-/// Runs `algo` twice on identical inputs — clean machine vs fault-injected
-/// machine — verifies the faulty run still matches `expect`, and returns
-/// (clean Q, faulty Q).
+/// The seed table of a faulty suite run: its own seed plus one shared by
+/// every run, so no test rests on a single schedule.
+std::vector<std::uint64_t> fault_seeds(std::uint64_t own) { return {own, 7}; }
+
+/// Runs `algo` on a clean machine and then once per fault seed on identical
+/// inputs; every faulty run must still match `expect`, fire its schedule,
+/// and cost strictly more than the clean run.
 template <class Algo>
-std::pair<std::uint64_t, std::uint64_t> run_clean_vs_faulty(
-    Config mc, const std::vector<std::uint64_t>& host,
-    const std::vector<std::uint64_t>& expect, std::uint64_t seed,
-    Algo&& algo) {
+void run_clean_vs_faulty(Config mc, const std::vector<std::uint64_t>& host,
+                         const std::vector<std::uint64_t>& expect,
+                         std::uint64_t seed, Algo&& algo) {
   std::uint64_t q_clean = 0;
   {
     Machine mach(mc);
@@ -70,17 +72,16 @@ std::pair<std::uint64_t, std::uint64_t> run_clean_vs_faulty(
     EXPECT_EQ(out.unsafe_host_view(), expect);
     q_clean = mach.cost();
   }
-  std::uint64_t q_faulty = 0;
-  {
+  for (const std::uint64_t s : fault_seeds(seed)) {
+    SCOPED_TRACE(s);
     Machine mach(mc);
-    mach.install_faults(moderate_faults(seed));
+    mach.install_faults(moderate_faults(s));
     ExtArray<std::uint64_t> in(mach, host.size(), "in");
     in.unsafe_host_fill(host);
     ExtArray<std::uint64_t> out(mach, host.size(), "out");
     algo(in, out);
     // No endurance -> no remap, so the native region is the ground truth.
     EXPECT_EQ(out.unsafe_host_view(), expect);
-    q_faulty = mach.cost();
     const FaultStats& fs = mach.faults()->stats();
     EXPECT_GT(fs.read_faults + fs.silent_write_faults + fs.torn_write_faults,
               0u)
@@ -88,10 +89,9 @@ std::pair<std::uint64_t, std::uint64_t> run_clean_vs_faulty(
     EXPECT_GT(fs.read_retries + fs.write_retries + fs.checksum_failures +
                   fs.verify_failures,
               0u);
+    // Verify-after-write alone makes the faulty run strictly dearer.
+    EXPECT_GT(mach.cost(), q_clean);
   }
-  // Verify-after-write alone makes the faulty run strictly dearer.
-  EXPECT_GT(q_faulty, q_clean);
-  return {q_clean, q_faulty};
 }
 
 TEST(RecoverySuiteTest, MergeSortSurvivesFaults) {
@@ -150,9 +150,9 @@ TEST(RecoverySuiteTest, SpmvSurvivesFaults) {
   for (std::size_t e = 0; e < conf.coords().size(); ++e)
     expect[conf.coords()[e].row] += vals[e] * xs[conf.coords()[e].col];
 
-  auto run = [&](bool faulty) {
+  auto run = [&](std::optional<std::uint64_t> fault_seed) {
     Machine mach(cfg(256, 16, 4));
-    if (faulty) mach.install_faults(moderate_faults(109));
+    if (fault_seed) mach.install_faults(moderate_faults(*fault_seed));
     std::size_t vi = 0;
     SparseMatrix<double> A(mach, conf, [&](Coord) { return vals[vi++]; });
     ExtArray<double> x(mach, N, "x");
@@ -162,9 +162,11 @@ TEST(RecoverySuiteTest, SpmvSurvivesFaults) {
     EXPECT_EQ(y.unsafe_host_view(), expect);
     return mach.cost();
   };
-  const std::uint64_t q_clean = run(false);
-  const std::uint64_t q_faulty = run(true);
-  EXPECT_GT(q_faulty, q_clean);
+  const std::uint64_t q_clean = run(std::nullopt);
+  for (const std::uint64_t s : fault_seeds(109)) {
+    SCOPED_TRACE(s);
+    EXPECT_GT(run(s), q_clean);
+  }
 }
 
 TEST(RecoverySuiteTest, FlashSimulationSurvivesReadFaults) {

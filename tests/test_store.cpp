@@ -581,31 +581,31 @@ TEST(KvStoreTest, RebuildAndUnbuiltUseThrow) {
 }
 
 TEST(KvStoreFaultTest, RoundTripsOnAFaultyDevice) {
-  Machine mach(cfg(4096, 16, 8));
-  FaultConfig fc;
-  fc.seed = 99;
-  fc.read_fault_rate = 0.02;
-  fc.silent_write_rate = 0.01;
-  fc.torn_write_rate = 0.01;
-  fc.max_retries = 16;
-  // from_env lets CI crank the schedule (AEM_FAULT_RATE / AEM_FAULT_SEED,
-  // see scripts/ci_sanitize.sh) while this base config keeps the test
-  // fault-active in a plain run.
-  mach.install_faults(FaultConfig::from_env(fc));
-
   const Dataset d = make_dataset(500, 11);
-  auto [slots, payload] = stage(mach, d);
-  KvStore kv(mach, StoreConfig{IndexKind::kCompact, 8});
-  kv.build(slots, payload);
-  for (const auto& [key, value] : d.latest) {
-    const auto got = kv.get(key);
-    ASSERT_TRUE(got.has_value()) << "key=" << key;
-    EXPECT_EQ(*got, value);
+  for (const std::uint64_t seed : {99, 7, 11}) {
+    SCOPED_TRACE(seed);
+    Machine mach(cfg(4096, 16, 8));
+    FaultConfig fc;
+    fc.seed = seed;
+    fc.read_fault_rate = 0.02;
+    fc.silent_write_rate = 0.01;
+    fc.torn_write_rate = 0.01;
+    fc.max_retries = 16;
+    mach.install_faults(fc);
+
+    auto [slots, payload] = stage(mach, d);
+    KvStore kv(mach, StoreConfig{IndexKind::kCompact, 8});
+    kv.build(slots, payload);
+    for (const auto& [key, value] : d.latest) {
+      const auto got = kv.get(key);
+      ASSERT_TRUE(got.has_value()) << "key=" << key;
+      EXPECT_EQ(*got, value);
+    }
+    // Recovery work actually happened and was charged.
+    EXPECT_GT(mach.faults()->stats().read_retries +
+                  mach.faults()->stats().write_retries,
+              0u);
   }
-  // Recovery work actually happened and was charged.
-  EXPECT_GT(mach.faults()->stats().read_retries +
-                mach.faults()->stats().write_retries,
-            0u);
 }
 
 TEST(KvStoreShardTest, FacadeInvariantAcrossPlainAndShardedMachines) {
