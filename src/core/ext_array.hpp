@@ -6,6 +6,10 @@
 // except through these charged transfers — that discipline is what makes the
 // machine's counters a faithful implementation of the AEM cost measure.
 //
+// view_block delivers a block by reference (a BlockView); read_block is
+// view_block plus a copy, for read-modify-write, and charges the same.  A
+// reader that only looks holds a MemoryReservation of B for its block.
+//
 // When the machine has a FaultPolicy installed (core/faults.hpp), ExtArray
 // is also the device's recovery layer: blocks carry checksums, reads verify
 // and retry on corruption, writes verify-after-write and rewrite on failure
@@ -27,6 +31,9 @@
 // mark bounds the algorithm's true internal-memory footprint.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -36,6 +43,7 @@
 #include <stdexcept>
 #include <string>
 #include <type_traits>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -53,6 +61,65 @@ namespace aem {
 struct BlockIo {
   std::size_t count = 0;
   IoTicket ticket;
+};
+
+#ifndef NDEBUG
+namespace detail {
+/// Assert-enabled builds: an array's change counters, stamped into and
+/// re-checked by each BlockView, which shares their ownership.
+struct ViewGuard {
+  std::uint64_t epoch = 0;  // grow_to, unsafe_host_fill, move, destruction
+  std::unordered_map<std::uint64_t, std::uint64_t> writes;  // per block
+  std::unordered_map<const void*, std::uint64_t> deliveries;  // per stage
+
+  std::array<std::uint64_t, 3> stamp(std::uint64_t bi, const void* st) const {
+    const auto w = writes.find(bi);
+    const auto d = deliveries.find(st);
+    return {epoch, w == writes.end() ? 0 : w->second, d->second};
+  }
+};
+}  // namespace detail
+#endif
+
+/// One charged block read, delivered by reference (ExtArray::view_block):
+/// the block's elements and the read's trace ticket (invalid for a pool hit
+/// or with tracing off; under fault injection, the final attempt's).  Valid
+/// until the next view_block into the same stage, a write to the same
+/// block, or the array's grow_to / unsafe_host_fill / move / destruction;
+/// assert-enabled builds check that on every element access.
+template <class T>
+class BlockView {
+ public:
+  BlockView() = default;
+
+  std::size_t size() const { return elems_.size(); }
+  const T& operator[](std::size_t i) const {
+    assert(i < elems_.size() && fresh());
+    return elems_[i];
+  }
+  std::span<const T> span() const {
+    assert(fresh());
+    return elems_;
+  }
+  IoTicket ticket() const { return ticket_; }
+
+ private:
+  template <class>
+  friend class ExtArray;
+  BlockView(const T* data, std::size_t count, IoTicket t)
+      : elems_(data, count), ticket_(t) {}
+
+  std::span<const T> elems_;
+  IoTicket ticket_;
+#ifndef NDEBUG
+  bool fresh() const {
+    return guard_ == nullptr || guard_->stamp(block_, stage_) == stamp_;
+  }
+  std::shared_ptr<const detail::ViewGuard> guard_;
+  std::uint64_t block_ = 0;
+  const void* stage_ = nullptr;
+  std::array<std::uint64_t, 3> stamp_{};
+#endif
 };
 
 template <class T>
@@ -81,14 +148,7 @@ class ExtArray : private BlockCache::Sink {
   /// std::logic_error) instead of silently aliasing the old machine.  The
   /// machine's block cache (if any) is re-pointed at the new object, so
   /// pending write-backs of this array's blocks keep working.
-  ExtArray(ExtArray&& o) noexcept
-      : mach_(std::exchange(o.mach_, nullptr)),
-        id_(std::exchange(o.id_, 0)),
-        data_(std::move(o.data_)),
-        atom_of_(std::move(o.atom_of_)),
-        rec_(std::move(o.rec_)) {
-    repoint_cache_sink();
-  }
+  ExtArray(ExtArray&& o) noexcept { *this = std::move(o); }
 
   ExtArray& operator=(ExtArray&& o) noexcept {
     if (this != &o) {
@@ -99,6 +159,8 @@ class ExtArray : private BlockCache::Sink {
       atom_of_ = std::move(o.atom_of_);
       rec_ = std::move(o.rec_);
       repoint_cache_sink();
+      stale_all_views();
+      o.stale_all_views();
     }
     return *this;
   }
@@ -107,7 +169,10 @@ class ExtArray : private BlockCache::Sink {
   /// (there is no storage left to persist to); the drop is counted in
   /// CacheStats::invalidated_dirty.  Flush the machine's cache first if
   /// full Q accounting matters.  Arrays must not outlive their machine.
-  ~ExtArray() { drop_cache_entries(); }
+  ~ExtArray() {
+    drop_cache_entries();
+    stale_all_views();
+  }
 
   ExtArray(const ExtArray&) = delete;
   ExtArray& operator=(const ExtArray&) = delete;
@@ -131,22 +196,36 @@ class ExtArray : private BlockCache::Sink {
     return std::min(B, data_.size() - begin);
   }
 
+  /// Reads block `bi` by reference.  Charges one read I/O — plus, under
+  /// fault injection, one read per checksum-triggered retry; a block-cache
+  /// hit charges nothing.  Under fault injection the delivered copy lands
+  /// in `stage` (resized to B), so a reader holding views of several blocks
+  /// of one array at once gives each its own stage.
+  BlockView<T> view_block(std::uint64_t bi, std::vector<T>& stage) const {
+    BlockView<T> v = deliver(bi, block_elems(bi), [&] {
+      stage.resize(mach_->B());
+      return stage.data();
+    });
+#ifndef NDEBUG
+    ++guard_->deliveries[&stage];
+    v.guard_ = guard_;
+    v.block_ = bi;
+    v.stage_ = &stage;
+    v.stamp_ = guard_->stamp(bi, &stage);
+#endif
+    return v;
+  }
+
   /// Reads block `bi` into `dst` (which must hold >= block_elems(bi)
-  /// elements).  Charges one read I/O — plus, under fault injection, one
-  /// read per checksum-triggered retry.  A block-cache hit charges nothing.
+  /// elements), charging exactly what view_block charges.
   BlockIo read_block(std::uint64_t bi, std::span<T> dst) const {
     const std::size_t count = block_elems(bi);
     if (dst.size() < count)
       throw std::invalid_argument("read_block: destination too small");
-    if (BlockCache* bc = mach_->cache()) return cached_read(*bc, bi, dst, count);
-    FaultPolicy* fp = mach_->faults();
-    if (fp == nullptr || !fp->injects_faults()) {
-      const std::size_t begin = static_cast<std::size_t>(bi) * mach_->B();
-      for (std::size_t i = 0; i < count; ++i) dst[i] = data_[begin + i];
-      IoTicket t = mach_->on_read(id_, bi);
-      return BlockIo{count, t};
-    }
-    return faulty_read(*fp, bi, dst, count);
+    const BlockView<T> v = deliver(bi, count, [&] { return dst.data(); });
+    if (v.elems_.data() != dst.data())
+      std::copy(v.elems_.begin(), v.elems_.end(), dst.begin());
+    return BlockIo{count, v.ticket_};
   }
 
   /// Overwrites block `bi` with `src` (which must hold exactly
@@ -159,16 +238,24 @@ class ExtArray : private BlockCache::Sink {
     const std::size_t count = block_elems(bi);
     if (src.size() != count)
       throw std::invalid_argument("write_block: source size mismatch");
-    if (BlockCache* bc = mach_->cache()) return cached_write(*bc, bi, src, count);
-    FaultPolicy* fp = mach_->faults();
-    if (fp == nullptr || !fp->injects_faults()) {
-      const std::size_t begin = static_cast<std::size_t>(bi) * mach_->B();
-      for (std::size_t i = 0; i < count; ++i) data_[begin + i] = src[i];
-      IoTicket t = mach_->on_write(id_, bi);
-      annotate_atoms(t, src, count);
-      return BlockIo{count, t};
+#ifndef NDEBUG
+    ++guard_->writes[bi];
+#endif
+    if (BlockCache* bc = mach_->cache()) {
+      // A rewrite of a resident block, or a write-allocate without fetching
+      // (the whole block is overwritten): no device I/O yet.  Insert first
+      // — if the eviction's write-back throws, the stored data is untouched.
+      if (!bc->find_write(id_, bi)) bc->insert(id_, bi, /*dirty=*/true, this);
+      std::copy(src.begin(), src.end(), native(bi));
+      return BlockIo{count, IoTicket{}};
     }
-    return faulty_write(*fp, bi, src, count);
+    FaultPolicy* fp = mach_->faults();
+    if (fp != nullptr && fp->injects_faults())
+      return faulty_write(*fp, bi, src, count);
+    std::copy(src.begin(), src.end(), native(bi));
+    const IoTicket t = mach_->on_write(id_, bi);
+    annotate_atoms(t, src, count);
+    return BlockIo{count, t};
   }
 
   /// Grows the array to `elems` elements (new space default-initialized).
@@ -176,6 +263,7 @@ class ExtArray : private BlockCache::Sink {
   void grow_to(std::size_t elems) {
     if (elems <= data_.size()) return;
     const std::size_t old_blocks = blocks();
+    stale_all_views();
     data_.resize(elems);
     if (rec_ != nullptr) {
       if (!rec_->remap.empty() && blocks() > rec_->spare_base)
@@ -218,6 +306,7 @@ class ExtArray : private BlockCache::Sink {
     if (src.size() != data_.size())
       throw std::invalid_argument("unsafe_host_fill: size mismatch");
     drop_cache_entries();
+    stale_all_views();
     for (std::size_t i = 0; i < src.size(); ++i) data_[i] = src[i];
     if (rec_ != nullptr) refresh_block_meta(0);
   }
@@ -287,6 +376,12 @@ class ExtArray : private BlockCache::Sink {
            static_cast<std::size_t>(bi) * mach_->B();
   }
 
+  void stale_all_views() {
+#ifndef NDEBUG
+    ++guard_->epoch;
+#endif
+  }
+
   void drop_cache_entries() {
     if (mach_ == nullptr) return;
     if (BlockCache* bc = mach_->cache()) bc->invalidate_array(id_);
@@ -297,47 +392,36 @@ class ExtArray : private BlockCache::Sink {
     if (BlockCache* bc = mach_->cache()) bc->move_sink(id_, this);
   }
 
-  BlockIo cached_read(BlockCache& bc, std::uint64_t bi, std::span<T> dst,
-                      std::size_t count) const {
+  /// The one read dispatch behind view_block and read_block.  `stage()`
+  /// yields room for B elements; it is only called under fault injection.
+  template <class Stage>
+  BlockView<T> deliver(std::uint64_t bi, std::size_t count,
+                       Stage stage) const {
     T* base = native(bi);
-    if (bc.find_read(id_, bi)) {
-      for (std::size_t i = 0; i < count; ++i) dst[i] = base[i];
-      return BlockIo{count, IoTicket{}};  // pool hit: no device I/O
-    }
-    // Miss: one charged device read, then adopt the block into the pool.
+    BlockCache* bc = mach_->cache();
     FaultPolicy* fp = mach_->faults();
-    BlockIo io;
-    if (fp == nullptr || !fp->injects_faults()) {
-      for (std::size_t i = 0; i < count; ++i) dst[i] = base[i];
-      io = BlockIo{count, mach_->on_read(id_, bi)};
+    if (fp != nullptr && !fp->injects_faults()) fp = nullptr;
+    // Under injected faults every view is a private copy: a faulty
+    // write-back can store corrupted bytes into the native region.
+    T* dst = fp == nullptr ? base : stage();
+    if (bc != nullptr && bc->find_read(id_, bi)) {  // pool hit: no device I/O
+      if (dst != base) std::copy(base, base + count, dst);
+      return BlockView<T>(dst, count, IoTicket{});
+    }
+    IoTicket t;
+    if (fp == nullptr) {
+      t = mach_->on_read(id_, bi);
     } else {
-      io = faulty_read(*fp, bi, dst, count);
+      t = faulty_read(*fp, bi, dst, count);
       // The delivered (checksum-verified) copy becomes the pool frame; for
       // a remapped block the native region held stale pre-remap bytes.
-      for (std::size_t i = 0; i < count; ++i) base[i] = dst[i];
+      if (bc != nullptr) std::copy(dst, dst + count, base);
     }
     // May evict (and write back) a victim; on a write-back exception the
-    // read stands — delivered and charged — and the block is just not
-    // cached.
-    bc.insert(id_, bi, /*dirty=*/false,
-              const_cast<ExtArray*>(this));
-    return io;
-  }
-
-  BlockIo cached_write(BlockCache& bc, std::uint64_t bi,
-                       std::span<const T> src, std::size_t count) {
-    T* base = native(bi);
-    if (bc.find_write(id_, bi)) {
-      for (std::size_t i = 0; i < count; ++i) base[i] = src[i];
-      return BlockIo{count, IoTicket{}};  // rewrite of a resident block
-    }
-    // Write-allocate without fetching: the whole block is overwritten, so
-    // no device read is needed and no device write happens yet.  Insert
-    // first — if the eviction's write-back throws, the stored data is
-    // untouched.
-    bc.insert(id_, bi, /*dirty=*/true, this);
-    for (std::size_t i = 0; i < count; ++i) base[i] = src[i];
-    return BlockIo{count, IoTicket{}};
+    // read stands — delivered and charged — and the block is just not cached.
+    if (bc != nullptr)
+      bc->insert(id_, bi, /*dirty=*/false, const_cast<ExtArray*>(this));
+    return BlockView<T>(dst, count, t);
   }
 
   /// BlockCache::Sink: push a dirty pool frame back to the device through
@@ -433,23 +517,23 @@ class ExtArray : private BlockCache::Sink {
     for (std::uint64_t i = 0; i < polls; ++i) mach_->on_read(id_, charge_block);
   }
 
-  BlockIo faulty_read(FaultPolicy& fp, std::uint64_t bi, std::span<T> dst,
-                      std::size_t count) const {
+  IoTicket faulty_read(FaultPolicy& fp, std::uint64_t bi, T* dst,
+                       std::size_t count) const {
     const Recovery& rec = recovery(fp);
     const RetryPolicy retry = fp.retry();
     std::size_t attempt = 0;
     for (;;) {
       const PhysLoc loc = locate(bi);
       const IoTicket t = mach_->on_read(id_, loc.charge);
-      for (std::size_t i = 0; i < count; ++i) dst[i] = loc.data[i];
+      std::copy(loc.data, loc.data + count, dst);
       bool injected = false;
       if (fp.draw_read_fault()) {
-        corrupt(dst.data(), count, fp.draw_u64());
+        corrupt(dst, count, fp.draw_u64());
         injected = true;
       }
       if (!fp.config().checksum_reads ||
-          delivered_clean(rec, bi, dst.data(), count, injected))
-        return BlockIo{count, t};
+          delivered_clean(rec, bi, dst, count, injected))
+        return t;
       fp.note_checksum_failure();
       if (retry.exhausted(attempt))
         throw FaultError(/*is_write=*/false, id_, bi, attempt + 1,
@@ -539,6 +623,10 @@ class ExtArray : private BlockCache::Sink {
   mutable std::unique_ptr<Recovery> rec_;
   // Scratch for staging a write-back payload under fault injection.
   std::vector<T> write_back_buf_;
+#ifndef NDEBUG
+  std::shared_ptr<detail::ViewGuard> guard_ =
+      std::make_shared<detail::ViewGuard>();
+#endif
 };
 
 /// An internal-memory allocation of `elems` elements, registered with the

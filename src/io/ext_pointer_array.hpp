@@ -20,6 +20,9 @@
 #include <string>
 
 #include "core/ext_array.hpp"
+#include "io/cursor.hpp"
+#include "io/scanner.hpp"
+#include "io/writer.hpp"
 
 namespace aem {
 
@@ -37,53 +40,32 @@ class ExtPointerArray {
   ExtPointerArray(Machine& mach, std::size_t count, std::string name,
                   const std::function<std::uint64_t(std::size_t)>& init)
       : arr_(mach, count, std::move(name)) {
-    Buffer<std::uint64_t> staging(mach, mach.B());
-    const std::size_t B = mach.B();
-    for (std::uint64_t bi = 0; bi < arr_.blocks(); ++bi) {
-      const std::size_t count_in_block = arr_.block_elems(bi);
-      for (std::size_t i = 0; i < count_in_block; ++i)
-        staging[i] = init(static_cast<std::size_t>(bi) * B + i);
-      arr_.write_block(
-          bi, std::span<const std::uint64_t>(staging.data(), count_in_block));
-    }
+    Writer<std::uint64_t> out(arr_);
+    for (std::size_t i = 0; i < count; ++i) out.push(init(i));
+    out.finish();
   }
 
   std::size_t size() const { return arr_.size(); }
 
   /// Random read of one entry: charges one block read.
-  std::uint64_t get(std::size_t i) {
-    Buffer<std::uint64_t> buf(arr_.machine(), arr_.machine().B());
-    const std::size_t B = arr_.machine().B();
-    arr_.read_block(i / B, buf.span());
-    return buf[i % B];
-  }
+  std::uint64_t get(std::size_t i) { return BlockCursor(arr_).at(i); }
 
   /// Random write of one entry: read-modify-write, one read + one write.
   /// Call only when the value actually changed — the caller owns the
   /// amortization argument.
   void set(std::size_t i, std::uint64_t v) {
-    const std::size_t B = arr_.machine().B();
-    Buffer<std::uint64_t> buf(arr_.machine(), B);
-    const std::uint64_t bi = i / B;
-    arr_.read_block(bi, buf.span());
-    buf[i % B] = v;
-    arr_.write_block(bi, std::span<const std::uint64_t>(buf.data(),
-                                                        arr_.block_elems(bi)));
+    update_range(i, i + 1, [v](std::size_t, std::uint64_t& x) {
+      x = v;
+      return true;
+    });
   }
 
   /// Streams entries [lo, hi), invoking fn(index, value).  Charges one read
   /// per underlying block; holds one block of internal memory.
   void for_each(std::size_t lo, std::size_t hi,
                 const std::function<void(std::size_t, std::uint64_t)>& fn) {
-    const std::size_t B = arr_.machine().B();
-    Buffer<std::uint64_t> buf(arr_.machine(), B);
-    std::size_t i = lo;
-    while (i < hi) {
-      const std::uint64_t bi = i / B;
-      BlockIo io = arr_.read_block(bi, buf.span());
-      const std::size_t block_lo = static_cast<std::size_t>(bi) * B;
-      for (; i < hi && i < block_lo + io.count; ++i) fn(i, buf[i - block_lo]);
-    }
+    Scanner<std::uint64_t> scan(arr_, lo, hi);
+    for (std::size_t i = lo; i < hi; ++i) fn(i, scan.next());
   }
 
   /// Streams entries [lo, hi) with in-place mutation: fn returns true if it

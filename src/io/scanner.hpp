@@ -3,14 +3,17 @@
 // A Scanner holds exactly one block (B elements) of internal memory and
 // charges one read I/O per block it advances over, which is the canonical
 // "scan" primitive of the EM literature: scanning N elements costs
-// ceil(N/B) reads and occupies B internal memory.
+// ceil(N/B) reads and occupies B internal memory.  It is a BlockCursor
+// walked forward.
 #pragma once
 
 #include <cassert>
 #include <cstddef>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
-#include "core/ext_array.hpp"
+#include "io/cursor.hpp"
 
 namespace aem {
 
@@ -19,13 +22,13 @@ class Scanner {
  public:
   static constexpr std::size_t npos = std::numeric_limits<std::size_t>::max();
 
-  /// Scans arr[begin, end).  end == npos means arr.size().
+  /// Scans arr[begin, end).  end == npos means arr.size().  Throws
+  /// std::out_of_range unless begin <= end <= arr.size().
   Scanner(const ExtArray<T>& arr, std::size_t begin = 0, std::size_t end = npos)
-      : arr_(&arr),
-        buf_(arr.machine(), arr.machine().B()),
-        pos_(begin),
-        end_(end == npos ? arr.size() : end) {
-    assert(pos_ <= end_ && end_ <= arr.size());
+      : cursor_(arr), pos_(begin), end_(end == npos ? arr.size() : end) {
+    if (pos_ > end_ || end_ > arr.size())
+      throw std::out_of_range("Scanner: range end " + std::to_string(end_) +
+                              " past the array or before its begin");
   }
 
   bool done() const { return pos_ >= end_; }
@@ -36,8 +39,7 @@ class Scanner {
   /// block (one charged read) if it is not already buffered.
   const T& peek() {
     assert(!done());
-    ensure_loaded();
-    return buf_[pos_ - buf_lo_];
+    return cursor_.at(pos_);
   }
 
   /// Consumes and returns the element at the cursor.
@@ -56,26 +58,12 @@ class Scanner {
 
   /// Trace ticket of the most recent charged read (invalid if none, or if
   /// tracing is off).  Lets atom-tracking callers annotate use-sets.
-  IoTicket last_ticket() const { return last_ticket_; }
+  IoTicket last_ticket() const { return cursor_.last_ticket(); }
 
  private:
-  void ensure_loaded() {
-    const std::size_t B = arr_->machine().B();
-    if (pos_ >= buf_lo_ && pos_ < buf_hi_) return;
-    const std::uint64_t bi = pos_ / B;
-    BlockIo io = arr_->read_block(bi, buf_.span());
-    buf_lo_ = static_cast<std::size_t>(bi) * B;
-    buf_hi_ = buf_lo_ + io.count;
-    last_ticket_ = io.ticket;
-  }
-
-  const ExtArray<T>* arr_;
-  Buffer<T> buf_;
+  BlockCursor<T> cursor_;
   std::size_t pos_;
   std::size_t end_;
-  std::size_t buf_lo_ = 1;  // empty interval: nothing buffered yet
-  std::size_t buf_hi_ = 0;
-  IoTicket last_ticket_;
 };
 
 }  // namespace aem

@@ -11,6 +11,7 @@
 // asserts (in debug builds) that no buffered data is silently dropped.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <exception>
@@ -79,8 +80,7 @@ class Writer {
       // real block device would.
       Buffer<T> merge(arr_->machine(), B);
       arr_->read_block(bi, merge.span());
-      for (std::size_t i = 0; i < buf_fill_; ++i)
-        merge[block_off + i] = buf_[i];
+      std::copy(buf_.data(), buf_.data() + buf_fill_, merge.data() + block_off);
       arr_->write_block(bi, std::span<const T>(merge.data(), block_count));
     }
     pos_ += buf_fill_;

@@ -28,6 +28,7 @@
 #include <stdexcept>
 
 #include "core/ext_array.hpp"
+#include "io/scanner.hpp"
 
 namespace aem {
 
@@ -46,23 +47,18 @@ void scatter_permute(const ExtArray<T>& in,
 
   Machine& mach = in.machine();
   const std::size_t B = mach.B();
-  Buffer<T> inbuf(mach, B);
+  Scanner<T> scan(in);  // the input stream: one viewed block
   Buffer<T> rmw(mach, B);
-
-  const std::uint64_t in_blocks = in.blocks();
-  for (std::uint64_t s = 0; s < in_blocks; ++s) {
-    const BlockIo io = in.read_block(s, inbuf.span());
-    const std::size_t lo = static_cast<std::size_t>(s) * B;
-    for (std::size_t k = 0; k < io.count; ++k) {
-      const std::uint64_t d = dest[lo + k];
-      if (d >= N)
-        throw std::invalid_argument("scatter_permute: dest out of range");
-      const std::uint64_t t = d / B;
-      const std::size_t count = out.block_elems(t);
-      out.read_block(t, rmw.span());
-      rmw[static_cast<std::size_t>(d % B)] = inbuf[k];
-      out.write_block(t, std::span<const T>(rmw.data(), count));
-    }
+  for (std::size_t k = 0; k < N; ++k) {
+    const T v = scan.next();
+    const std::uint64_t d = dest[k];
+    if (d >= N)
+      throw std::invalid_argument("scatter_permute: dest out of range");
+    const std::uint64_t t = d / B;
+    const std::size_t count = out.block_elems(t);
+    out.read_block(t, rmw.span());
+    rmw[static_cast<std::size_t>(d % B)] = v;
+    out.write_block(t, std::span<const T>(rmw.data(), count));
   }
 }
 

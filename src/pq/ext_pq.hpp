@@ -327,7 +327,8 @@ class ExtPriorityQueue {
     sort_detail::BoundedMaxHeap<Cand, decltype(cand_less)> out(
         min_cap_, remaining, cand_less);
     MemoryReservation out_res(mach_.ledger(), min_cap_);
-    Buffer<T> block(mach_, mach_.B());
+    MemoryReservation block_res(mach_.ledger(), mach_.B());  // one block
+    std::vector<T> stage;  // its host copy, under fault injection only
 
     struct RunCursor {
       std::size_t level, index;
@@ -362,11 +363,11 @@ class ExtPriorityQueue {
       const std::size_t upto = std::min(r.length, rc.frontier + elems);
       while (rc.frontier < upto) {
         const std::uint64_t bi = rc.frontier / mach_.B();
-        BlockIo io = r.data.read_block(bi, block.span());
+        const BlockView<T> v = r.data.view_block(bi, stage);
         const std::size_t lo = static_cast<std::size_t>(bi) * mach_.B();
-        const std::size_t hi = std::min(lo + io.count, r.length);
+        const std::size_t hi = std::min(lo + v.size(), r.length);
         for (std::size_t p = rc.frontier; p < hi; ++p) {
-          Cand c{block[p - lo], rc.level, rc.index, p};
+          Cand c{v[p - lo], rc.level, rc.index, p};
           out.offer(c);
           rc.last = c;
         }

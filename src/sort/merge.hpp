@@ -134,21 +134,20 @@ class MergeJob {
     return b >= run_end_block(r) || runs_[r].length() == 0;
   }
 
-  /// Reads absolute block `abs_block`, folds its in-range unconsumed
-  /// occurrences into OUT, and returns the last in-range occurrence.
-  Occ<T> read_into(std::uint32_t r, std::uint64_t abs_block,
-                   Buffer<T>& blockbuf) {
-    BlockIo io = src_.read_block(abs_block, blockbuf.span());
+  /// Reads absolute block `abs_block` (charged) and returns run r's last
+  /// occurrence in it; with `fold`, also offers its unconsumed occurrences
+  /// to OUT.
+  Occ<T> read_into(std::uint32_t r, std::uint64_t abs_block, bool fold = true) {
+    const BlockView<T> v = src_.view_block(abs_block, stage_);
     const std::size_t lo = static_cast<std::size_t>(abs_block) * mach_.B();
     Occ<T> last{};
     bool any = false;
-    for (std::size_t i = 0; i < io.count; ++i) {
+    for (std::size_t i = 0; i < v.size(); ++i) {
       const std::size_t pos = lo + i;
       if (pos < runs_[r].begin || pos >= runs_[r].end) continue;
-      Occ<T> o{blockbuf[i], r, pos, io.ticket};
-      if (!watermark_.has_value() || occ_less_(*watermark_, o))
-        out_.offer(o);  // else already consumed
-      last = o;
+      last = Occ<T>{v[i], r, pos, v.ticket()};
+      if (fold && (!watermark_.has_value() || occ_less_(*watermark_, last)))
+        out_.offer(last);  // else already consumed
       any = true;
     }
     if (!any)
@@ -160,14 +159,14 @@ class MergeJob {
   std::size_t round(ExtPointerArray& bptr) {
     MemoryReservation out_res(mach_.ledger(), budget_.out_batch);
     out_.clear();
-    Buffer<T> blockbuf(mach_, mach_.B());
+    MemoryReservation block_res(mach_.ledger(), mach_.B());  // one block
 
     // Phase A: initialization — up to two blocks per non-exhausted run.
     bptr.for_each(0, runs_.size(), [&](std::size_t r, std::uint64_t b) {
       const auto run = static_cast<std::uint32_t>(r);
       if (exhausted(run, b)) return;
-      read_into(run, b, blockbuf);
-      if (b + 1 < run_end_block(run)) read_into(run, b + 1, blockbuf);
+      read_into(run, b);
+      if (b + 1 < run_end_block(run)) read_into(run, b + 1);
     });
 
     if (out_.empty())
@@ -188,16 +187,7 @@ class MergeJob {
       std::uint64_t last_block = b;
       if (b + 1 < run_end_block(run)) last_block = b + 1;
       // Re-read (charged) to recover s_i without per-run resident state.
-      Occ<T> s{};
-      {
-        BlockIo io = src_.read_block(last_block, blockbuf.span());
-        const std::size_t lo = static_cast<std::size_t>(last_block) * mach_.B();
-        for (std::size_t i = 0; i < io.count; ++i) {
-          const std::size_t pos = lo + i;
-          if (pos < runs_[run].begin || pos >= runs_[run].end) continue;
-          s = Occ<T>{blockbuf[i], run, pos};
-        }
-      }
+      const Occ<T> s = read_into(run, last_block, /*fold=*/false);
       const std::uint64_t next = last_block + 1;
       const bool more_blocks = next < run_end_block(run);
       if (!more_blocks) return;  // everything loaded: never active again
@@ -227,7 +217,7 @@ class MergeJob {
       Active& a = actives[j];
       if (!out_.admits(a.last_loaded))
         break;  // the smallest s_i is out of range, so every s_i is
-      a.last_loaded = read_into(a.run, a.next_block, blockbuf);
+      a.last_loaded = read_into(a.run, a.next_block);
       ++a.next_block;
       if (a.next_block >= run_end_block(a.run)) {
         tree.set_exhausted(j);
@@ -265,6 +255,7 @@ class MergeJob {
   // OUT, the staged batch; its storage is reused by every round.
   BoundedMaxHeap<Occ<T>, OccLess<T, Less>> out_;
   std::optional<Occ<T>> watermark_;
+  std::vector<T> stage_;  // the resident block's host copy under faults
   MergeStats* stats_ = nullptr;
 };
 

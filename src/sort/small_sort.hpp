@@ -61,6 +61,7 @@ std::size_t small_sort(const ExtArray<T>& src, std::size_t begin,
   std::vector<std::uint32_t> order(total);
   const std::size_t first = begin / B;  // the range's first block
   std::vector<IoTicket> tickets(mach.n_of(end) - first);
+  std::vector<T> stage;  // delivered blocks under fault injection only
   auto occ_less = [less](const T& a, std::uint32_t ia, const T& b,
                          std::uint32_t ib) {
     return less(a, b) || (!less(b, a) && ia < ib);
@@ -72,14 +73,14 @@ std::size_t small_sort(const ExtArray<T>& src, std::size_t begin,
   std::uint32_t mark_off = 0;
   while (consumed < total) {
     MemoryReservation out_res(mach.ledger(), budget.small_batch);
-    Buffer<T> block(mach, B);
+    MemoryReservation block_res(mach.ledger(), B);  // the scan block
     bool changed = consumed == 0;
     for (std::size_t t = 0; t < tickets.size(); ++t) {
-      const BlockIo io = src.read_block(first + t, block.span());
-      tickets[t] = io.ticket;
+      const BlockView<T> v = src.view_block(first + t, stage);
+      tickets[t] = v.ticket();
       const std::size_t lo = std::max(begin, (first + t) * B);
-      const std::size_t hi = std::min(end, (first + t) * B + io.count);
-      const T* got = block.data() + (lo - (first + t) * B);
+      const std::size_t hi = std::min(end, (first + t) * B + v.size());
+      const T* got = v.span().data() + (lo - (first + t) * B);
       T* have = vals.data() + (lo - begin);
       if (changed || std::memcmp(have, got, (hi - lo) * sizeof(T)) != 0) {
         std::memcpy(have, got, (hi - lo) * sizeof(T));

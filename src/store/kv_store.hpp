@@ -51,6 +51,7 @@
 
 #include "core/ext_array.hpp"
 #include "core/metrics.hpp"
+#include "io/cursor.hpp"
 #include "io/scanner.hpp"
 #include "io/writer.hpp"
 #include "sort/em_mergesort.hpp"
@@ -155,7 +156,7 @@ inline const char* to_string(RecoveryReport::Outcome o) {
   return "?";
 }
 
-/// Access counters of one store (read_block call counts on the store's
+/// Access counters of one store (block-read call counts on the store's
 /// arrays — equal to charged reads at cache capacity 0; with a cache some
 /// of them are free pool hits, visible in the machine's own deltas).
 struct StoreStats {
@@ -176,37 +177,6 @@ struct StoreStats {
 
   friend bool operator==(const StoreStats&, const StoreStats&) = default;
 };
-
-namespace detail {
-
-/// Random-access block reads over an ExtArray<uint64_t> with a one-block
-/// buffer, for the build-time payload gather (input payload positions arrive
-/// in key order, i.e. scattered).  Each distinct block switch is one charged
-/// read; consecutive words from the same block are free.
-class WordReader {
- public:
-  explicit WordReader(const ExtArray<std::uint64_t>& arr)
-      : arr_(&arr), buf_(arr.machine(), arr.machine().B()) {}
-
-  std::uint64_t word(std::uint64_t pos) {
-    const std::size_t B = arr_->machine().B();
-    const std::uint64_t bi = pos / B;
-    if (!loaded_ || bi != block_) {
-      arr_->read_block(bi, buf_.span());
-      block_ = bi;
-      loaded_ = true;
-    }
-    return buf_[static_cast<std::size_t>(pos % B)];
-  }
-
- private:
-  const ExtArray<std::uint64_t>* arr_;
-  Buffer<std::uint64_t> buf_;
-  std::uint64_t block_ = 0;
-  bool loaded_ = false;
-};
-
-}  // namespace detail
 
 class KvStore {
  public:
@@ -393,15 +363,14 @@ class KvStore {
     };
     if (records_ == 0) return miss();
 
-    Buffer<Slot> page(*mach_, mach_->B());
-    std::size_t count = 0;
-    const std::optional<std::size_t> located =
-        locate_page(key, page, count, log_reads);
+    MemoryReservation page_res(mach_->ledger(), mach_->B());
+    const std::optional<Page> located = locate_page(key, log_reads);
     if (!located) return miss();  // key precedes every stored key
 
-    const Slot* found = last_with_key(page.data(), count, key);
+    const std::span<const Slot> page = located->slots.span();
+    const Slot* found = last_with_key(page.data(), page.size(), key);
     if (found == nullptr) return miss();
-    const Slot& hit = *found;
+    const Slot hit = *found;
     ++stats_.get_hits;
 
     std::vector<std::uint64_t> value;
@@ -445,19 +414,16 @@ class KvStore {
     if (records_ == 0) return miss();
 
     Buffer<Slot> page(*mach_, mach_->B());
-    std::size_t count = 0;
-    const std::optional<std::size_t> located =
-        locate_page(key, page, count, log_reads);
+    const std::optional<Page> located = locate_page(key, log_reads);
     if (!located) return miss();
 
-    Slot* found = last_with_key(page.data(), count, key);
-    if (found == nullptr) return miss();
-    Slot& hit = *found;
-    ++stats_.put_hits;
-    if (hit.len >= 2) stats_.orphaned_words += hit.len;
-    hit.len = 1;
-    hit.pos = value;
-    log_.write_block(*located, std::span<const Slot>(page.data(), count));
+    // The view is read-only: copy the page out to modify it.
+    const std::size_t count = located->slots.size();
+    const std::span<const Slot> viewed = located->slots.span();
+    std::copy(viewed.begin(), viewed.end(), page.data());
+    if (!put_in_page(page.data(), count, key, value)) return miss();
+    log_.write_block(located->index,
+                     std::span<const Slot>(page.data(), count));
     ++stats_.put_writes;
     note_put(log_reads);
     return true;
@@ -526,14 +492,8 @@ class KvStore {
         ++log_reads;  // the group's one absorbed read
         cur = bi;
       }
-      Slot* found = last_with_key(page.data(), count, key);
-      if (found == nullptr) continue;  // in-page miss
-      Slot& hit = *found;
-      ++stats_.put_hits;
+      if (!put_in_page(page.data(), count, key, value)) continue;  // miss
       ++hits;
-      if (hit.len >= 2) stats_.orphaned_words += hit.len;
-      hit.len = 1;
-      hit.pos = value;
       dirty = true;
     }
     flush();
@@ -562,10 +522,10 @@ class KvStore {
     // sequential path simple.
     std::size_t start_page = 0;
     if (lo > 0) {
-      Buffer<Slot> page(*mach_, mach_->B());
-      std::size_t count = 0;
+      MemoryReservation page_res(mach_->ledger(), mach_->B());
       std::uint64_t probe_reads = 0;
-      start_page = locate_page(lo - 1, page, count, probe_reads).value_or(0);
+      if (const std::optional<Page> p = locate_page(lo - 1, probe_reads))
+        start_page = p->index;
     }
 
     std::size_t visited = 0;
@@ -695,11 +655,24 @@ class KvStore {
     if (!built_) throw std::logic_error("KvStore: not built yet");
   }
 
+  /// One inline put applied to a loaded page; false when the key is not on
+  /// it.  Overwriting a spilled value orphans its payload words.
+  bool put_in_page(Slot* page, std::size_t count, std::uint64_t key,
+                   std::uint64_t value) {
+    Slot* hit = last_with_key(page, count, key);
+    if (hit == nullptr) return false;
+    ++stats_.put_hits;
+    if (hit->len >= 2) stats_.orphaned_words += hit->len;
+    *hit = Slot{key, 1, value};
+    return true;
+  }
+
   /// The last slot of page[0, count) with this key, or nullptr.  Duplicate
   /// runs never extend into the next page: its fence would then be <= key,
   /// contradicting the page choice.
-  static Slot* last_with_key(Slot* page, std::size_t count, std::uint64_t key) {
-    Slot* it = std::upper_bound(
+  template <class S>  // Slot or const Slot
+  static S* last_with_key(S* page, std::size_t count, std::uint64_t key) {
+    S* it = std::upper_bound(
         page, page + count, key,
         [](std::uint64_t k, const Slot& s) { return k < s.key; });
     return it == page || (it - 1)->key != key ? nullptr : it - 1;
@@ -755,7 +728,9 @@ class KvStore {
     Scanner<Slot> in(sorted, start_record, records_);
     Writer<Slot> out(log_, start_record);
     Writer<std::uint64_t> pay(payload_, static_cast<std::size_t>(start_word));
-    detail::WordReader gather(in_payload);
+    // Input payload positions arrive in key order, i.e. scattered: each
+    // block switch is one charged read; words of one block are free.
+    BlockCursor<std::uint64_t> gather(in_payload);
     std::size_t idx = start_record;
     std::uint64_t next_word = start_word;
     const std::size_t every = cfg_.manifest_interval * B;  // in records
@@ -774,7 +749,7 @@ class KvStore {
               "input");
         s.pos = next_word;
         for (std::uint64_t w = 0; w < s.len; ++w)
-          pay.push(gather.word(src + w));
+          pay.push(gather.at(src + w));
         next_word += s.len;
         if (s.len > max_value_words_) max_value_words_ = s.len;
       }
@@ -838,35 +813,23 @@ class KvStore {
     w[7] = mach.stats().writes;
     w[8] = records_;
     w[9] = fault_checksum(w, sizeof(std::uint64_t) * (kManifestWords - 1));
-    const std::size_t B = mach.B();
-    const std::size_t sb = manifest_slot_blocks();
-    const std::size_t base = static_cast<std::size_t>(manifest_seq_ % 2) * sb;
-    Buffer<std::uint64_t> buf(mach, B);
-    for (std::size_t j = 0; j < sb; ++j) {
-      for (std::size_t k = 0; k < B; ++k) {
-        const std::size_t wi = j * B + k;
-        buf[k] = wi < kManifestWords ? w[wi] : 0;
-      }
-      manifest_.write_block(base + j,
-                            std::span<const std::uint64_t>(buf.data(), B));
-    }
+    const std::size_t words = manifest_slot_blocks() * mach.B();
+    const std::size_t base = static_cast<std::size_t>(manifest_seq_ % 2) * words;
+    Writer<std::uint64_t> out(manifest_, base, base + words);
+    for (std::size_t wi = 0; wi < words; ++wi)
+      out.push(wi < kManifestWords ? w[wi] : 0);
+    out.finish();
     mach.flush_cache();
   }
 
   /// Reads one manifest slot (charged) and validates magic, checksum, and
   /// shape; an unwritten or torn slot decodes as !valid.
   Manifest read_manifest_slot(std::size_t slot, std::uint64_t& reads) {
-    Machine& mach = *mach_;
-    const std::size_t B = mach.B();
-    const std::size_t sb = manifest_slot_blocks();
+    const std::size_t base = slot * manifest_slot_blocks() * mach_->B();
+    Scanner<std::uint64_t> scan(manifest_, base, base + kManifestWords);
     std::uint64_t w[kManifestWords] = {};
-    Buffer<std::uint64_t> buf(mach, B);
-    for (std::size_t j = 0; j < sb; ++j) {
-      manifest_.read_block(slot * sb + j, buf.span());
-      ++reads;
-      for (std::size_t k = 0; k < B && j * B + k < kManifestWords; ++k)
-        w[j * B + k] = buf[k];
-    }
+    for (std::uint64_t& x : w) x = scan.next();
+    reads += manifest_slot_blocks();
     Manifest m;
     if (w[0] != kManifestMagic ||
         w[9] != fault_checksum(w, sizeof(std::uint64_t) *
@@ -889,42 +852,43 @@ class KvStore {
   /// the charged detection scan of recovery.
   void rescan_fences(std::size_t pages, std::vector<std::uint64_t>& fences,
                      std::uint64_t& reads) {
-    Buffer<Slot> page(*mach_, mach_->B());
+    MemoryReservation page_res(mach_->ledger(), mach_->B());
     for (std::size_t bi = 0; bi < pages; ++bi) {
-      log_.read_block(bi, page.span());
+      fences.push_back(log_.view_block(bi, stage_)[0].key);
       ++reads;
-      fences.push_back(page[0].key);
     }
   }
 
-  /// Largest page whose fence (first key) is <= key, leaving that page's
-  /// contents in `page` (`count` records); nullopt when the key precedes
-  /// every stored key.  kFence decides from the fence array (exactly one
+  /// A located log page: its index and a view of its records.
+  struct Page {
+    std::size_t index;
+    BlockView<Slot> slots;
+  };
+
+  /// Largest page whose fence (first key) is <= key, with a view of it
+  /// (delivered into stage_ under fault injection; the caller holds the
+  /// page's ledger reservation); nullopt when the key precedes every
+  /// stored key.  kFence decides from the fence array (exactly one
   /// log read); kCompact probes the quantized index's candidate and walks
   /// back while the probed page provably starts past the key.  The walk
   /// cannot pass the start of the quantization-collision run: a page with
   /// q(fence) < q(key) has fence < key and terminates it, so its length is
   /// bounded by the run of adjacent fences sharing the key's top bits.
   /// `reads` is incremented once per log-block read.
-  std::optional<std::size_t> locate_page(std::uint64_t key, Buffer<Slot>& page,
-                                         std::size_t& count,
-                                         std::uint64_t& reads) {
+  std::optional<Page> locate_page(std::uint64_t key, std::uint64_t& reads) {
     if (cfg_.index == IndexKind::kFence) {
       const std::size_t r = fence_idx_.rank_upper(key);
       if (r == 0) return std::nullopt;
-      const std::size_t bi = r - 1;
-      count = log_.block_elems(bi);
-      log_.read_block(bi, page.span());
+      Page page{r - 1, log_.view_block(r - 1, stage_)};
       ++reads;
-      return bi;
+      return page;
     }
     std::size_t i = ef_.predecessor(quantize(key));
     if (i == EliasFano::npos) return std::nullopt;  // q(fence_0) > q(key)
     for (;;) {
-      count = log_.block_elems(i);
-      log_.read_block(i, page.span());
+      BlockView<Slot> page = log_.view_block(i, stage_);
       ++reads;
-      if (page[0].key <= key) return i;
+      if (page[0].key <= key) return Page{i, page};
       if (i == 0) return std::nullopt;
       --i;
     }
@@ -950,6 +914,7 @@ class KvStore {
 
   std::size_t records_ = 0;
   ExtArray<Slot> log_;
+  std::vector<Slot> stage_;  // viewed log pages under fault injection
   ExtArray<std::uint64_t> payload_;
   std::uint64_t payload_words_ = 0;
   std::uint64_t max_value_words_ = 0;
