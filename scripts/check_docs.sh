@@ -52,8 +52,9 @@ fi
 
 # --- 1. bench binaries -----------------------------------------------------
 # Binary names follow bench_<letter><digits>_<suffix> (bench_e1_merge,
-# bench_m0_overhead, ...); the pattern deliberately misses bench_common.hpp
-# and bench_output.txt.
+# bench_r1_faults, ...); the pattern deliberately misses bench_common.hpp
+# and bench_output.txt, so a doc naming a deleted bench says "the former
+# M0 bench", not its binary name.
 mapfile -t bench_refs < <(grep -hoE 'bench_[a-z][0-9]+_[a-z_]+' "${DOCS[@]}" | sort -u)
 [[ ${#bench_refs[@]} -gt 0 ]] || err "no bench binary references found in docs (pattern broke?)"
 for b in "${bench_refs[@]}"; do

@@ -1,10 +1,7 @@
 #!/usr/bin/env bash
 # The harness's observable contract, checked end-to-end on real binaries:
 # every experiment's stdout, CSV, and metrics log must be BYTE-identical at
-# --jobs=1 and --jobs=4 (docs/MODEL.md section 12).  bench_m0_overhead is
-# excluded — it is the one bench whose tables legitimately contain wall-clock
-# timings — and bench_e10_ablation is excluded because its google-benchmark
-# half prints timings too.
+# --jobs=1 and --jobs=4 (docs/MODEL.md section 12).
 #
 # Usage: scripts/check_jobs_determinism.sh [build-dir] [bench ...]
 #   With no bench names, checks a representative fast subset.
@@ -15,9 +12,9 @@ shift || true
 BENCHES=("$@")
 if [[ ${#BENCHES[@]} -eq 0 ]]; then
   BENCHES=(bench_e1_merge bench_e3_sort_shootout bench_e5_crossover
-           bench_e8_counting bench_r1_faults bench_c1_cache bench_s1_shard
-           bench_k1_store bench_f1_recovery bench_t1_traffic
-           bench_w1_lowwrite)
+           bench_e8_counting bench_e10_ablation bench_r1_faults
+           bench_c1_cache bench_s1_shard bench_k1_store bench_f1_recovery
+           bench_t1_traffic bench_w1_lowwrite)
 fi
 
 WORK="$(mktemp -d)"

@@ -1,16 +1,14 @@
 #!/usr/bin/env bash
 # Checks that two builds produce the same experiment results: runs
 # scripts/run_experiments.sh against each build directory into its own
-# output directory, then cmp's every CSV and machine-metrics JSONL.
+# output directory, then cmp's every CSV, machine-metrics JSONL and stdout
+# capture.
 #
 # Use it to show that a host-side change (a faster data structure, a
 # refactor) moves no charged I/O, no ledger high-water mark and no table
-# entry: build the old and the new tree, then compare.
-#
-# Skipped, because their contents are set by wall-clock time:
-#   bench_m0_overhead.*     — iteration counts and timings are time-driven;
-#   bench_e10_ablation.txt  — google-benchmark timings (stdout only, so it
-#                             has no CSV or metrics file to compare anyway).
+# entry: build the old and the new tree, then compare.  Every output is
+# compared, each bench's stdout too: no bench reads a clock (host time is
+# perfbench/'s to measure).
 #
 # Usage: scripts/diff_experiments.sh <build-a> <build-b> [out-root]
 #                                     [bench-flag ...]
@@ -45,23 +43,15 @@ echo "=== run_experiments.sh on $BUILD_A ==="
 echo "=== run_experiments.sh on $BUILD_B ==="
 "$SCRIPT_DIR/run_experiments.sh" "$BUILD_B" "$OUT_ROOT/b" "$@" > "$OUT_ROOT/b.log"
 
-skipped() {
-  [[ "$1" == bench_m0_overhead.* || "$1" == bench_e10_ablation.txt ]]
-}
-
 list_results() {
-  (cd "$1" && ls -1 -- *.csv *.metrics.jsonl bench_e10_ablation.txt \
-     2>/dev/null || true) | sort -u
+  (cd "$1" && ls -1 -- *.csv *.metrics.jsonl *.txt 2>/dev/null || true) |
+    sort -u
 }
 
 fail=0
 same=0
 while IFS= read -r f; do
   [[ -n "$f" ]] || continue
-  if skipped "$f"; then
-    echo "SKIP $f (wall-clock driven)"
-    continue
-  fi
   if [[ ! -f "$OUT_ROOT/a/$f" || ! -f "$OUT_ROOT/b/$f" ]]; then
     echo "DIFF $f (present in only one result set)"
     fail=1
@@ -80,4 +70,4 @@ if [[ $fail -ne 0 ]]; then
   echo "FAIL: the two builds' experiment results differ"
   exit 1
 fi
-echo "OK: every compared CSV and metrics JSONL is byte-identical"
+echo "OK: every CSV, metrics JSONL and stdout capture is byte-identical"

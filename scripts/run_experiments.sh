@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# Regenerates every experiment table (E1-E10, A1-A2, M0, R1, C1, S1, K1,
-# F1, T1, W1) and collects CSVs plus machine-metrics JSON snapshots (one
-# JSON object per line in $OUT_DIR/<bench>.metrics.jsonl).  Each bench
-# checks every line it writes (check_metrics in src/core/metrics.cpp) and
-# its own PASS criteria, and exits nonzero on a violation, which stops
-# this script.
+# Regenerates every experiment table (E1-E10, A1-A2, R1, C1, S1, K1, F1,
+# T1, W1) and collects CSVs, stdout captures ($OUT_DIR/<bench>.txt) and
+# machine-metrics JSON snapshots (one JSON object per line in
+# $OUT_DIR/<bench>.metrics.jsonl).  Each bench checks every line it writes
+# (check_metrics in src/core/metrics.cpp) and its own PASS criteria, and
+# exits nonzero on a violation, which stops this script.
 #
 # Usage: scripts/run_experiments.sh [build-dir] [out-dir] [bench-flag ...]
 #   e.g. scripts/run_experiments.sh build results --jobs=0 --full
@@ -26,14 +26,9 @@ for bench in "$BUILD_DIR"/bench/bench_*; do
   [[ -f "$bench" && -x "$bench" ]] || continue
   name="$(basename "$bench")"
   echo "=== running $name ==="
-  if [[ "$name" == "bench_e10_ablation" ]]; then
-    # google-benchmark binary: takes none of the harness flags.
-    "$bench" | tee "$OUT_DIR/$name.txt"
-  else
-    "$bench" --csv="$OUT_DIR/$name.csv" \
-             --metrics="$OUT_DIR/$name.metrics.jsonl" \
-             "$@" | tee "$OUT_DIR/$name.txt"
-  fi
+  "$bench" --csv="$OUT_DIR/$name.csv" \
+           --metrics="$OUT_DIR/$name.metrics.jsonl" \
+           "$@" | tee "$OUT_DIR/$name.txt"
   echo
 done
 

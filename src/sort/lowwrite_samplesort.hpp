@@ -15,10 +15,10 @@
 //    consecutive buckets, and only that window's boundary splitters
 //    (<= m_eff + 1 keys) are loaded — charged splitter-probe reads — and
 //    searched RESIDENT via the Eytzinger kernel of util/search.hpp (the
-//    branchless layout bench_m0 measures; non-integral key types fall back
-//    to std::upper_bound on the same resident window).  Each window is
-//    scanned twice (count, then distribute), so out-of-window elements cost
-//    reads, never writes.
+//    branchless layout of EXPERIMENTS.md's fence-lookup row; non-integral
+//    key types fall back to std::upper_bound on the same resident window).
+//    Each window is scanned twice (count, then distribute), so
+//    out-of-window elements cost reads, never writes.
 //
 // Per level over n elements with d_s = omega * m_eff buckets this is
 // O(omega * n/B) reads and n/B + O(d_s) writes (each element is written

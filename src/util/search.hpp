@@ -7,8 +7,8 @@
 // children at 2k and 2k+1.  A descent then touches a contiguous prefix of
 // the array (the first few levels stay in one or two cache lines no matter
 // how large the array is), and the comparison result feeds the next index
-// arithmetically — no branch for the predictor to miss.  bench_m0_overhead
-// reports the measured speedup over std::upper_bound on the same keys.
+// arithmetically — no branch for the predictor to miss.  EXPERIMENTS.md's
+// historical fence-lookup row gives the speedup over std::upper_bound.
 #pragma once
 
 #include <algorithm>
