@@ -1,8 +1,8 @@
 // E10 — simulator soundness: at omega = 1 the AEM degenerates to the
 // symmetric EM model of Aggarwal-Vitter, so every cost identity must
-// collapse accordingly (Q = reads + writes; the omega-aware and oblivious
-// sorts converge to the same asymptotics; the permutation bound equals the
-// classical one).
+// collapse accordingly (Q = reads + writes; the permutation bound equals
+// the classical one).  The aware/oblivious sort ratio is reported, not
+// checked: EXPERIMENTS.md E10 derives it from the two merge fanouts.
 //
 // PASS criteria (hard guards, exit 1 on violation): Q equals the plain I/O
 // count on every sort machine, and the two permutation bounds agree in
@@ -88,8 +88,8 @@ int main(int argc, char** argv) try {
     }
   }
   emit(t, "omega = 1 sanity (AEM == EM):", io.csv);
-  std::cout << "PASS criterion: LBs_equal = yes everywhere; aware and\n"
-               "oblivious sorts within a small constant of each other.\n\n";
+  std::cout << "PASS criterion: LBs_equal = yes everywhere; Q = reads +\n"
+               "writes on every sort machine.\n\n";
   if (!ok) {
     std::cerr << "bench_e10_ablation: FAILED (omega=1 cost identity or "
                  "permutation-bound equality broken)\n";

@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "store_workload.hpp"
 #include "core/sharding.hpp"
 #include "store/kv_store.hpp"
 
@@ -68,53 +69,6 @@ struct Cell {
   IndexKind index;
   std::uint64_t pct;  // crash point as % of the uncrashed build's writes
 };
-
-struct Workload {
-  std::vector<Slot> slots;
-  std::vector<std::uint64_t> payload;
-  std::vector<std::uint64_t> keys;
-};
-
-/// Same mix as bench_k1_store: ~10% empty, ~65% inline, ~25% spilled,
-/// ~15% overwrites.
-Workload make_workload(std::size_t records, std::uint64_t seed) {
-  util::Rng rng(seed);
-  Workload w;
-  w.slots.reserve(records);
-  w.keys.reserve(records);
-  for (std::size_t i = 0; i < records; ++i) {
-    std::uint64_t key;
-    if (i > 0 && rng.below(100) < 15) {
-      key = w.keys[rng.below(i)];
-    } else {
-      key = rng.next() & ~1ull;
-    }
-    w.keys.push_back(key);
-    Slot s;
-    s.key = key;
-    const std::uint64_t kind = rng.below(100);
-    if (kind < 10) {
-      s.len = 0;
-    } else if (kind < 75) {
-      s.len = 1;
-      s.pos = rng.next();
-    } else {
-      s.len = 2 + rng.below(2 * kB - 1);
-      s.pos = w.payload.size();
-      for (std::uint64_t j = 0; j < s.len; ++j) w.payload.push_back(rng.next());
-    }
-    w.slots.push_back(s);
-  }
-  return w;
-}
-
-void stage(Machine& mach, const Workload& w, ExtArray<Slot>& slots,
-           ExtArray<std::uint64_t>& payload) {
-  slots = ExtArray<Slot>(mach, w.slots.size(), "input.slots");
-  slots.unsafe_host_fill(std::span<const Slot>(w.slots));
-  payload = ExtArray<std::uint64_t>(mach, w.payload.size(), "input.payload");
-  payload.unsafe_host_fill(std::span<const std::uint64_t>(w.payload));
-}
 
 StoreConfig durable_cfg(IndexKind index, std::size_t interval = kInterval) {
   StoreConfig cfg;
@@ -146,7 +100,7 @@ struct CellResult {
   std::uint64_t rec_writes = 0;
 };
 
-CellResult run_cell(const Workload& w, const Cell& c,
+CellResult run_cell(const StoreWorkload& w, const Cell& c,
                     harness::PointContext& ctx) {
   CellResult r;
 
@@ -239,7 +193,8 @@ int main(int argc, char** argv) try {
          "manifest recovery at a bounded write bill, and outage-degraded "
          "serving");
 
-  const Workload w = make_workload(kRecords, io.seed * 1000003 + kRecords);
+  const StoreWorkload w =
+      make_store_workload(kRecords, io.seed * 1000003 + kRecords, kB);
 
   const std::uint64_t omegas[] = {1, 8, 64};
   const IndexKind kinds[] = {IndexKind::kFence, IndexKind::kCompact};

@@ -46,6 +46,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "store_workload.hpp"
 #include "core/sharding.hpp"
 #include "store/kv_store.hpp"
 
@@ -69,61 +70,10 @@ struct Cell {
   std::size_t cache_cap;
 };
 
-/// One store workload: headers + payload staged host-side, plus the even
-/// keys actually present (odd keys are guaranteed misses).
-struct Workload {
-  std::vector<Slot> slots;
-  std::vector<std::uint64_t> payload;
-  std::vector<std::uint64_t> keys;  // one entry per record (with duplicates)
-};
-
-/// Mix: ~10% empty values, ~65% inline, ~25% spilled at 2..2B words; ~15%
-/// of records overwrite an earlier key.  Deterministic in (seed, records)
-/// only, so every cell of one records size serves the same store and the
-/// cross-cell guards (index bits, construction I/O) compare like with like.
-Workload make_workload(std::size_t records, std::uint64_t seed) {
-  util::Rng rng(seed);
-  Workload w;
-  w.slots.reserve(records);
-  w.keys.reserve(records);
-  for (std::size_t i = 0; i < records; ++i) {
-    std::uint64_t key;
-    if (i > 0 && rng.below(100) < 15) {
-      key = w.keys[rng.below(i)];
-    } else {
-      key = rng.next() & ~1ull;
-    }
-    w.keys.push_back(key);
-    Slot s;
-    s.key = key;
-    const std::uint64_t kind = rng.below(100);
-    if (kind < 10) {
-      s.len = 0;
-    } else if (kind < 75) {
-      s.len = 1;
-      s.pos = rng.next();
-    } else {
-      s.len = 2 + rng.below(2 * kB - 1);
-      s.pos = w.payload.size();
-      for (std::uint64_t j = 0; j < s.len; ++j) w.payload.push_back(rng.next());
-    }
-    w.slots.push_back(s);
-  }
-  return w;
-}
-
 Config cell_config(const Cell& c) {
   Config cfg = make_config(kM, kB, c.omega);
   cfg.cache.capacity_blocks = c.cache_cap;
   return cfg;
-}
-
-void stage(Machine& mach, const Workload& w, ExtArray<Slot>& slots,
-           ExtArray<std::uint64_t>& payload) {
-  slots = ExtArray<Slot>(mach, w.slots.size(), "input.slots");
-  slots.unsafe_host_fill(std::span<const Slot>(w.slots));
-  payload = ExtArray<std::uint64_t>(mach, w.payload.size(), "input.payload");
-  payload.unsafe_host_fill(std::span<const std::uint64_t>(w.payload));
 }
 
 struct CellResult {
@@ -133,7 +83,7 @@ struct CellResult {
   bool full_scan_ok = false;    // full scan visited every record
 };
 
-CellResult run_cell(const Workload& w, const Cell& c,
+CellResult run_cell(const StoreWorkload& w, const Cell& c,
                     harness::PointContext& ctx) {
   Machine mach(cell_config(c));
   ExtArray<Slot> slots;
@@ -203,9 +153,9 @@ int main(int argc, char** argv) try {
   const std::size_t caps[] = {0, 64};
 
   // One workload per records size, shared by every cell of that size.
-  std::map<std::size_t, Workload> workloads;
+  std::map<std::size_t, StoreWorkload> workloads;
   for (std::size_t n : record_sizes)
-    workloads.emplace(n, make_workload(n, io.seed * 1000003 + n));
+    workloads.emplace(n, make_store_workload(n, io.seed * 1000003 + n, kB));
 
   std::vector<Cell> cells;
   for (std::size_t n : record_sizes)
@@ -321,7 +271,7 @@ int main(int argc, char** argv) try {
   {
     const std::size_t n = 2048;
     util::Rng rng(io.seed + 77);
-    Workload w;
+    StoreWorkload w;
     for (std::size_t i = 0; i < n; ++i) {
       const std::uint64_t key = rng.next() & ~1ull;
       w.keys.push_back(key);
@@ -360,7 +310,7 @@ int main(int argc, char** argv) try {
 
   // --- sharded build + serve ----------------------------------------------
   {
-    const Workload& w = workloads.at(record_sizes.front());
+    const StoreWorkload& w = workloads.at(record_sizes.front());
     auto serve = [&](Machine& mach, KvStore& kv,
                      std::vector<std::optional<std::vector<std::uint64_t>>>&
                          out) {

@@ -18,9 +18,8 @@
 //                         request sequence.
 //  * admission control  — a per-window Q budget on a plain machine: the
 //                         engine rejects batches once a window's budget is
-//                         spent (BudgetExceeded -> rejection, charging
-//                         nothing), and an unbudgeted twin serves the whole
-//                         stream.
+//                         spent (each rejection charging nothing), and an
+//                         unbudgeted twin serves the whole stream.
 //  * degraded serving   — the same stream against a calm array and one with
 //                         a device outage window armed mid-stream: waiting
 //                         reads charge backoff polls into the served tail.
@@ -49,6 +48,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "store_workload.hpp"
 #include "core/sharding.hpp"
 #include "store/kv_store.hpp"
 #include "traffic/engine.hpp"
@@ -85,14 +85,9 @@ struct Cell {
 /// key.  ~10% of values spill (2..8 words) so puts orphan payload words;
 /// the rest are inline.  Deterministic in `seed` alone: every sweep cell
 /// serves the identical store.
-struct Workload {
-  std::vector<Slot> slots;
-  std::vector<std::uint64_t> payload;
-};
-
-Workload make_workload(std::uint64_t seed) {
+StoreWorkload make_workload(std::uint64_t seed) {
   util::Rng rng(seed);
-  Workload w;
+  StoreWorkload w;
   w.slots.reserve(kRecords);
   for (std::size_t i = 0; i < kRecords; ++i) {
     Slot s;
@@ -108,14 +103,6 @@ Workload make_workload(std::uint64_t seed) {
     w.slots.push_back(s);
   }
   return w;
-}
-
-void stage(Machine& mach, const Workload& w, ExtArray<Slot>& slots,
-           ExtArray<std::uint64_t>& payload) {
-  slots = ExtArray<Slot>(mach, w.slots.size(), "input.slots");
-  slots.unsafe_host_fill(std::span<const Slot>(w.slots));
-  payload = ExtArray<std::uint64_t>(mach, w.payload.size(), "input.payload");
-  payload.unsafe_host_fill(std::span<const std::uint64_t>(w.payload));
 }
 
 TrafficConfig stream_config(KeyDist dist, double write_fraction) {
@@ -150,7 +137,7 @@ struct CellResult {
   TrafficMetrics tm;
 };
 
-CellResult run_cell(const Workload& w, const Cell& c, std::uint64_t seed,
+CellResult run_cell(const StoreWorkload& w, const Cell& c, std::uint64_t seed,
                     harness::PointContext& ctx) {
   ShardConfig sc;
   sc.frontend = make_config(kM, kB, kOmega);
@@ -211,7 +198,7 @@ int main(int argc, char** argv) try {
          "placement-invariant frontend cost vs device-load imbalance, and "
          "per-window SLO admission control");
 
-  const Workload w = make_workload(io.seed * 7919 + 5);
+  const StoreWorkload w = make_workload(io.seed * 7919 + 5);
 
   std::vector<KeyDist> dists = {KeyDist::kZipf, KeyDist::kHotSet};
   if (io.full) dists.push_back(KeyDist::kUniform);

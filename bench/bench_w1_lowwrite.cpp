@@ -48,6 +48,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "store_workload.hpp"
 #include "pq/ext_pq.hpp"
 #include "sort/budget.hpp"
 #include "sort/lowwrite_samplesort.hpp"
@@ -223,10 +224,7 @@ struct PutsCell {
 
 constexpr std::size_t kPutRecords = 2048;
 
-struct PutsWorkload {
-  std::vector<Slot> slots;
-  std::vector<std::uint64_t> payload;
-  std::vector<std::uint64_t> keys;  // stored keys (even)
+struct PutsWorkload : StoreWorkload {
   std::vector<std::pair<std::uint64_t, std::uint64_t>> ops;
 };
 
@@ -272,10 +270,9 @@ struct PutsResult {
 PutsResult run_puts(const Config& cfg, const PutsWorkload& w, bool batched,
                     const std::string& label) {
   Machine mach(cfg);
-  ExtArray<Slot> slots(mach, w.slots.size(), "input.slots");
-  slots.unsafe_host_fill(std::span<const Slot>(w.slots));
-  ExtArray<std::uint64_t> payload(mach, w.payload.size(), "input.payload");
-  payload.unsafe_host_fill(std::span<const std::uint64_t>(w.payload));
+  ExtArray<Slot> slots;
+  ExtArray<std::uint64_t> payload;
+  stage(mach, w, slots, payload);
 
   KvStore kv(mach, StoreConfig{IndexKind::kFence});
   kv.build(slots, payload);

@@ -186,8 +186,8 @@ int main(int argc, char** argv) try {
   //    small KV store over the sorted data, then drive a deterministic
   //    Zipf-skewed get/put stream through it with a TrafficEngine: every
   //    request's charged Q lands in a histogram (p50/p99/p999), and a
-  //    per-window Q budget turns BudgetExceeded into admission control —
-  //    rejected requests charge nothing.  See docs/MODEL.md section 16.
+  //    per-window Q budget is admission control — rejected requests charge
+  //    nothing.  See docs/MODEL.md section 16.
   Machine serving(cfg);
   {
     const std::size_t records = 1024;

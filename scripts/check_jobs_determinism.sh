@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The harness's observable contract, checked end-to-end on real binaries:
 # every experiment's stdout, CSV, and metrics log must be BYTE-identical at
-# --jobs=1 and --jobs=4 (docs/MODEL.md section 12).
+# --jobs=1 and --jobs=4, and at --jobs=16 for the batching benches
+# (docs/MODEL.md section 12).
 #
 # Usage: scripts/check_jobs_determinism.sh [build-dir] [bench ...]
 #   With no bench names, checks a representative fast subset.
@@ -20,6 +21,17 @@ fi
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
 
+# bench_t1_traffic groups requests into admission windows and
+# bench_w1_lowwrite groups puts into page-group batches; how the sweep splits
+# those cells across workers must never leak into the output, so they also
+# run at a deeper fan-out.
+jobs_for() {
+  case "$1" in
+    bench_t1_traffic|bench_w1_lowwrite) echo "1 4 16" ;;
+    *) echo "1 4" ;;
+  esac
+}
+
 fail=0
 for name in "${BENCHES[@]}"; do
   bin="$BUILD_DIR/bench/$name"
@@ -27,54 +39,25 @@ for name in "${BENCHES[@]}"; do
     echo "SKIP $name (not built)"
     continue
   fi
-  for jobs in 1 4; do
+  read -r -a jobs_list <<< "$(jobs_for "$name")"
+  for jobs in "${jobs_list[@]}"; do
     "$bin" --jobs="$jobs" \
            --csv="$WORK/$name.$jobs.csv" \
            --metrics="$WORK/$name.$jobs.jsonl" \
            > "$WORK/$name.$jobs.out"
   done
   ok=1
-  for ext in csv jsonl out; do
-    if ! cmp -s "$WORK/$name.1.$ext" "$WORK/$name.4.$ext"; then
-      echo "FAIL $name: $ext differs between --jobs=1 and --jobs=4"
-      diff "$WORK/$name.1.$ext" "$WORK/$name.4.$ext" | head -10 || true
-      ok=0
-      fail=1
-    fi
-  done
-  [[ $ok -eq 1 ]] && echo "OK   $name (stdout, csv, metrics byte-identical)"
-done
-
-# Deep fan-out phase: bench_t1_traffic groups requests into admission
-# windows and bench_w1_lowwrite groups puts into page-group batches; how
-# the sweep splits those cells across workers must never leak into the
-# output.  Deeper jobs fan-out than the sweep above: 1 vs 4 vs 16.
-for batched in bench_t1_traffic bench_w1_lowwrite; do
-  bin="$BUILD_DIR/bench/$batched"
-  if [[ ! -x "$bin" ]]; then
-    echo "SKIP $batched 1/4/16 phase (not built)"
-    continue
-  fi
-  for jobs in 1 4 16; do
-    "$bin" --jobs="$jobs" \
-           --csv="$WORK/$batched.batched.$jobs.csv" \
-           --metrics="$WORK/$batched.batched.$jobs.jsonl" \
-           > "$WORK/$batched.batched.$jobs.out"
-  done
-  ok=1
-  for jobs in 4 16; do
+  for jobs in "${jobs_list[@]:1}"; do
     for ext in csv jsonl out; do
-      if ! cmp -s "$WORK/$batched.batched.1.$ext" \
-                  "$WORK/$batched.batched.$jobs.$ext"; then
-        echo "FAIL $batched: $ext differs between --jobs=1 and --jobs=$jobs"
-        diff "$WORK/$batched.batched.1.$ext" \
-             "$WORK/$batched.batched.$jobs.$ext" | head -10 || true
+      if ! cmp -s "$WORK/$name.1.$ext" "$WORK/$name.$jobs.$ext"; then
+        echo "FAIL $name: $ext differs between --jobs=1 and --jobs=$jobs"
+        diff "$WORK/$name.1.$ext" "$WORK/$name.$jobs.$ext" | head -10 || true
         ok=0
         fail=1
       fi
     done
   done
-  [[ $ok -eq 1 ]] && echo "OK   $batched (batched path byte-identical at --jobs=1/4/16)"
+  [[ $ok -eq 1 ]] && echo "OK   $name (stdout, csv, metrics byte-identical at --jobs=$(IFS=/; echo "${jobs_list[*]}"))"
 done
 
 if [[ $fail -ne 0 ]]; then

@@ -15,14 +15,7 @@ const char* to_string(CachePolicy p) {
   return "?";
 }
 
-void CacheConfig::validate() const {
-  if (clean_window > capacity_blocks)
-    throw std::invalid_argument(
-        "CacheConfig: clean_window exceeds capacity_blocks");
-}
-
 BlockCache::BlockCache(CacheConfig cfg, std::uint64_t omega) : cfg_(cfg) {
-  cfg_.validate();
   if (cfg_.capacity_blocks == 0)
     throw std::invalid_argument(
         "BlockCache: capacity 0 is bypass mode — install no cache instead");
@@ -34,16 +27,12 @@ BlockCache::BlockCache(CacheConfig cfg, std::uint64_t omega) : cfg_(cfg) {
   free_.resize(cfg_.capacity_blocks);
   for (std::size_t i = 0; i < free_.size(); ++i)
     free_[i] = static_cast<std::uint32_t>(free_.size() - 1 - i);
-  if (cfg_.policy == CachePolicy::kCleanFirst) {
-    if (cfg_.clean_window != 0) {
-      window_ = cfg_.clean_window;
-    } else if (omega > 1) {
-      const std::size_t cap = cfg_.capacity_blocks;
-      window_ = cap - std::max<std::size_t>(
-                          1, cap / static_cast<std::size_t>(
-                                 std::min<std::uint64_t>(omega, cap)));
-    }
-    // omega == 1: window stays 0 and the policy is exact LRU.
+  // omega == 1: the window stays 0 and kCleanFirst is exact LRU.
+  if (cfg_.policy == CachePolicy::kCleanFirst && omega > 1) {
+    const std::size_t cap = cfg_.capacity_blocks;
+    window_ = cap - std::max<std::size_t>(
+                        1, cap / static_cast<std::size_t>(
+                               std::min<std::uint64_t>(omega, cap)));
   }
 }
 
@@ -166,7 +155,7 @@ void BlockCache::evict_one() {
           "BlockCache::evict_one: dirty block " + std::to_string(f.block) +
           " of array " + std::to_string(f.array) +
           " has no write-back sink (array destroyed or never registered)");
-    // May throw (BudgetExceeded, FaultError): nothing has been mutated
+    // May throw (CrashError, FaultError): nothing has been mutated
     // yet, so the victim simply stays resident and dirty.
     sinks_[f.array]->cache_write_back(f.block);
     ++stats_.write_backs;

@@ -59,17 +59,6 @@ struct CacheConfig {
   std::size_t capacity_blocks = 0;
 
   CachePolicy policy = CachePolicy::kLru;
-
-  /// kCleanFirst only: how many blocks, counted from the cold (LRU) end,
-  /// are scanned for a clean victim before the true LRU block is evicted.
-  /// 0 = derive from the machine's omega at install time:
-  /// capacity - max(1, capacity/omega), which is 0 (exact LRU) at omega = 1
-  /// and approaches capacity - 1 (protect only the MRU block) as omega
-  /// grows.  Ignored by kLru / kClock.
-  std::size_t clean_window = 0;
-
-  /// Throws std::invalid_argument on an inconsistent configuration.
-  void validate() const;
 };
 
 /// Counters of everything the cache did.  Flows into the metrics snapshot
@@ -96,7 +85,7 @@ struct CacheStats {
 /// and per-array write-back sinks.  Holds metadata only — the cached bytes
 /// live in the owning ExtArray, which registers a Sink so evictions can
 /// push dirty blocks back through the charged (and possibly faulty) device
-/// write path.  Owned by Machine (Machine::install_cache); consulted by
+/// write path.  Owned by Machine (built from Config::cache); consulted by
 /// ExtArray on every block transfer.  Deterministic: identical op
 /// sequences produce identical hits, victims, and charges.
 class BlockCache {
@@ -114,7 +103,7 @@ class BlockCache {
     ~Sink() = default;
   };
 
-  /// `omega` parameterizes the kCleanFirst auto window; capacity must be
+  /// `omega` parameterizes the kCleanFirst window; capacity must be
   /// nonzero (capacity 0 means bypass — don't construct a cache at all).
   BlockCache(CacheConfig cfg, std::uint64_t omega);
 
@@ -123,7 +112,11 @@ class BlockCache {
 
   const CacheConfig& config() const { return cfg_; }
   std::size_t capacity() const { return frames_.size(); }
-  /// The effective kCleanFirst window (0 for other policies).
+  /// The kCleanFirst window: how many blocks, counted from the cold (LRU)
+  /// end, may hold the clean victim before the true LRU block is evicted.
+  /// capacity - max(1, capacity/omega): 0 (exact LRU) at omega = 1, up to
+  /// capacity - 1 (protect only the MRU block) as omega grows; 0 for the
+  /// other policies.
   std::size_t window() const { return window_; }
 
   const CacheStats& stats() const { return stats_; }
@@ -169,7 +162,7 @@ class BlockCache {
   /// Makes `block` resident (it must not already be), evicting a victim if
   /// the pool is full.  A dirty victim is written back through its sink
   /// BEFORE the insertion mutates anything, so an exception thrown by the
-  /// write-back (BudgetExceeded, FaultError) leaves the victim resident
+  /// write-back (CrashError, FaultError) leaves the victim resident
   /// and dirty, and the new block simply not cached.  `sink` is remembered
   /// as the array's write-back target.
   void insert(std::uint32_t array, std::uint64_t block, bool dirty,

@@ -12,7 +12,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <stdexcept>
 
 #include "core/cache.hpp"
@@ -27,13 +26,8 @@ struct Config {
   std::size_t block_elems = 16;
   /// Cost of one block write relative to one block read (the paper's omega).
   std::uint64_t write_cost = 1;
-  /// If true, exceeding the internal memory capacity throws CapacityError.
-  bool strict = true;
-  /// Capacity multiplier: Lemma 4.1 simulates a program on a 2M machine, so
-  /// round-based replays set this to 2.  Capacity = memory_elems * factor.
-  double capacity_factor = 1.0;
   /// Optional write-back block cache (core/cache.hpp).  The default —
-  /// capacity 0 — is strict bypass: no pool is created and the I/O path is
+  /// capacity 0 — is bypass: no pool is created and the I/O path is
   /// byte-identical to the uncached machine.
   CacheConfig cache{};
 
@@ -45,33 +39,12 @@ struct Config {
     return util::ceil_div(elems, block_elems);
   }
 
-  /// Effective internal-memory capacity in elements.  Integral factors —
-  /// and in particular factor 2, the only case Lemma 4.1's round-based
-  /// replay needs — are computed in pure integer arithmetic (saturating at
-  /// SIZE_MAX): routing M through a double loses low bits once M exceeds
-  /// 2^53, which would silently shrink (or grow) the 2M replay machine.
-  std::size_t capacity() const {
-    constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
-    const auto whole = static_cast<std::size_t>(capacity_factor);
-    if (capacity_factor == static_cast<double>(whole)) {
-      std::size_t cap = 0;
-      if (__builtin_mul_overflow(memory_elems, whole, &cap)) return kMax;
-      return cap;
-    }
-    const double cap = static_cast<double>(memory_elems) * capacity_factor;
-    if (cap >= static_cast<double>(kMax)) return kMax;
-    return static_cast<std::size_t>(cap);
-  }
-
   /// Throws std::invalid_argument unless M >= B >= 1 and omega >= 1.
   void validate() const {
     if (block_elems == 0) throw std::invalid_argument("B must be >= 1");
     if (memory_elems < block_elems)
       throw std::invalid_argument("M must be >= B");
     if (write_cost == 0) throw std::invalid_argument("omega must be >= 1");
-    if (capacity_factor < 1.0)
-      throw std::invalid_argument("capacity_factor must be >= 1");
-    cache.validate();
   }
 };
 

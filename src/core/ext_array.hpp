@@ -504,23 +504,9 @@ class ExtArray : private BlockCache::Sink {
     }
   }
 
-  /// Deterministic backoff before retry `attempt` (RetryPolicy::backoff,
-  /// 1-based): each poll is one charged read through the normal machine
-  /// path — waiting out a flaky device costs real I/O time.  With
-  /// backoff_base 0 (the default) this is a no-op and retry charges stay
-  /// byte-identical to the pre-reliability-layer library.
-  void charge_backoff(FaultPolicy& fp, const RetryPolicy& retry,
-                      std::uint64_t charge_block, std::size_t attempt) const {
-    const std::uint64_t polls = retry.backoff(attempt);
-    if (polls == 0) return;
-    fp.note_backoff(polls);
-    for (std::uint64_t i = 0; i < polls; ++i) mach_->on_read(id_, charge_block);
-  }
-
   IoTicket faulty_read(FaultPolicy& fp, std::uint64_t bi, T* dst,
                        std::size_t count) const {
     const Recovery& rec = recovery(fp);
-    const RetryPolicy retry = fp.retry();
     std::size_t attempt = 0;
     for (;;) {
       const PhysLoc loc = locate(bi);
@@ -535,13 +521,12 @@ class ExtArray : private BlockCache::Sink {
           delivered_clean(rec, bi, dst, count, injected))
         return t;
       fp.note_checksum_failure();
-      if (retry.exhausted(attempt))
+      if (attempt >= fp.config().max_retries)
         throw FaultError(/*is_write=*/false, id_, bi, attempt + 1,
                          "checksum mismatch persists (stored block corrupt "
                          "or fault rate too high for the retry budget)");
       ++attempt;
       fp.note_read_retry();
-      charge_backoff(fp, retry, loc.charge, attempt);
     }
   }
 
@@ -549,7 +534,6 @@ class ExtArray : private BlockCache::Sink {
                        std::span<const T> src, std::size_t count) {
     Recovery& rec = recovery(fp);
     const std::size_t B = mach_->B();
-    const RetryPolicy retry = fp.retry();
     std::size_t attempt = 0;  // failures on the current physical block
     for (;;) {
       const PhysLoc loc = locate(bi);
@@ -605,13 +589,12 @@ class ExtArray : private BlockCache::Sink {
         attempt = 0;
         continue;
       }
-      if (retry.exhausted(attempt))
+      if (attempt >= fp.config().max_retries)
         throw FaultError(/*is_write=*/true, id_, bi, attempt + 1,
                          "verify-after-write keeps failing (fault rate too "
                          "high for the retry budget)");
       ++attempt;
       fp.note_write_retry();
-      charge_backoff(fp, retry, loc.charge, attempt);
     }
   }
 

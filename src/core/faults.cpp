@@ -51,23 +51,7 @@ void FaultConfig::validate() const {
   if (silent_write_rate + torn_write_rate > 1.0)
     throw std::invalid_argument(
         "FaultConfig: silent_write_rate + torn_write_rate must be <= 1");
-  if (retry_backoff_base != 0 && retry_backoff_cap < retry_backoff_base)
-    throw std::invalid_argument(
-        "FaultConfig: retry_backoff_cap must be >= retry_backoff_base");
 }
-
-BudgetExceeded::BudgetExceeded(Kind kind, std::uint64_t limit,
-                               std::uint64_t observed, IoStats at)
-    : std::runtime_error(
-          std::string("budget exceeded: ") +
-          (kind == Kind::kCost ? "cost Q = " : "total I/Os = ") +
-          std::to_string(observed) + " > ceiling " + std::to_string(limit) +
-          " (reads=" + std::to_string(at.reads) +
-          " writes=" + std::to_string(at.writes) + ")"),
-      kind_(kind),
-      limit_(limit),
-      observed_(observed),
-      at_(at) {}
 
 CrashError::CrashError(std::uint64_t after_writes, IoStats at)
     : std::runtime_error("power cut: crash point hit after " +
@@ -129,8 +113,6 @@ void FaultPolicy::reset() {
   writes_.clear();
   crash_arm_ = cfg_.crash_after_writes;
   crashes_fired_ = 0;
-  retry_attempts_ = 0;
-  backoff_ios_ = 0;
 }
 
 void FaultPolicy::fire_crash(const IoStats& at) {
@@ -195,11 +177,6 @@ std::uint64_t FaultPolicy::lifetime_writes(std::uint32_t array,
   if (array >= writes_.size()) return 0;
   const auto& blocks = writes_[array];
   return block < blocks.size() ? blocks[block] : 0;
-}
-
-void FaultPolicy::throw_budget(BudgetExceeded::Kind kind, std::uint64_t limit,
-                               std::uint64_t observed, IoStats at) {
-  throw BudgetExceeded(kind, limit, observed, at);
 }
 
 }  // namespace aem

@@ -14,9 +14,8 @@
 //  * endurance retirement   — after `endurance` lifetime writes a physical
 //    block wears out permanently: further writes to it do not take effect
 //    and the recovery layer must migrate the block to a spare (core/remap);
-//  * budget ceilings        — hard caps on Q and on total I/Os that abort a
-//    runaway computation with a structured BudgetExceeded instead of
-//    running forever.
+//  * power cuts             — the machine loses power after an exact number
+//    of charged writes (CrashError).
 //
 // Every fault decision is drawn from a counter-based SplitMix64 stream, so
 // an identical (seed, config, program) triple reproduces the exact same
@@ -80,12 +79,6 @@ struct FaultConfig {
   /// retrying (charged) on mismatch.
   bool checksum_reads = true;
 
-  /// Hard ceiling on Q = Q_r + omega*Q_w; exceeding it throws
-  /// BudgetExceeded from the machine.  0 = unlimited.
-  std::uint64_t max_cost = 0;
-  /// Hard ceiling on total I/Os (reads + writes).  0 = unlimited.
-  std::uint64_t max_ios = 0;
-
   /// Deterministic power-cut point: once the machine's charged write
   /// counter reaches this value, the policy throws CrashError from the
   /// write hot path.  The Nth write is charged (and, on the plain path,
@@ -94,47 +87,8 @@ struct FaultConfig {
   /// until reset().  0 = unarmed.
   std::uint64_t crash_after_writes = 0;
 
-  /// Deterministic exponential backoff charged before retry attempt k of
-  /// the recovery layer: min(retry_backoff_base << (k-1),
-  /// retry_backoff_cap) poll reads, charged through the normal machine
-  /// path.  0 (the default) charges nothing — retries stay byte-identical
-  /// to the pre-reliability-layer behavior.
-  std::uint64_t retry_backoff_base = 0;
-  std::uint64_t retry_backoff_cap = 64;
-
   /// Throws std::invalid_argument on out-of-range rates.
   void validate() const;
-};
-
-/// Bounded-retry / deterministic-backoff schedule shared by every retry
-/// loop in the library (ExtArray read checksums and verify-after-write,
-/// BlockCache flush write-backs — both derive theirs from
-/// FaultPolicy::retry() — and ShardedMachine outage waits).  Attempt
-/// numbering: the initial try is attempt 0; retry k (1-based) is preceded
-/// by backoff(k) charged poll I/Os.
-struct RetryPolicy {
-  /// Retries after the initial attempt; attempt >= max_retries is
-  /// exhausted (so a loop performs at most max_retries + 1 attempts).
-  std::size_t max_retries = 4;
-
-  /// Polls charged before retry k: min(backoff_base << (k-1), backoff_cap).
-  /// 0 = no backoff charges.
-  std::uint64_t backoff_base = 0;
-  std::uint64_t backoff_cap = 64;
-
-  bool exhausted(std::size_t attempt) const { return attempt >= max_retries; }
-
-  /// Backoff (in charged poll I/Os) before retry `attempt` (1-based).
-  std::uint64_t backoff(std::size_t attempt) const {
-    if (backoff_base == 0 || attempt == 0) return 0;
-    const std::size_t shift = attempt - 1;
-    if (shift >= 64 || (backoff_base << shift) >> shift != backoff_base)
-      return backoff_cap;
-    const std::uint64_t v = backoff_base << shift;
-    return v < backoff_cap ? v : backoff_cap;
-  }
-
-  friend bool operator==(const RetryPolicy&, const RetryPolicy&) = default;
 };
 
 /// Counters of everything the fault/recovery machinery did.  Flows into the
@@ -169,30 +123,6 @@ struct RecoveryStats {
   std::uint64_t writes = 0;  // charged writes across all passes
   std::uint64_t cost = 0;    // Q = reads + omega*writes across all passes
   friend bool operator==(const RecoveryStats&, const RecoveryStats&) = default;
-};
-
-/// Thrown by the machine when a configured cost / I/O ceiling is exceeded.
-/// The machine's counters remain valid and queryable, so the catcher can
-/// snapshot the full state at the point of abort.
-class BudgetExceeded : public std::runtime_error {
- public:
-  enum class Kind { kCost, kIos };
-
-  BudgetExceeded(Kind kind, std::uint64_t limit, std::uint64_t observed,
-                 IoStats at);
-
-  Kind kind() const { return kind_; }
-  std::uint64_t limit() const { return limit_; }
-  std::uint64_t observed() const { return observed_; }
-  /// The machine's I/O counters at the moment of the abort (the op that
-  /// crossed the ceiling is included).
-  IoStats at() const { return at_; }
-
- private:
-  Kind kind_;
-  std::uint64_t limit_;
-  std::uint64_t observed_;
-  IoStats at_;
 };
 
 /// Thrown from the write hot path when the configured power-cut point
@@ -261,22 +191,13 @@ class FaultPolicy {
   void reset();
 
   /// True if any fault kind can actually fire (rates or endurance set).
-  /// False for a pure budget-watchdog policy.  A crash-only schedule does
-  /// NOT count: a power cut interrupts the program but never corrupts a
-  /// completed transfer, so it must not switch ExtArray onto the
-  /// checksummed path (whose extra verify charges would break the
-  /// crash-unarmed byte-identity guarantee).
+  /// A crash-only schedule does NOT count: a power cut interrupts the
+  /// program but never corrupts a completed transfer, so it must not switch
+  /// ExtArray onto the checksummed path (whose extra verify charges would
+  /// break the crash-unarmed byte-identity guarantee).
   bool injects_faults() const {
     return read_thresh_ != 0 || silent_thresh_ != 0 || torn_thresh_ != 0 ||
            cfg_.endurance != 0;
-  }
-  bool has_ceiling() const { return cfg_.max_cost != 0 || cfg_.max_ios != 0; }
-
-  /// The retry/backoff schedule every recovery loop on this machine obeys
-  /// (ExtArray read/write retries, cache flush write-backs).
-  RetryPolicy retry() const {
-    return RetryPolicy{cfg_.max_retries, cfg_.retry_backoff_base,
-                       cfg_.retry_backoff_cap};
   }
 
   /// True while the power-cut schedule is armed and has not fired yet.
@@ -305,32 +226,15 @@ class FaultPolicy {
   void note_verify_failure() { ++stats_.verify_failures; }
   void note_checksum_failure() { ++stats_.checksum_failures; }
   void note_remap() { ++stats_.remaps; }
-  /// One backoff wait of `polls` charged poll I/Os (the polls themselves go
-  /// through the normal machine path; this only counts them for metrics).
-  void note_backoff(std::uint64_t polls) {
-    ++retry_attempts_;
-    backoff_ios_ += polls;
-  }
-  std::uint64_t retry_attempts() const { return retry_attempts_; }
-  std::uint64_t backoff_ios() const { return backoff_ios_; }
 
-  // --- ceilings + crash schedule (machine hot path) -----------------------
-  /// Throws BudgetExceeded if the counters are past a configured ceiling,
-  /// or CrashError if the armed power-cut point has been reached (the
+  // --- crash schedule (machine hot path) ----------------------------------
+  /// Throws CrashError if the armed power-cut point has been reached (the
   /// schedule disarms itself as it fires — one cut per arm).
-  void check_budget(const IoStats& s, std::uint64_t omega) {
-    if (cfg_.max_cost != 0 && s.cost(omega) > cfg_.max_cost)
-      throw_budget(BudgetExceeded::Kind::kCost, cfg_.max_cost, s.cost(omega),
-                   s);
-    if (cfg_.max_ios != 0 && s.total_ios() > cfg_.max_ios)
-      throw_budget(BudgetExceeded::Kind::kIos, cfg_.max_ios, s.total_ios(), s);
+  void check_budget(const IoStats& s) {
     if (crash_arm_ != 0 && s.writes >= crash_arm_) fire_crash(s);
   }
 
  private:
-  [[noreturn]] static void throw_budget(BudgetExceeded::Kind kind,
-                                        std::uint64_t limit,
-                                        std::uint64_t observed, IoStats at);
   [[noreturn]] void fire_crash(const IoStats& at);
 
   std::uint64_t draw(std::uint64_t salt);
@@ -343,8 +247,6 @@ class FaultPolicy {
   std::uint64_t counter_ = 0;
   std::uint64_t crash_arm_ = 0;  // remaining power-cut point; 0 = unarmed
   std::uint64_t crashes_fired_ = 0;
-  std::uint64_t retry_attempts_ = 0;  // backoff waits performed
-  std::uint64_t backoff_ios_ = 0;     // charged backoff poll I/Os
   FaultStats stats_;
   // writes_[array][block] = lifetime write count (dense, like the machine's
   // wear histogram; spare blocks get ids just past the logical range).

@@ -3,9 +3,9 @@
 // Every internal-memory residency in aemlib flows through a MemoryLedger:
 // algorithms hold buffers only via RAII MemoryReservation objects, so the
 // ledger's high-water mark is a sound upper bound on the number of elements
-// an algorithm ever keeps in internal memory.  Tests run machines in strict
-// mode, where exceeding the capacity throws, turning a memory-budget bug in
-// an algorithm into a hard failure instead of a silently wrong cost claim.
+// an algorithm ever keeps in internal memory.  Exceeding the capacity M
+// throws, turning a memory-budget bug in an algorithm into a hard failure
+// instead of a silently wrong cost claim.
 #pragma once
 
 #include <cstddef>
@@ -14,7 +14,7 @@
 
 namespace aem {
 
-/// Thrown in strict mode when an acquisition would exceed the capacity M.
+/// Thrown when an acquisition would exceed the capacity M.
 class CapacityError : public std::runtime_error {
  public:
   CapacityError(std::size_t requested, std::size_t used, std::size_t capacity);
@@ -31,14 +31,13 @@ class CapacityError : public std::runtime_error {
 
 class MemoryLedger {
  public:
-  MemoryLedger(std::size_t capacity_elems, bool strict)
-      : capacity_(capacity_elems), strict_(strict) {}
+  explicit MemoryLedger(std::size_t capacity_elems)
+      : capacity_(capacity_elems) {}
 
-  /// Registers `elems` additional resident elements.  In strict mode throws
-  /// CapacityError if the capacity would be exceeded; otherwise the
-  /// high-water mark still records the overshoot.
+  /// Registers `elems` additional resident elements.  Throws CapacityError
+  /// if the capacity would be exceeded.
   void acquire(std::size_t elems) {
-    if (strict_ && used_ + elems > capacity_)
+    if (used_ + elems > capacity_)
       throw CapacityError(elems, used_, capacity_);
     used_ += elems;
     if (used_ > high_water_) high_water_ = used_;
@@ -63,7 +62,6 @@ class MemoryLedger {
   std::size_t capacity() const { return capacity_; }
   std::size_t used() const { return used_; }
   std::size_t high_water() const { return high_water_; }
-  bool strict() const { return strict_; }
 
   /// True once any release() exceeded the acquired balance.  A poisoned
   /// ledger's used()/high_water() are no longer trustworthy bounds.
@@ -79,7 +77,6 @@ class MemoryLedger {
 
  private:
   std::size_t capacity_;
-  bool strict_;
   std::size_t used_ = 0;
   std::size_t high_water_ = 0;
   bool poisoned_ = false;
@@ -120,7 +117,7 @@ class MemoryReservation {
   ~MemoryReservation() { reset(); }
 
   /// Changes the reservation size (acquire/release the delta).  Strongly
-  /// exception-safe: a strict-mode CapacityError from the grow path leaves
+  /// exception-safe: a CapacityError from the grow path leaves
   /// both the ledger and elems_ exactly as they were, so the destructor
   /// still releases the true outstanding amount.  The ledger must mutate
   /// *before* elems_ is updated — the reverse order would, on throw, leave

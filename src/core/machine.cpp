@@ -4,10 +4,10 @@
 
 namespace aem {
 
-Machine::Machine(Config cfg)
-    : cfg_(cfg), ledger_(cfg.capacity(), cfg.strict) {
+Machine::Machine(Config cfg) : cfg_(cfg), ledger_(cfg.memory_elems) {
   cfg_.validate();
-  if (cfg_.cache.capacity_blocks != 0) install_cache(cfg_.cache);
+  if (cfg_.cache.capacity_blocks != 0)
+    cache_ = std::make_unique<BlockCache>(cfg_.cache, cfg_.write_cost);
 }
 
 void Machine::reset_stats() {
@@ -28,15 +28,6 @@ void Machine::reset_stats() {
 
 void Machine::install_faults(FaultConfig cfg) {
   faults_ = std::make_unique<FaultPolicy>(cfg);
-}
-
-void Machine::install_cache(CacheConfig cfg) {
-  cfg.validate();
-  if (cfg.capacity_blocks == 0) {
-    cache_.reset();  // bypass mode: no pool at all
-    return;
-  }
-  cache_ = std::make_unique<BlockCache>(cfg, cfg_.write_cost);
 }
 
 std::uint32_t Machine::intern_phase(std::string_view name) {
@@ -97,8 +88,6 @@ const IoStats& Machine::phase_io(std::uint32_t id) const {
 
 void Machine::enable_trace() { trace_ = std::make_unique<Trace>(); }
 
-void Machine::disable_trace() { trace_.reset(); }
-
 std::unique_ptr<Trace> Machine::take_trace() { return std::move(trace_); }
 
 std::uint32_t Machine::register_array(std::string name) {
@@ -114,7 +103,7 @@ const std::string& Machine::array_name(std::uint32_t id) const {
 IoTicket Machine::on_read(std::uint32_t array, std::uint64_t block) {
   ++stats_.reads;
   attribute(/*is_write=*/false);
-  if (faults_) faults_->check_budget(stats_, cfg_.write_cost);
+  if (faults_) faults_->check_budget(stats_);
   if (trace_) return trace_->add(OpKind::kRead, array, block);
   return IoTicket{};
 }
@@ -122,7 +111,7 @@ IoTicket Machine::on_read(std::uint32_t array, std::uint64_t block) {
 IoTicket Machine::on_write(std::uint32_t array, std::uint64_t block) {
   ++stats_.writes;
   attribute(/*is_write=*/true);
-  if (faults_) faults_->check_budget(stats_, cfg_.write_cost);
+  if (faults_) faults_->check_budget(stats_);
   if (wear_) record_wear(array, block);
   if (trace_) return trace_->add(OpKind::kWrite, array, block);
   return IoTicket{};

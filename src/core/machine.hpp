@@ -133,11 +133,10 @@ class Machine {
   // --- fault injection & endurance (core/faults) ---------------------------
   /// Installs (replacing any previous) a deterministic fault policy: from
   /// now on ExtArray block transfers are subject to the configured fault
-  /// schedule, recovery machinery, and cost ceilings.  With no policy
+  /// schedule, recovery machinery, and crash point.  With no policy
   /// installed the machine is the perfect device it always was — the hot
   /// path only pays one null-pointer test, and Q is byte-identical.
   void install_faults(FaultConfig cfg);
-  void clear_faults() { faults_.reset(); }
   FaultPolicy* faults() { return faults_.get(); }
   const FaultPolicy* faults() const { return faults_.get(); }
 
@@ -158,14 +157,10 @@ class Machine {
   }
 
   // --- block cache (core/cache.hpp) ----------------------------------------
-  /// Installs (replacing any previous — setup-time only, a replaced pool's
-  /// dirty blocks are dropped uncharged) a write-back block cache between
-  /// ExtArray traffic and the counters.  Capacity 0 is strict bypass: no
-  /// pool is created, the hot path pays one null-pointer test, and Q is
-  /// byte-identical to the uncached machine.  A cache configured on the
-  /// Config (cfg.cache) is installed by the constructor.
-  void install_cache(CacheConfig cfg);
-  void remove_cache() { cache_.reset(); }
+  /// The write-back block cache between ExtArray traffic and the counters,
+  /// built by the constructor from Config::cache; nullptr at capacity 0
+  /// (bypass: the hot path pays one null-pointer test, and Q is
+  /// byte-identical to the uncached machine).
   BlockCache* cache() { return cache_.get(); }
   const BlockCache* cache() const { return cache_.get(); }
   /// Writes back every dirty cached block (each a charged omega-write that
@@ -177,7 +172,6 @@ class Machine {
   // --- tracing -------------------------------------------------------------
   /// Starts recording ops into a fresh trace (dropping any previous one).
   void enable_trace();
-  void disable_trace();
   bool tracing() const { return trace_ != nullptr; }
   /// The active trace, or nullptr when tracing is disabled.
   Trace* trace() { return trace_.get(); }

@@ -63,9 +63,6 @@ MetricsSnapshot snapshot_metrics(const Machine& mach, std::string label) {
   s.memory_elems = cfg.memory_elems;
   s.block_elems = cfg.block_elems;
   s.write_cost = cfg.write_cost;
-  s.strict = cfg.strict;
-  s.capacity_factor = cfg.capacity_factor;
-  s.capacity = cfg.capacity();
 
   s.io = mach.stats();
   s.cost = mach.cost();
@@ -105,8 +102,6 @@ MetricsSnapshot snapshot_metrics(const Machine& mach, std::string label) {
     s.fault_stats = fp->stats();
     s.reliability.crash_after_writes = fp->config().crash_after_writes;
     s.reliability.crashes = fp->crashes_fired();
-    s.reliability.retry_attempts = fp->retry_attempts();
-    s.reliability.backoff_ios = fp->backoff_ios();
   }
   s.reliability.recovery = mach.recovery_stats();
 
@@ -166,7 +161,6 @@ MetricsSnapshot snapshot_metrics(const Machine& mach, std::string label) {
 
   s.reliability.enabled =
       s.reliability.crash_after_writes != 0 || s.reliability.crashes != 0 ||
-      s.reliability.retry_attempts != 0 || s.reliability.backoff_ios != 0 ||
       s.reliability.recovery.scans != 0 || !s.reliability.outages.empty();
 
   s.trace_enabled = mach.tracing();
@@ -185,10 +179,7 @@ void write_json(std::ostream& os, const MetricsSnapshot& s) {
 
   os << ",\"config\":{\"memory_elems\":" << s.memory_elems
      << ",\"block_elems\":" << s.block_elems
-     << ",\"write_cost\":" << s.write_cost
-     << ",\"strict\":" << fmt_bool(s.strict)
-     << ",\"capacity_factor\":" << fmt_double(s.capacity_factor)
-     << ",\"capacity\":" << s.capacity << "}";
+     << ",\"write_cost\":" << s.write_cost << "}";
 
   os << ",\"io\":{\"reads\":" << s.io.reads << ",\"writes\":" << s.io.writes
      << ",\"total\":" << s.io.total_ios() << ",\"cost\":" << s.cost << "}";
@@ -235,7 +226,6 @@ void write_json(std::ostream& os, const MetricsSnapshot& s) {
        << ",\"max_retries\":" << fc.max_retries
        << ",\"verify_writes\":" << fmt_bool(fc.verify_writes)
        << ",\"checksum_reads\":" << fmt_bool(fc.checksum_reads)
-       << ",\"max_cost\":" << fc.max_cost << ",\"max_ios\":" << fc.max_ios
        << ",\"injected\":{\"read\":" << fs.read_faults
        << ",\"silent_write\":" << fs.silent_write_faults
        << ",\"torn_write\":" << fs.torn_write_faults
@@ -327,8 +317,6 @@ void write_json(std::ostream& os, const MetricsSnapshot& s) {
     os << ",\"reliability\":{\"enabled\":" << fmt_bool(r.enabled)
        << ",\"crash_after_writes\":" << r.crash_after_writes
        << ",\"crashes\":" << r.crashes
-       << ",\"retry_attempts\":" << r.retry_attempts
-       << ",\"backoff_ios\":" << r.backoff_ios
        << ",\"recovery\":{\"scans\":" << r.recovery.scans
        << ",\"reads\":" << r.recovery.reads
        << ",\"writes\":" << r.recovery.writes
@@ -409,11 +397,10 @@ void check_metrics(const MetricsSnapshot& s) {
       s.store.index != "compact")
     fail("store.index \"" + s.store.index + "\" is neither fence nor compact");
   const ReliabilityMetrics& r = s.reliability;
-  if (!r.enabled && (r.crashes != 0 || r.backoff_ios != 0 ||
-                     r.recovery.scans != 0 || !r.outages.empty()))
+  if (!r.enabled &&
+      (r.crashes != 0 || r.recovery.scans != 0 || !r.outages.empty()))
     fail("reliability disabled with residue: reliability.crashes = " +
-         num(r.crashes) + ", reliability.backoff_ios = " +
-         num(r.backoff_ios) + ", reliability.recovery.scans = " +
+         num(r.crashes) + ", reliability.recovery.scans = " +
          num(r.recovery.scans) + ", reliability.outages = " +
          num(r.outages.size()));
   const TrafficMetrics& t = s.traffic;

@@ -113,7 +113,7 @@ struct OutageMetrics {
 };
 
 /// The `reliability` section: the crash-point schedule and hits, the
-/// unified retry/backoff counters, the recovery bill noted on the machine
+/// recovery bill noted on the machine
 /// (Machine::note_recovery — e.g. KvStore::recover), and one degraded-
 /// serving row per device with an outage window.  `enabled` is false — and
 /// everything zero/empty — when none of those features has been armed or
@@ -122,8 +122,6 @@ struct ReliabilityMetrics {
   bool enabled = false;
   std::uint64_t crash_after_writes = 0;  // configured crash point (0 = none)
   std::uint64_t crashes = 0;             // CrashErrors fired
-  std::uint64_t retry_attempts = 0;      // backed-off retry attempts
-  std::uint64_t backoff_ios = 0;         // charged backoff poll reads
   RecoveryStats recovery;
   std::vector<OutageMetrics> outages;
 };
@@ -165,7 +163,7 @@ struct TrafficMetrics {
 /// also be filled by hand (tools/aem_trace builds one from a trace without a
 /// live machine).
 struct MetricsSnapshot {
-  static constexpr std::string_view kSchema = "aem.machine.metrics/v9";
+  static constexpr std::string_view kSchema = "aem.machine.metrics/v10";
 
   /// Free-form tag naming the measured case ("E1 N=65536 omega=16", ...).
   std::string label;
@@ -174,9 +172,6 @@ struct MetricsSnapshot {
   std::uint64_t memory_elems = 0;
   std::uint64_t block_elems = 0;
   std::uint64_t write_cost = 1;
-  bool strict = true;
-  double capacity_factor = 1.0;
-  std::uint64_t capacity = 0;
 
   // io
   IoStats io;
@@ -221,7 +216,7 @@ struct MetricsSnapshot {
   // StoreMetrics above)
   StoreMetrics store;
 
-  // reliability (crash schedule, retry/backoff, recovery bill, and
+  // reliability (crash schedule, recovery bill, and
   // per-device outage rows — see ReliabilityMetrics above)
   ReliabilityMetrics reliability;
 

@@ -1,5 +1,6 @@
 #include "core/sharding.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -57,13 +58,15 @@ void ShardConfig::validate() const {
           " ends at op " + std::to_string(o.up_at) +
           ", not after it starts at op " + std::to_string(o.down_at));
   }
-  if (outage_retry.backoff_base != 0 &&
-      outage_retry.backoff_cap < outage_retry.backoff_base)
-    throw std::invalid_argument(
-        "ShardConfig: outage_retry.backoff_cap must be >= backoff_base");
 }
 
 namespace {
+
+// The wait schedule for reads against a down device: at most kOutageWaits
+// rounds, round k charging min(2^(k-1), kOutagePollCap) frontend poll reads
+// (1, 2, 4, ..., 64, 64: 191 polls before a FaultError).
+constexpr std::size_t kOutageWaits = 8;
+constexpr std::uint64_t kOutagePollCap = 64;
 
 // ShardConfig::validate() must run BEFORE the Machine base is constructed
 // (Machine(frontend) would accept a frontend whose device list is garbage);
@@ -120,25 +123,22 @@ void ShardedMachine::drain_recovered() {
 
 void ShardedMachine::wait_for_device(std::size_t d, std::uint32_t array,
                                      std::uint64_t block) {
-  const RetryPolicy& retry = scfg_.outage_retry;
   OutageStats& os = ostats_[d];
   std::size_t attempt = 0;
   while (device_down(d)) {
-    if (retry.exhausted(attempt)) {
+    if (attempt == kOutageWaits) {
       ++os.failed_reads;
       throw FaultError(/*is_write=*/false, array, block, attempt + 1,
                        "device " + std::to_string(d) +
                            " is down and its outage window did not close "
                            "within the retry budget");
     }
+    // Each wait round charges frontend poll reads, which advance the op
+    // clock toward up_at.  The polls go through the plain Machine path:
+    // phase-attributed and traced like any other read.
+    const std::uint64_t polls =
+        std::min<std::uint64_t>(std::uint64_t{1} << attempt, kOutagePollCap);
     ++attempt;
-    // Each wait round charges frontend poll reads (at least one, so the
-    // clock always advances toward up_at).  The polls go through the plain
-    // Machine path: phase-attributed, traced, and — with a cost or I/O
-    // ceiling configured — subject to BudgetExceeded, which turns an
-    // over-long degraded interval into admission control, not a crash.
-    std::uint64_t polls = retry.backoff(attempt);
-    if (polls == 0) polls = 1;
     ++os.wait_rounds;
     os.backoff_ios += polls;
     for (std::uint64_t i = 0; i < polls; ++i) Machine::on_read(array, block);
@@ -218,10 +218,7 @@ void ShardedMachine::reset_stats() {
 
 IoTicket ShardedMachine::on_read(std::uint32_t array, std::uint64_t block) {
   // Facade first: frontend accounting must be byte-identical to a plain
-  // Machine, including the relative order of a budget-ceiling throw and the
-  // device-side charges (a frontend ceiling fires before any device sees
-  // the transfer, exactly as a plain machine would fire before the device
-  // bus existed).
+  // Machine.
   const IoTicket ticket = Machine::on_read(array, block);
   const Route r = route(block);
   if (outages_armed_) {

@@ -58,8 +58,9 @@ const char* to_string(Placement p);
 /// reset_stats()).  The device is down for every logical transfer whose
 /// frontend charge lands at clock in [down_at, up_at); up_at 0 means the
 /// device never comes back.  While a device is down, reads against it wait
-/// (bounded retries, exponential backoff charged as frontend poll reads)
-/// and writes queue, draining at device prices once the window closes.
+/// (at most 8 rounds of 1, 2, 4, ..., 64, 64 charged frontend poll reads,
+/// then FaultError) and writes queue, draining at device prices once the
+/// window closes.
 struct OutageSpec {
   std::size_t device = 0;
   std::uint64_t down_at = 0;  // 0 disables this entry
@@ -99,14 +100,6 @@ struct ShardConfig {
   /// default) keeps the serving path byte-identical to the pre-outage
   /// facade: the hot path pays one bool test per transfer.
   std::vector<OutageSpec> outages;
-
-  /// Retry/backoff schedule for reads against a down device: retry k waits
-  /// max(1, backoff(k)) charged frontend poll reads (the waiting itself
-  /// advances the op clock, so a bounded wait can reach up_at — and trips
-  /// a configured budget ceiling, turning BudgetExceeded into admission
-  /// control).  Exhaustion throws FaultError.
-  RetryPolicy outage_retry{/*max_retries=*/8, /*backoff_base=*/1,
-                           /*backoff_cap=*/64};
 
   /// Throws std::invalid_argument on: no devices, an invalid frontend or
   /// device Config, a device block size that does not divide the frontend

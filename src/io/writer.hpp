@@ -40,7 +40,7 @@ class Writer {
   Writer& operator=(Writer&&) noexcept = default;
 
   // Unflushed data at destruction is a bug — except during stack unwinding
-  // (e.g. a BudgetExceeded or FaultError mid-write), where dropping the
+  // (e.g. a CrashError or FaultError mid-write), where dropping the
   // buffered tail is the only sane behavior.
   ~Writer() {
     assert((buf_fill_ == 0 || std::uncaught_exceptions() > 0) &&

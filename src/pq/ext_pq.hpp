@@ -74,12 +74,11 @@ enum class PqTuning {
 template <class T, class Less = std::less<T>>
 class ExtPriorityQueue {
  public:
-  /// `capacity_hint` sizes the external storage (grows if exceeded).
   /// Requires M >= 16B: the standing buffers (M/8 + M/8) must coexist with
   /// a full Section 3 merge (OUT = M/4 plus transient blocks) during level
   /// cascades, under the strict ledger.
-  explicit ExtPriorityQueue(Machine& mach, std::size_t capacity_hint = 0,
-                            Less less = {}, PqTuning tuning = PqTuning::kLegacy)
+  explicit ExtPriorityQueue(Machine& mach, Less less = {},
+                            PqTuning tuning = PqTuning::kLegacy)
       : mach_(mach),
         less_(less),
         budget_(SortBudget::from(mach)),
@@ -91,7 +90,6 @@ class ExtPriorityQueue {
         run_state_res_(mach.ledger(), 0) {
     if (mach.M() < 16 * mach.B())
       throw std::invalid_argument("ExtPriorityQueue requires M >= 16B");
-    (void)capacity_hint;
     // A buffered queue whose fanout brings nothing (always at omega == 1)
     // downgrades: the two tunings coincide there, and the downgrade makes
     // the coincidence structural rather than emergent.
@@ -151,20 +149,6 @@ class ExtPriorityQueue {
     --count_;
     sync_ledger();
     return result;
-  }
-
-  /// Test-support: host-side (uncharged) check of the pop-correctness
-  /// invariant — while the min cache is non-empty, its LARGEST element must
-  /// be <= every unconsumed element stored in any run (so the cache always
-  /// holds a complete prefix of the queue's run-resident content).
-  bool debug_min_invariant() const {
-    if (min_cache_.empty()) return true;
-    for (const auto& level : levels_)
-      for (const Run& r : level)
-        for (std::size_t p = r.cursor; p < r.length; ++p)
-          if (less_(r.data.unsafe_host_view()[p], min_cache_.back()))
-            return false;
-    return true;
   }
 
  private:
@@ -451,7 +435,7 @@ void aem_heap_sort(const ExtArray<T>& in, ExtArray<T>& out, Less less = {},
   if (in.size() != out.size())
     throw std::invalid_argument("aem_heap_sort: size mismatch");
   Machine& mach = in.machine();
-  ExtPriorityQueue<T, Less> pq(mach, in.size(), less, tuning);
+  ExtPriorityQueue<T, Less> pq(mach, less, tuning);
   {
     Scanner<T> scan(in);
     while (!scan.done()) pq.push(scan.next());

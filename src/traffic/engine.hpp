@@ -17,13 +17,12 @@
 //
 // Admission control (EngineConfig::q_budget > 0): the stream is cut into
 // windows of window_requests generated requests; once a window's served
-// requests have spent q_budget of charged Q, admit() throws the library's
-// BudgetExceeded (core/faults.hpp) and run() converts it into rejections —
-// each rejected batch charges NOTHING (the whole point of admission control
-// is refusing work the budget cannot cover) and the next window starts
-// fresh.  The invariant served + rejected == generated is the identity
-// every consumer (metrics validation, bench guards) checks; rejected /
-// generated is the SLO rejection rate.
+// requests have spent q_budget of charged Q, run() rejects the window's
+// remaining batches — each rejected batch charges NOTHING (the whole point
+// of admission control is refusing work the budget cannot cover) and the
+// next window starts fresh.  The invariant served + rejected == generated
+// is the identity every consumer (metrics validation, bench guards)
+// checks; rejected / generated is the SLO rejection rate.
 //
 // Determinism: request i is a pure function of (stream seed, i)
 // (traffic/request_gen.hpp), the engine's control flow depends only on
@@ -36,7 +35,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/faults.hpp"
 #include "core/machine.hpp"
 #include "core/metrics.hpp"
 #include "core/sharding.hpp"
@@ -50,8 +48,8 @@ namespace aem::traffic {
 struct EngineConfig {
   TrafficConfig traffic;
 
-  /// Per-window charged-Q budget for admission control; 0 disables it (no
-  /// admit() checks, nothing is ever rejected).
+  /// Per-window charged-Q budget for admission control; 0 disables it
+  /// (nothing is ever rejected).
   std::uint64_t q_budget = 0;
 
   /// Window length in GENERATED requests (admitted or not), so windows
@@ -124,14 +122,13 @@ class TrafficEngine {
       // exactly one budget.
       std::uint64_t end = std::min(n, i + batch);
       if (window != 0) end = std::min(end, (w + 1) * window);
-      try {
-        admit();
-      } catch (const BudgetExceeded&) {
+      // The admission gate: the window's served requests have spent the
+      // budget.
+      if (cfg_.q_budget != 0 && window_spent_ >= cfg_.q_budget) {
         stats_.rejected += end - i;
-        i = end;
-        continue;
+      } else {
+        serve_batch(i, end);
       }
-      serve_batch(i, end);
       i = end;
     }
 
@@ -235,20 +232,12 @@ class TrafficEngine {
   }
 
  private:
-  /// The admission gate: throws the library's BudgetExceeded once the
-  /// current window's served requests have spent the budget.
-  void admit() const {
-    if (cfg_.q_budget != 0 && window_spent_ >= cfg_.q_budget)
-      throw BudgetExceeded(BudgetExceeded::Kind::kCost, cfg_.q_budget,
-                           window_spent_, mach_->stats());
-  }
-
   /// Serves the admitted requests [i, end) of one batch.  Each request's
   /// charged Q still comes from its own cost() delta (the histogram prices
   /// individual requests), but the window budget and served counter settle
   /// ONCE per batch — the per-request deltas telescope to the batch delta,
   /// so the accounting is numerically identical to per-request settlement
-  /// at half the cost() polls (admit() only runs between batches).
+  /// at half the cost() polls (admission is decided between batches).
   void serve_batch(std::uint64_t i, std::uint64_t end) {
     const std::uint64_t count = end - i;
     std::uint64_t mark = mach_->cost();

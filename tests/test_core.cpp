@@ -31,9 +31,6 @@ TEST(ConfigTest, DerivedQuantities) {
   EXPECT_EQ(cfg.blocks_for(1), 1u);
   EXPECT_EQ(cfg.blocks_for(8), 1u);
   EXPECT_EQ(cfg.blocks_for(9), 2u);
-  EXPECT_EQ(cfg.capacity(), 64u);
-  cfg.capacity_factor = 2.0;
-  EXPECT_EQ(cfg.capacity(), 128u);
 }
 
 TEST(ConfigTest, ValidationRejectsBadParameters) {
@@ -45,9 +42,6 @@ TEST(ConfigTest, ValidationRejectsBadParameters) {
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
   cfg = small_config();
   cfg.write_cost = 0;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  cfg = small_config();
-  cfg.capacity_factor = 0.5;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
   EXPECT_NO_THROW(small_config().validate());
 }
@@ -84,7 +78,7 @@ TEST(IoStatsTest, CostFormula) {
 }
 
 TEST(LedgerTest, TracksUsageAndHighWater) {
-  MemoryLedger ledger(100, /*strict=*/true);
+  MemoryLedger ledger(100);
   ledger.acquire(40);
   EXPECT_EQ(ledger.used(), 40u);
   ledger.acquire(30);
@@ -98,7 +92,7 @@ TEST(LedgerTest, TracksUsageAndHighWater) {
 }
 
 TEST(LedgerTest, StrictModeThrowsOnOverflow) {
-  MemoryLedger ledger(100, /*strict=*/true);
+  MemoryLedger ledger(100);
   ledger.acquire(90);
   EXPECT_THROW(ledger.acquire(11), CapacityError);
   // The failed acquire must not corrupt the count.
@@ -106,15 +100,8 @@ TEST(LedgerTest, StrictModeThrowsOnOverflow) {
   EXPECT_NO_THROW(ledger.acquire(10));
 }
 
-TEST(LedgerTest, NonStrictModeRecordsOvershoot) {
-  MemoryLedger ledger(100, /*strict=*/false);
-  ledger.acquire(150);
-  EXPECT_EQ(ledger.used(), 150u);
-  EXPECT_EQ(ledger.high_water(), 150u);
-}
-
 TEST(LedgerTest, CapacityErrorCarriesContext) {
-  MemoryLedger ledger(10, true);
+  MemoryLedger ledger(10);
   ledger.acquire(8);
   try {
     ledger.acquire(5);
@@ -127,7 +114,7 @@ TEST(LedgerTest, CapacityErrorCarriesContext) {
 }
 
 TEST(LedgerTest, OverReleasePoisonsInsteadOfMasking) {
-  MemoryLedger ledger(100, /*strict=*/true);
+  MemoryLedger ledger(100);
   ledger.acquire(30);
   EXPECT_FALSE(ledger.poisoned());
   ledger.release(50);  // double-release bug: 20 elements never acquired
@@ -151,27 +138,8 @@ TEST(LedgerTest, MachineSurfacesPoisonedLedger) {
   EXPECT_TRUE(mach.ledger_poisoned());
 }
 
-TEST(ConfigTest, CapacityIsExactForIntegralFactorsBeyondDoublePrecision) {
-  Config cfg = small_config();
-  // M just past 2^53: a double cannot represent 2^53 + 1, so the old
-  // double-routed computation would silently round the 2M replay capacity.
-  cfg.memory_elems = (std::size_t{1} << 53) + 1;
-  cfg.capacity_factor = 2.0;
-  EXPECT_EQ(cfg.capacity(), (std::size_t{1} << 54) + 2);
-  cfg.capacity_factor = 1.0;
-  EXPECT_EQ(cfg.capacity(), (std::size_t{1} << 53) + 1);
-  // Overflowing integral product saturates instead of wrapping.
-  cfg.memory_elems = std::numeric_limits<std::size_t>::max() - 1;
-  cfg.capacity_factor = 2.0;
-  EXPECT_EQ(cfg.capacity(), std::numeric_limits<std::size_t>::max());
-  // Fractional factors still work (double path).
-  cfg.memory_elems = 100;
-  cfg.capacity_factor = 1.5;
-  EXPECT_EQ(cfg.capacity(), 150u);
-}
-
 TEST(LedgerTest, ReservationResizeIsStronglyExceptionSafe) {
-  MemoryLedger ledger(100, /*strict=*/true);
+  MemoryLedger ledger(100);
   MemoryReservation r(ledger, 60);
   EXPECT_THROW(r.resize(120), CapacityError);  // grow past capacity
   // Strong guarantee: both the reservation and the ledger are unchanged.
@@ -188,7 +156,7 @@ TEST(LedgerTest, ReservationResizeIsStronglyExceptionSafe) {
 }
 
 TEST(LedgerTest, ReservationRaii) {
-  MemoryLedger ledger(100, true);
+  MemoryLedger ledger(100);
   {
     MemoryReservation r(ledger, 60);
     EXPECT_EQ(ledger.used(), 60u);
@@ -201,7 +169,7 @@ TEST(LedgerTest, ReservationRaii) {
 }
 
 TEST(LedgerTest, ReservationMoveTransfersOwnership) {
-  MemoryLedger ledger(100, true);
+  MemoryLedger ledger(100);
   MemoryReservation a(ledger, 30);
   MemoryReservation b = std::move(a);
   EXPECT_EQ(ledger.used(), 30u);
@@ -533,14 +501,6 @@ TEST(ExtArrayTest, BufferRegistersWithLedger) {
   }
   EXPECT_EQ(mach.ledger().used(), 0u);
   EXPECT_EQ(mach.ledger().high_water(), 64u);
-}
-
-TEST(ExtArrayTest, CapacityFactorWidensLedger) {
-  Config cfg = small_config();
-  cfg.capacity_factor = 2.0;
-  Machine mach(cfg);
-  Buffer<int> big(mach, 128);  // 2 * M fits
-  EXPECT_EQ(mach.ledger().used(), 128u);
 }
 
 }  // namespace

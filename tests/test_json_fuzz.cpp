@@ -346,8 +346,6 @@ TEST(JsonFuzzTest, HandBuiltSnapshotWithHostileFieldsEmitsValidJson) {
     s.memory_elems = 4096;
     s.block_elems = 16;
     s.write_cost = 8;
-    s.capacity_factor = 1.0;
-    s.capacity = 4096;
     s.io = IoStats{123, 45};
     s.cost = 123 + 8 * 45;
     s.phases.push_back({evil, IoStats{1, 2}});

@@ -238,7 +238,7 @@ TEST(LowWriteSampleSortTest, TradesReadsForWritesAtHighOmega) {
 
 TEST(BufferedPqTest, InterleavedMatchesStdPriorityQueue) {
   Machine mach(cfg(256, 16, 16));
-  ExtPriorityQueue<std::uint64_t> pq(mach, 0, std::less<std::uint64_t>{},
+  ExtPriorityQueue<std::uint64_t> pq(mach, std::less<std::uint64_t>{},
                                      PqTuning::kBuffered);
   ASSERT_EQ(pq.tuning(), PqTuning::kBuffered);  // fanout 64 > m_eff 4
   std::priority_queue<std::uint64_t, std::vector<std::uint64_t>,
@@ -270,7 +270,7 @@ TEST(BufferedPqTest, RefillSurvivorBoundHolds) {
   // A full drain after many small flushes exercises the bound (refill
   // throws logic_error if it is ever violated).
   Machine mach(cfg(256, 16, 32));
-  ExtPriorityQueue<std::uint64_t> pq(mach, 0, std::less<std::uint64_t>{},
+  ExtPriorityQueue<std::uint64_t> pq(mach, std::less<std::uint64_t>{},
                                      PqTuning::kBuffered);
   util::Rng rng(59);
   auto keys = util::random_keys(20000, rng);
@@ -282,7 +282,7 @@ TEST(BufferedPqTest, RefillSurvivorBoundHolds) {
 
 TEST(BufferedPqTest, DowngradesToLegacyAtOmegaOne) {
   Machine mach(cfg(256, 16, 1));
-  ExtPriorityQueue<std::uint64_t> pq(mach, 0, std::less<std::uint64_t>{},
+  ExtPriorityQueue<std::uint64_t> pq(mach, std::less<std::uint64_t>{},
                                      PqTuning::kBuffered);
   EXPECT_EQ(pq.tuning(), PqTuning::kLegacy);  // fanout == m_eff: no gain
 

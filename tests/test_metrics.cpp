@@ -45,7 +45,6 @@ TEST(MetricsTest, SnapshotCapturesMachineState) {
   EXPECT_EQ(s.memory_elems, 64u);
   EXPECT_EQ(s.block_elems, 8u);
   EXPECT_EQ(s.write_cost, 4u);
-  EXPECT_EQ(s.capacity, 64u);
 
   EXPECT_EQ(s.io.reads, 1u);
   EXPECT_EQ(s.io.writes, 3u);
@@ -163,8 +162,7 @@ TEST(MetricsTest, DefaultSnapshotPinsEveryKey) {
   const std::string want =
       "{\"schema\":\"" + std::string(MetricsSnapshot::kSchema) +
       "\",\"label\":\"\","
-      "\"config\":{\"memory_elems\":0,\"block_elems\":0,\"write_cost\":1,"
-      "\"strict\":true,\"capacity_factor\":1,\"capacity\":0},"
+      "\"config\":{\"memory_elems\":0,\"block_elems\":0,\"write_cost\":1},"
       "\"io\":{\"reads\":0,\"writes\":0,\"total\":0,\"cost\":0},"
       "\"ledger\":{\"used\":0,\"high_water\":0,\"poisoned\":false,"
       "\"over_released\":0},"
@@ -175,7 +173,7 @@ TEST(MetricsTest, DefaultSnapshotPinsEveryKey) {
       "\"faults\":{\"enabled\":false,\"seed\":1,\"read_fault_rate\":0,"
       "\"silent_write_rate\":0,\"torn_write_rate\":0,\"endurance\":0,"
       "\"spare_blocks\":0,\"max_retries\":4,\"verify_writes\":true,"
-      "\"checksum_reads\":true,\"max_cost\":0,\"max_ios\":0,"
+      "\"checksum_reads\":true,"
       "\"injected\":{\"read\":0,\"silent_write\":0,\"torn_write\":0,"
       "\"retired_write\":0},\"recovery\":{\"read_retries\":0,"
       "\"write_retries\":0,\"verify_failures\":0,\"checksum_failures\":0,"
@@ -199,7 +197,7 @@ TEST(MetricsTest, DefaultSnapshotPinsEveryKey) {
       "\"put_log_reads\":0,\"put_writes\":0,\"orphaned_words\":0,"
       "\"build\":{\"reads\":0,\"writes\":0,\"cost\":0}},"
       "\"reliability\":{\"enabled\":false,\"crash_after_writes\":0,"
-      "\"crashes\":0,\"retry_attempts\":0,\"backoff_ios\":0,"
+      "\"crashes\":0,"
       "\"recovery\":{\"scans\":0,\"reads\":0,\"writes\":0,\"cost\":0},"
       "\"outages\":[{\"name\":\"\",\"device\":0,\"down_at\":0,\"up_at\":0,"
       "\"down_now\":false,\"wait_rounds\":0,\"backoff_ios\":0,"
@@ -251,8 +249,6 @@ TEST(CheckMetricsTest, RejectsEachBrokenIdentityNamingItsFields) {
       {[](auto& s) { s.store.enabled = true; s.store.index = "btree"; },
        {"store.index", "btree"}},
       {[](auto& s) { s.reliability.crashes = 1; }, {"reliability.crashes = 1"}},
-      {[](auto& s) { s.reliability.backoff_ios = 3; },
-       {"reliability.backoff_ios = 3"}},
       {[](auto& s) { s.reliability.recovery.scans = 1; },
        {"reliability.recovery.scans = 1"}},
       {[](auto& s) { s.reliability.outages.emplace_back(); },

@@ -110,7 +110,7 @@ TEST(ExtPqTest, DuplicateValues) {
 TEST(ExtPqTest, CustomComparatorMaxQueue) {
   Machine mach(cfg(128, 8, 2));
   ExtPriorityQueue<std::uint64_t, std::greater<std::uint64_t>> pq(
-      mach, 0, std::greater<std::uint64_t>{});
+      mach, std::greater<std::uint64_t>{});
   util::Rng rng(405);
   auto keys = util::random_keys(2000, rng);
   for (auto k : keys) pq.push(k);

@@ -1,9 +1,7 @@
 // Tests for the reliability layer: the deterministic power-cut schedule
 // (FaultConfig::crash_after_writes / CrashError), crash-consistent KvStore
-// builds and recover(), the unified RetryPolicy (bounded retries +
-// deterministic charged backoff) shared by ExtArray recovery and
-// ShardedMachine outage waits, retry-exhaustion boundaries, and the
-// device-outage degraded-serving path (wait / queue / drain / fail-over).
+// builds and recover(), retry-exhaustion boundaries, and the device-outage
+// degraded-serving path (wait / queue / drain / fail-over).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -88,128 +86,6 @@ TEST(CrashScheduleTest, ReadsNeverTripTheCut) {
   mach.install_faults(c);
   for (int i = 0; i < 100; ++i) EXPECT_NO_THROW(mach.on_read(0, 0));
   EXPECT_THROW(mach.on_write(0, 0), CrashError);
-}
-
-TEST(CrashConfigTest, ValidateRejectsCapBelowBase) {
-  FaultConfig c;
-  c.retry_backoff_base = 8;
-  c.retry_backoff_cap = 4;
-  EXPECT_THROW(c.validate(), std::invalid_argument);
-  c.retry_backoff_cap = 8;
-  EXPECT_NO_THROW(c.validate());
-}
-
-// --- RetryPolicy ---------------------------------------------------------
-
-TEST(RetryPolicyTest, BackoffDoublesUpToCapAndZeroBaseIsFree) {
-  RetryPolicy r{/*max_retries=*/8, /*backoff_base=*/1, /*backoff_cap=*/64};
-  EXPECT_EQ(r.backoff(0), 0u);  // the initial attempt never waits
-  EXPECT_EQ(r.backoff(1), 1u);
-  EXPECT_EQ(r.backoff(2), 2u);
-  EXPECT_EQ(r.backoff(3), 4u);
-  EXPECT_EQ(r.backoff(7), 64u);   // 1 << 6 == cap
-  EXPECT_EQ(r.backoff(20), 64u);  // saturated
-
-  RetryPolicy free{4, 0, 64};
-  for (std::size_t k = 0; k < 10; ++k) EXPECT_EQ(free.backoff(k), 0u);
-
-  // Shift-overflow saturates at the cap instead of wrapping.
-  RetryPolicy huge{200, 1ull << 62, ~0ull};
-  EXPECT_EQ(huge.backoff(1), 1ull << 62);
-  EXPECT_EQ(huge.backoff(2), 1ull << 63);
-  EXPECT_EQ(huge.backoff(3), ~0ull);    // 1 << 64 would wrap
-  EXPECT_EQ(huge.backoff(100), ~0ull);  // shift >= 64
-
-  EXPECT_FALSE(r.exhausted(7));
-  EXPECT_TRUE(r.exhausted(8));
-}
-
-TEST(RetryPolicyTest, FaultPolicyDerivesItFromConfig) {
-  FaultConfig c;
-  c.max_retries = 3;
-  c.retry_backoff_base = 2;
-  c.retry_backoff_cap = 16;
-  FaultPolicy p(c);
-  EXPECT_EQ(p.retry(), (RetryPolicy{3, 2, 16}));
-}
-
-// --- unified retry charges (ExtArray read / verify-after-write) ----------
-
-// The pre-reliability pinned charges (test_recovery.cpp) with backoff off,
-// then the exact same schedules with backoff_base = 1: every retry k now
-// additionally charges backoff(k) poll reads, counted in retry_attempts /
-// backoff_ios and in the machine's ordinary read counter.
-struct RetryBill {
-  IoStats io;
-  std::uint64_t retry_attempts = 0;
-  std::uint64_t backoff_ios = 0;
-  ReliabilityMetrics reliability;
-  std::string json;
-};
-
-TEST(BackoffChargeTest, ReadRetryPollsArePinned) {
-  auto run = [](std::uint64_t backoff_base) {
-    Machine mach(cfg(64, 8, 4));
-    FaultConfig c;
-    c.read_fault_rate = 1.0;  // every attempt fails its checksum
-    c.max_retries = 2;
-    c.retry_backoff_base = backoff_base;
-    mach.install_faults(c);
-    ExtArray<std::uint64_t> a(mach, 8, "a");
-    std::vector<std::uint64_t> buf(8);
-    EXPECT_THROW(a.read_block(0, std::span<std::uint64_t>(buf)), FaultError);
-    const MetricsSnapshot s = snapshot_metrics(mach, "backoff");
-    return RetryBill{mach.stats(), mach.faults()->retry_attempts(),
-                     mach.faults()->backoff_ios(), s.reliability, to_json(s)};
-  };
-
-  {  // legacy pin: 3 attempts, 3 charged reads, nothing else
-    const RetryBill b = run(0);
-    EXPECT_EQ(b.io.reads, 3u);
-    EXPECT_EQ(b.retry_attempts, 0u);
-    EXPECT_EQ(b.backoff_ios, 0u);
-  }
-  {  // with base 1: retries 1 and 2 wait 1 + 2 = 3 extra poll reads
-    const RetryBill b = run(1);
-    EXPECT_EQ(b.io.reads, 6u);
-    EXPECT_EQ(b.retry_attempts, 2u);
-    EXPECT_EQ(b.backoff_ios, 3u);
-    EXPECT_TRUE(b.reliability.enabled);
-    EXPECT_EQ(b.reliability.retry_attempts, 2u);
-    EXPECT_EQ(b.reliability.backoff_ios, 3u);
-    EXPECT_NE(b.json.find("\"reliability\":{"), std::string::npos);
-    EXPECT_NE(b.json.find("\"backoff_ios\":3"), std::string::npos);
-  }
-}
-
-TEST(BackoffChargeTest, WriteVerifyRetryPollsArePinned) {
-  auto run = [](std::uint64_t backoff_base) {
-    Machine mach(cfg(64, 8, 4));
-    FaultConfig c;
-    c.silent_write_rate = 1.0;  // every verify read-back mismatches
-    c.max_retries = 1;
-    c.retry_backoff_base = backoff_base;
-    mach.install_faults(c);
-    ExtArray<std::uint64_t> a(mach, 8, "a");
-    std::vector<std::uint64_t> buf(8, 9);
-    EXPECT_THROW(a.write_block(0, std::span<const std::uint64_t>(buf)),
-                 FaultError);
-    return RetryBill{mach.stats(), mach.faults()->retry_attempts(),
-                     mach.faults()->backoff_ios(), {}, {}};
-  };
-
-  {  // legacy pin: 2 write attempts, 2 verify reads
-    const RetryBill b = run(0);
-    EXPECT_EQ(b.io.writes, 2u);
-    EXPECT_EQ(b.io.reads, 2u);
-  }
-  {  // retry 1 waits backoff(1) = 1 poll read before the rewrite
-    const RetryBill b = run(1);
-    EXPECT_EQ(b.io.writes, 2u);
-    EXPECT_EQ(b.io.reads, 3u);
-    EXPECT_EQ(b.retry_attempts, 1u);
-    EXPECT_EQ(b.backoff_ios, 1u);
-  }
 }
 
 // --- retry-exhaustion boundary -------------------------------------------
@@ -458,10 +334,6 @@ TEST(OutageConfigTest, ValidateRejectsBadWindows) {
                std::invalid_argument);  // window ends before it starts
   EXPECT_THROW(ShardedMachine(shard_cfg(2, {{0, 10, 5}})),
                std::invalid_argument);
-  ShardConfig bad = shard_cfg(2, {{0, 10, 0}});
-  bad.outage_retry.backoff_base = 9;
-  bad.outage_retry.backoff_cap = 2;
-  EXPECT_THROW(ShardedMachine{bad}, std::invalid_argument);
   EXPECT_NO_THROW(ShardedMachine(shard_cfg(2, {{0, 10, 20}, {1, 30, 0}})));
 }
 
@@ -519,13 +391,12 @@ TEST(OutageTest, ReadsWaitWritesQueueAndDrainWithExactAccounting) {
 
 TEST(ReliabilityZeroCostTest, UnhitCrashPointAndUnopenedOutageAreFree) {
   // The insurance is free until the disaster happens.  An armed crash point
-  // beyond the horizon plus a retry backoff that no fault triggers: the same
-  // traffic charges exactly what a plain machine charges.
+  // beyond the horizon: the same traffic charges exactly what a plain
+  // machine charges.
   Machine plain(cfg(4096, 16, 8));
   Machine armed(cfg(4096, 16, 8));
   FaultConfig fc;
   fc.crash_after_writes = ~0ull >> 1;
-  fc.retry_backoff_base = 4;  // priced only on actual retries
   armed.install_faults(fc);
   EXPECT_EQ(drive(plain), drive(armed));
   EXPECT_EQ(plain.stats(), armed.stats());
@@ -549,24 +420,19 @@ TEST(ReliabilityZeroCostTest, UnhitCrashPointAndUnopenedOutageAreFree) {
 }
 
 TEST(OutageTest, PermanentOutageExhaustsIntoFaultError) {
-  ShardConfig sc = shard_cfg(2, {{1, 10, 0}});  // never comes back
-  sc.outage_retry = RetryPolicy{3, 1, 8};
-  ShardedMachine mach(sc);
-  EXPECT_THROW(drive(mach), FaultError);
-  EXPECT_EQ(mach.outage_stats(1).failed_reads, 1u);
-  EXPECT_GT(mach.outage_stats(1).backoff_ios, 0u);
-}
-
-TEST(OutageTest, BudgetCeilingIsAdmissionControlDuringWaits) {
-  ShardConfig sc = shard_cfg(2, {{1, 10, 100000}});
-  sc.outage_retry = RetryPolicy{64, 4, 1 << 20};  // waits far past any cap
-  ShardedMachine mach(sc);
-  FaultConfig fc;
-  fc.max_ios = 200;
-  mach.install_faults(fc);
-  // The polls themselves advance the charged op counter, so a configured
-  // ceiling cuts an unserviceable wait short instead of spinning.
-  EXPECT_THROW(drive(mach), BudgetExceeded);
+  ShardedMachine mach(shard_cfg(2, {{1, 10, 0}}));  // never comes back
+  try {
+    drive(mach);
+    FAIL() << "expected FaultError";
+  } catch (const FaultError& e) {
+    EXPECT_FALSE(e.is_write());
+    EXPECT_EQ(e.attempts(), 9u);  // the first try plus 8 waits
+  }
+  // The fixed wait schedule: 8 rounds of 1, 2, 4, 8, 16, 32, 64, 64 polls.
+  const OutageStats& os = mach.outage_stats(1);
+  EXPECT_EQ(os.failed_reads, 1u);
+  EXPECT_EQ(os.wait_rounds, 8u);
+  EXPECT_EQ(os.backoff_ios, 191u);
 }
 
 }  // namespace

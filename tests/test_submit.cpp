@@ -1,8 +1,7 @@
 // Tests for Machine::submit, the in-order loop over on_read/on_write
 // (docs/MODEL.md section 17): a span charges exactly what the caller's own
-// per-op loop would — counters, phases, wear, trace, the crash point, the
-// per-op ceiling rule, and, on a ShardedMachine, every device and outage
-// window.
+// per-op loop would — counters, phases, wear, trace, the crash point, and,
+// on a ShardedMachine, every device and outage window.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -139,36 +138,6 @@ TEST(SubmitTest, CrashBeyondSpanStaysArmed) {
   EXPECT_TRUE(m.faults()->crash_armed());
 }
 
-FaultConfig ceiling(bool use_cost_ceiling) {
-  FaultConfig fc;
-  if (use_cost_ceiling) {
-    fc.max_cost = 50;  // 20 reads + 10 writes at omega 8 = 100 > 50
-  } else {
-    fc.max_ios = 25;
-  }
-  return fc;
-}
-
-TEST(SubmitTest, CeilingChargesUpToAndIncludingTheCrossingOp) {
-  // The one budget rule: the op that crosses max_cost / max_ios is charged,
-  // then BudgetExceeded is thrown — a span stops exactly where the
-  // caller's own loop would.
-  for (const bool use_cost_ceiling : {true, false}) {
-    Machine per_op(cfg());
-    Machine batched(cfg());
-    for (Machine* m : {&per_op, &batched}) {
-      m->register_array("a");
-      m->register_array("b");
-      m->install_faults(ceiling(use_cost_ceiling));
-    }
-    const std::vector<BlockOp> ops = mixed_ops(30);
-    EXPECT_THROW(replay_per_op(per_op, ops), BudgetExceeded);
-    EXPECT_THROW(batched.submit(ops), BudgetExceeded);
-    EXPECT_NE(batched.stats().total_ios(), 0u) << "cost=" << use_cost_ceiling;
-    EXPECT_EQ(per_op.stats(), batched.stats()) << "cost=" << use_cost_ceiling;
-  }
-}
-
 ShardConfig shard_cfg(std::size_t devices, std::size_t dev_block = 16) {
   ShardConfig sc;
   sc.frontend.memory_elems = 1024;
@@ -214,23 +183,25 @@ TEST(SubmitTest, ShardedBatchMatchesPerOpOnEveryDevice) {
   }
 }
 
-TEST(SubmitTest, ShardedCeilingChargesUpToAndIncludingTheCrossingOp) {
-  for (const bool use_cost_ceiling : {true, false}) {
-    ShardedMachine per_op(shard_cfg(3, 4));
-    ShardedMachine batched(shard_cfg(3, 4));
-    for (ShardedMachine* m : {&per_op, &batched}) {
-      m->register_array("a");
-      m->register_array("b");
-      m->install_faults(ceiling(use_cost_ceiling));
-    }
-    const std::vector<BlockOp> ops = mixed_ops(30);
-    EXPECT_THROW(replay_per_op(per_op, ops), BudgetExceeded);
-    EXPECT_THROW(batched.submit(ops), BudgetExceeded);
-    EXPECT_NE(batched.stats().total_ios(), 0u) << "cost=" << use_cost_ceiling;
-    EXPECT_EQ(per_op.stats(), batched.stats()) << "cost=" << use_cost_ceiling;
-    EXPECT_EQ(per_op.devices_stats(), batched.devices_stats())
-        << "cost=" << use_cost_ceiling;
+TEST(SubmitTest, ShardedCrashFiresOnExactNthChargedWriteInsideBatch) {
+  // The frontend's crash point fires before any device sees the cut write,
+  // on the same op for a span as for the caller's own loop.
+  FaultConfig fc;
+  fc.crash_after_writes = 5;
+  ShardedMachine per_op(shard_cfg(3, 4));
+  ShardedMachine batched(shard_cfg(3, 4));
+  for (ShardedMachine* m : {&per_op, &batched}) {
+    m->register_array("a");
+    m->register_array("b");
+    m->install_faults(fc);
   }
+  const std::vector<BlockOp> ops = mixed_ops(40);
+  EXPECT_THROW(replay_per_op(per_op, ops), CrashError);
+  EXPECT_THROW(batched.submit(ops), CrashError);
+  EXPECT_EQ(batched.stats().writes, fc.crash_after_writes);
+  EXPECT_EQ(per_op.stats(), batched.stats());
+  EXPECT_EQ(per_op.devices_stats(), batched.devices_stats());
+  EXPECT_EQ(batched.devices_stats().writes, 4 * (fc.crash_after_writes - 1));
 }
 
 TEST(SubmitTest, ShardedOutageWindowDegradesToPerOpPath) {
