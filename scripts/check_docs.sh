@@ -10,7 +10,9 @@
 #   4. every aem.machine.metrics/v* schema string in the docs matches the
 #      single source of truth, MetricsSnapshot::kSchema in
 #      src/core/metrics.hpp;
-#   5. docs/ARCHITECTURE.md covers EVERY src/ subdirectory.
+#   5. docs/ARCHITECTURE.md covers EVERY src/ subdirectory;
+#   6. every test a doc cites as `Suite.Name` (or `Suite.*`) is defined by
+#      a TEST/TEST_F/TEST_P in tests/*.cpp.
 #
 # Every check is structural: it names a file, binary or string the code
 # owns, never a doc's wording.
@@ -87,9 +89,29 @@ for dir in "$REPO"/src/*/; do
     err "docs/ARCHITECTURE.md does not cover src/$name"
 done
 
+# --- 6. cited gtest names -------------------------------------------------
+# A citation is a backticked `FooTest.Bar` (or `FooTest.*`, which needs only
+# the suite).  Definitions may wrap their arguments across lines.
+mapfile -t test_defs < <(perl -0777 -ne \
+  'print "$1.$2\n" while /\bTEST(?:_F|_P)?\(\s*(\w+)\s*,\s*(\w+)\s*\)/g' \
+  "$REPO"/tests/*.cpp | sort -u)
+[[ ${#test_defs[@]} -gt 0 ]] || err "no TEST definitions found in tests/*.cpp (pattern broke?)"
+mapfile -t test_refs < <(grep -hoE '`[A-Za-z0-9_]+Test\.([A-Za-z0-9_]+|\*)`' "${DOCS[@]}" |
+  tr -d '`' | sort -u)
+for t in "${test_refs[@]}"; do
+  found=0
+  for d in "${test_defs[@]}"; do
+    if [[ "$t" == *.\* ]]; then [[ "$d" == "${t%\*}"* ]] && { found=1; break; }
+    else [[ "$d" == "$t" ]] && { found=1; break; }
+    fi
+  done
+  [[ $found -eq 1 ]] || err "docs cite $t but no TEST/TEST_F/TEST_P in tests/*.cpp defines it"
+done
+
 if [[ $fail -ne 0 ]]; then
   echo "check_docs: FAILED" >&2
   exit 1
 fi
 echo "check_docs passed: ${#bench_refs[@]} bench binaries, ${#script_refs[@]} scripts," \
-     "${#src_refs[@]} example/tool sources, schema $schema, all src/ subdirs covered"
+     "${#src_refs[@]} example/tool sources, schema $schema, all src/ subdirs covered," \
+     "${#test_refs[@]} cited tests defined"

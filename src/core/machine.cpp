@@ -103,7 +103,6 @@ const std::string& Machine::array_name(std::uint32_t id) const {
 IoTicket Machine::on_read(std::uint32_t array, std::uint64_t block) {
   ++stats_.reads;
   attribute(/*is_write=*/false);
-  if (faults_) faults_->check_budget(stats_);
   if (trace_) return trace_->add(OpKind::kRead, array, block);
   return IoTicket{};
 }

@@ -6,16 +6,16 @@
 // reserves Mout staged elements and one scan block, reads every block of
 // the range, and writes the next Mout occurrences of the (value, position)
 // order: R' * n' reads and n' (+ R') writes.  The host selects each round's
-// slice from one sort of a copy of the range (MODEL.md §3, host
-// recomputation); a round whose blocks differ from the copy (unchecksummed
-// reads, an aliased output) re-sorts and resumes just above the watermark.
+// slice from one sort of (value, offset) records built from a copy of the
+// range (MODEL.md §3, host recomputation); a round whose blocks differ from
+// the copy (unchecksummed reads, an aliased output) rebuilds and re-sorts
+// the records and resumes just above the watermark.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <numeric>
 #include <stdexcept>
 #include <type_traits>
 #include <vector>
@@ -56,21 +56,25 @@ std::size_t small_sort(const ExtArray<T>& src, std::size_t begin,
   sort_detail::CombineSink<T, decltype(key_eq), Combine> sink(
       dst, dst_begin, dst_begin + total, key_eq, combine);
 
-  // Host scratch: the range as delivered, its sorted offsets, read tickets.
+  // Host scratch: the range as delivered (the copy each round's blocks are
+  // compared against), its (value, offset) records in occurrence order, and
+  // the read tickets.
+  struct Rec {
+    T val;
+    std::uint32_t off;
+  };
   std::vector<T> vals(total);
-  std::vector<std::uint32_t> order(total);
+  std::vector<Rec> order(total);
   const std::size_t first = begin / B;  // the range's first block
   std::vector<IoTicket> tickets(mach.n_of(end) - first);
   std::vector<T> stage;  // delivered blocks under fault injection only
-  auto occ_less = [less](const T& a, std::uint32_t ia, const T& b,
-                         std::uint32_t ib) {
-    return less(a, b) || (!less(b, a) && ia < ib);
+  auto occ_less = [less](const Rec& a, const Rec& b) {
+    return less(a.val, b.val) || (!less(b.val, a.val) && a.off < b.off);
   };
 
   std::size_t consumed = 0;
   std::size_t next = 0;  // order[next]: the first occurrence above the mark
-  T mark_val{};          // the watermark: the last emitted (value, offset)
-  std::uint32_t mark_off = 0;
+  Rec mark{};            // the watermark: the last emitted occurrence
   while (consumed < total) {
     MemoryReservation out_res(mach.ledger(), budget.small_batch);
     MemoryReservation block_res(mach.ledger(), B);  // the scan block
@@ -88,31 +92,27 @@ std::size_t small_sort(const ExtArray<T>& src, std::size_t begin,
       }
     }
     if (changed) {
-      std::iota(order.begin(), order.end(), std::uint32_t{0});
-      std::sort(order.begin(), order.end(), [&](auto a, auto b) {
-        return occ_less(vals[a], a, vals[b], b);
-      });
+      for (std::uint32_t o = 0; o < total; ++o) order[o] = {vals[o], o};
+      std::sort(order.begin(), order.end(), occ_less);
       if (consumed > 0)  // resume just above the watermark
-        next = std::partition_point(order.begin(), order.end(), [&](auto o) {
-          return !occ_less(mark_val, mark_off, vals[o], o);
-        }) - order.begin();
+        next = std::upper_bound(order.begin(), order.end(), mark, occ_less) -
+               order.begin();
     }
     const std::size_t batch =
         std::min({budget.small_batch, total - consumed, total - next});
     if (batch == 0)
       throw std::logic_error("small_sort: no progress (corrupt watermark)");
-    const bool mark = mach.tracing() && src.has_atom_extractor();
+    const bool record_use = mach.tracing() && src.has_atom_extractor();
     for (std::size_t i = next; i < next + batch; ++i) {
-      const std::uint32_t o = order[i];
-      const IoTicket tk = tickets[(begin + o) / B - first];
-      if (mark && tk.valid())
-        mach.trace()->mark_used(tk, src.atom_id(vals[o]));
-      sink.push(vals[o]);
+      const Rec& r = order[i];
+      const IoTicket tk = tickets[(begin + r.off) / B - first];
+      if (record_use && tk.valid())
+        mach.trace()->mark_used(tk, src.atom_id(r.val));
+      sink.push(r.val);
     }
     next += batch;
     consumed += batch;
-    mark_off = order[next - 1];
-    mark_val = vals[mark_off];
+    mark = order[next - 1];
   }
   return sink.finish();
 }

@@ -132,6 +132,40 @@ TEST(BoundedHeapTest, SortedIsAscending) {
   EXPECT_TRUE(std::adjacent_find(batch.begin(), batch.end()) == batch.end());
 }
 
+TEST(BoundedHeapTest, SortedEqualsTheBoundedSetInBothRegimes) {
+  // sorted() must return the reference set element for element whether the
+  // items are still in push_heap order (the cap is never reached) or have
+  // been reshuffled by many replace-tops among many equal keys.  The caps
+  // reach merge_runs' real OUT size (8192 at sort_aem's shape), far above
+  // the sizes the tests above sort.
+  aem::util::Rng rng(1306);
+  struct Regime {
+    std::size_t cap, offers;
+    std::uint64_t key_range;
+  };
+  for (const Regime& r : {Regime{8192, 5000, 1u << 20}, Regime{8192, 5000, 3},
+                          Regime{512, 20000, 5}, Regime{8192, 60000, 2}}) {
+    Heap heap(r.cap, r.offers, ItemLess{});
+    RefBatch ref(r.cap);
+    std::uint64_t replaced = 0;
+    for (std::uint64_t id = 0; id < r.offers; ++id) {
+      // Descending tie-breakers: every later equal key sorts first, so a
+      // full heap keeps replacing its top.
+      const Item v{rng.next() % r.key_range, r.offers - id};
+      replaced += heap.full() && heap.admits(v);
+      heap.offer(v);
+      ref.offer(v);
+    }
+    ASSERT_EQ(heap.full(), r.cap <= r.offers);
+    if (heap.full()) {
+      EXPECT_GT(replaced, r.offers / 10);
+    }
+    const auto batch = heap.sorted();
+    ASSERT_EQ(batch.size(), ref.items().size());
+    EXPECT_TRUE(std::equal(batch.begin(), batch.end(), ref.items().begin()));
+  }
+}
+
 TEST(BoundedHeapTest, RejectsZeroCapacity) {
   EXPECT_THROW(Heap(0, 10, ItemLess{}), std::invalid_argument);
 }

@@ -88,6 +88,27 @@ TEST(CrashScheduleTest, ReadsNeverTripTheCut) {
   EXPECT_THROW(mach.on_write(0, 0), CrashError);
 }
 
+TEST(CrashScheduleTest, PointAtOrBelowTheWriteCountFiresOnTheNextWrite) {
+  // Armed after the machine has already written past the point: the cut is
+  // still a write-side event, so a read passes and the next write fires.
+  Machine mach(cfg(64, 8, 1));
+  for (std::uint64_t b = 0; b < 3; ++b) mach.on_write(0, b);
+  FaultConfig c;
+  c.crash_after_writes = 2;
+  mach.install_faults(c);
+  EXPECT_NO_THROW(mach.on_read(0, 0));
+  EXPECT_TRUE(mach.faults()->crash_armed());
+  try {
+    mach.on_write(0, 3);
+    FAIL() << "expected CrashError";
+  } catch (const CrashError& e) {
+    EXPECT_EQ(e.after_writes(), 2u);
+    EXPECT_EQ(e.at().writes, 4u);
+    EXPECT_EQ(e.at().reads, 1u);
+  }
+  EXPECT_FALSE(mach.faults()->crash_armed());
+}
+
 // --- retry-exhaustion boundary -------------------------------------------
 
 /// Finds a seed whose read-fault draw pattern is exactly `k` faults then a
