@@ -12,7 +12,10 @@
 #      src/core/metrics.hpp;
 #   5. docs/ARCHITECTURE.md covers EVERY src/ subdirectory;
 #   6. every test a doc cites as `Suite.Name` (or `Suite.*`) is defined by
-#      a TEST/TEST_F/TEST_P in tests/*.cpp.
+#      a TEST/TEST_F/TEST_P in tests/*.cpp;
+#   7. every source file a doc names in backticks (*.hpp, *.cpp, *.py, and
+#      the `name.hpp/.cpp` shorthand for both) exists under src/, tests/,
+#      bench/, perfbench/, tools/ or examples/.
 #
 # Every check is structural: it names a file, binary or string the code
 # owns, never a doc's wording.
@@ -108,10 +111,34 @@ for t in "${test_refs[@]}"; do
   [[ $found -eq 1 ]] || err "docs cite $t but no TEST/TEST_F/TEST_P in tests/*.cpp defines it"
 done
 
+# --- 7. source files named in backticks -----------------------------------
+# A bare name (`loser_tree.hpp`) must be some file's basename; a name with a
+# directory (`sort/occ.hpp`, `tests/test_store.cpp`) must be some file's
+# path suffix.  `cache.hpp/.cpp` names both cache.hpp and cache.cpp.
+mapfile -t file_refs < <(grep -ho '`[^`]*`' "${DOCS[@]}" |
+  grep -oE '[A-Za-z0-9_./-]+\.(hpp|cpp|py)(/\.(hpp|cpp))?' | sort -u)
+[[ ${#file_refs[@]} -gt 0 ]] || err "no source file references found in docs (pattern broke?)"
+mapfile -t repo_files < <(cd "$REPO" &&
+  find src tests bench perfbench tools examples -type f 2>/dev/null)
+for ref in "${file_refs[@]}"; do
+  names=("$ref")
+  if [[ "$ref" =~ ^(.*)\.(hpp|cpp)/\.(hpp|cpp)$ ]]; then
+    names=("${BASH_REMATCH[1]}.${BASH_REMATCH[2]}" "${BASH_REMATCH[1]}.${BASH_REMATCH[3]}")
+  fi
+  for name in "${names[@]}"; do
+    found=0
+    for f in "${repo_files[@]}"; do
+      if [[ "$f" == "$name" || "$f" == */"$name" ]]; then found=1; break; fi
+    done
+    [[ $found -eq 1 ]] ||
+      err "docs name \`$name\` but no file under src/ tests/ bench/ perfbench/ tools/ examples/ matches it"
+  done
+done
+
 if [[ $fail -ne 0 ]]; then
   echo "check_docs: FAILED" >&2
   exit 1
 fi
 echo "check_docs passed: ${#bench_refs[@]} bench binaries, ${#script_refs[@]} scripts," \
      "${#src_refs[@]} example/tool sources, schema $schema, all src/ subdirs covered," \
-     "${#test_refs[@]} cited tests defined"
+     "${#test_refs[@]} cited tests defined, ${#file_refs[@]} named source files present"

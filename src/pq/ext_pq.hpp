@@ -9,7 +9,10 @@
 //    among the external runs, refilled by a batched selection round —
 //    the Cmin smallest elements across sorted runs form a prefix of each,
 //    so consumption is positional (per-run cursors), needing no watermark
-//    and supporting arbitrary push/pop interleaving;
+//    and supporting arbitrary push/pop interleaving.  The round stages its
+//    cut in the structure that holds merge_runs' OUT
+//    (sort/segment_heap.hpp): one ascending segment per run, emitted into
+//    the cache by a k-way merge of the segments;
 //  * external runs organized in levels of width m_eff = M/(4B): when a
 //    level fills, its runs are merged by the paper's Section 3 merge
 //    (merge_runs, Theorem 3.2 cost) into one run of the next level.
@@ -58,9 +61,9 @@
 #include "core/ext_array.hpp"
 #include "io/scanner.hpp"
 #include "io/writer.hpp"
-#include "sort/bounded_heap.hpp"
 #include "sort/budget.hpp"
 #include "sort/merge.hpp"
+#include "sort/segment_heap.hpp"
 #include "util/math.hpp"
 
 namespace aem {
@@ -304,18 +307,20 @@ class ExtPriorityQueue {
       return a.pos < b.pos;
     };
     // The staged cut: the min_cap_ smallest candidates fed so far (a strict
-    // total order, so exactly what a bounded ordered set would keep).
+    // total order, so exactly what a bounded ordered set would keep), one
+    // ascending segment per run, numbered in (level, index) order.
     std::size_t remaining = 0;
     for (const auto& level : levels_)
       for (const Run& r : level) remaining += r.remaining();
-    sort_detail::BoundedMaxHeap<Cand, decltype(cand_less)> out(
-        min_cap_, remaining, cand_less);
+    sort_detail::SegmentHeap<Cand, decltype(cand_less)> out(
+        min_cap_, remaining, total_runs(), cand_less);
     MemoryReservation out_res(mach_.ledger(), min_cap_);
     MemoryReservation block_res(mach_.ledger(), mach_.B());  // one block
     std::vector<T> stage;  // its host copy, under fault injection only
 
     struct RunCursor {
       std::size_t level, index;
+      std::size_t source;    // the run's number in the cut
       std::size_t frontier;  // first unread element this refill
       Cand last;             // last element fed (valid once frontier moved)
     };
@@ -352,7 +357,7 @@ class ExtPriorityQueue {
         const std::size_t hi = std::min(lo + v.size(), r.length);
         for (std::size_t p = rc.frontier; p < hi; ++p) {
           Cand c{v[p - lo], rc.level, rc.index, p};
-          out.offer(c);
+          out.offer(rc.source, c);
           rc.last = c;
         }
         rc.frontier = hi;
@@ -367,11 +372,12 @@ class ExtPriorityQueue {
     // elements from the cut — so when the table would outgrow the bound it
     // is re-pruned first; only CURRENT survivors count against head_cap
     // (the +1 in head_cap covers the just-pushed transient).
+    std::size_t source = 0;
     for (std::size_t L = 0; L < kMaxLevels; ++L)
-      for (std::size_t i = 0; i < levels_[L].size(); ++i) {
+      for (std::size_t i = 0; i < levels_[L].size(); ++i, ++source) {
         Run& r = levels_[L][i];
         if (r.remaining() == 0) continue;
-        RunCursor rc{L, i, r.cursor, {}};
+        RunCursor rc{L, i, source, r.cursor, {}};
         feed(rc, 2 * mach_.B());
         if (prune(rc)) continue;
         heads.push_back(rc);
@@ -399,11 +405,11 @@ class ExtPriorityQueue {
 
     // Consume: candidates per run are a prefix; advance cursors.
     min_cache_.clear();
-    for (const Cand& c : out.sorted()) {
+    out.drain([&](const Cand& c) {
       min_cache_.push_back(c.val);
       Run& r = levels_[c.level][c.index];
       r.cursor = std::max(r.cursor, c.pos + 1);
-    }
+    });
     if (min_cache_.empty() && total_runs() > 0) {
       // All runs fully consumed: drop them.
       for (auto& level : levels_) level.clear();

@@ -38,8 +38,15 @@ class LoserTree {
  public:
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
-  explicit LoserTree(std::size_t k, Less less = {})
-      : k_(k), pow2_(1), less_(less) {
+  explicit LoserTree(std::size_t k, Less less = {}) : less_(less) {
+    reset(k);
+  }
+
+  /// Re-sizes the tree for `k` contestants, all exhausted until set_key;
+  /// storage is kept, so a tree reused round after round stops allocating.
+  void reset(std::size_t k) {
+    k_ = k;
+    pow2_ = 1;
     while (pow2_ < k_) pow2_ <<= 1;
     keys_.resize(pow2_);
     alive_.assign(pow2_, 0);
@@ -65,15 +72,15 @@ class LoserTree {
       losers_[0] = 0;
       return;
     }
-    std::vector<std::size_t> win(2 * pow2_);
-    for (std::size_t i = 0; i < pow2_; ++i) win[pow2_ + i] = i;
+    win_.resize(2 * pow2_);
+    for (std::size_t i = 0; i < pow2_; ++i) win_[pow2_ + i] = i;
     for (std::size_t node = pow2_ - 1; node >= 1; --node) {
-      const std::size_t a = win[2 * node], b = win[2 * node + 1];
+      const std::size_t a = win_[2 * node], b = win_[2 * node + 1];
       const bool a_wins = beats(a, b);
-      win[node] = a_wins ? a : b;
+      win_[node] = a_wins ? a : b;
       losers_[node] = a_wins ? b : a;
     }
-    losers_[0] = win[1];
+    losers_[0] = win_[1];
   }
 
   /// Replays the winner's leaf-to-root path after its key changed (set_key)
@@ -111,12 +118,13 @@ class LoserTree {
     return a < b;
   }
 
-  std::size_t k_;
-  std::size_t pow2_;
+  std::size_t k_ = 0;
+  std::size_t pow2_ = 1;
   Less less_;
   std::vector<Key> keys_;
   std::vector<std::uint8_t> alive_;
   std::vector<std::size_t> losers_;
+  std::vector<std::size_t> win_;  // rebuild()'s match winners
 };
 
 }  // namespace aem

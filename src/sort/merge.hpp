@@ -9,10 +9,10 @@
 //      (they may not fit in memory when omega > B) and read up to TWO blocks
 //      per run, folding unconsumed occurrences into the staged batch OUT
 //      (capacity Mout, larger elements evicted as smaller ones arrive);
-//      OUT is a host-side bounded max-heap (bounded_heap.hpp), so "is this
-//      element among the Mout smallest" is one comparison with its O(1)
-//      maximum, and it never holds more than the Mout occurrences the round
-//      reserves on the ledger;
+//      OUT is host-side, one ascending segment per run (segment_heap.hpp):
+//      "is this element among the Mout smallest" is one comparison with its
+//      O(1) maximum, the largest segment tail, and it never holds more than
+//      the Mout occurrences the round reserves on the ledger;
 //   B. active-run identification — re-read the same <= 2 blocks per run
 //      (the paper's trick to avoid storing per-run state for all d runs) and
 //      keep the runs that might still contribute: more unread blocks AND
@@ -20,11 +20,11 @@
 //      most m_eff = Mout/B such runs, which is asserted;
 //   C. merging — repeatedly pick the active run whose last-loaded element is
 //      smallest and read its next block, until no run is active;
-//   D. output — write OUT (sorted) to the destination, advance the global
-//      consumption watermark, and advance b[i] past every block whose last
-//      element was just output (at most one charged pointer update per
-//      consumed block over the whole merge: the O(n) amortization of
-//      Section 3.1).
+//   D. output — write OUT to the destination in order (a k-way merge of its
+//      per-run segments, not a sort), advance the global consumption
+//      watermark, and advance b[i] past every block whose last element was
+//      just output (at most one charged pointer update per consumed block
+//      over the whole merge: the O(n) amortization of Section 3.1).
 //
 // Consumption is defined by the watermark: an occurrence is consumed iff it
 // is <= the largest occurrence written so far (total occurrence order, see
@@ -44,10 +44,10 @@
 
 #include "core/ext_array.hpp"
 #include "io/ext_pointer_array.hpp"
-#include "sort/bounded_heap.hpp"
 #include "sort/budget.hpp"
 #include "sort/loser_tree.hpp"
 #include "sort/occ.hpp"
+#include "sort/segment_heap.hpp"
 #include "sort/sink.hpp"
 
 namespace aem {
@@ -74,7 +74,8 @@ class MergeJob {
         occ_less_(less),
         sink_(dst, dst_begin, dst_begin + total_length(runs), key_eq(),
               combine),
-        out_(budget_.out_batch, total_length(runs), occ_less_) {
+        out_(budget_.out_batch, total_length(runs), runs.size(), occ_less_),
+        tree_(0, occ_less_) {
     validate();
   }
 
@@ -147,7 +148,7 @@ class MergeJob {
       if (pos < runs_[r].begin || pos >= runs_[r].end) continue;
       last = Occ<T>{v[i], r, pos, v.ticket()};
       if (fold && (!watermark_.has_value() || occ_less_(*watermark_, last)))
-        out_.offer(last);  // else already consumed
+        out_.offer(r, last);  // else already consumed
       any = true;
     }
     if (!any)
@@ -158,7 +159,6 @@ class MergeJob {
   /// One round: returns the number of source occurrences consumed.
   std::size_t round(ExtPointerArray& bptr) {
     MemoryReservation out_res(mach_.ledger(), budget_.out_batch);
-    out_.clear();
     MemoryReservation block_res(mach_.ledger(), mach_.B());  // one block
 
     // Phase A: initialization — up to two blocks per non-exhausted run.
@@ -179,7 +179,8 @@ class MergeJob {
     // run's resident boundary element s_i; its O(1) auxiliary words are the
     // constant-per-element allowance of Section 3.1 (same convention as the
     // occurrences in OUT).
-    std::vector<Active> actives;
+    std::vector<Active>& actives = actives_;
+    actives.clear();
     MemoryReservation actives_res(mach_.ledger(), budget_.m_eff);
     bptr.for_each(0, runs_.size(), [&](std::size_t r, std::uint64_t b) {
       const auto run = static_cast<std::uint32_t>(r);
@@ -208,31 +209,32 @@ class MergeJob {
     // is, ending the phase.  Host-side selection state only: the tree
     // mirrors the <= m_eff resident boundary elements actives_res already
     // reserves, so the simulated footprint is unchanged (see loser_tree.hpp).
-    using Tree = LoserTree<Occ<T>, OccLess<T, Less>>;
-    Tree tree(actives.size(), occ_less_);
+    tree_.reset(actives.size());
     for (std::size_t i = 0; i < actives.size(); ++i)
-      tree.set_key(i, actives[i].last_loaded);
-    tree.rebuild();
-    for (std::size_t j = tree.winner(); j != Tree::npos; j = tree.winner()) {
+      tree_.set_key(i, actives[i].last_loaded);
+    tree_.rebuild();
+    for (std::size_t j = tree_.winner(); j != Tree::npos; j = tree_.winner()) {
       Active& a = actives[j];
       if (!out_.admits(a.last_loaded))
         break;  // the smallest s_i is out of range, so every s_i is
       a.last_loaded = read_into(a.run, a.next_block);
       ++a.next_block;
       if (a.next_block >= run_end_block(a.run)) {
-        tree.set_exhausted(j);
+        tree_.set_exhausted(j);
       } else {
-        tree.set_key(j, a.last_loaded);
+        tree_.set_key(j, a.last_loaded);
       }
-      tree.update(j);
+      tree_.update(j);
     }
 
-    // Phase D: output the batch, advance the watermark, and advance b[i]
-    // past fully consumed blocks (their last element is in this batch).
-    const auto batch = out_.sorted();
+    // Phase D: output the batch in order, advance the watermark, and
+    // advance b[i] past fully consumed blocks (their last element is in
+    // this batch).
+    const std::size_t emitted = out_.size();
+    watermark_ = out_.max();  // the batch's last element
     const std::size_t B = mach_.B();
     const bool mark = mach_.tracing() && src_.has_atom_extractor();
-    for (const Occ<T>& o : batch) {
+    out_.drain([&](const Occ<T>& o) {
       // Lemma 4.3 use-sets: the read whose copy reached the output batch is
       // the one that consumes the atom from its block.
       if (mark && o.ticket.valid())
@@ -241,9 +243,8 @@ class MergeJob {
       const bool block_last =
           (o.pos % B == B - 1) || (o.pos == runs_[o.run].end - 1);
       if (block_last) bptr.set(o.run, o.pos / B + 1);
-    }
-    watermark_ = batch.back();
-    return batch.size();
+    });
+    return emitted;
   }
 
   Machine& mach_;
@@ -252,8 +253,12 @@ class MergeJob {
   SortBudget budget_;
   OccLess<T, Less> occ_less_;
   CombineSink<T, std::function<bool(const T&, const T&)>, Combine> sink_;
-  // OUT, the staged batch; its storage is reused by every round.
-  BoundedMaxHeap<Occ<T>, OccLess<T, Less>> out_;
+  // OUT, the staged batch, and Phase C's selection state (actives and
+  // their loser tree); their storage is reused by every round.
+  SegmentHeap<Occ<T>, OccLess<T, Less>> out_;
+  using Tree = LoserTree<Occ<T>, OccLess<T, Less>>;
+  std::vector<Active> actives_;
+  Tree tree_;
   std::optional<Occ<T>> watermark_;
   std::vector<T> stage_;  // the resident block's host copy under faults
   MergeStats* stats_ = nullptr;

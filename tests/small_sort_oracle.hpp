@@ -2,8 +2,9 @@
 // the host, kept as the oracle of test_small_sort.cpp's differential test.
 //
 // Every round reserves Mout staged occurrences, scans the whole range with a
-// Scanner, offers each occurrence above the watermark to a bounded max-heap
-// of Mout, then emits the heap in (value, position) order.  It carries one
+// Scanner, offers each occurrence above the watermark to a bounded ordered
+// set of Mout (the std::set batch the sort goldens were first recorded
+// with), then emits the set in (value, position) order.  It carries one
 // fix the shipped kernel also has: a round's batch is capped at the elements
 // still owed to the output, so a round whose unchecksummed reads deliver
 // extra occurrences above the watermark cannot push past the output range.
@@ -11,12 +12,13 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <iterator>
 #include <optional>
+#include <set>
 #include <stdexcept>
 
 #include "core/ext_array.hpp"
 #include "io/scanner.hpp"
-#include "sort/bounded_heap.hpp"
 #include "sort/budget.hpp"
 #include "sort/occ.hpp"
 #include "sort/sink.hpp"
@@ -47,8 +49,8 @@ std::size_t offer_loop_small_sort(const ExtArray<T>& src, std::size_t begin,
   std::size_t consumed = 0;
   while (consumed < total) {
     MemoryReservation out_res(mach.ledger(), budget.small_batch);
-    sort_detail::BoundedMaxHeap<Occ, OccLess> out(
-        std::min(budget.small_batch, total - consumed), total, occ_less);
+    const std::size_t cap = std::min(budget.small_batch, total - consumed);
+    std::set<Occ, OccLess> out(occ_less);
 
     Scanner<T> scan(src, begin, end);
     while (!scan.done()) {
@@ -56,20 +58,24 @@ std::size_t offer_loop_small_sort(const ExtArray<T>& src, std::size_t begin,
       const T val = scan.next();
       Occ o{val, /*run=*/0, pos, scan.last_ticket()};
       if (watermark.has_value() && !occ_less(*watermark, o)) continue;
-      out.offer(o);
+      if (out.size() < cap) {
+        out.insert(o);
+      } else if (occ_less(o, *out.rbegin())) {
+        out.erase(std::prev(out.end()));
+        out.insert(o);
+      }
     }
 
     if (out.empty())
       throw std::logic_error("small_sort: no progress (corrupt watermark)");
     const bool mark = mach.tracing() && src.has_atom_extractor();
-    const auto batch = out.sorted();
-    for (const Occ& o : batch) {
+    for (const Occ& o : out) {
       if (mark && o.ticket.valid())
         mach.trace()->mark_used(o.ticket, src.atom_id(o.val));
       sink.push(o.val);
     }
-    watermark = batch.back();
-    consumed += batch.size();
+    watermark = *out.rbegin();
+    consumed += out.size();
   }
   return sink.finish();
 }

@@ -14,10 +14,12 @@
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
+#include <exception>
 #include <string>
 #include <vector>
 
 #include "core/ext_array.hpp"
+#include "core/faults.hpp"
 #include "core/machine.hpp"
 #include "core/trace.hpp"
 #include "pq/ext_pq.hpp"
@@ -88,12 +90,23 @@ Config cfg(const Shape& s) {
   return c;
 }
 
+/// What one case left behind: its pin, and under faults the text of a
+/// thrown exception (empty if none) and how many reads were corrupted.
+struct Outcome {
+  Pin pin;
+  std::string error;
+  std::uint64_t read_faults = 0;
+};
+
 /// A traced machine with atom-tracked input and output arrays of `n_out`
-/// elements; `body(in, out)` runs the algorithm under test.
+/// elements; `body(in, out)` runs the algorithm under test.  With `faults`,
+/// the fault layer is installed and a thrown exception is recorded rather
+/// than propagated (the pin then covers the I/O up to the throw).
 template <class Body>
-Pin measure(const Shape& s, const std::vector<std::uint64_t>& host,
-            std::size_t n_out, Body body) {
+Outcome measure(const Shape& s, const std::vector<std::uint64_t>& host,
+                std::size_t n_out, const FaultConfig* faults, Body body) {
   Machine mach(cfg(s));
+  if (faults != nullptr) mach.install_faults(*faults);
   auto atom = [](const std::uint64_t& v) { return v; };
   ExtArray<std::uint64_t> in(mach, host.size(), "in");
   in.unsafe_host_fill(host);
@@ -101,10 +114,21 @@ Pin measure(const Shape& s, const std::vector<std::uint64_t>& host,
   ExtArray<std::uint64_t> out(mach, n_out, "out");
   out.set_atom_extractor(atom);
   mach.enable_trace();
-  body(in, out);
+  Outcome o;
+  if (faults == nullptr) {
+    body(in, out);
+  } else {
+    try {
+      body(in, out);
+    } catch (const std::exception& e) {
+      o.error = e.what();
+    }
+    o.read_faults = mach.faults()->stats().read_faults;
+  }
   const IoStats st = mach.stats();
-  return Pin{st.reads, st.writes, mach.ledger().high_water(),
-             trace_hash(*mach.trace())};
+  o.pin = Pin{st.reads, st.writes, mach.ledger().high_water(),
+              trace_hash(*mach.trace())};
+  return o;
 }
 
 /// Host-sorted runs at block-aligned offsets (unaligned lengths), as many
@@ -134,16 +158,17 @@ std::vector<std::uint64_t> make_runs(const Shape& s,
   return src;
 }
 
-Pin run_case(const std::string& algo, const Shape& s, Input kind) {
+Outcome run_case(const std::string& algo, const Shape& s, Input kind,
+                 const FaultConfig* faults = nullptr) {
   const auto keys = make_input(s.N, kind, 0xA11CE + s.N);
   const std::size_t n = keys.size();
   if (algo == "small_sort") {
-    return measure(s, keys, n, [&](auto& in, auto& out) {
+    return measure(s, keys, n, faults, [&](auto& in, auto& out) {
       small_sort(in, 0, n, out, 0, KeyLess{});
     });
   }
   if (algo == "small_sort_combine") {
-    return measure(s, keys, n, [&](auto& in, auto& out) {
+    return measure(s, keys, n, faults, [&](auto& in, auto& out) {
       small_sort(in, 0, n, out, 0, KeyLess{},
                  [](std::uint64_t& acc, const std::uint64_t& next) {
                    acc = (acc & ~std::uint64_t{0xff}) |
@@ -154,18 +179,18 @@ Pin run_case(const std::string& algo, const Shape& s, Input kind) {
   if (algo == "merge_loser") {
     std::vector<RunBounds> bounds;
     const auto src = make_runs(s, keys, bounds);
-    return measure(s, src, n, [&](auto& in, auto& out) {
+    return measure(s, src, n, faults, [&](auto& in, auto& out) {
       merge_runs(in, std::span<const RunBounds>(bounds), out, 0, KeyLess{});
     });
   }
   if (algo == "aem_merge_sort") {
-    return measure(s, keys, n, [&](auto& in, auto& out) {
+    return measure(s, keys, n, faults, [&](auto& in, auto& out) {
       aem_merge_sort(in, out, KeyLess{});
     });
   }
   const PqTuning tuning =
       algo == "heap_legacy" ? PqTuning::kLegacy : PqTuning::kBuffered;
-  return measure(s, keys, n, [&](auto& in, auto& out) {
+  return measure(s, keys, n, faults, [&](auto& in, auto& out) {
     aem_heap_sort(in, out, KeyLess{}, tuning);
   });
 }
@@ -239,7 +264,7 @@ TEST(SortGoldenTest, ChargesAndTracesMatchPins) {
   for (const char* algo : kAlgos)
     for (std::size_t si = 0; si < std::size(kShapes); ++si)
       for (Input kind : {U, D}) {
-        const Pin got = run_case(algo, kShapes[si], kind);
+        const Pin got = run_case(algo, kShapes[si], kind).pin;
         const Golden* want = nullptr;
         for (const Golden& g : kGolden)
           if (std::string(g.algo) == algo && g.shape == si && g.input == kind)
@@ -252,6 +277,110 @@ TEST(SortGoldenTest, ChargesAndTracesMatchPins) {
                       got.high_water, got.trace);
         EXPECT_TRUE(want != nullptr && want->pin == got) << line;
       }
+}
+
+// The same kernels under read faults that nothing detects: no read
+// checksums and no write verification, so a corrupted delivery reaches the
+// kernel as data.  Runs then read back unsorted, and a block re-read later
+// in a round can deliver other bytes than its first read.  This is the
+// regime where a staged batch that leans on sorted runs could keep a
+// different set than "the cap smallest offered", so the pins (recorded with
+// the flat max-heap staged batch) cover it.  A case that throws pins the
+// exception text with the I/O it made before the throw.
+FaultConfig unchecked_read_faults() {
+  FaultConfig fc;
+  fc.seed = 7;
+  fc.read_fault_rate = 0.002;
+  fc.checksum_reads = false;
+  fc.verify_writes = false;
+  return fc;
+}
+
+struct FaultGolden {
+  const char* algo;
+  std::size_t shape;
+  Input input;
+  Pin pin;
+  const char* error;
+};
+
+const FaultGolden kFaultGolden[] = {
+    {"merge_loser", 0, U, {1169, 340, 60, 0x3255018acced3221ull},
+     "merge: no progress (pointer invariant broken)"},
+    {"merge_loser", 0, D, {1430, 380, 60, 0x11093325189af9aeull}, ""},
+    {"merge_loser", 1, U, {1544, 380, 116, 0xceb11dc838c45ddaull}, ""},
+    {"merge_loser", 1, D, {1549, 380, 116, 0xba1246b4976a3428ull}, ""},
+    {"merge_loser", 2, U, {1065, 632, 168, 0x79ec898dcbe73dedull}, ""},
+    {"merge_loser", 2, D, {1134, 632, 168, 0x833fad35d140549full}, ""},
+    {"merge_loser", 3, U, {2630, 1007, 52, 0xb141f07ecb604d66ull}, ""},
+    {"merge_loser", 3, D, {2816, 1006, 52, 0x1f943ccd2e787feeull},
+     "merge: no progress (pointer invariant broken)"},
+    {"aem_merge_sort", 0, U, {2241, 943, 80, 0x0058e908f6e98220ull}, ""},
+    {"aem_merge_sort", 0, D, {240, 111, 80, 0xb7093bae10aaaa5full},
+     "small_sort: no progress (corrupt watermark)"},
+    {"aem_merge_sort", 1, U, {3185, 565, 160, 0xffda2c71b6f47436ull}, ""},
+    {"aem_merge_sort", 1, D, {3202, 565, 160, 0x1367c53c27849937ull}, ""},
+    {"aem_merge_sort", 2, U, {1919, 940, 272, 0x963be09395188dc4ull}, ""},
+    {"aem_merge_sort", 2, D, {1935, 940, 272, 0xae1da6c914db96dfull}, ""},
+    {"aem_merge_sort", 3, U, {5615, 1501, 72, 0x6ba97e86b48a7b18ull}, ""},
+    {"aem_merge_sort", 3, D, {5276, 1293, 72, 0x16c46b4d066ffdb6ull},
+     "merge: no progress (pointer invariant broken)"},
+    {"heap_legacy", 0, U, {4112, 1819, 85, 0x1096e9f2e17e30d5ull}, ""},
+    {"heap_legacy", 0, D, {3930, 1819, 85, 0xa1c8cae9fd1956f2ull}, ""},
+    {"heap_legacy", 1, U, {4140, 1819, 157, 0xd4ae67f68b36e636ull}, ""},
+    {"heap_legacy", 1, D, {4072, 1819, 157, 0x927757eec4cd536dull}, ""},
+    {"heap_legacy", 2, U, {2693, 1397, 200, 0xe291f474a2ac2d48ull}, ""},
+    {"heap_legacy", 2, D, {813, 512, 199, 0x99ffafa68f7443bdull},
+     "merge: no progress (pointer invariant broken)"},
+    {"heap_legacy", 3, U, {2943, 1766, 74, 0xfd96a5c525ef46a7ull},
+     "merge: no progress (pointer invariant broken)"},
+    {"heap_legacy", 3, D, {3176, 1809, 74, 0xe68ca51eb2a983f0ull},
+     "merge: no progress (pointer invariant broken)"},
+    {"heap_buffered", 0, U, {2320, 968, 76, 0x519c78c85cf545ddull},
+     "merge: no progress (pointer invariant broken)"},
+    {"heap_buffered", 0, D, {4114, 1298, 76, 0x1f82949ec2060e55ull}, ""},
+    {"heap_buffered", 1, U, {9974, 762, 148, 0x3f92e9f63126bbc9ull}, ""},
+    {"heap_buffered", 1, D, {9141, 762, 148, 0x4feb12400f1a1b62ull}, ""},
+    {"heap_buffered", 2, U, {4136, 625, 153, 0xe9d7540fd12a1eb3ull}, ""},
+    {"heap_buffered", 2, D, {3955, 625, 153, 0xd73a57c0cb9fd0beull}, ""},
+    {"heap_buffered", 3, U, {22991, 1780, 60, 0x8254d2d59e1b88ecull},
+     "ExtPriorityQueue: lost elements"},
+    {"heap_buffered", 3, D, {21679, 1783, 60, 0x4f54b5afa0cd3c52ull},
+     "ExtPriorityQueue: lost elements"},
+};
+
+TEST(SortGoldenTest, UncheckedReadFaultsMatchPins) {
+  const FaultConfig faults = unchecked_read_faults();
+  std::size_t completed = 0, changed = 0;
+  for (const char* algo :
+       {"merge_loser", "aem_merge_sort", "heap_legacy", "heap_buffered"})
+    for (std::size_t si = 0; si < std::size(kShapes); ++si)
+      for (Input kind : {U, D}) {
+        const Outcome got = run_case(algo, kShapes[si], kind, &faults);
+        EXPECT_GT(got.read_faults, 0u) << algo << " shape " << si;
+        if (got.error.empty()) ++completed;
+        for (const Golden& g : kGolden)
+          if (std::string(g.algo) == algo && g.shape == si && g.input == kind)
+            changed += g.pin != got.pin;
+        const FaultGolden* want = nullptr;
+        for (const FaultGolden& g : kFaultGolden)
+          if (std::string(g.algo) == algo && g.shape == si && g.input == kind)
+            want = &g;
+        char line[320];
+        std::snprintf(line, sizeof line,
+                      "{\"%s\", %zu, %c, {%" PRIu64 ", %" PRIu64 ", %" PRIu64
+                      ", 0x%016" PRIx64 "ull}, \"%s\"},",
+                      algo, si, kind == U ? 'U' : 'D', got.pin.reads,
+                      got.pin.writes, got.pin.high_water, got.pin.trace,
+                      got.error.c_str());
+        EXPECT_TRUE(want != nullptr && want->pin == got.pin &&
+                    got.error == want->error)
+            << line;
+      }
+  // Most cases must run to completion, or the pins cover little merging,
+  // and the faults must change what the kernels do.
+  EXPECT_GT(completed, 16u);
+  EXPECT_GT(changed, 16u);
 }
 
 }  // namespace
