@@ -12,8 +12,9 @@ BUILD_DIR="${1:-build}"
 shift || true
 BENCHES=("$@")
 if [[ ${#BENCHES[@]} -eq 0 ]]; then
-  BENCHES=(bench_e1_merge bench_e3_sort_shootout bench_e5_crossover
-           bench_e8_counting bench_e10_ablation bench_r1_faults
+  BENCHES=(bench_e1_merge bench_e2_mergesort bench_e3_sort_shootout
+           bench_e5_crossover bench_e8_counting bench_e10_ablation
+           bench_r1_faults
            bench_c1_cache bench_s1_shard bench_k1_store bench_f1_recovery
            bench_t1_traffic bench_w1_lowwrite)
 fi

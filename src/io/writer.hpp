@@ -32,7 +32,8 @@ class Writer {
       : arr_(&arr),
         buf_(arr.machine(), arr.machine().B()),
         pos_(begin),
-        end_(end == npos ? arr.size() : end) {
+        end_(end == npos ? arr.size() : end),
+        limit_(fill_limit()) {
     assert(pos_ <= end_ && end_ <= arr.size());
   }
 
@@ -55,9 +56,7 @@ class Writer {
   void push(const T& v) {
     assert(!full());
     buf_[buf_fill_++] = v;
-    // pos_ is mid-block only before the first flush, so the buffer always
-    // fills up to a block boundary.
-    if (pos_ % buf_.size() + buf_fill_ == buf_.size()) flush_block();
+    if (buf_fill_ == limit_) flush_block();
   }
 
   /// Flushes any buffered partial block.  Idempotent.
@@ -85,12 +84,18 @@ class Writer {
     }
     pos_ += buf_fill_;
     buf_fill_ = 0;
+    limit_ = fill_limit();
   }
+
+  /// Elements from pos_ to the next block boundary: pos_ is mid-block only
+  /// before the first flush, so the buffer always fills up to a boundary.
+  std::size_t fill_limit() const { return buf_.size() - pos_ % buf_.size(); }
 
   ExtArray<T>* arr_;
   Buffer<T> buf_;
   std::size_t pos_;
   std::size_t end_;
+  std::size_t limit_;  // buf_fill_ at which push flushes
   std::size_t buf_fill_ = 0;
 };
 

@@ -137,23 +137,27 @@ class MergeJob {
 
   /// Reads absolute block `abs_block` (charged) and returns run r's last
   /// occurrence in it; with `fold`, also offers its unconsumed occurrences
-  /// to OUT.
+  /// to OUT.  When the delivery is the stored bytes it is sorted, so the
+  /// offers stop at the first occurrence OUT does not admit: every later
+  /// one is larger, and OUT's maximum does not move meanwhile.
   Occ<T> read_into(std::uint32_t r, std::uint64_t abs_block, bool fold = true) {
     const BlockView<T> v = src_.view_block(abs_block, stage_);
     const std::size_t lo = static_cast<std::size_t>(abs_block) * mach_.B();
-    Occ<T> last{};
-    bool any = false;
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      const std::size_t pos = lo + i;
-      if (pos < runs_[r].begin || pos >= runs_[r].end) continue;
-      last = Occ<T>{v[i], r, pos, v.ticket()};
-      if (fold && (!watermark_.has_value() || occ_less_(*watermark_, last)))
-        out_.offer(r, last);  // else already consumed
-      any = true;
-    }
-    if (!any)
+    const std::size_t first = std::max(lo, runs_[r].begin);
+    const std::size_t end = std::min(lo + v.size(), runs_[r].end);
+    if (first >= end)
       throw std::logic_error("merge: read a block with no in-range elements");
-    return last;
+    if (fold) {
+      const bool sorted = src_.delivers_stored_bytes();
+      for (std::size_t pos = first; pos < end; ++pos) {
+        const Occ<T> o{v[pos - lo], r, pos, v.ticket()};
+        if (watermark_.has_value() && !occ_less_(*watermark_, o))
+          continue;  // already consumed
+        if (sorted && !out_.admits(o)) break;
+        out_.offer(r, o);
+      }
+    }
+    return Occ<T>{v[end - 1 - lo], r, end - 1, v.ticket()};
   }
 
   /// One round: returns the number of source occurrences consumed.

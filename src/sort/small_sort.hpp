@@ -6,22 +6,27 @@
 // reserves Mout staged elements and one scan block, reads every block of
 // the range, and writes the next Mout occurrences of the (value, position)
 // order: R' * n' reads and n' (+ R') writes.  The host selects each round's
-// slice from one sort of (value, offset) records built from a copy of the
-// range (MODEL.md §3, host recomputation); a round whose blocks differ from
-// the copy (unchecksummed reads, an aliased output) rebuilds and re-sorts
-// the records and resumes just above the watermark.
+// slice from one offset permutation of a copy of the range, in occurrence
+// order (host_sort.hpp: a radix for unsigned keys under std::less; MODEL.md
+// §3, host recomputation).  A round compares its blocks with the copy only
+// when they can differ: under injected faults, or when src was written
+// since the copy was read (an aliased output).  A round whose blocks do
+// differ rebuilds the copy and its order, and resumes just above the
+// watermark, kept as a (value, offset) pair because the copy changed.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <stdexcept>
 #include <type_traits>
 #include <vector>
 
 #include "core/ext_array.hpp"
 #include "sort/budget.hpp"
+#include "sort/host_sort.hpp"
 #include "sort/sink.hpp"
 
 namespace aem {
@@ -57,31 +62,38 @@ std::size_t small_sort(const ExtArray<T>& src, std::size_t begin,
       dst, dst_begin, dst_begin + total, key_eq, combine);
 
   // Host scratch: the range as delivered (the copy each round's blocks are
-  // compared against), its (value, offset) records in occurrence order, and
-  // the read tickets.
-  struct Rec {
-    T val;
-    std::uint32_t off;
-  };
+  // compared against), its offsets in occurrence order, and the read
+  // tickets.
   std::vector<T> vals(total);
-  std::vector<Rec> order(total);
+  std::vector<std::uint32_t> order;
   const std::size_t first = begin / B;  // the range's first block
   std::vector<IoTicket> tickets(mach.n_of(end) - first);
   std::vector<T> stage;  // delivered blocks under fault injection only
-  auto occ_less = [less](const Rec& a, const Rec& b) {
-    return less(a.val, b.val) || (!less(b.val, a.val) && a.off < b.off);
+  struct Mark {
+    T val;
+    std::uint32_t off;
+  };
+  // upper_bound's comparison: is the watermark below offset o's occurrence?
+  auto mark_below = [less, &vals](const Mark& m, std::uint32_t o) {
+    return less(m.val, vals[o]) || (!less(vals[o], m.val) && m.off < o);
   };
 
   std::size_t consumed = 0;
   std::size_t next = 0;  // order[next]: the first occurrence above the mark
-  Rec mark{};            // the watermark: the last emitted occurrence
+  Mark mark{};           // the watermark: the last emitted occurrence
+  std::uint64_t copied_gen = 0;  // src's write generation when vals was read
   while (consumed < total) {
     MemoryReservation out_res(mach.ledger(), budget.small_batch);
     MemoryReservation block_res(mach.ledger(), B);  // the scan block
     bool changed = consumed == 0;
+    // Without faults a round delivers the stored bytes, so it can only
+    // differ from the copy if src was written since the copy was read.
+    const bool recheck = changed || !src.delivers_stored_bytes() ||
+                         src.write_generation() != copied_gen;
     for (std::size_t t = 0; t < tickets.size(); ++t) {
       const BlockView<T> v = src.view_block(first + t, stage);
       tickets[t] = v.ticket();
+      if (!recheck) continue;
       const std::size_t lo = std::max(begin, (first + t) * B);
       const std::size_t hi = std::min(end, (first + t) * B + v.size());
       const T* got = v.span().data() + (lo - (first + t) * B);
@@ -91,11 +103,12 @@ std::size_t small_sort(const ExtArray<T>& src, std::size_t begin,
         changed = true;
       }
     }
+    copied_gen = src.write_generation();
     if (changed) {
-      for (std::uint32_t o = 0; o < total; ++o) order[o] = {vals[o], o};
-      std::sort(order.begin(), order.end(), occ_less);
+      sort_detail::host_sort(std::span<const T>(vals), less, order);
       if (consumed > 0)  // resume just above the watermark
-        next = std::upper_bound(order.begin(), order.end(), mark, occ_less) -
+        next = std::upper_bound(order.begin(), order.end(), mark,
+                                mark_below) -
                order.begin();
     }
     const std::size_t batch =
@@ -104,15 +117,15 @@ std::size_t small_sort(const ExtArray<T>& src, std::size_t begin,
       throw std::logic_error("small_sort: no progress (corrupt watermark)");
     const bool record_use = mach.tracing() && src.has_atom_extractor();
     for (std::size_t i = next; i < next + batch; ++i) {
-      const Rec& r = order[i];
-      const IoTicket tk = tickets[(begin + r.off) / B - first];
+      const std::uint32_t off = order[i];
+      const IoTicket tk = tickets[(begin + off) / B - first];
       if (record_use && tk.valid())
-        mach.trace()->mark_used(tk, src.atom_id(r.val));
-      sink.push(r.val);
+        mach.trace()->mark_used(tk, src.atom_id(vals[off]));
+      sink.push(vals[off]);
     }
     next += batch;
     consumed += batch;
-    mark = order[next - 1];
+    mark = {vals[order[next - 1]], order[next - 1]};
   }
   return sink.finish();
 }

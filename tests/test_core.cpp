@@ -489,6 +489,49 @@ TEST(ExtArrayTest, AtomExtractorRecordsWrites) {
   EXPECT_EQ(tr->op(0).atoms[7], 107u);
 }
 
+TEST(ExtArrayTest, WriteGenerationMovesOnWritesNotReads) {
+  Config cfg = small_config();
+  cfg.cache.capacity_blocks = 1;  // reads below evict a dirty block
+  Machine mach(cfg);
+  ExtArray<int> arr(mach, 16, "a");
+  EXPECT_EQ(arr.write_generation(), 0u);
+  std::vector<int> stage;
+  Buffer<int> buf(mach, 8);
+  arr.view_block(0, stage);
+  arr.read_block(1, buf.span());
+  EXPECT_EQ(arr.write_generation(), 0u);  // reads never move it
+  arr.write_block(0, std::span<const int>(buf.data(), 8));
+  EXPECT_EQ(arr.write_generation(), 1u);  // even when only the pool is dirtied
+  arr.read_block(1, buf.span());          // evicts and writes back block 0
+  EXPECT_EQ(mach.stats().writes, 1u);
+  EXPECT_EQ(arr.write_generation(), 1u);
+  arr.grow_to(8);  // no growth, no change
+  EXPECT_EQ(arr.write_generation(), 1u);
+  arr.grow_to(24);
+  EXPECT_EQ(arr.write_generation(), 2u);
+  arr.unsafe_host_fill(std::vector<int>(24, 3));
+  EXPECT_EQ(arr.write_generation(), 3u);
+  ExtArray<int> moved(std::move(arr));
+  EXPECT_EQ(moved.write_generation(), 1u);
+  EXPECT_EQ(arr.write_generation(), 4u);  // NOLINT(bugprone-use-after-move)
+  moved = ExtArray<int>(mach, 8, "b");
+  EXPECT_EQ(moved.write_generation(), 2u);
+}
+
+TEST(ExtArrayTest, DeliversStoredBytesUnlessFaultsAreInjected) {
+  Machine mach(small_config());
+  ExtArray<int> arr(mach, 16, "a");
+  EXPECT_TRUE(arr.delivers_stored_bytes());
+  FaultConfig crash_only;
+  crash_only.crash_after_writes = 5;
+  mach.install_faults(crash_only);
+  EXPECT_TRUE(arr.delivers_stored_bytes());  // a power cut corrupts nothing
+  FaultConfig reads;
+  reads.read_fault_rate = 0.01;
+  mach.install_faults(reads);
+  EXPECT_FALSE(arr.delivers_stored_bytes());
+}
+
 TEST(ExtArrayTest, BufferRegistersWithLedger) {
   Machine mach(small_config());  // M = 64
   EXPECT_EQ(mach.ledger().used(), 0u);

@@ -1,7 +1,8 @@
 // small_sort under caches and read faults: a regression for the output
 // overrun on unchecksummed reads, and a differential test against the offer
 // loop the kernel ran before it computed its selection once on the host
-// (small_sort_oracle.hpp).  The two must agree on every output byte, the
+// (small_sort_oracle.hpp), under a custom key order (host_sort's record
+// sort) and under std::less (its radix).  The two must agree on every output byte, the
 // return value, Q_r / Q_w, the ledger high-water mark and the full trace —
 // including runs whose faulty reads deliver different bytes in different
 // rounds, which is what the kernel's per-round block comparison is for.
@@ -9,12 +10,14 @@
 
 #include <cstdint>
 #include <exception>
+#include <functional>
 #include <string>
 #include <typeinfo>
 #include <vector>
 
 #include "core/ext_array.hpp"
 #include "core/machine.hpp"
+#include "sort/host_sort.hpp"
 #include "sort/small_sort.hpp"
 #include "util/rng.hpp"
 #include "small_sort_oracle.hpp"
@@ -166,10 +169,18 @@ void expect_same(const Outcome& got, const Outcome& want,
   EXPECT_TRUE(got.out == want.out) << label << ": output bytes differ";
 }
 
-TEST(SmallSortDiffTest, MatchesTheOfferLoopOnEveryVariant) {
+struct GridCounts {
+  std::size_t unchecked_changed = 0;  // unchecked-fault runs off the sort
+  std::size_t throws = 0;             // runs where both kernels gave up
+};
+
+/// The differential grid under one key order: four ranges, uniform and
+/// duplicate keys, with and without combining, on every variant.
+template <class Less>
+GridCounts diff_grid(Less less, const std::string& order) {
   const Range ranges[] = {{0, 1500, 1500}, {5, 1497, 1500}, {3, 700, 777},
                           {0, 64, 64}};
-  std::size_t unchecked_changed = 0, throws = 0;
+  GridCounts counts;
   for (const Range& r : ranges)
     for (bool dup : {false, true})
       for (bool combining : {false, true}) {
@@ -178,25 +189,25 @@ TEST(SmallSortDiffTest, MatchesTheOfferLoopOnEveryVariant) {
                 : uniform_keys(r.n, 77 + r.n);
         auto shipped = [&](auto& in, auto& out) {
           return combining
-                     ? small_sort(in, r.begin, r.end, out, 0, KeyLess{},
+                     ? small_sort(in, r.begin, r.end, out, 0, less,
                                   AddPayload{})
-                     : small_sort(in, r.begin, r.end, out, 0, KeyLess{});
+                     : small_sort(in, r.begin, r.end, out, 0, less);
         };
         auto oracle = [&](auto& in, auto& out) {
           return combining ? test::offer_loop_small_sort(
-                                 in, r.begin, r.end, out, 0, KeyLess{},
+                                 in, r.begin, r.end, out, 0, less,
                                  AddPayload{})
                            : test::offer_loop_small_sort(
-                                 in, r.begin, r.end, out, 0, KeyLess{});
+                                 in, r.begin, r.end, out, 0, less);
         };
         Outcome fault_free;
         for (Variant v : {Variant::kPlain, Variant::kLru6,
                           Variant::kFaultsChecked, Variant::kFaultsUnchecked}) {
           const std::string label =
-              "variant " + std::to_string(static_cast<int>(v)) + " range [" +
-              std::to_string(r.begin) + "," + std::to_string(r.end) + ") of " +
-              std::to_string(r.n) + (dup ? " dup" : " uniform") +
-              (combining ? " combine" : "");
+              order + " variant " + std::to_string(static_cast<int>(v)) +
+              " range [" + std::to_string(r.begin) + "," +
+              std::to_string(r.end) + ") of " + std::to_string(r.n) +
+              (dup ? " dup" : " uniform") + (combining ? " combine" : "");
           const Outcome got = run(v, keys, r, shipped);
           expect_same(got, run(v, keys, r, oracle), label);
           if (v == Variant::kPlain) {
@@ -205,23 +216,38 @@ TEST(SmallSortDiffTest, MatchesTheOfferLoopOnEveryVariant) {
           }
           if (v == Variant::kFaultsUnchecked) {
             EXPECT_GT(got.read_faults, 0u) << label;
-            if (got.out != fault_free.out) ++unchecked_changed;
+            if (got.out != fault_free.out) ++counts.unchecked_changed;
           }
-          if (!got.error.empty()) ++throws;
+          if (!got.error.empty()) ++counts.throws;
         }
       }
+  return counts;
+}
+
+TEST(SmallSortDiffTest, MatchesTheOfferLoopOnEveryVariant) {
+  const GridCounts c = diff_grid(KeyLess{}, "KeyLess");
   // The unchecked cases must really exercise the re-sort path, and in some
   // a corrupted value becomes the watermark with nothing left above it, so
   // both kernels give up.
-  EXPECT_GT(unchecked_changed, 0u);
-  EXPECT_GT(throws, 0u);
+  EXPECT_GT(c.unchecked_changed, 0u);
+  EXPECT_GT(c.throws, 0u);
 }
 
-// Sorting an array onto itself: round 0's output blocks overwrite the input
-// that round 1 reads back, so later rounds see changed bytes.  The
-// result is not a sort, but both kernels must produce the same one.
-TEST(SmallSortDiffTest, InPlaceMatchesTheOfferLoop) {
-  const std::vector<std::uint64_t> keys = duplicate_keys(1500, 4242);
+// The same grid under std::less, which orders small_sort's occurrences by
+// host_sort's radix path instead of its record sort.
+TEST(SmallSortDiffTest, MatchesTheOfferLoopOnEveryVariantUnderStdLess) {
+  static_assert(sort_detail::kRadixOrder<std::uint64_t,
+                                         std::less<std::uint64_t>>);
+  const GridCounts c = diff_grid(std::less<std::uint64_t>{}, "std::less");
+  EXPECT_GT(c.unchecked_changed, 0u);
+  EXPECT_GT(c.throws, 0u);
+}
+
+/// Sorts `keys` onto itself with small_sort and with the offer loop, and
+/// checks that both leave the same bytes at the same cost.
+template <class Less>
+void expect_in_place_matches(const std::vector<std::uint64_t>& keys,
+                             Less less, const std::string& label) {
   auto in_place = [&](auto kernel) {
     Machine mach(cfg());
     ExtArray<std::uint64_t> a(mach, keys.size(), "a");
@@ -230,13 +256,26 @@ TEST(SmallSortDiffTest, InPlaceMatchesTheOfferLoop) {
     return observe(mach, a, [&] { return kernel(a); });
   };
   const Outcome got = in_place([&](auto& a) {
-    return small_sort(a, 0, keys.size(), a, 0, KeyLess{});
+    return small_sort(a, 0, keys.size(), a, 0, less);
   });
   const Outcome want = in_place([&](auto& a) {
-    return test::offer_loop_small_sort(a, 0, keys.size(), a, 0, KeyLess{});
+    return test::offer_loop_small_sort(a, 0, keys.size(), a, 0, less);
   });
-  expect_same(got, want, "in place");
-  EXPECT_NE(got.out, keys);
+  expect_same(got, want, label);
+  EXPECT_NE(got.out, keys) << label;
+}
+
+// Sorting an array onto itself: round 0's output blocks overwrite the input
+// that round 1 reads back, so later rounds see changed bytes.  No fault is
+// injected, so only the write generation tells small_sort to re-compare.
+// The result is not a sort, but both kernels must produce the same one.
+TEST(SmallSortDiffTest, InPlaceMatchesTheOfferLoop) {
+  expect_in_place_matches(duplicate_keys(1500, 4242), KeyLess{}, "KeyLess");
+}
+
+TEST(SmallSortDiffTest, InPlaceMatchesTheOfferLoopUnderStdLess) {
+  expect_in_place_matches(duplicate_keys(1500, 4242),
+                          std::less<std::uint64_t>{}, "std::less");
 }
 
 }  // namespace
