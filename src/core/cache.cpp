@@ -146,18 +146,24 @@ std::uint32_t BlockCache::pick_victim() {
   return tail_;
 }
 
+BlockCache::Sink& BlockCache::sink_for(std::uint32_t array,
+                                       std::uint64_t block,
+                                       const char* who) const {
+  if (arrays_[array].sink == nullptr)
+    throw std::logic_error(
+        std::string("BlockCache::") + who + ": dirty block " +
+        std::to_string(block) + " of array " + std::to_string(array) +
+        " has no write-back sink (array destroyed or never registered)");
+  return *arrays_[array].sink;
+}
+
 void BlockCache::evict_one() {
   const std::uint32_t v = pick_victim();
   Frame& f = frames_[v];
   if (f.dirty) {
-    if (sinks_[f.array] == nullptr)
-      throw std::logic_error(
-          "BlockCache::evict_one: dirty block " + std::to_string(f.block) +
-          " of array " + std::to_string(f.array) +
-          " has no write-back sink (array destroyed or never registered)");
     // May throw (CrashError, FaultError): nothing has been mutated
     // yet, so the victim simply stays resident and dirty.
-    sinks_[f.array]->cache_write_back(f.block);
+    sink_for(f.array, f.block, "evict_one").cache_write_back(f.block);
     ++stats_.write_backs;
     ++stats_.evictions_dirty;
     --resident_dirty_;
@@ -170,7 +176,9 @@ void BlockCache::evict_one() {
   } else if (f.cold) {
     leave_cold_run(f);
   }
-  index_[f.array].erase(f.block);
+  ArrayIndex& owner = arrays_[f.array];
+  owner.frame_of[f.block] = kNil;
+  --owner.resident;
   list_unlink(v);
   f.valid = false;
   f.ref = false;
@@ -180,11 +188,8 @@ void BlockCache::evict_one() {
 
 void BlockCache::insert(std::uint32_t array, std::uint64_t block, bool dirty,
                         Sink* sink) {
-  if (array >= index_.size()) {
-    index_.resize(array + 1);
-    sinks_.resize(array + 1, nullptr);
-  }
-  sinks_[array] = sink;
+  if (array >= arrays_.size()) arrays_.resize(array + 1);
+  arrays_[array].sink = sink;
   if (free_.empty()) evict_one();
   const std::uint32_t slot = free_.back();
   free_.pop_back();
@@ -202,18 +207,23 @@ void BlockCache::insert(std::uint32_t array, std::uint64_t block, bool dirty,
       clean_lru_ = slot;
     }
   }
-  index_[array].emplace(block, Entry{slot});
+  ArrayIndex& owner = arrays_[array];
+  if (block >= owner.frame_of.size())
+    owner.frame_of.resize(
+        std::max<std::uint64_t>(block + 1, 2 * owner.frame_of.size()), kNil);
+  owner.frame_of[block] = slot;
+  ++owner.resident;
   ++resident_;
   if (dirty) ++resident_dirty_;
 }
 
 void BlockCache::move_sink(std::uint32_t array, Sink* sink) {
-  if (array < sinks_.size()) sinks_[array] = sink;
+  if (array < arrays_.size()) arrays_[array].sink = sink;
 }
 
 std::size_t BlockCache::flush() {
   ++stats_.flushes;
-  // Deterministic order regardless of hash-map iteration: collect and sort.
+  // Deterministic order regardless of frame placement: collect and sort.
   std::vector<std::pair<std::uint32_t, std::uint64_t>> dirty_blocks;
   dirty_blocks.reserve(resident_dirty_);
   for (const Frame& f : frames_)
@@ -230,13 +240,8 @@ std::size_t BlockCache::flush() {
   } rebuild_on_exit{this};
   std::size_t written = 0;
   for (const auto& [array, block] : dirty_blocks) {
-    if (sinks_[array] == nullptr)
-      throw std::logic_error(
-          "BlockCache::flush: dirty block " + std::to_string(block) +
-          " of array " + std::to_string(array) +
-          " has no write-back sink (array destroyed or never registered)");
-    sinks_[array]->cache_write_back(block);
-    frames_[lookup(array, block)->frame].dirty = false;
+    sink_for(array, block, "flush").cache_write_back(block);
+    frames_[lookup(array, block)].dirty = false;
     --resident_dirty_;
     ++stats_.write_backs;
     ++written;
@@ -247,12 +252,20 @@ std::size_t BlockCache::flush() {
 void BlockCache::invalidate_array(std::uint32_t array) {
   // The array's storage — and with it the Sink the array implements — is
   // going away.  Forget the sink FIRST, even when no blocks are resident:
-  // leaving the pointer in sinks_ would dangle into the destroyed ExtArray,
+  // leaving the pointer behind would dangle into the destroyed ExtArray,
   // an armed use-after-free for any later evict_one()/flush() that touches
   // this slot.
-  if (array < sinks_.size()) sinks_[array] = nullptr;
-  if (array >= index_.size() || index_[array].empty()) return;
-  // Deterministic frame-order sweep (the map's iteration order is not).
+  if (array >= arrays_.size()) return;
+  ArrayIndex& owner = arrays_[array];
+  owner.sink = nullptr;
+  // Release the table's memory, not just its contents: ids are never
+  // reused, so a cleared table would pin host memory for every destroyed
+  // temporary.
+  std::vector<std::uint32_t>().swap(owner.frame_of);
+  if (owner.resident == 0) return;
+  owner.resident = 0;
+  // Frame-order sweep: the order frames return to free_ decides later
+  // placement (and the CLOCK hand's path), so it must be deterministic.
   for (std::uint32_t v = 0; v < frames_.size(); ++v) {
     Frame& f = frames_[v];
     if (!f.valid || f.array != array) continue;
@@ -267,21 +280,20 @@ void BlockCache::invalidate_array(std::uint32_t array) {
     --resident_;
     free_.push_back(v);
   }
-  index_[array].clear();
   rebuild_cold_run();
 }
 
 bool BlockCache::contains(std::uint32_t array, std::uint64_t block) const {
-  return lookup(array, block) != nullptr;
+  return lookup(array, block) != kNil;
 }
 
 bool BlockCache::has_sink(std::uint32_t array) const {
-  return array < sinks_.size() && sinks_[array] != nullptr;
+  return array < arrays_.size() && arrays_[array].sink != nullptr;
 }
 
 bool BlockCache::dirty(std::uint32_t array, std::uint64_t block) const {
-  const Entry* e = lookup(array, block);
-  return e != nullptr && frames_[e->frame].dirty;
+  const std::uint32_t frame = lookup(array, block);
+  return frame != kNil && frames_[frame].dirty;
 }
 
 }  // namespace aem

@@ -29,6 +29,14 @@
 // device path — under an installed FaultPolicy they can fault, retry,
 // verify, and retire blocks like any other write.
 //
+// Residency is found through a dense frame table per array: block index ->
+// frame (kNil when not resident), so a lookup is two bounds-checked vector
+// reads, and an insert or eviction allocates nothing once the table has
+// grown.  The host-memory price is 4 bytes per table slot; a table grows
+// by doubling to cover the largest block index inserted into its array
+// (so under 8 bytes per block of that index), and is released when the
+// array is invalidated.  Neither tables nor frames count against M.
+//
 // Capacity 0 is the strict bypass mode: no cache object is installed and
 // the transfer path — and therefore Q — is byte-identical to the uncached
 // library (pinned by CachedMachineTest.CapacityZeroConfigIsAPlainMachine,
@@ -39,7 +47,6 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
 namespace aem {
@@ -132,30 +139,30 @@ class BlockCache {
   /// Lookup for a read; on a hit the block is touched (policy-specific) and
   /// true is returned — serve the data from the pool, charge nothing.
   bool find_read(std::uint32_t array, std::uint64_t block) {
-    Entry* e = lookup(array, block);
-    if (e == nullptr) {
+    const std::uint32_t frame = lookup(array, block);
+    if (frame == kNil) {
       ++stats_.read_misses;
       return false;
     }
     ++stats_.read_hits;
-    touch(e->frame);
+    touch(frame);
     return true;
   }
 
   /// Lookup for a write; on a hit the block is touched and marked dirty.
   bool find_write(std::uint32_t array, std::uint64_t block) {
-    Entry* e = lookup(array, block);
-    if (e == nullptr) {
+    const std::uint32_t frame = lookup(array, block);
+    if (frame == kNil) {
       ++stats_.write_misses;
       return false;
     }
     ++stats_.write_hits;
-    Frame& f = frames_[e->frame];
+    Frame& f = frames_[frame];
     if (!f.dirty) {
       f.dirty = true;
       ++resident_dirty_;
     }
-    touch(e->frame);
+    touch(frame);
     return true;
   }
 
@@ -180,10 +187,10 @@ class BlockCache {
 
   /// Drops every entry of `array` WITHOUT write-backs (the array's storage
   /// is going away: destruction or restaging).  Dirty drops are counted in
-  /// stats().invalidated_dirty.  Also forgets the array's write-back sink —
-  /// the Sink lives inside the ExtArray being destroyed, so keeping the
-  /// pointer would leave evict_one()/flush() one dirty frame away from a
-  /// use-after-free.
+  /// stats().invalidated_dirty.  Releases the array's frame table.  Also
+  /// forgets the array's write-back sink — the Sink lives inside the
+  /// ExtArray being destroyed, so keeping the pointer would leave
+  /// evict_one()/flush() one dirty frame away from a use-after-free.
   void invalidate_array(std::uint32_t array);
 
   // --- introspection (tests, metrics) -------------------------------------
@@ -209,18 +216,26 @@ class BlockCache {
     std::uint32_t next = kNil;
   };
 
-  struct Entry {
-    std::uint32_t frame;
+  /// Per-array state, indexed by the array's machine id.
+  struct ArrayIndex {
+    // frame_of[block] -> frame holding it, kNil when not resident; grown
+    // by doubling on insert, released by invalidate_array.
+    std::vector<std::uint32_t> frame_of;
+    std::size_t resident = 0;  // valid frames holding this array's blocks
+    Sink* sink = nullptr;      // write-back target (nullptr: none)
   };
 
-  Entry* lookup(std::uint32_t array, std::uint64_t block) {
-    if (array >= index_.size()) return nullptr;
-    auto it = index_[array].find(block);
-    return it == index_[array].end() ? nullptr : &it->second;
+  /// The frame holding (array, block), or kNil.
+  std::uint32_t lookup(std::uint32_t array, std::uint64_t block) const {
+    if (array >= arrays_.size()) return kNil;
+    const std::vector<std::uint32_t>& t = arrays_[array].frame_of;
+    return block < t.size() ? t[block] : kNil;
   }
-  const Entry* lookup(std::uint32_t array, std::uint64_t block) const {
-    return const_cast<BlockCache*>(this)->lookup(array, block);
-  }
+
+  /// The array's write-back sink; throws std::logic_error naming `who`
+  /// when there is none (the array was destroyed or never registered).
+  Sink& sink_for(std::uint32_t array, std::uint64_t block,
+                 const char* who) const;
 
   void touch(std::uint32_t frame);
   void list_push_front(std::uint32_t frame);
@@ -253,10 +268,10 @@ class BlockCache {
   std::size_t window_ = 0;
   std::vector<Frame> frames_;
   std::vector<std::uint32_t> free_;  // unused frame slots (LIFO)
-  // index_[array][block] -> frame.  Array ids are dense machine handles,
-  // so a vector of per-array maps beats hashing the pair.
-  std::vector<std::unordered_map<std::uint64_t, Entry>> index_;
-  std::vector<Sink*> sinks_;
+  // arrays_[array]: array ids are dense machine handles, so the frame of
+  // (array, block) is two vector loads away — no hashing, no node
+  // allocation per insert.
+  std::vector<ArrayIndex> arrays_;
   std::uint32_t head_ = kNil;  // MRU
   std::uint32_t tail_ = kNil;  // LRU
   // kCleanFirst only.  clean_lru_ is the coldest clean frame (kNil: every

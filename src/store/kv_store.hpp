@@ -874,24 +874,43 @@ class KvStore {
   /// cannot pass the start of the quantization-collision run: a page with
   /// q(fence) < q(key) has fence < key and terminates it, so its length is
   /// bounded by the run of adjacent fences sharing the key's top bits.
-  /// `reads` is incremented once per log-block read.
+  /// `reads` is incremented once per log-block read.  The located page is
+  /// prefetched for the caller's search (prefetch_page).
   std::optional<Page> locate_page(std::uint64_t key, std::uint64_t& reads) {
+    std::optional<Page> located;
     if (cfg_.index == IndexKind::kFence) {
       const std::size_t r = fence_idx_.rank_upper(key);
       if (r == 0) return std::nullopt;
-      Page page{r - 1, log_.view_block(r - 1, stage_)};
+      located = Page{r - 1, log_.view_block(r - 1, stage_)};
       ++reads;
-      return page;
+    } else {
+      std::size_t i = ef_.predecessor(quantize(key));
+      if (i == EliasFano::npos) return std::nullopt;  // q(fence_0) > q(key)
+      for (;;) {
+        BlockView<Slot> page = log_.view_block(i, stage_);
+        ++reads;
+        if (page[0].key <= key) {
+          located = Page{i, page};
+          break;
+        }
+        if (i == 0) return std::nullopt;
+        --i;
+      }
     }
-    std::size_t i = ef_.predecessor(quantize(key));
-    if (i == EliasFano::npos) return std::nullopt;  // q(fence_0) > q(key)
-    for (;;) {
-      BlockView<Slot> page = log_.view_block(i, stage_);
-      ++reads;
-      if (page[0].key <= key) return Page{i, page};
-      if (i == 0) return std::nullopt;
-      --i;
-    }
+    prefetch_page(located->slots.span());
+    return located;
+  }
+
+  /// Host hint only — charges nothing, traces nothing: asks the CPU for
+  /// every cache line of a located page at once, so last_with_key's binary
+  /// search over a cold page does not pay its probes' DRAM misses one
+  /// after another.
+  static void prefetch_page(std::span<const Slot> page) {
+    constexpr std::uintptr_t kLine = 64;
+    const auto first = reinterpret_cast<std::uintptr_t>(page.data());
+    const std::uintptr_t end = first + page.size_bytes();
+    for (std::uintptr_t line = first & ~(kLine - 1); line < end; line += kLine)
+      __builtin_prefetch(reinterpret_cast<const void*>(line));
   }
 
   void note_get(std::uint64_t log_reads) {

@@ -156,9 +156,9 @@ class RequestGen {
         zetan += 1.0 / std::pow(static_cast<double>(i), cfg_.zipf_theta);
       zetan_ = zetan;
       alpha_ = 1.0 / (1.0 - cfg_.zipf_theta);
-      const double zeta2 = 1.0 + std::pow(0.5, cfg_.zipf_theta);
+      zeta2_ = 1.0 + std::pow(0.5, cfg_.zipf_theta);
       eta_ = (1.0 - std::pow(2.0 / n, 1.0 - cfg_.zipf_theta)) /
-             (1.0 - zeta2 / zetan_);
+             (1.0 - zeta2_ / zetan_);
     } else if (cfg_.dist == KeyDist::kHotSet) {
       hot_slots_ = static_cast<std::uint64_t>(
           cfg_.hot_fraction * static_cast<double>(cfg_.key_space));
@@ -200,7 +200,7 @@ class RequestGen {
         const double u = rng.uniform01();
         const double uz = u * zetan_;
         if (uz < 1.0) return 0;
-        if (uz < 1.0 + std::pow(0.5, cfg_.zipf_theta)) return 1;
+        if (uz < zeta2_) return 1;
         const double n = static_cast<double>(cfg_.key_space);
         auto rank = static_cast<std::uint64_t>(
             n * std::pow(eta_ * u - eta_ + 1.0, alpha_));
@@ -223,6 +223,7 @@ class RequestGen {
 
   // kZipf constants.
   double zetan_ = 0.0;
+  double zeta2_ = 0.0;  // 1 + 0.5^theta: unnormalized mass of ranks 0 and 1
   double alpha_ = 0.0;
   double eta_ = 0.0;
 

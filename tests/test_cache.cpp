@@ -2,11 +2,14 @@
 // charged-cost accounting and write coalescing through ExtArray, the
 // omega-derived clean-first window, lifetime edges (moves, destruction,
 // restaging), interaction with fault injection (write-back retry /
-// retirement / remap, flush under BudgetExceeded), and the property that
-// caching never changes outputs — only Q.
+// retirement / remap, flush under BudgetExceeded), the per-array frame
+// table against a std::map reference, and the property that caching never
+// changes outputs — only Q.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
 #include <span>
 #include <string>
 #include <utility>
@@ -989,6 +992,168 @@ TEST(CleanFirstDifferentialTest, OmegaDerivedWindowsMatchTheWindowScan) {
                 "");
     }
   }
+}
+
+// --- dense frame table: differential check against a std::map -----------
+// BlockCache finds a block's frame through a per-array table indexed by the
+// block number.  The reference below keeps residency and dirtiness in a
+// std::map and models every counter.  Victim choice is the policies' part
+// (pinned above), so the reference learns each victim as the one block the
+// cache stopped holding, and checks it was written back exactly when dirty
+// (through the array's current sink).  Block ids are sparse and reach
+// 2^20, arrays are invalidated and then filled again, sinks are moved, and
+// evictions and flushes fail now and then.
+
+std::string dense_index_diverges(CachePolicy policy, std::size_t capacity,
+                                 std::uint64_t seed, std::size_t ops) {
+  using Key = std::pair<std::uint32_t, std::uint64_t>;
+  constexpr std::uint32_t kArrays = 3;
+  CacheConfig c;
+  c.capacity_blocks = capacity;
+  c.policy = policy;
+  BlockCache bc(c, 4);
+  // Two sinks per array, tagged 2 * array + which; move_sink flips them.
+  WriteBackLog log;
+  std::vector<LogSink> sinks;
+  for (std::uint32_t t = 0; t < 2 * kArrays; ++t) sinks.emplace_back(log, t);
+  std::vector<std::uint32_t> which(kArrays, 0);
+  auto sink_of = [&](std::uint32_t a) { return &sinks[2 * a + which[a]]; };
+  auto tag_of = [&](std::uint32_t a) { return 2 * a + which[a]; };
+
+  util::Rng rng(seed);
+  std::vector<std::vector<std::uint64_t>> ids(kArrays);
+  for (std::uint32_t a = 0; a < kArrays; ++a) {
+    for (std::uint64_t b = 0; b < 6; ++b) ids[a].push_back(b);
+    for (int i = 0; i < 12; ++i) ids[a].push_back(rng.below(1u << 16));
+  }
+  // Block 2^20 + a grows its array's table to 4 MiB; drawn rarely, so the
+  // test is not dominated by re-growing it after each invalidation.
+  auto draw = [&](std::uint32_t a) {
+    return rng.below(64) == 0 ? (std::uint64_t{1} << 20) + a
+                              : ids[a][rng.below(ids[a].size())];
+  };
+
+  std::map<Key, bool> ref;  // resident block -> dirty
+  std::set<Key> seen;       // every block ever inserted
+  CacheStats want;
+  std::vector<Key> want_log;
+
+  for (std::size_t op = 0; op < ops; ++op) {
+    const auto a = static_cast<std::uint32_t>(rng.below(kArrays));
+    const std::uint64_t kind = rng.below(100);
+    std::string what;
+    if (kind < 80) {  // an access the way ExtArray issues it
+      const std::uint64_t b = draw(a);
+      const bool write = rng.below(3) == 0;
+      const auto it = ref.find({a, b});
+      const bool hit = write ? bc.find_write(a, b) : bc.find_read(a, b);
+      what = write ? "find_write" : "find_read";
+      if (hit != (it != ref.end()))
+        return what + " hit mismatch at op " + std::to_string(op);
+      if (hit) {
+        ++(write ? want.write_hits : want.read_hits);
+        it->second = it->second || write;
+      } else {
+        ++(write ? want.write_misses : want.read_misses);
+        const bool full = ref.size() == capacity;
+        const bool fail = full && rng.below(8) == 0;
+        if (fail) log.fail_in = 0;
+        bool threw = false;
+        try {
+          bc.insert(a, b, write, sink_of(a));
+        } catch (const std::runtime_error&) {
+          threw = true;
+        }
+        log.fail_in = -1;
+        what = "insert";
+        if (!threw && full) {  // exactly one other block left the pool
+          std::vector<Key> gone;
+          for (const auto& [k, d] : ref)
+            if (!bc.contains(k.first, k.second)) gone.push_back(k);
+          if (gone.size() != 1)
+            return std::to_string(gone.size()) + " blocks evicted by insert";
+          if (ref[gone[0]]) {
+            want_log.emplace_back(tag_of(gone[0].first), gone[0].second);
+            ++want.evictions_dirty;
+            ++want.write_backs;
+          } else {
+            ++want.evictions_clean;
+          }
+          ref.erase(gone[0]);
+        }
+        if (!threw) ref[{a, b}] = write;
+        seen.insert({a, b});
+      }
+    } else if (kind < 87) {  // flush, sometimes failing partway
+      std::size_t dirty = 0;
+      for (const auto& [k, d] : ref) dirty += d;
+      const long fail = dirty > 0 && rng.below(3) == 0
+                            ? static_cast<long>(rng.below(dirty))
+                            : -1;
+      log.fail_in = fail;
+      try {
+        bc.flush();
+      } catch (const std::runtime_error&) {
+      }
+      log.fail_in = -1;
+      what = "flush";
+      ++want.flushes;
+      long left = fail < 0 ? static_cast<long>(dirty) : fail;
+      for (auto& [k, d] : ref) {  // ascending (array, block)
+        if (!d || left == 0) continue;
+        want_log.emplace_back(tag_of(k.first), k.second);
+        ++want.write_backs;
+        d = false;
+        --left;
+      }
+    } else if (kind < 92) {
+      bc.invalidate_array(a);
+      what = "invalidate_array";
+      std::erase_if(ref, [&](const auto& e) {
+        if (e.first.first != a) return false;
+        want.invalidated_dirty += e.second;
+        return true;
+      });
+      if (bc.has_sink(a)) return "sink kept by invalidate_array";
+    } else {
+      which[a] ^= 1;
+      bc.move_sink(a, sink_of(a));
+      what = "move_sink";
+    }
+
+    const std::string at = " after op " + std::to_string(op) + " (" + what +
+                           ", " + to_string(policy) + ", capacity " +
+                           std::to_string(capacity) + ")";
+    if (log.written != want_log) return "write-backs differ" + at;
+    log.written.clear();
+    want_log.clear();
+    if (!(bc.stats() == want)) return "stats differ" + at;
+    if (bc.resident() != ref.size()) return "resident differs" + at;
+    std::size_t dirty = 0;
+    for (const auto& [k, d] : ref) {
+      dirty += d;
+      if (!bc.contains(k.first, k.second) || bc.dirty(k.first, k.second) != d)
+        return "block " + std::to_string(k.second) + " of array " +
+               std::to_string(k.first) + " wrong" + at;
+    }
+    if (bc.resident_dirty() != dirty) return "resident_dirty differs" + at;
+    for (const Key& k : seen)
+      if (!ref.contains(k) && (bc.contains(k.first, k.second) ||
+                               bc.dirty(k.first, k.second)))
+        return "block " + std::to_string(k.second) + " of array " +
+               std::to_string(k.first) + " still resident" + at;
+    if (bc.contains(a, std::uint64_t{1} << 40) || bc.contains(kArrays, 0))
+      return "unknown block resident" + at;
+  }
+  return "";
+}
+
+TEST(BlockCacheTest, DenseIndexMatchesAReferenceModel) {
+  for (const CachePolicy p :
+       {CachePolicy::kLru, CachePolicy::kClock, CachePolicy::kCleanFirst})
+    for (const std::size_t cap : {1u, 4u, 16u})
+      for (std::uint64_t seed = 1; seed <= 3; ++seed)
+        EXPECT_EQ(dense_index_diverges(p, cap, 100 * cap + seed, 2000), "");
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Tests for traffic/: the fixed-bucket Q histogram (exact percentiles,
 // power-of-two coarse floors, merge associativity), the deterministic
-// request generator (pure-function substreams, Zipf shape, hot-set drift),
+// request generator (pure-function substreams, Zipf shape, hot-set drift,
+// pinned stream hashes),
 // and the TrafficEngine (served/rejected identity, admission control,
 // idle-engine zero charge and identical metrics, --jobs byte-equality through the sweep harness).
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include "traffic/engine.hpp"
 #include "traffic/histogram.hpp"
 #include "traffic/request_gen.hpp"
+#include "trace_fnv.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -246,6 +248,53 @@ TEST(RequestGenTest, ConfigValidationRejectsNonsense) {
   tc.scan_fraction = 0.0;
   tc.batch_size = 0;
   EXPECT_THROW(RequestGen(tc, 1), std::invalid_argument);
+}
+
+// The emitted stream is part of the output contract (every traffic bench's
+// rows depend on it), so it is pinned: an FNV-1a hash of (op, key, value,
+// scan_len) over the first 2^16 requests of one config per distribution.
+// The pins were recorded before the generator's zipf constants were hoisted
+// into members; a host-side change to at() must leave them unedited.
+std::uint64_t stream_hash(const TrafficConfig& tc, std::uint64_t seed) {
+  const RequestGen g(tc, seed);
+  test::Fnv h;
+  for (std::uint64_t i = 0; i < (1u << 16); ++i) {
+    const Request r = g.at(i);
+    h.add(static_cast<std::uint64_t>(r.op));
+    h.add(r.key);
+    h.add(r.value);
+    h.add(r.scan_len);
+  }
+  return h.value();
+}
+
+TEST(RequestGenTest, StreamsMatchPinnedHashes) {
+  TrafficConfig zipf;
+  zipf.dist = KeyDist::kZipf;
+  zipf.zipf_theta = 0.99;
+  zipf.key_space = 1u << 20;
+  zipf.write_fraction = 0.05;
+  zipf.scan_fraction = 0.05;
+  EXPECT_EQ(stream_hash(zipf, 41), 0x0C1FFAB9592F7234ull);
+
+  TrafficConfig hot;
+  hot.dist = KeyDist::kHotSet;
+  hot.key_space = 1u << 20;
+  hot.key_stride = 3;
+  hot.hot_fraction = 0.1;
+  hot.hot_weight = 0.9;
+  hot.drift_every = 4096;
+  hot.write_fraction = 0.5;
+  hot.scan_fraction = 0.05;
+  hot.scan_len = 8;
+  EXPECT_EQ(stream_hash(hot, 7), 0xCF29870F40ED752Bull);
+
+  TrafficConfig uniform;
+  uniform.dist = KeyDist::kUniform;
+  uniform.key_space = 1000003;
+  uniform.write_fraction = 0.3;
+  uniform.scan_fraction = 0.1;
+  EXPECT_EQ(stream_hash(uniform, 5), 0x813291E4988B85E2ull);
 }
 
 // --- TrafficEngine -------------------------------------------------------
