@@ -5,18 +5,21 @@
 # (docs/MODEL.md section 12).
 #
 # Usage: scripts/check_jobs_determinism.sh [build-dir] [bench ...]
-#   With no bench names, checks a representative fast subset.
+#   With no bench names, checks every built bench ($build-dir/bench/bench_*),
+#   each at its default grid; it fails if there is none.
 set -euo pipefail
 
 BUILD_DIR="${1:-build}"
 shift || true
 BENCHES=("$@")
 if [[ ${#BENCHES[@]} -eq 0 ]]; then
-  BENCHES=(bench_e1_merge bench_e2_mergesort bench_e3_sort_shootout
-           bench_e5_crossover bench_e8_counting bench_e10_ablation
-           bench_r1_faults
-           bench_c1_cache bench_s1_shard bench_k1_store bench_f1_recovery
-           bench_t1_traffic bench_w1_lowwrite)
+  for bin in "$BUILD_DIR"/bench/bench_*; do
+    [[ -f "$bin" && -x "$bin" ]] && BENCHES+=("$(basename "$bin")")
+  done
+  if [[ ${#BENCHES[@]} -eq 0 ]]; then
+    echo "no bench_* binaries under $BUILD_DIR/bench"
+    exit 1
+  fi
 fi
 
 WORK="$(mktemp -d)"

@@ -34,10 +34,9 @@ UBSAN_OPTIONS="print_stacktrace=1" \
 # DurableBuildTest.CrashAndRecoverAcrossCrashPoints cuts builds at fixed
 # writes, so every schedule is written in the test and runs under
 # ASan+UBSan here.  The benches need no pass of their own either:
-# jobs_determinism (scripts/check_jobs_determinism.sh) runs bench_s1_shard,
-# bench_k1_store, bench_f1_recovery, bench_t1_traffic and bench_w1_lowwrite
-# (among others) at --jobs 1 and 4 (t1 and w1 also at 16), with their
-# internal guards and check_metrics on every metrics line as asserts.
+# jobs_determinism (scripts/check_jobs_determinism.sh) runs every built
+# bench at --jobs 1 and 4 (t1 and w1 also at 16), with their internal
+# guards and check_metrics on every metrics line as asserts.
 
 # Second pass: docs consistency.  The sanitize build compiles every bench
 # target, so the freshly built tree is exactly what the docs checker needs

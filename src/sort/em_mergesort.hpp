@@ -13,7 +13,9 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -21,6 +23,7 @@
 #include "io/scanner.hpp"
 #include "io/writer.hpp"
 #include "sort/budget.hpp"
+#include "sort/host_sort.hpp"
 #include "sort/loser_tree.hpp"
 #include "sort/mergesort.hpp"
 #include "util/math.hpp"
@@ -84,7 +87,7 @@ inline std::size_t em_merge_fanout(const Machine& mach) {
 
 /// Sorts `in` into `out` with the symmetric (omega-oblivious) EM mergesort:
 /// in-memory run formation over chunks of ~M/2, then m/2-way merge passes.
-/// Stable for distinct keys; ties broken by position (stable overall).
+/// Stable: ties broken by position.
 ///
 /// Stability is load-bearing for consumers, not a nicety: the KV store
 /// (store/kv_store.hpp) sorts its record headers with this routine and
@@ -112,16 +115,24 @@ void em_merge_sort(const ExtArray<T>& in, ExtArray<T>& out, Less less = {}) {
   ExtArray<T>* other = (levels % 2 == 1) ? &out : &scratch;
 
   {
-    // Run formation: read a chunk, sort in memory, write it back out.
+    // Run formation: read a chunk into the charged Buffer, order it on the
+    // host, write it back out in that order.  The order is host_sort's
+    // offset permutation (a radix when `less` has a radix key, else a
+    // (value, offset) record sort), which equals a stable sort's; the
+    // permutation is uncharged simulator scratch (MODEL.md §3), allocated
+    // once for all runs.
     auto phase = mach.phase("em_sort.runs");
     Buffer<T> chunk(mach, run_len);
+    std::vector<std::uint32_t> order;
+    order.reserve(run_len);
     for (const RunBounds& r : runs) {
       std::size_t fill = 0;
       Scanner<T> scan(in, r.begin, r.end);
       while (!scan.done()) chunk[fill++] = scan.next();
-      std::stable_sort(chunk.data(), chunk.data() + fill, less);
+      sort_detail::host_sort(std::span<const T>(chunk.data(), fill), less,
+                             order);
       Writer<T> w(*first, r.begin, r.end);
-      for (std::size_t i = 0; i < fill; ++i) w.push(chunk[i]);
+      for (const std::uint32_t o : order) w.push(chunk[o]);
       w.finish();
     }
   }

@@ -85,8 +85,11 @@ static_assert(std::has_unique_object_representations_v<Slot>);
 
 /// Key order; ties (duplicate keys) are left in input order by the stable
 /// mergesort, which is what gives get() its last-insert-wins semantics.
+/// The key is the order's radix key (sort/host_sort.hpp), so run formation
+/// takes the radix path.
 struct SlotKeyLess {
   bool operator()(const Slot& a, const Slot& b) const { return a.key < b.key; }
+  static std::uint64_t radix_key(const Slot& s) { return s.key; }
 };
 
 /// Index flavor of a store.

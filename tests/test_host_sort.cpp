@@ -1,7 +1,8 @@
 // host_sort (src/sort/host_sort.hpp): the radix path and the record-sort
 // fallback both yield the occurrence order std::sort gives under
 // (less, then offset), for every unsigned width and for the key shapes that
-// make the radix skip passes.
+// make the radix skip passes; an order's declared radix_key yields a stable
+// sort's permutation of records, and every declared key induces its order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "sort/host_sort.hpp"
+#include "store/kv_store.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -27,6 +29,7 @@ static_assert(kRadixOrder<std::uint64_t, std::less<>>);
 static_assert(!kRadixOrder<std::uint64_t, std::greater<std::uint64_t>>);
 static_assert(!kRadixOrder<std::int64_t, std::less<std::int64_t>>);
 static_assert(!kRadixOrder<bool, std::less<bool>>);
+static_assert(kRadixOrder<aem::store::Slot, aem::store::SlotKeyLess>);
 
 /// The reference: offsets sorted by std::sort under (less, then offset).
 template <class T, class Less>
@@ -133,6 +136,131 @@ TEST(HostSortTest, EqualKeysKeepOffsetOrderOnBothPaths) {
         ASSERT_LT(perm[i - 1], perm[i]) << i;
       }
     }
+  }
+}
+
+// --- declared radix keys ----------------------------------------------
+
+using aem::store::Slot;
+using aem::store::SlotKeyLess;
+
+/// SlotKeyLess's operator() without its radix key: the record sort.
+struct SlotKeyLessNoKey {
+  bool operator()(const Slot& a, const Slot& b) const { return a.key < b.key; }
+};
+static_assert(!kRadixOrder<Slot, SlotKeyLessNoKey>);
+
+/// A composite order whose key packs two 32-bit fields into one word.
+struct Pair {
+  std::uint32_t hi = 0, lo = 0;
+};
+struct PairLess {
+  bool operator()(const Pair& a, const Pair& b) const {
+    return a.hi < b.hi || (a.hi == b.hi && a.lo < b.lo);
+  }
+  static std::uint64_t radix_key(const Pair& p) {
+    return (std::uint64_t{p.hi} << 32) | p.lo;
+  }
+};
+static_assert(kRadixOrder<Pair, PairLess>);
+
+/// A narrow declared key: the order reads one byte.
+struct LowByteLess {
+  bool operator()(std::uint64_t a, std::uint64_t b) const {
+    return (a & 0xff) < (b & 0xff);
+  }
+  static std::uint8_t radix_key(std::uint64_t v) {
+    return static_cast<std::uint8_t>(v);
+  }
+};
+static_assert(kRadixOrder<std::uint64_t, LowByteLess>);
+
+/// Offsets in the order std::stable_sort leaves them under `less`.
+template <class T, class Less>
+std::vector<std::uint32_t> stable_reference(const std::vector<T>& vals,
+                                            Less less) {
+  std::vector<std::uint32_t> perm(vals.size());
+  std::iota(perm.begin(), perm.end(), std::uint32_t{0});
+  std::stable_sort(perm.begin(), perm.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return less(vals[a], vals[b]);
+                   });
+  return perm;
+}
+
+TEST(HostSortTest, RadixKeyMatchesStableSortOnRecords) {
+  struct Range {
+    const char* name;
+    std::uint64_t mask;  // keys are drawn below mask + 1
+  };
+  const Range ranges[] = {{"all equal", 0},
+                          {"< 2^11", (1ull << 11) - 1},
+                          {"< 2^20", (1ull << 20) - 1},
+                          {"full 64-bit", ~0ull}};
+  for (const Range& range : ranges)
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1},
+                                std::size_t{1} << 15}) {
+      // Heavy duplicates: every key comes from a pool of n/8 + 1 values, and
+      // len/pos differ per record, so a tie out of input order shows.
+      aem::util::Rng rng(n + range.mask);
+      std::vector<std::uint64_t> pool(n / 8 + 1);
+      for (std::uint64_t& k : pool) k = rng.next() & range.mask;
+      std::vector<Slot> slots(n);
+      for (std::size_t i = 0; i < n; ++i)
+        slots[i] = Slot{pool[rng.below(pool.size())], rng.below(4), i};
+      const std::string label =
+          std::string(range.name) + " n=" + std::to_string(n);
+      const auto want = stable_reference(slots, SlotKeyLess{});
+      EXPECT_EQ(sorted_by(slots, SlotKeyLess{}), want) << label;
+      EXPECT_EQ(sorted_by(slots, SlotKeyLessNoKey{}), want)
+          << label << " (fallback)";
+    }
+  // Composite and narrow keys: the packed key orders both fields, and a
+  // one-byte key leaves every higher bit to the tie order.
+  aem::util::Rng rng(3);
+  std::vector<Pair> pairs(5000);
+  for (Pair& p : pairs)
+    p = Pair{static_cast<std::uint32_t>(rng.below(7)),
+             static_cast<std::uint32_t>(rng.next() >> (rng.below(2) * 62))};
+  EXPECT_EQ(sorted_by(pairs, PairLess{}),
+            stable_reference(pairs, PairLess{}));
+  std::vector<std::uint64_t> words(5000);
+  for (std::uint64_t& w : words) w = rng.next();
+  EXPECT_EQ(sorted_by(words, LowByteLess{}),
+            stable_reference(words, LowByteLess{}));
+}
+
+/// less(a, b) iff key(a) < key(b), in both directions.
+template <class T, class Less>
+void expect_key_induces_order(const T& a, const T& b, Less less) {
+  EXPECT_EQ(less(a, b), Less::radix_key(a) < Less::radix_key(b));
+  EXPECT_EQ(less(b, a), Less::radix_key(b) < Less::radix_key(a));
+}
+
+TEST(HostSortTest, DeclaredRadixKeysAgreeWithTheirOrder) {
+  aem::util::Rng rng(11);
+  // Key widths from one bit to 64, so a key truncated to fewer bits than
+  // the order reads disagrees on some pair.
+  auto draw = [&] { return rng.next() >> rng.below(64); };
+  for (int t = 0; t < 20000; ++t) {
+    const std::uint64_t k = draw();
+    const Slot a{k, rng.next(), rng.next()};
+    // Equal keys whose len/pos differ, then independent keys.
+    expect_key_induces_order(a, Slot{k, rng.next(), rng.next()},
+                             SlotKeyLess{});
+    expect_key_induces_order(a, Slot{draw(), a.len, a.pos}, SlotKeyLess{});
+    const Pair p{static_cast<std::uint32_t>(draw()),
+                 static_cast<std::uint32_t>(draw())};
+    expect_key_induces_order(p, Pair{p.hi, static_cast<std::uint32_t>(draw())},
+                             PairLess{});
+    expect_key_induces_order(p, Pair{static_cast<std::uint32_t>(draw()), p.lo},
+                             PairLess{});
+    const std::uint64_t w = draw();
+    const std::uint64_t same_byte =
+        (draw() & ~std::uint64_t{0xff}) | (w & 0xff);
+    expect_key_induces_order(w, same_byte, LowByteLess{});
+    expect_key_induces_order(w, draw(), LowByteLess{});
+    if (HasFailure()) return;
   }
 }
 

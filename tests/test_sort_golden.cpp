@@ -1,7 +1,8 @@
 // Golden pins for the sort kernels' charged cost and traces.
 //
-// Host-side data-structure changes inside small_sort, merge_runs and the
-// external priority queue must never move a charged I/O.  These tests pin,
+// Host-side data-structure changes inside small_sort, merge_runs, the
+// external priority queue and em_merge_sort's run formation must never move
+// a charged I/O.  These tests pin,
 // on a small grid of (M, B, omega, N) shapes and on uniform and
 // duplicate-heavy inputs, the exact Q_r / Q_w, the ledger high-water mark
 // and an FNV-1a hash of the full trace (op kind, array, block, written
@@ -15,6 +16,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <exception>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -24,6 +26,7 @@
 #include "core/trace.hpp"
 #include "pq/ext_pq.hpp"
 #include "sort/budget.hpp"
+#include "sort/em_mergesort.hpp"
 #include "sort/merge.hpp"
 #include "sort/mergesort.hpp"
 #include "sort/small_sort.hpp"
@@ -188,6 +191,16 @@ Outcome run_case(const std::string& algo, const Shape& s, Input kind,
       aem_merge_sort(in, out, KeyLess{});
     });
   }
+  if (algo == "em_merge_sort") {
+    return measure(s, keys, n, faults, [&](auto& in, auto& out) {
+      em_merge_sort(in, out, KeyLess{});
+    });
+  }
+  if (algo == "em_merge_sort_radix") {
+    return measure(s, keys, n, faults, [&](auto& in, auto& out) {
+      em_merge_sort(in, out, std::less<std::uint64_t>{});
+    });
+  }
   const PqTuning tuning =
       algo == "heap_legacy" ? PqTuning::kLegacy : PqTuning::kBuffered;
   return measure(s, keys, n, faults, [&](auto& in, auto& out) {
@@ -238,6 +251,22 @@ const Golden kGolden[] = {
     {"aem_merge_sort", 2, D, {1937, 940, 272, 0xe1e7cea6d4af250cull}},
     {"aem_merge_sort", 3, U, {5615, 1501, 72, 0x6ba97e86b48a7b18ull}},
     {"aem_merge_sort", 3, D, {5722, 1501, 72, 0xcd6795c7f1a1011dull}},
+    {"em_merge_sort", 0, U, {564, 564, 88, 0xbcce2b5dfc37878dull}},
+    {"em_merge_sort", 0, D, {564, 564, 88, 0x84295c6191b9d931ull}},
+    {"em_merge_sort", 1, U, {564, 564, 160, 0x36602e63fdfdb3c1ull}},
+    {"em_merge_sort", 1, D, {564, 564, 160, 0x9223522cb44cc775ull}},
+    {"em_merge_sort", 2, U, {626, 626, 272, 0x2660651eec7732caull}},
+    {"em_merge_sort", 2, D, {626, 626, 272, 0xe7d16839d18a873aull}},
+    {"em_merge_sort", 3, U, {1500, 1500, 100, 0x58c22a7e1a82e951ull}},
+    {"em_merge_sort", 3, D, {1500, 1500, 100, 0xeba50971df3f2c81ull}},
+    {"em_merge_sort_radix", 0, U, {564, 564, 88, 0xbcce2b5dfc37878dull}},
+    {"em_merge_sort_radix", 0, D, {564, 564, 88, 0x7b2b73be3173a00dull}},
+    {"em_merge_sort_radix", 1, U, {564, 564, 160, 0x36602e63fdfdb3c1ull}},
+    {"em_merge_sort_radix", 1, D, {564, 564, 160, 0x21346da93746a39dull}},
+    {"em_merge_sort_radix", 2, U, {626, 626, 272, 0x2660651eec7732caull}},
+    {"em_merge_sort_radix", 2, D, {626, 626, 272, 0x6a34bd74c8162006ull}},
+    {"em_merge_sort_radix", 3, U, {1500, 1500, 100, 0x58c22a7e1a82e951ull}},
+    {"em_merge_sort_radix", 3, D, {1500, 1500, 100, 0x95c253d56fe14151ull}},
     {"heap_legacy", 0, U, {4113, 1819, 85, 0x18cb869acedc0e8aull}},
     {"heap_legacy", 0, D, {3930, 1819, 85, 0xa1c8cae9fd1956f2ull}},
     {"heap_legacy", 1, U, {4140, 1819, 157, 0x21a2306b9aa72e8aull}},
@@ -256,9 +285,10 @@ const Golden kGolden[] = {
     {"heap_buffered", 3, D, {21645, 1784, 60, 0x5a3f08ac0563c5a0ull}},
 };
 
-const char* const kAlgos[] = {"small_sort",     "small_sort_combine",
-                              "merge_loser",    "aem_merge_sort",
-                              "heap_legacy",    "heap_buffered"};
+const char* const kAlgos[] = {
+    "small_sort",    "small_sort_combine", "merge_loser",
+    "aem_merge_sort", "em_merge_sort",     "em_merge_sort_radix",
+    "heap_legacy",   "heap_buffered"};
 
 TEST(SortGoldenTest, ChargesAndTracesMatchPins) {
   for (const char* algo : kAlgos)

@@ -141,16 +141,17 @@ struct Dataset {
 };
 
 /// Random records: ~10% empty values, ~55% inline, rest spilled at
-/// 2..max_spill words; ~20% duplicate an earlier key.  Keys are even so
-/// key|1 is a guaranteed miss.
+/// 2..max_spill words; one in `dup_one_in` (default ~20%) duplicates an
+/// earlier key.  Keys are even so key|1 is a guaranteed miss.
 Dataset make_dataset(std::size_t n, std::uint64_t seed,
-                     std::size_t max_spill = 40) {
+                     std::size_t max_spill = 40,
+                     std::uint64_t dup_one_in = 5) {
   util::Rng rng(seed);
   Dataset d;
   d.slots.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     std::uint64_t key;
-    if (i > 0 && rng.below(5) == 0) {
+    if (i > 0 && rng.below(dup_one_in) == 0) {
       key = d.slots[rng.below(i)].key;  // duplicate
     } else {
       key = rng.next() & ~1ull;
@@ -907,6 +908,62 @@ TEST(KvStoreGoldenTest, ChargesTracesAndScansMatchPins) {
         s.get_payload_reads, s.max_get_log_reads, s.scans, s.scan_records,
         s.puts, s.put_hits, s.put_log_reads, s.put_writes, s.orphaned_words);
     EXPECT_EQ(got, c.pin) << c.name << ": " << line;
+  }
+}
+
+// The build alone, on an input large enough for three sort runs (run
+// length M/2 = 2048 slots) where one record in two repeats an earlier key,
+// so the sort's tie order decides which version each key's last slot holds.
+// Pinned on a plain machine and on a cached one with checksummed faults:
+// the build bill and an FNV-1a hash of the log's host view (every slot's
+// key, len and pos).  A run formation that reorders equal keys, or moves a
+// charge, shows up here.
+struct BuildPin {
+  std::uint64_t reads = 0, writes = 0, cost = 0, log = 0;
+  bool operator==(const BuildPin&) const = default;
+};
+
+BuildPin run_build_case(bool cached_and_faulty) {
+  Config mc = cfg(4096, 16, 8);
+  if (cached_and_faulty) mc.cache.capacity_blocks = 64;
+  Machine mach(mc);
+  if (cached_and_faulty) {
+    FaultConfig fc;
+    fc.seed = 99;
+    fc.read_fault_rate = 0.02;
+    fc.silent_write_rate = 0.01;
+    fc.torn_write_rate = 0.01;
+    fc.max_retries = 16;
+    mach.install_faults(fc);
+  }
+  const Dataset d = make_dataset(5000, 78, 40, 2);
+  auto [slots, payload] = stage(mach, d);
+  KvStore kv(mach, StoreConfig{IndexKind::kFence, 8});
+  kv.build(slots, payload);
+  Fnv log;
+  for (const Slot& s : kv.log_array().unsafe_host_view()) {
+    log.add(s.key);
+    log.add(s.len);
+    log.add(s.pos);
+  }
+  return BuildPin{kv.build_reads(), kv.build_writes(), kv.build_cost(),
+                  log.value()};
+}
+
+TEST(KvStoreTest, BuildMatchesPins) {
+  const BuildPin want[] = {
+      {4899, 3245, 30859, 0x2fd67531246d3b10ull},
+      {8357, 3392, 35493, 0x2fd67531246d3b10ull},
+  };
+  for (const bool faulty : {false, true}) {
+    const BuildPin got = run_build_case(faulty);
+    char line[160];
+    std::snprintf(line, sizeof line,
+                  "{%" PRIu64 ", %" PRIu64 ", %" PRIu64 ", 0x%016" PRIx64
+                  "ull},",
+                  got.reads, got.writes, got.cost, got.log);
+    EXPECT_EQ(got, want[faulty]) << (faulty ? "cached+faulty" : "plain")
+                                 << ": " << line;
   }
 }
 
