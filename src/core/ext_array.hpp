@@ -15,9 +15,11 @@
 // and retry on corruption, writes verify-after-write and rewrite on failure
 // (every retry charged through the normal accounting), retired blocks are
 // transparently migrated to spares via a wear-leveling RemapTable
-// (core/remap.hpp).  Algorithms run unmodified; they only see the extra
-// charged I/Os.  With no policy installed, the code path is byte-identical
-// to the perfect device.
+// (core/remap.hpp).  A read that returns delivers the last successfully
+// written bytes, by reference like a fault-free one, or it throws
+// FaultError.  Algorithms run unmodified; they only see the extra charged
+// I/Os.  With no policy installed, the code path is byte-identical to the
+// perfect device.
 //
 // When the machine has a BlockCache installed (core/cache.hpp), ExtArray
 // routes every transfer through it: hits are served from the pool (no
@@ -70,12 +72,10 @@ namespace detail {
 struct ViewGuard {
   std::uint64_t epoch = 0;  // grow_to, unsafe_host_fill, move, destruction
   std::unordered_map<std::uint64_t, std::uint64_t> writes;  // per block
-  std::unordered_map<const void*, std::uint64_t> deliveries;  // per stage
 
-  std::array<std::uint64_t, 3> stamp(std::uint64_t bi, const void* st) const {
+  std::array<std::uint64_t, 2> stamp(std::uint64_t bi) const {
     const auto w = writes.find(bi);
-    const auto d = deliveries.find(st);
-    return {epoch, w == writes.end() ? 0 : w->second, d->second};
+    return {epoch, w == writes.end() ? 0 : w->second};
   }
 };
 }  // namespace detail
@@ -84,9 +84,9 @@ struct ViewGuard {
 /// One charged block read, delivered by reference (ExtArray::view_block):
 /// the block's elements and the read's trace ticket (invalid for a pool hit
 /// or with tracing off; under fault injection, the final attempt's).  Valid
-/// until the next view_block into the same stage, a write to the same
-/// block, or the array's grow_to / unsafe_host_fill / move / destruction;
-/// assert-enabled builds check that on every element access.
+/// until a write to the same block, or the array's grow_to /
+/// unsafe_host_fill / move / destruction; assert-enabled builds check that
+/// on every element access.
 template <class T>
 class BlockView {
  public:
@@ -113,12 +113,11 @@ class BlockView {
   IoTicket ticket_;
 #ifndef NDEBUG
   bool fresh() const {
-    return guard_ == nullptr || guard_->stamp(block_, stage_) == stamp_;
+    return guard_ == nullptr || guard_->stamp(block_) == stamp_;
   }
   std::shared_ptr<const detail::ViewGuard> guard_;
   std::uint64_t block_ = 0;
-  const void* stage_ = nullptr;
-  std::array<std::uint64_t, 3> stamp_{};
+  std::array<std::uint64_t, 2> stamp_{};
 #endif
 };
 
@@ -198,22 +197,16 @@ class ExtArray : private BlockCache::Sink {
     return std::min(B, data_.size() - begin);
   }
 
-  /// Reads block `bi` by reference.  Charges one read I/O — plus, under
+  /// Reads block `bi` by reference: a view of the stored block (its native
+  /// region, pool frame or spare slot).  Charges one read I/O — plus, under
   /// fault injection, one read per checksum-triggered retry; a block-cache
-  /// hit charges nothing.  Under fault injection the delivered copy lands
-  /// in `stage` (resized to B), so a reader holding views of several blocks
-  /// of one array at once gives each its own stage.
-  BlockView<T> view_block(std::uint64_t bi, std::vector<T>& stage) const {
-    BlockView<T> v = deliver(bi, block_elems(bi), [&] {
-      stage.resize(mach_->B());
-      return stage.data();
-    });
+  /// hit charges nothing.
+  BlockView<T> view_block(std::uint64_t bi) const {
+    BlockView<T> v = deliver(bi, block_elems(bi));
 #ifndef NDEBUG
-    ++guard_->deliveries[&stage];
     v.guard_ = guard_;
     v.block_ = bi;
-    v.stage_ = &stage;
-    v.stamp_ = guard_->stamp(bi, &stage);
+    v.stamp_ = guard_->stamp(bi);
 #endif
     return v;
   }
@@ -224,9 +217,8 @@ class ExtArray : private BlockCache::Sink {
     const std::size_t count = block_elems(bi);
     if (dst.size() < count)
       throw std::invalid_argument("read_block: destination too small");
-    const BlockView<T> v = deliver(bi, count, [&] { return dst.data(); });
-    if (v.elems_.data() != dst.data())
-      std::copy(v.elems_.begin(), v.elems_.end(), dst.begin());
+    const BlockView<T> v = deliver(bi, count);
+    std::copy(v.elems_.begin(), v.elems_.end(), dst.begin());
     return BlockIo{count, v.ticket_};
   }
 
@@ -319,17 +311,8 @@ class ExtArray : private BlockCache::Sink {
   /// Counts the calls that can change what a read delivers: write_block,
   /// grow_to, unsafe_host_fill and a move into or out of this array (reads
   /// never move it).  A host copy of delivered blocks taken at generation g
-  /// still equals a fresh read while the generation is g and
-  /// delivers_stored_bytes() holds.
+  /// still equals a fresh read while the generation is g.
   std::uint64_t write_generation() const { return write_gen_; }
-
-  /// True when every read delivers exactly the stored bytes: no fault
-  /// policy injects faults (a cache hit serves the stored bytes too).
-  /// Then an array written sorted is delivered sorted.
-  bool delivers_stored_bytes() const {
-    const FaultPolicy* fp = machine().faults();
-    return fp == nullptr || !fp->injects_faults();
-  }
 
   // --- fault-injection observability --------------------------------------
   /// Logical blocks currently redirected to spares (0 when no faults).
@@ -346,7 +329,9 @@ class ExtArray : private BlockCache::Sink {
   struct Recovery {
     explicit Recovery(std::size_t spare_capacity) : remap(spare_capacity) {}
     RemapTable remap;
-    std::vector<T> spare;         // spare-block storage, B elements per slot
+    // Spare-block storage, one B-element slot each; a slot never moves, so
+    // views into it outlive later remaps.
+    std::vector<std::vector<T>> spare;
     std::size_t spare_base = 0;   // physical id of spare slot 0
     std::vector<std::uint64_t> sums;   // per-logical-block checksums
     std::vector<std::uint8_t> dirty;   // fallback: known-corrupt blocks
@@ -385,11 +370,12 @@ class ExtArray : private BlockCache::Sink {
   // --- block-cache plumbing ------------------------------------------------
   // The cached bytes live in the NATIVE region of data_ (the pool's RAM
   // copy); the cache itself holds only metadata.  Invariant: while a block
-  // is resident, data_'s native region holds its current contents — reads
-  // copy delivered (verified) data there on insertion, writes store their
-  // payload there, and write-backs read it back out.  For remapped blocks
-  // the device copy lives in the spare region, so the native region is
-  // exactly the pool frame.
+  // is resident, data_'s native region holds its current contents — writes
+  // store their payload there, and write-backs read it back out.  For
+  // remapped blocks the device copy lives in the spare region, and every
+  // write that lands in a spare slot stores its payload in the native
+  // region too, so a verified spare and its native region agree and the
+  // native region is exactly the pool frame.
 
   T* native(std::uint64_t bi) const {
     return const_cast<T*>(data_.data()) +
@@ -412,36 +398,22 @@ class ExtArray : private BlockCache::Sink {
     if (BlockCache* bc = mach_->cache()) bc->move_sink(id_, this);
   }
 
-  /// The one read dispatch behind view_block and read_block.  `stage()`
-  /// yields room for B elements; it is only called under fault injection.
-  template <class Stage>
-  BlockView<T> deliver(std::uint64_t bi, std::size_t count,
-                       Stage stage) const {
+  /// The one read dispatch behind view_block and read_block.
+  BlockView<T> deliver(std::uint64_t bi, std::size_t count) const {
     T* base = native(bi);
     BlockCache* bc = mach_->cache();
+    if (bc != nullptr && bc->find_read(id_, bi))  // pool hit: no device I/O
+      return BlockView<T>(base, count, IoTicket{});
     FaultPolicy* fp = mach_->faults();
-    if (fp != nullptr && !fp->injects_faults()) fp = nullptr;
-    // Under injected faults every view is a private copy: a faulty
-    // write-back can store corrupted bytes into the native region.
-    T* dst = fp == nullptr ? base : stage();
-    if (bc != nullptr && bc->find_read(id_, bi)) {  // pool hit: no device I/O
-      if (dst != base) std::copy(base, base + count, dst);
-      return BlockView<T>(dst, count, IoTicket{});
-    }
-    IoTicket t;
-    if (fp == nullptr) {
-      t = mach_->on_read(id_, bi);
-    } else {
-      t = faulty_read(*fp, bi, dst, count);
-      // The delivered (checksum-verified) copy becomes the pool frame; for
-      // a remapped block the native region held stale pre-remap bytes.
-      if (bc != nullptr) std::copy(dst, dst + count, base);
-    }
+    const BlockView<T> v =
+        fp == nullptr || !fp->injects_faults()
+            ? BlockView<T>(base, count, mach_->on_read(id_, bi))
+            : faulty_read(*fp, bi, count);
     // May evict (and write back) a victim; on a write-back exception the
     // read stands — delivered and charged — and the block is just not cached.
     if (bc != nullptr)
       bc->insert(id_, bi, /*dirty=*/false, const_cast<ExtArray*>(this));
-    return BlockView<T>(dst, count, t);
+    return v;
   }
 
   /// BlockCache::Sink: push a dirty pool frame back to the device through
@@ -494,8 +466,7 @@ class ExtArray : private BlockCache::Sink {
       const std::uint64_t slot = rec_->remap.slot_of(bi);
       if (slot != RemapTable::npos)
         return PhysLoc{rec_->spare_base + slot,
-                       rec_->spare.data() +
-                           static_cast<std::size_t>(slot) * mach_->B()};
+                       rec_->spare[static_cast<std::size_t>(slot)].data()};
     }
     return PhysLoc{bi, const_cast<T*>(data_.data()) +
                            static_cast<std::size_t>(bi) * mach_->B()};
@@ -513,39 +484,37 @@ class ExtArray : private BlockCache::Sink {
         static_cast<unsigned char>(1 | ((r >> 8) & 0xff));
   }
 
-  /// True if the delivered copy in `dst` passes the device's read check.
-  bool delivered_clean(const Recovery& rec, std::uint64_t bi, const T* dst,
-                       std::size_t count, bool injected_corrupt) const {
+  /// True if the stored bytes `data` of block `bi` pass the device's read
+  /// check.
+  bool stored_clean(const Recovery& rec, std::uint64_t bi, const T* data,
+                    std::size_t count) const {
     if constexpr (kChecksummable) {
-      (void)injected_corrupt;  // the checksum catches it for real
-      return fault_checksum(dst, count * sizeof(T)) == rec.sums[bi];
+      return fault_checksum(data, count * sizeof(T)) == rec.sums[bi];
     } else {
-      return !injected_corrupt && rec.dirty[bi] == 0;
+      return rec.dirty[bi] == 0;
     }
   }
 
-  IoTicket faulty_read(FaultPolicy& fp, std::uint64_t bi, T* dst,
-                       std::size_t count) const {
+  /// A verified read: a view of the stored block once one attempt passes
+  /// the check, one charged read per attempt.  A transient fault would
+  /// flip one byte of the transfer at an offset the next draw picks; any
+  /// one-byte flip changes fault_checksum, so the attempt fails its check
+  /// whatever the draw, and nothing is flipped.
+  BlockView<T> faulty_read(FaultPolicy& fp, std::uint64_t bi,
+                           std::size_t count) const {
     const Recovery& rec = recovery(fp);
-    std::size_t attempt = 0;
-    for (;;) {
+    for (std::size_t attempt = 0;; ++attempt) {
       const PhysLoc loc = locate(bi);
       const IoTicket t = mach_->on_read(id_, loc.charge);
-      std::copy(loc.data, loc.data + count, dst);
-      bool injected = false;
-      if (fp.draw_read_fault()) {
-        corrupt(dst, count, fp.draw_u64());
-        injected = true;
-      }
-      if (!fp.config().checksum_reads ||
-          delivered_clean(rec, bi, dst, count, injected))
-        return t;
+      const bool transient = fp.draw_read_fault();
+      if (transient) (void)fp.draw_u64();
+      if (!transient && stored_clean(rec, bi, loc.data, count))
+        return BlockView<T>(loc.data, count, t);
       fp.note_checksum_failure();
       if (attempt >= fp.config().max_retries)
         throw FaultError(/*is_write=*/false, id_, bi, attempt + 1,
                          "checksum mismatch persists (stored block corrupt "
                          "or fault rate too high for the retry budget)");
-      ++attempt;
       fp.note_read_retry();
     }
   }
@@ -591,20 +560,24 @@ class ExtArray : private BlockCache::Sink {
         rec.dirty[bi] = stored_ok ? 0 : 1;
       }
 
-      if (!fp.config().verify_writes) return BlockIo{count, t};
-
       // Verify-after-write: one charged read-back, itself subject to
       // transient read faults.
       mach_->on_read(id_, loc.charge);
       const bool readback_corrupt = fp.draw_read_fault();
-      if (stored_ok && !readback_corrupt) return BlockIo{count, t};
+      if (stored_ok && !readback_corrupt) {
+        // Attempts that failed before a remap may have left other bytes in
+        // the native region, which is a resident block's pool frame.
+        if (loc.data != native(bi))
+          std::copy(src.begin(), src.end(), native(bi));
+        return BlockIo{count, t};
+      }
       fp.note_verify_failure();
 
       if (fp.retired(id_, loc.charge)) {
         // Permanent failure: migrate this logical block to a spare and
         // retry there with a fresh retry budget.
-        const std::uint64_t slot = rec.remap.remap(bi);
-        rec.spare.resize((static_cast<std::size_t>(slot) + 1) * B);
+        rec.remap.remap(bi);  // hands out slots in order: spare.size()
+        rec.spare.emplace_back(B);
         fp.note_remap();
         attempt = 0;
         continue;

@@ -5,8 +5,9 @@
 // simulator's perfect device into one that actually exhibits those failure
 // modes, deterministically:
 //
-//  * transient read faults  — a read delivers corrupted data this one time;
-//    the stored block is intact and a (charged) retry succeeds;
+//  * transient read faults  — a read's transfer is corrupted this one time;
+//    its checksum check fails, the stored block is intact and a (charged)
+//    retry succeeds;
 //  * silent write faults    — the write "succeeds" but the stored block is
 //    corrupted; only verification (read-back or checksum) can tell;
 //  * torn write faults      — only a prefix of the block is persisted, the
@@ -41,7 +42,7 @@ namespace aem {
 /// What (if anything) the device does to one attempted operation.
 enum class FaultKind : std::uint8_t {
   kNone,
-  kTransientRead,  // delivered data corrupted; stored data intact
+  kTransientRead,  // the transfer corrupted; stored data intact
   kSilentWrite,    // stored data corrupted; write reports success
   kTornWrite,      // only a prefix of the block is persisted
   kRetiredBlock,   // block past its endurance budget; write does not take
@@ -70,14 +71,6 @@ struct FaultConfig {
   /// Bound on recovery retries per logical operation (per physical block:
   /// a remap to a fresh spare resets the count).
   std::size_t max_retries = 4;
-
-  /// Read back every write (one charged read per attempt) and rewrite on
-  /// mismatch.  Off = silent faults stay silent.
-  bool verify_writes = true;
-
-  /// Maintain per-block checksums and verify every delivered read block,
-  /// retrying (charged) on mismatch.
-  bool checksum_reads = true;
 
   /// Deterministic power-cut point: once the machine's charged write
   /// counter reaches this value, the policy throws CrashError from the

@@ -224,8 +224,6 @@ void write_json(std::ostream& os, const MetricsSnapshot& s) {
        << ",\"endurance\":" << fc.endurance
        << ",\"spare_blocks\":" << fc.spare_blocks
        << ",\"max_retries\":" << fc.max_retries
-       << ",\"verify_writes\":" << fmt_bool(fc.verify_writes)
-       << ",\"checksum_reads\":" << fmt_bool(fc.checksum_reads)
        << ",\"injected\":{\"read\":" << fs.read_faults
        << ",\"silent_write\":" << fs.silent_write_faults
        << ",\"torn_write\":" << fs.torn_write_faults

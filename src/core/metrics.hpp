@@ -163,7 +163,7 @@ struct TrafficMetrics {
 /// also be filled by hand (tools/aem_trace builds one from a trace without a
 /// live machine).
 struct MetricsSnapshot {
-  static constexpr std::string_view kSchema = "aem.machine.metrics/v10";
+  static constexpr std::string_view kSchema = "aem.machine.metrics/v11";
 
   /// Free-form tag naming the measured case ("E1 N=65536 omega=16", ...).
   std::string label;

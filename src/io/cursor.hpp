@@ -29,7 +29,7 @@ class BlockCursor {
     if (elem - lo_ >= view_.size()) {
       const std::size_t B = arr_->machine().B();
       if (view_.size() == 0 || elem / B != lo_ / B) {
-        view_ = arr_->view_block(elem / B, stage_);
+        view_ = arr_->view_block(elem / B);
         lo_ = elem / B * B;
       }
       if (elem - lo_ >= view_.size())
@@ -48,7 +48,6 @@ class BlockCursor {
  private:
   const ExtArray<T>* arr_;
   MemoryReservation res_;  // the resident block
-  std::vector<T> stage_;   // its host copy, under fault injection only
   BlockView<T> view_;      // empty: nothing resident
   std::size_t lo_ = 0;     // global index of the resident block's first element
 };

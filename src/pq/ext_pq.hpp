@@ -316,7 +316,6 @@ class ExtPriorityQueue {
         min_cap_, remaining, total_runs(), cand_less);
     MemoryReservation out_res(mach_.ledger(), min_cap_);
     MemoryReservation block_res(mach_.ledger(), mach_.B());  // one block
-    std::vector<T> stage;  // its host copy, under fault injection only
 
     struct RunCursor {
       std::size_t level, index;
@@ -352,7 +351,7 @@ class ExtPriorityQueue {
       const std::size_t upto = std::min(r.length, rc.frontier + elems);
       while (rc.frontier < upto) {
         const std::uint64_t bi = rc.frontier / mach_.B();
-        const BlockView<T> v = r.data.view_block(bi, stage);
+        const BlockView<T> v = r.data.view_block(bi);
         const std::size_t lo = static_cast<std::size_t>(bi) * mach_.B();
         const std::size_t hi = std::min(lo + v.size(), r.length);
         for (std::size_t p = rc.frontier; p < hi; ++p) {

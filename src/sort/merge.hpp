@@ -137,23 +137,22 @@ class MergeJob {
 
   /// Reads absolute block `abs_block` (charged) and returns run r's last
   /// occurrence in it; with `fold`, also offers its unconsumed occurrences
-  /// to OUT.  When the delivery is the stored bytes it is sorted, so the
-  /// offers stop at the first occurrence OUT does not admit: every later
-  /// one is larger, and OUT's maximum does not move meanwhile.
+  /// to OUT.  A read delivers the stored bytes, so the block is sorted and
+  /// the offers stop at the first occurrence OUT does not admit: every
+  /// later one is larger, and OUT's maximum does not move meanwhile.
   Occ<T> read_into(std::uint32_t r, std::uint64_t abs_block, bool fold = true) {
-    const BlockView<T> v = src_.view_block(abs_block, stage_);
+    const BlockView<T> v = src_.view_block(abs_block);
     const std::size_t lo = static_cast<std::size_t>(abs_block) * mach_.B();
     const std::size_t first = std::max(lo, runs_[r].begin);
     const std::size_t end = std::min(lo + v.size(), runs_[r].end);
     if (first >= end)
       throw std::logic_error("merge: read a block with no in-range elements");
     if (fold) {
-      const bool sorted = src_.delivers_stored_bytes();
       for (std::size_t pos = first; pos < end; ++pos) {
         const Occ<T> o{v[pos - lo], r, pos, v.ticket()};
         if (watermark_.has_value() && !occ_less_(*watermark_, o))
           continue;  // already consumed
-        if (sorted && !out_.admits(o)) break;
+        if (!out_.admits(o)) break;
         out_.offer(r, o);
       }
     }
@@ -264,7 +263,6 @@ class MergeJob {
   std::vector<Active> actives_;
   Tree tree_;
   std::optional<Occ<T>> watermark_;
-  std::vector<T> stage_;  // the resident block's host copy under faults
   MergeStats* stats_ = nullptr;
 };
 

@@ -5,14 +5,16 @@
 // merge_runs (Section 3.1's OUT) and ExtPriorityQueue::refill both stage
 // "the cap smallest not-yet-output elements seen so far" while scanning
 // sorted runs, and repeatedly ask whether a new element is below the staged
-// maximum.  Every run feeds the batch in ascending order, so the batch is
-// the union of at most one ascending prefix per run.  The structure keeps it
-// in that shape:
+// maximum.  Reads deliver the stored bytes, so every run feeds the batch in
+// ascending order and the batch is the union of at most one ascending
+// prefix per run.  The structure keeps it in that shape:
 //
-//  * offer(source, v) appends v to the source's open segment, or opens a
-//    new segment when v is not above that segment's tail — so a source that
-//    delivers out of order (unchecksummed read faults) stays exact and only
-//    costs more segments;
+//  * offer(source, v) appends v to the source's segment; each source must
+//    offer ascending between drains (asserted).  Once a source's segment is
+//    emptied by evictions it never gains an element again before the next
+//    drain: evictions only happen when the batch is full, it then stays
+//    full, its maximum only falls, and the source's later offers are above
+//    the tail it lost;
 //  * the maximum is the largest segment tail, read in O(1) from a max-heap
 //    over SEGMENTS (not elements); evicting it pops that tail, so every
 //    segment's kept elements are always a prefix of what was appended to it;
@@ -27,13 +29,13 @@
 //
 // Host storage: elements live in one node pool that never holds more than
 // min(cap, expected) nodes (evict-then-append keeps it at `size()`), reused
-// by every round; a segment holds at least one kept element, so segment
-// bookkeeping is O(1) words per kept element, plus one open-segment word
-// per source.  The simulated footprint is exactly the `cap` elements each
-// caller reserves on the ledger before filling the batch.
+// by every round, plus three words per source for its segment.  The
+// simulated footprint is exactly the `cap` elements each caller reserves on
+// the ledger before filling the batch.
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
@@ -56,11 +58,12 @@ class SegmentHeap {
       : cap_(cap),
         pool_cap_(std::min(cap, expected)),
         less_(less),
-        open_(sources, kNil),
+        segs_(sources),
         tree_(0, less) {
     if (cap == 0) throw std::invalid_argument("SegmentHeap: zero capacity");
-    if (pool_cap_ >= kNil)
-      throw std::length_error("SegmentHeap: capacity above 2^32 - 2");
+    if (pool_cap_ >= kNil || sources >= kNil)
+      throw std::length_error(
+          "SegmentHeap: capacity or sources above 2^32 - 2");
     nodes_.reserve(pool_cap_);
   }
 
@@ -74,22 +77,21 @@ class SegmentHeap {
   /// True iff offer(v) would keep v: the batch has room, or v < max().
   bool admits(const V& v) const { return !full() || less_(v, max()); }
 
-  /// Keeps v if admits(v), evicting the current maximum when full.
+  /// Keeps v if admits(v), evicting the current maximum when full.  v must
+  /// be above every element `source` offered since the last drain.
   void offer(std::size_t source, const V& v) {
     if (full()) {
       if (!less_(v, max())) return;
       evict_max();
     }
-    std::uint32_t s = open_[source];
-    if (s == kNil || !less_(nodes_[segs_[s].tail].v, v)) {
-      s = open_segment(source);
-      open_[source] = s;
-    }
+    Segment& seg = segs_[source];
+    assert(seg.tail == kNil || less_(nodes_[seg.tail].v, v));
     const std::uint32_t n = alloc_node(v);
-    Segment& seg = segs_[s];
     nodes_[n].prev = seg.tail;
     if (seg.tail == kNil) {
       seg.head = n;
+      seg.heap_pos = static_cast<std::uint32_t>(heap_.size());
+      heap_.push_back(static_cast<std::uint32_t>(source));
     } else {
       nodes_[seg.tail].next = n;
     }
@@ -125,11 +127,9 @@ class SegmentHeap {
 
   /// Empties the batch, keeping its storage for the next round.
   void clear() {
-    for (const std::uint32_t s : heap_) open_[segs_[s].source] = kNil;
+    for (const std::uint32_t s : heap_) segs_[s] = Segment{};
     nodes_.clear();
     free_node_ = kNil;
-    segs_.clear();
-    free_seg_ = kNil;
     heap_.clear();
     size_ = 0;
   }
@@ -137,10 +137,6 @@ class SegmentHeap {
   /// Element slots the node pool holds (kept or free): min(cap, expected)
   /// for as long as no round offers more than `expected` elements.
   std::size_t node_capacity() const { return nodes_.capacity(); }
-
-  /// Segment slots held: the table grows only while more segments are live
-  /// at once than ever before, and at most min(cap, expected) can be.
-  std::size_t segment_capacity() const { return segs_.capacity(); }
 
  private:
   static constexpr std::uint32_t kNil = ~std::uint32_t{0};
@@ -152,11 +148,10 @@ class SegmentHeap {
 
   using Tree = LoserTree<V, Less>;
 
-  /// A non-empty ascending run of kept nodes from one source.
+  /// One source's ascending run of kept nodes; in heap_ while non-empty.
   struct Segment {
-    std::uint32_t head, tail;
-    std::uint32_t heap_pos;  // index in heap_ (free list: next free segment)
-    std::size_t source;
+    std::uint32_t head = kNil, tail = kNil;
+    std::uint32_t heap_pos = kNil;  // index in heap_
   };
 
   std::uint32_t alloc_node(const V& v) {
@@ -168,22 +163,6 @@ class SegmentHeap {
     }
     nodes_.push_back(Node{v, kNil, kNil});
     return static_cast<std::uint32_t>(nodes_.size() - 1);
-  }
-
-  /// A new empty segment of `source`, pushed on the heap.  It is given its
-  /// first node by the caller, which then restores the heap by sift_up.
-  std::uint32_t open_segment(std::size_t source) {
-    std::uint32_t s = free_seg_;
-    if (s != kNil) {
-      free_seg_ = segs_[s].heap_pos;
-    } else {
-      s = static_cast<std::uint32_t>(segs_.size());
-      segs_.emplace_back();
-    }
-    segs_[s] = Segment{kNil, kNil, static_cast<std::uint32_t>(heap_.size()),
-                       source};
-    heap_.push_back(s);
-    return s;
   }
 
   /// Pops the largest segment tail.
@@ -200,15 +179,12 @@ class SegmentHeap {
       sift_down(0);
       return;
     }
-    // The segment is empty: drop it from the heap and recycle it.
-    if (open_[seg.source] == s) open_[seg.source] = kNil;
+    // The segment is empty: drop it from the heap.
+    seg = Segment{};
     const std::uint32_t last = heap_.back();
     heap_.pop_back();
-    seg.heap_pos = free_seg_;
-    free_seg_ = s;
     if (last != s) {
-      heap_[0] = last;
-      segs_[last].heap_pos = 0;
+      place(0, last);
       sift_down(0);
     }
   }
@@ -251,10 +227,8 @@ class SegmentHeap {
   std::size_t size_ = 0;
   std::vector<Node> nodes_;
   std::uint32_t free_node_ = kNil;
-  std::vector<Segment> segs_;
-  std::uint32_t free_seg_ = kNil;
-  std::vector<std::uint32_t> heap_;  // live segment ids, max-heap by tail
-  std::vector<std::uint32_t> open_;  // per source: its open segment, or kNil
+  std::vector<Segment> segs_;        // per source
+  std::vector<std::uint32_t> heap_;  // non-empty segments, max-heap by tail
   // drain()'s merge over the segments, and each segment's next node;
   // reused every round.
   Tree tree_;

@@ -8,11 +8,11 @@
 // order: R' * n' reads and n' (+ R') writes.  The host selects each round's
 // slice from one offset permutation of a copy of the range, in occurrence
 // order (host_sort.hpp: a radix for unsigned keys under std::less; MODEL.md
-// §3, host recomputation).  A round compares its blocks with the copy only
-// when they can differ: under injected faults, or when src was written
-// since the copy was read (an aliased output).  A round whose blocks do
-// differ rebuilds the copy and its order, and resumes just above the
-// watermark, kept as a (value, offset) pair because the copy changed.
+// §3, host recomputation).  Reads deliver the stored bytes, so a round
+// compares its blocks with the copy only when src was written since the
+// copy was read (an aliased output).  A round whose blocks do differ
+// rebuilds the copy and its order, and resumes just above the watermark,
+// kept as a (value, offset) pair because the copy changed.
 #pragma once
 
 #include <algorithm>
@@ -68,7 +68,6 @@ std::size_t small_sort(const ExtArray<T>& src, std::size_t begin,
   std::vector<std::uint32_t> order;
   const std::size_t first = begin / B;  // the range's first block
   std::vector<IoTicket> tickets(mach.n_of(end) - first);
-  std::vector<T> stage;  // delivered blocks under fault injection only
   struct Mark {
     T val;
     std::uint32_t off;
@@ -86,12 +85,9 @@ std::size_t small_sort(const ExtArray<T>& src, std::size_t begin,
     MemoryReservation out_res(mach.ledger(), budget.small_batch);
     MemoryReservation block_res(mach.ledger(), B);  // the scan block
     bool changed = consumed == 0;
-    // Without faults a round delivers the stored bytes, so it can only
-    // differ from the copy if src was written since the copy was read.
-    const bool recheck = changed || !src.delivers_stored_bytes() ||
-                         src.write_generation() != copied_gen;
+    const bool recheck = changed || src.write_generation() != copied_gen;
     for (std::size_t t = 0; t < tickets.size(); ++t) {
-      const BlockView<T> v = src.view_block(first + t, stage);
+      const BlockView<T> v = src.view_block(first + t);
       tickets[t] = v.ticket();
       if (!recheck) continue;
       const std::size_t lo = std::max(begin, (first + t) * B);

@@ -857,7 +857,7 @@ class KvStore {
                      std::uint64_t& reads) {
     MemoryReservation page_res(mach_->ledger(), mach_->B());
     for (std::size_t bi = 0; bi < pages; ++bi) {
-      fences.push_back(log_.view_block(bi, stage_)[0].key);
+      fences.push_back(log_.view_block(bi)[0].key);
       ++reads;
     }
   }
@@ -869,14 +869,14 @@ class KvStore {
   };
 
   /// Largest page whose fence (first key) is <= key, with a view of it
-  /// (delivered into stage_ under fault injection; the caller holds the
-  /// page's ledger reservation); nullopt when the key precedes every
-  /// stored key.  kFence decides from the fence array (exactly one
-  /// log read); kCompact probes the quantized index's candidate and walks
-  /// back while the probed page provably starts past the key.  The walk
-  /// cannot pass the start of the quantization-collision run: a page with
-  /// q(fence) < q(key) has fence < key and terminates it, so its length is
-  /// bounded by the run of adjacent fences sharing the key's top bits.
+  /// (the caller holds the page's ledger reservation); nullopt when the
+  /// key precedes every stored key.  kFence decides from the fence array
+  /// (exactly one log read); kCompact probes the quantized index's
+  /// candidate and walks back while the probed page provably starts past
+  /// the key.  The walk cannot pass the start of the quantization-collision
+  /// run: a page with q(fence) < q(key) has fence < key and terminates it,
+  /// so its length is bounded by the run of adjacent fences sharing the
+  /// key's top bits.
   /// `reads` is incremented once per log-block read.  The located page is
   /// prefetched for the caller's search (prefetch_page).
   std::optional<Page> locate_page(std::uint64_t key, std::uint64_t& reads) {
@@ -884,13 +884,13 @@ class KvStore {
     if (cfg_.index == IndexKind::kFence) {
       const std::size_t r = fence_idx_.rank_upper(key);
       if (r == 0) return std::nullopt;
-      located = Page{r - 1, log_.view_block(r - 1, stage_)};
+      located = Page{r - 1, log_.view_block(r - 1)};
       ++reads;
     } else {
       std::size_t i = ef_.predecessor(quantize(key));
       if (i == EliasFano::npos) return std::nullopt;  // q(fence_0) > q(key)
       for (;;) {
-        BlockView<Slot> page = log_.view_block(i, stage_);
+        BlockView<Slot> page = log_.view_block(i);
         ++reads;
         if (page[0].key <= key) {
           located = Page{i, page};
@@ -936,7 +936,6 @@ class KvStore {
 
   std::size_t records_ = 0;
   ExtArray<Slot> log_;
-  std::vector<Slot> stage_;  // viewed log pages under fault injection
   ExtArray<std::uint64_t> payload_;
   std::uint64_t payload_words_ = 0;
   std::uint64_t max_value_words_ = 0;

@@ -6,8 +6,9 @@
 // set of Mout (the std::set batch the sort goldens were first recorded
 // with), then emits the set in (value, position) order.  It carries one
 // fix the shipped kernel also has: a round's batch is capped at the elements
-// still owed to the output, so a round whose unchecksummed reads deliver
-// extra occurrences above the watermark cannot push past the output range.
+// still owed to the output, so a round that reads back bytes an aliased
+// output changed, with extra occurrences above the watermark, cannot push
+// past the output range.
 #pragma once
 
 #include <algorithm>

@@ -1,6 +1,6 @@
 // ExtArray::view_block: charge identity with read_block on every machine
-// flavour, the reader range checks a view makes load-bearing, the
-// per-reader staging rule under uncached read faults, and — in builds with
+// flavour, views that alias the stored block under faults and remaps, the
+// reader range checks a view makes load-bearing, and — in builds with
 // asserts live — the stale-view checks of MODEL.md §2.
 #include <gtest/gtest.h>
 
@@ -43,13 +43,19 @@ Config cached(CachePolicy p) {
   return c;
 }
 
-FaultConfig read_faults(bool checksummed) {
+FaultConfig read_faults() {
   FaultConfig fc;
   fc.seed = 23;
   fc.read_fault_rate = 0.1;
-  fc.checksum_reads = checksummed;
-  fc.verify_writes = checksummed;
   fc.max_retries = 50;
+  return fc;
+}
+
+/// Blocks die after `endurance` lifetime writes and move to spares.
+FaultConfig wear(std::uint64_t endurance) {
+  FaultConfig fc;
+  fc.endurance = endurance;
+  fc.spare_blocks = 64;
   return fc;
 }
 
@@ -70,21 +76,16 @@ std::vector<Flavour> flavours() {
       return m;
     };
   };
-  FaultConfig wear;
-  wear.endurance = 3;  // blocks die after 3 lifetime writes
-  wear.spare_blocks = 64;
   return {
       {"plain", plain(base_cfg())},
       {"lru", plain(cached(CachePolicy::kLru))},
       {"clean_first", plain(cached(CachePolicy::kCleanFirst))},
-      {"faults_checksummed", plain(base_cfg(), read_faults(true))},
-      {"faults_unchecksummed", plain(base_cfg(), read_faults(false))},
-      {"lru_faults_checksummed",
-       plain(cached(CachePolicy::kLru), read_faults(true))},
-      {"clean_first_faults_unchecksummed",
-       plain(cached(CachePolicy::kCleanFirst), read_faults(false))},
-      {"remapped", plain(base_cfg(), wear), true},
-      {"lru_remapped", plain(cached(CachePolicy::kLru), wear), true},
+      {"faults", plain(base_cfg(), read_faults())},
+      {"lru_faults", plain(cached(CachePolicy::kLru), read_faults())},
+      {"clean_first_faults",
+       plain(cached(CachePolicy::kCleanFirst), read_faults())},
+      {"remapped", plain(base_cfg(), wear(3)), true},
+      {"lru_remapped", plain(cached(CachePolicy::kLru), wear(3)), true},
       {"sharded_d4",
        [] {
          ShardConfig sc;
@@ -94,7 +95,7 @@ std::vector<Flavour> flavours() {
        }},
       {"traced", plain(base_cfg(), std::nullopt, /*trace=*/true)},
       {"traced_lru_faults",
-       plain(cached(CachePolicy::kLru), read_faults(true), /*trace=*/true)},
+       plain(cached(CachePolicy::kLru), read_faults(), /*trace=*/true)},
   };
 }
 
@@ -120,7 +121,7 @@ Observed drive(Machine& mach, bool views) {
   arr.set_atom_extractor([](std::uint64_t v) { return v; });
   Observed o;
   util::Rng rng(41);
-  std::vector<std::uint64_t> stage, buf(mach.B());
+  std::vector<std::uint64_t> buf(mach.B());
   for (int op = 0; op < 600; ++op) {
     const std::uint64_t bi = rng.next() % arr.blocks();
     if (rng.next() % 4 == 0) {
@@ -129,7 +130,7 @@ Observed drive(Machine& mach, bool views) {
       arr.write_block(bi, std::span<const std::uint64_t>(
                               buf.data(), arr.block_elems(bi)));
     } else if (views) {
-      const BlockView<std::uint64_t> v = arr.view_block(bi, stage);
+      const BlockView<std::uint64_t> v = arr.view_block(bi);
       o.delivered.insert(o.delivered.end(), v.span().begin(), v.span().end());
     } else {
       const BlockIo io = arr.read_block(bi, std::span<std::uint64_t>(buf));
@@ -172,22 +173,51 @@ TEST(BlockViewTest, ChargesAndDeliversExactlyWhatReadBlockDoes) {
   }
 }
 
-TEST(BlockViewTest, ViewAliasesStoredBlockOnlyWithoutInjectedFaults) {
-  Machine plain(base_cfg());
-  ExtArray<std::uint64_t> a(plain, 64, "a");
-  std::vector<std::uint64_t> stage;
-  EXPECT_EQ(a.view_block(2, stage).span().data(),
-            a.unsafe_host_view().data() + 2 * plain.B());
-  EXPECT_TRUE(stage.empty());  // nothing staged on a fault-free machine
+TEST(BlockViewTest, ViewAliasesStoredBlockUnderInjectedFaults) {
+  // With no block remapped every view is of the native region: fault-free,
+  // under read faults (a faulted attempt is retried, never delivered), and
+  // through the pool on a miss and on a hit.
+  for (const bool with_cache : {false, true})
+    for (const bool with_faults : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "cache " << with_cache << " faults "
+                                      << with_faults);
+      Machine mach(with_cache ? cached(CachePolicy::kLru) : base_cfg());
+      if (with_faults) mach.install_faults(read_faults());
+      ExtArray<std::uint64_t> a(mach, 64, "a");  // 8 blocks, 6 frames
+      for (std::uint64_t pass = 0; pass < 40; ++pass) {
+        const std::uint64_t bi = pass / 2 % a.blocks();  // a miss, then a hit
+        EXPECT_EQ(a.view_block(bi).span().data(),
+                  a.unsafe_host_view().data() + bi * mach.B());
+      }
+      if (with_faults) {
+        EXPECT_GT(mach.faults()->stats().read_retries, 0u);
+      }
+    }
+}
 
-  Machine faulty(cached(CachePolicy::kLru));
-  faulty.install_faults(read_faults(true));
-  ExtArray<std::uint64_t> b(faulty, 64, "b");
-  for (int pass = 0; pass < 2; ++pass) {  // a miss, then a pool hit
-    const BlockView<std::uint64_t> v = b.view_block(2, stage);
-    EXPECT_EQ(v.span().data(), stage.data());
-    EXPECT_EQ(stage.size(), faulty.B());
+TEST(BlockViewTest, ViewOfASpareBlockOutlivesOtherRemaps) {
+  // Block 0 lives in a spare slot; remapping every other block adds spare
+  // slots one by one, and none may move the one block 0's view points at.
+  Machine mach(base_cfg());
+  mach.install_faults(wear(1));
+  const std::size_t B = mach.B();
+  ExtArray<std::uint64_t> arr(mach, 16 * B, "a");
+  std::vector<std::uint64_t> buf(B);
+  auto write = [&](std::uint64_t bi, std::uint64_t fill) {
+    std::fill(buf.begin(), buf.end(), fill);
+    arr.write_block(bi, buf);
+  };
+  write(0, 1);
+  write(0, 2);  // block 0 retires and moves to a spare
+  ASSERT_EQ(arr.remapped_blocks(), 1u);
+  const BlockView<std::uint64_t> v = arr.view_block(0);
+  EXPECT_NE(v.span().data(), arr.unsafe_host_view().data());
+  for (std::uint64_t bi = 1; bi < arr.blocks(); ++bi) {
+    write(bi, 10 + bi);
+    write(bi, 20 + bi);
   }
+  ASSERT_EQ(arr.remapped_blocks(), arr.blocks());
+  for (std::size_t i = 0; i < B; ++i) EXPECT_EQ(v[i], 2u);
 }
 
 // --- range checks a view makes load-bearing -----------------------------
@@ -211,11 +241,11 @@ TEST(BlockCursorTest, AtRejectsAnElementPastTheArrayEnd) {
   EXPECT_EQ(mach.stats().reads, 1u);  // the resident block was not re-read
 }
 
-// --- the staging rule under uncached read faults ------------------------
+// --- several live views under uncached read faults ----------------------
 
 TEST(BlockViewTest, ViewsOfSeveralRunsHeldAtOnceUnderUncachedReadFaults) {
-  Machine mach(base_cfg());  // no cache: every view is staged
-  mach.install_faults(read_faults(/*checksummed=*/true));
+  Machine mach(base_cfg());  // no cache: every view is of the device block
+  mach.install_faults(read_faults());
   const std::size_t B = mach.B(), runs = 5, run_len = 3 * B;
   std::vector<std::uint64_t> keys(runs * run_len);
   util::Rng rng(7);
@@ -226,13 +256,11 @@ TEST(BlockViewTest, ViewsOfSeveralRunsHeldAtOnceUnderUncachedReadFaults) {
   ExtArray<std::uint64_t> src(mach, keys.size(), "runs");
   src.unsafe_host_fill(keys);
 
-  // One live view per run, each through its own stage: every view must
-  // still show its own block (one shared staging block would show the
-  // last block read in all of them).
-  std::vector<std::vector<std::uint64_t>> stages(runs);
+  // One live view per run: every view must still show its own block after
+  // the later reads and their faulted attempts.
   std::vector<BlockView<std::uint64_t>> heads;
   for (std::size_t r = 0; r < runs; ++r)
-    heads.push_back(src.view_block(r * run_len / B + 1, stages[r]));
+    heads.push_back(src.view_block(r * run_len / B + 1));
   for (std::size_t r = 0; r < runs; ++r)
     for (std::size_t i = 0; i < B; ++i)
       ASSERT_EQ(heads[r][i], keys[r * run_len + B + i]) << "run " << r;
@@ -257,11 +285,11 @@ TEST(BlockViewTest, ViewsOfSeveralRunsHeldAtOnceUnderUncachedReadFaults) {
 TEST(BlockViewTest, EvictionAndOtherWritesLeaveAViewFresh) {
   Machine mach(cached(CachePolicy::kLru));  // 6 frames
   ExtArray<std::uint64_t> arr(mach, 32 * mach.B(), "a");
-  std::vector<std::uint64_t> stage, other_stage, buf(mach.B(), 5);
-  const BlockView<std::uint64_t> v = arr.view_block(0, stage);
+  std::vector<std::uint64_t> buf(mach.B(), 5);
+  const BlockView<std::uint64_t> v = arr.view_block(0);
   for (std::uint64_t bi = 1; bi < 20; ++bi) {  // evicts block 0, dirty ones
     arr.write_block(bi, buf);
-    (void)arr.view_block(bi, other_stage);
+    (void)arr.view_block(bi);
   }
   mach.flush_cache();
   EXPECT_EQ(v[0], 0u);  // with asserts live, also checks freshness
@@ -271,8 +299,7 @@ TEST(BlockViewTest, EvictionAndOtherWritesLeaveAViewFresh) {
 TEST(BlockViewDeathTest, WriteToAViewedBlockMakesTheViewStale) {
   Machine mach(base_cfg());
   ExtArray<std::uint64_t> log(mach, 32, "log");
-  std::vector<std::uint64_t> stage;
-  const BlockView<std::uint64_t> page = log.view_block(1, stage);
+  const BlockView<std::uint64_t> page = log.view_block(1);
   // A put_inline-style read-modify-write of the page being viewed.
   std::vector<std::uint64_t> rmw(page.span().begin(), page.span().end());
   rmw[3] = 99;
@@ -280,20 +307,18 @@ TEST(BlockViewDeathTest, WriteToAViewedBlockMakesTheViewStale) {
   EXPECT_DEATH((void)page[3], "fresh");
 }
 
-TEST(BlockViewDeathTest, StageReuseGrowthAndMoveMakeViewsStale) {
+TEST(BlockViewDeathTest, GrowthAndMoveMakeViewsStale) {
   Machine mach(base_cfg());
   ExtArray<std::uint64_t> arr(mach, 32, "a");
-  std::vector<std::uint64_t> s1, s2;
-  const BlockView<std::uint64_t> first = arr.view_block(0, s1);
-  const BlockView<std::uint64_t> other = arr.view_block(1, s2);
-  (void)arr.view_block(2, s1);  // reuses first's stage
-  EXPECT_DEATH((void)first[0], "fresh");
-  EXPECT_EQ(other[0], 0u);  // a distinct stage keeps its view
+  const BlockView<std::uint64_t> first = arr.view_block(0);
+  const BlockView<std::uint64_t> other = arr.view_block(1);
+  (void)arr.view_block(0);  // reads never stale a view
+  EXPECT_EQ(first[0], 0u);
 
   arr.grow_to(64);
   EXPECT_DEATH((void)other.span(), "fresh");
 
-  const BlockView<std::uint64_t> before = arr.view_block(0, s1);
+  const BlockView<std::uint64_t> before = arr.view_block(0);
   ExtArray<std::uint64_t> moved(std::move(arr));
   EXPECT_DEATH((void)before[0], "fresh");
 }

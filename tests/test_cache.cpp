@@ -441,9 +441,9 @@ TEST(CacheFaultTest, WriteBackRetirementMigratesToSpareTransparently) {
 }
 
 TEST(CacheFaultTest, ReadMissOfRemappedBlockRefreshesPoolFrame) {
-  // After a block migrates to a spare, the native region holds stale
-  // pre-remap bytes; a cached read miss must adopt the DELIVERED (spare)
-  // copy so later pool hits serve current data.
+  // After a block migrates to a spare, a cached read miss reads the spare;
+  // the pool hits that follow serve the native region, which must hold
+  // the same current data.
   Machine mach(cached_cfg(64, 8, 4, 2));
   FaultConfig fc;
   fc.endurance = 2;
@@ -466,6 +466,32 @@ TEST(CacheFaultTest, ReadMissOfRemappedBlockRefreshesPoolFrame) {
   EXPECT_EQ(back[0], 40);
   arr.read_block(0, std::span<int>(back));  // hit: pool frame must agree
   EXPECT_EQ(back[0], 40);
+}
+
+TEST(CacheFaultTest, RemappedWriteBackLeavesThePayloadInThePoolFrame) {
+  // A flush whose write-back retires block 0 and moves it to a spare: the
+  // failed attempt on the native block must not survive in the pool frame,
+  // which the block keeps after the flush, or the next pool hit serves it.
+  for (const std::uint64_t seed : {1u, 8u, 10u}) {
+    SCOPED_TRACE(seed);
+    Machine mach(cached_cfg(64, 8, 4, 4));
+    FaultConfig fc;
+    fc.seed = seed;
+    fc.silent_write_rate = 0.5;
+    fc.endurance = 1;
+    fc.spare_blocks = 4;
+    mach.install_faults(fc);
+    ExtArray<int> arr(mach, 64, "a");
+    std::vector<int> buf(8);
+    for (int i = 0; i < 8; ++i) buf[i] = 70 + i;
+    arr.write_block(0, std::span<const int>(buf));
+    mach.flush_cache();
+    ASSERT_EQ(mach.faults()->stats().remaps, 1u);
+    std::vector<int> back(8);
+    arr.read_block(0, std::span<int>(back));  // a pool hit
+    EXPECT_EQ(mach.cache()->stats().read_hits, 1u);
+    EXPECT_EQ(back, buf);
+  }
 }
 
 TEST(CacheFaultTest, CrashDuringFlushLeavesConsistentStateAndRetries) {
@@ -543,14 +569,12 @@ TEST(CacheFaultTest, TornWriteDuringFlushPinsExactCharges) {
   // block must come out clean and correct.
   //
   // Find a schedule whose first write draw tears and whose second is clean.
-  // The probe replays the exact draw sequence of one flushed block under
-  // verify_writes (read_fault_rate = 0, so verify reads draw nothing):
+  // The probe replays the exact draw sequence of one flushed block
+  // (read_fault_rate = 0, so verify reads draw nothing):
   //   attempt 1: draw_write_fault -> torn, draw_u64 (torn prefix length)
   //   attempt 2: draw_write_fault -> clean
   FaultConfig fc;
   fc.torn_write_rate = 0.5;
-  fc.verify_writes = true;
-  fc.checksum_reads = true;
   bool found = false;
   for (std::uint64_t seed = 1; seed < 256 && !found; ++seed) {
     fc.seed = seed;

@@ -495,9 +495,8 @@ TEST(ExtArrayTest, WriteGenerationMovesOnWritesNotReads) {
   Machine mach(cfg);
   ExtArray<int> arr(mach, 16, "a");
   EXPECT_EQ(arr.write_generation(), 0u);
-  std::vector<int> stage;
   Buffer<int> buf(mach, 8);
-  arr.view_block(0, stage);
+  arr.view_block(0);
   arr.read_block(1, buf.span());
   EXPECT_EQ(arr.write_generation(), 0u);  // reads never move it
   arr.write_block(0, std::span<const int>(buf.data(), 8));
@@ -516,20 +515,6 @@ TEST(ExtArrayTest, WriteGenerationMovesOnWritesNotReads) {
   EXPECT_EQ(arr.write_generation(), 4u);  // NOLINT(bugprone-use-after-move)
   moved = ExtArray<int>(mach, 8, "b");
   EXPECT_EQ(moved.write_generation(), 2u);
-}
-
-TEST(ExtArrayTest, DeliversStoredBytesUnlessFaultsAreInjected) {
-  Machine mach(small_config());
-  ExtArray<int> arr(mach, 16, "a");
-  EXPECT_TRUE(arr.delivers_stored_bytes());
-  FaultConfig crash_only;
-  crash_only.crash_after_writes = 5;
-  mach.install_faults(crash_only);
-  EXPECT_TRUE(arr.delivers_stored_bytes());  // a power cut corrupts nothing
-  FaultConfig reads;
-  reads.read_fault_rate = 0.01;
-  mach.install_faults(reads);
-  EXPECT_FALSE(arr.delivers_stored_bytes());
 }
 
 TEST(ExtArrayTest, BufferRegistersWithLedger) {

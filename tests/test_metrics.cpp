@@ -172,8 +172,7 @@ TEST(MetricsTest, DefaultSnapshotPinsEveryKey) {
       "\"blocks_written\":0,\"writes\":0,\"max_writes\":0}]},"
       "\"faults\":{\"enabled\":false,\"seed\":1,\"read_fault_rate\":0,"
       "\"silent_write_rate\":0,\"torn_write_rate\":0,\"endurance\":0,"
-      "\"spare_blocks\":0,\"max_retries\":4,\"verify_writes\":true,"
-      "\"checksum_reads\":true,"
+      "\"spare_blocks\":0,\"max_retries\":4,"
       "\"injected\":{\"read\":0,\"silent_write\":0,\"torn_write\":0,"
       "\"retired_write\":0},\"recovery\":{\"read_retries\":0,"
       "\"write_retries\":0,\"verify_failures\":0,\"checksum_failures\":0,"

@@ -170,16 +170,14 @@ TEST(RecoverySuiteTest, SpmvSurvivesFaults) {
 }
 
 TEST(RecoverySuiteTest, FlashSimulationSurvivesReadFaults) {
-  // Read-fault-only schedule: write retries would re-emit identical atoms
-  // into the trace and look like destroyed atoms to the Lemma 4.3 replay,
-  // but transient read faults only add (charged) re-reads, which the
-  // simulation must absorb without destroying a single atom.
+  // Read-fault-only schedule: a faulted read is retried, and a write whose
+  // verify read-back faults is rewritten with the same atoms.  The
+  // simulation must absorb both without destroying a single atom.
   Config mc = cfg(128, 8, 4);
   Machine mach(mc);
   FaultConfig fc;
   fc.seed = 111;
   fc.read_fault_rate = 0.05;
-  fc.verify_writes = false;  // keep the write path single-attempt
   fc.max_retries = 64;
   mach.install_faults(fc);
 
@@ -195,6 +193,7 @@ TEST(RecoverySuiteTest, FlashSimulationSurvivesReadFaults) {
   mach.enable_trace();
   sort_permute(in, std::span<const std::uint64_t>(dest), out);
   ASSERT_GT(mach.faults()->stats().read_faults, 0u);
+  ASSERT_GT(mach.faults()->stats().write_retries, 0u);
 
   auto trace = mach.take_trace();
   auto r = flash::simulate_permutation_trace(
@@ -325,26 +324,32 @@ TEST(RecoveryErrorTest, UnrecoverableWriteThrowsFaultError) {
   EXPECT_EQ(mach.stats().reads, 2u);
 }
 
-TEST(RecoveryErrorTest, DisablingVerifyLetsSilentFaultsPass) {
-  // With verify_writes off the device really is allowed to lie: the write
-  // reports success and only a later read notices the corruption.
+TEST(RecoveryErrorTest, WriteOutOfRetriesLeavesABlockNoReadReturns) {
+  // A write that exhausts max_retries throws and leaves the stored block
+  // corrupt.  A later read never returns those bytes: the checksum catches
+  // them on every (charged) attempt until the retry budget runs out.
   Machine mach(cfg(64, 8, 1));
   FaultConfig c;
   c.seed = 17;
   c.silent_write_rate = 1.0;
-  c.verify_writes = false;
   c.max_retries = 2;
   mach.install_faults(c);
   ExtArray<std::uint64_t> a(mach, 8, "a");
   const std::vector<std::uint64_t> src(8, 9);
-  EXPECT_NO_THROW(a.write_block(0, std::span<const std::uint64_t>(src)));
-  EXPECT_EQ(mach.stats().writes, 1u);  // reported success, no verify read
-  EXPECT_EQ(mach.stats().reads, 0u);
+  EXPECT_THROW(a.write_block(0, std::span<const std::uint64_t>(src)),
+               FaultError);
+  const IoStats after_write = mach.stats();
   std::vector<std::uint64_t> dst(8);
-  // The stored block is corrupt and stays corrupt: the checksum catches it
-  // on every (charged) read attempt until the retry budget runs out.
-  EXPECT_THROW(a.read_block(0, std::span<std::uint64_t>(dst)), FaultError);
-  EXPECT_GT(mach.faults()->stats().checksum_failures, 0u);
+  try {
+    a.read_block(0, std::span<std::uint64_t>(dst));
+    FAIL() << "expected FaultError";
+  } catch (const FaultError& e) {
+    EXPECT_FALSE(e.is_write());
+    EXPECT_EQ(e.attempts(), 3u);  // initial try + max_retries
+  }
+  EXPECT_EQ(mach.stats().reads - after_write.reads, 3u);
+  EXPECT_EQ(mach.faults()->stats().checksum_failures, 3u);
+  EXPECT_EQ(mach.faults()->stats().read_faults, 0u);  // the block, not a read
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Tests for sort/segment_heap.hpp: the staged batch of merge_runs and the
-// external priority queue's refill, kept as ascending segments per source.
-// It must keep exactly what a bounded std::set (the reference) keeps after
-// every offer, whatever order the sources deliver in, and emit it in the
+// external priority queue's refill, kept as one ascending segment per
+// source.  With each source offering ascending, as a sorted run read back
+// does, it must keep exactly what a bounded std::set (the reference) keeps
+// after every offer, however the sources interleave, and emit it in the
 // set's order, so the kernels' "below the staged max" decisions and their
 // output cannot change.
 #include <gtest/gtest.h>
@@ -76,16 +77,40 @@ void expect_drains_to(Heap& heap, const RefBatch& ref) {
   EXPECT_TRUE(heap.empty());
 }
 
-/// Offers `n` items with keys in [0, key_range), unique tie-breakers and
-/// random sources in [0, sources) — so every source descends often — then
-/// checks the drained batch.
+struct Offer {
+  std::size_t source;
+  Item item;
+};
+
+/// `n` offers with keys in [0, key_range), unique tie-breakers and random
+/// sources in [0, sources), each source's items then sorted among its own
+/// slots: the sources interleave at random and each offers ascending.
+std::vector<Offer> ascending_offers(aem::util::Rng& rng, std::size_t n,
+                                    std::uint64_t key_range,
+                                    std::size_t sources,
+                                    std::uint64_t& next_id) {
+  std::vector<Offer> offers(n);
+  std::vector<std::vector<Item>> descending(sources);
+  for (Offer& o : offers) {
+    o.source = rng.next() % sources;
+    o.item = Item{rng.next() % key_range, next_id++};
+    descending[o.source].push_back(o.item);
+  }
+  for (auto& items : descending) std::sort(items.rbegin(), items.rend());
+  for (Offer& o : offers) {
+    o.item = descending[o.source].back();
+    descending[o.source].pop_back();
+  }
+  return offers;
+}
+
+/// Offers ascending_offers(...) to both structures, then checks the
+/// drained batch.
 void check_round(Heap& heap, RefBatch& ref, aem::util::Rng& rng,
                  std::size_t n, std::uint64_t key_range, std::size_t sources,
                  std::uint64_t& next_id) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const Item v{rng.next() % key_range, next_id++};
-    ASSERT_NO_FATAL_FAILURE(offer_both(heap, ref, rng.next() % sources, v));
-  }
+  for (const Offer& o : ascending_offers(rng, n, key_range, sources, next_id))
+    ASSERT_NO_FATAL_FAILURE(offer_both(heap, ref, o.source, o.item));
   expect_drains_to(heap, ref);
 }
 
@@ -130,39 +155,28 @@ TEST(BoundedHeapTest, InterleavedAscendingSourcesLikeTheMerge) {
     }
 }
 
-TEST(BoundedHeapTest, DescentsInsideOneSourceStayExact) {
-  // Corrupted deliveries: each source is ascending except for occasional
-  // values far below (or far above) its tail, which open new segments.
-  aem::util::Rng rng(1308);
-  for (std::size_t sources : {1u, 3u})
-    for (std::size_t cap : {1u, 8u, 100u, 4096u}) {
-      Heap heap(cap, 3000, sources, ItemLess{});
-      RefBatch ref(cap);
-      std::vector<std::uint64_t> tail(sources, 0);
-      std::uint64_t id = 0;
-      std::size_t descents = 0;
-      for (int i = 0; i < 3000; ++i) {
-        const std::size_t s = rng.next() % sources;
-        std::uint64_t key = tail[s] + rng.next() % 4;
-        if (rng.next() % 10 == 0) {
-          key = rng.next() % (tail[s] + 1);  // a descent
-          ++descents;
-        } else if (rng.next() % 50 == 0) {
-          key = tail[s] + 100000;  // a spike the next value falls below
-        }
-        tail[s] = key;
-        ASSERT_NO_FATAL_FAILURE(offer_both(heap, ref, s, Item{key, id++}));
-      }
-      EXPECT_GT(descents, 200u);
-      expect_drains_to(heap, ref);
-    }
+TEST(BoundedHeapTest, SourceWhoseTailWasEvictedStaysOut) {
+  // Once the batch evicts, it stays full and its maximum only falls, so a
+  // source that lost its tail offers only values above the maximum: its
+  // segment, even when emptied, never grows again before the drain.
+  Heap heap(2, 8, 2, ItemLess{});
+  RefBatch ref(2);
+  for (const Offer& o : {Offer{0, {10, 0}}, Offer{0, {20, 1}},
+                         Offer{1, {1, 2}}, Offer{1, {2, 3}}})
+    ASSERT_NO_FATAL_FAILURE(offer_both(heap, ref, o.source, o.item));
+  // Source 1 evicted both of source 0's elements.
+  EXPECT_FALSE(heap.admits(Item{30, 4}));
+  ASSERT_NO_FATAL_FAILURE(offer_both(heap, ref, 0, Item{30, 4}));
+  ASSERT_NO_FATAL_FAILURE(offer_both(heap, ref, 1, Item{3, 5}));
+  expect_drains_to(heap, ref);
 }
 
 TEST(BoundedHeapTest, ManyEqualKeysKeepSmallestTieBreakers) {
-  // All keys equal: the kept set is decided by the tie-breaker alone, and a
-  // descending source opens a segment per offer until the batch is full.
-  Heap heap(10, 100, 1, ItemLess{});
-  for (std::uint64_t id = 100; id-- > 0;) heap.offer(0, Item{7, id});
+  // All keys equal: the kept set is decided by the tie-breaker alone.  The
+  // tie-breakers arrive descending, one source each, so every offer after
+  // the tenth evicts.
+  Heap heap(10, 100, 100, ItemLess{});
+  for (std::uint64_t id = 100; id-- > 0;) heap.offer(id, Item{7, id});
   const std::vector<Item> batch = drained(heap);
   ASSERT_EQ(batch.size(), 10u);
   for (std::uint64_t i = 0; i < 10; ++i) EXPECT_EQ(batch[i], (Item{7, i}));
@@ -174,9 +188,8 @@ TEST(BoundedHeapTest, CapacityOneKeepsTheMinimum) {
     Heap heap(1, 200, sources, ItemLess{});
     RefBatch ref(1);
     std::uint64_t id = 0;
-    for (int i = 0; i < 200; ++i) {
-      const Item v{rng.next() % 50, id++};
-      ASSERT_NO_FATAL_FAILURE(offer_both(heap, ref, rng.next() % sources, v));
+    for (const Offer& o : ascending_offers(rng, 200, 50, sources, id)) {
+      ASSERT_NO_FATAL_FAILURE(offer_both(heap, ref, o.source, o.item));
       EXPECT_EQ(heap.size(), 1u);
     }
     expect_drains_to(heap, ref);
@@ -188,9 +201,8 @@ TEST(BoundedHeapTest, CapacityAboveOfferCountKeepsEverything) {
   Heap heap(1000, 40, 3, ItemLess{});
   RefBatch ref(1000);
   std::uint64_t id = 0;
-  for (int i = 0; i < 40; ++i)
-    ASSERT_NO_FATAL_FAILURE(
-        offer_both(heap, ref, rng.next() % 3, Item{rng.next() % 5, id++}));
+  for (const Offer& o : ascending_offers(rng, 40, 5, 3, id))
+    ASSERT_NO_FATAL_FAILURE(offer_both(heap, ref, o.source, o.item));
   EXPECT_EQ(heap.size(), 40u);
   EXPECT_FALSE(heap.full());
   EXPECT_EQ(heap.node_capacity(), 40u);  // min(cap, expected)
@@ -208,8 +220,8 @@ TEST(BoundedHeapTest, ReuseAfterClearAcrossRounds) {
     RefBatch ref(32);
     const std::size_t n = 10 + 17 * static_cast<std::size_t>(round % 10);
     if (round % 3 == 2) {
-      for (std::size_t i = 0; i < n; ++i)
-        heap.offer(rng.next() % 4, Item{rng.next() % 7, id++});
+      for (const Offer& o : ascending_offers(rng, n, 7, 4, id))
+        heap.offer(o.source, o.item);
       heap.clear();
       EXPECT_TRUE(heap.empty());
       continue;
@@ -221,8 +233,9 @@ TEST(BoundedHeapTest, ReuseAfterClearAcrossRounds) {
 TEST(BoundedHeapTest, SortedIsAscending) {
   aem::util::Rng rng(1305);
   Heap heap(256, 4096, 8, ItemLess{});
-  for (std::uint64_t id = 0; id < 4096; ++id)
-    heap.offer(id % 8, Item{rng.next() % 97, id});
+  std::uint64_t id = 0;
+  for (const Offer& o : ascending_offers(rng, 4096, 97, 8, id))
+    heap.offer(o.source, o.item);
   const std::vector<Item> batch = drained(heap);
   ASSERT_EQ(batch.size(), 256u);
   EXPECT_TRUE(std::is_sorted(batch.begin(), batch.end()));
@@ -233,7 +246,7 @@ TEST(BoundedHeapTest, SortedEqualsTheBoundedSetInBothRegimes) {
   // The drained batch must equal the reference set element for element
   // whether the cap is never reached or the batch evicts many times among
   // many equal keys.  The caps reach merge_runs' real OUT size (8192 at
-  // sort_aem's shape).
+  // sort_aem's shape).  Every offer comes from its own source.
   aem::util::Rng rng(1306);
   struct Regime {
     std::size_t cap, offers;
@@ -241,7 +254,7 @@ TEST(BoundedHeapTest, SortedEqualsTheBoundedSetInBothRegimes) {
   };
   for (const Regime& r : {Regime{8192, 5000, 1u << 20}, Regime{8192, 5000, 3},
                           Regime{512, 20000, 5}, Regime{8192, 60000, 2}}) {
-    Heap heap(r.cap, r.offers, 4, ItemLess{});
+    Heap heap(r.cap, r.offers, r.offers, ItemLess{});
     RefBatch ref(r.cap);
     std::uint64_t replaced = 0;
     for (std::uint64_t id = 0; id < r.offers; ++id) {
@@ -249,7 +262,7 @@ TEST(BoundedHeapTest, SortedEqualsTheBoundedSetInBothRegimes) {
       // full batch keeps evicting its maximum.
       const Item v{rng.next() % r.key_range, r.offers - id};
       replaced += heap.full() && heap.admits(v);
-      heap.offer(id % 4, v);
+      heap.offer(id, v);
       ref.offer(v);
     }
     ASSERT_EQ(heap.full(), r.cap <= r.offers);
@@ -261,31 +274,43 @@ TEST(BoundedHeapTest, SortedEqualsTheBoundedSetInBothRegimes) {
 }
 
 TEST(BoundedHeapTest, RetainedStorageStaysBoundedOverManyRounds) {
-  // 200 rounds, alternating merge-like rounds (few long segments) with
-  // corrupted ones (a segment per descent): the node pool never grows past
-  // min(cap, expected) and the segment table past twice the most segments
-  // one round can hold live (at most the cap).
+  // 200 rounds, alternating slowly rising sources (few evictions) with
+  // sources spread over a wide key range: the node pool never grows past
+  // min(cap, expected).
   aem::util::Rng rng(1309);
   constexpr std::size_t kCap = 300, kSources = 6, kOffers = 1000;
   Heap heap(kCap, kOffers, kSources, ItemLess{});
   std::uint64_t id = 0;
   for (int round = 0; round < 200; ++round) {
     RefBatch ref(kCap);
-    std::vector<std::uint64_t> tail(kSources, 0);
-    const bool corrupted = round % 2 == 1;
-    for (std::size_t i = 0; i < kOffers; ++i) {
-      const std::size_t s = rng.next() % kSources;
-      tail[s] = corrupted ? rng.next() % 1000 : tail[s] + rng.next() % 3;
-      ASSERT_NO_FATAL_FAILURE(offer_both(heap, ref, s, Item{tail[s], id++}));
+    if (round % 2 == 1) {
+      ASSERT_NO_FATAL_FAILURE(
+          check_round(heap, ref, rng, kOffers, 1000, kSources, id));
+    } else {
+      std::vector<std::uint64_t> tail(kSources, 0);
+      for (std::size_t i = 0; i < kOffers; ++i) {
+        const std::size_t s = rng.next() % kSources;
+        tail[s] += rng.next() % 3;
+        ASSERT_NO_FATAL_FAILURE(
+            offer_both(heap, ref, s, Item{tail[s], id++}));
+      }
+      expect_drains_to(heap, ref);
     }
-    expect_drains_to(heap, ref);
     ASSERT_EQ(heap.node_capacity(), kCap);
-    ASSERT_LE(heap.segment_capacity(), 2 * kCap);
   }
 }
 
 TEST(BoundedHeapTest, RejectsZeroCapacity) {
   EXPECT_THROW(Heap(0, 10, 1, ItemLess{}), std::invalid_argument);
 }
+
+#ifndef NDEBUG
+TEST(BoundedHeapDeathTest, DescentInsideOneSourceAsserts) {
+  Heap heap(8, 8, 2, ItemLess{});
+  heap.offer(0, Item{5, 0});
+  heap.offer(1, Item{3, 1});  // another source may go lower
+  EXPECT_DEATH(heap.offer(0, Item{4, 2}), "tail");
+}
+#endif
 
 }  // namespace
