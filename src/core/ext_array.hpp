@@ -297,7 +297,9 @@ class ExtArray : private BlockCache::Sink {
   /// Uncharged bulk initialization, used to stage problem inputs before a
   /// measured run begins (the input's presence in external memory is the
   /// problem statement, not part of the algorithm's cost).  Restaging drops
-  /// any cached blocks of this array (uncharged — it replaces them).
+  /// any cached blocks of this array (uncharged — it replaces them), and a
+  /// block remapped to a spare gets the new bytes in its spare slot too,
+  /// where its reads go.
   void unsafe_host_fill(std::span<const T> src) {
     if (src.size() != data_.size())
       throw std::invalid_argument("unsafe_host_fill: size mismatch");
@@ -305,7 +307,11 @@ class ExtArray : private BlockCache::Sink {
     stale_all_views();
     ++write_gen_;
     for (std::size_t i = 0; i < src.size(); ++i) data_[i] = src[i];
-    if (rec_ != nullptr) refresh_block_meta(0);
+    if (rec_ == nullptr) return;
+    for (const auto& [bi, slot] : rec_->remap.mapping())
+      std::copy_n(native(bi), block_elems(bi),
+                  rec_->spare[static_cast<std::size_t>(slot)].data());
+    refresh_block_meta(0);
   }
 
   /// Counts the calls that can change what a read delivers: write_block,

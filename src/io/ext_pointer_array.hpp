@@ -15,9 +15,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/ext_array.hpp"
 #include "io/cursor.hpp"
@@ -37,8 +38,9 @@ class ExtPointerArray {
 
   /// `count` pointer slots initialized to init(i), streamed out one block at
   /// a time: ceil(count/B) writes, no reads.
+  template <class Init>
   ExtPointerArray(Machine& mach, std::size_t count, std::string name,
-                  const std::function<std::uint64_t(std::size_t)>& init)
+                  Init&& init)
       : arr_(mach, count, std::move(name)) {
     Writer<std::uint64_t> out(arr_);
     for (std::size_t i = 0; i < count; ++i) out.push(init(i));
@@ -62,36 +64,39 @@ class ExtPointerArray {
 
   /// Streams entries [lo, hi), invoking fn(index, value).  Charges one read
   /// per underlying block; holds one block of internal memory.
-  void for_each(std::size_t lo, std::size_t hi,
-                const std::function<void(std::size_t, std::uint64_t)>& fn) {
+  template <class Fn>
+  void for_each(std::size_t lo, std::size_t hi, Fn&& fn) {
     Scanner<std::uint64_t> scan(arr_, lo, hi);
     for (std::size_t i = lo; i < hi; ++i) fn(i, scan.next());
   }
 
   /// Streams entries [lo, hi) with in-place mutation: fn returns true if it
   /// changed the entry.  Dirty blocks are written back once each; clean
-  /// blocks cost only their read.
-  void update_range(std::size_t lo, std::size_t hi,
-                    const std::function<bool(std::size_t, std::uint64_t&)>& fn) {
+  /// blocks cost only their read.  Holds one block of internal memory,
+  /// reserved on the ledger per call; its host storage is reused.
+  template <class Fn>
+  void update_range(std::size_t lo, std::size_t hi, Fn&& fn) {
     const std::size_t B = arr_.machine().B();
-    Buffer<std::uint64_t> buf(arr_.machine(), B);
+    MemoryReservation block_res(arr_.machine().ledger(), B);
+    block_.resize(B);
     std::size_t i = lo;
     while (i < hi) {
       const std::uint64_t bi = i / B;
-      BlockIo io = arr_.read_block(bi, buf.span());
+      BlockIo io = arr_.read_block(bi, std::span<std::uint64_t>(block_));
       const std::size_t block_lo = static_cast<std::size_t>(bi) * B;
       bool dirty = false;
       for (; i < hi && i < block_lo + io.count; ++i)
-        dirty |= fn(i, buf[i - block_lo]);
+        dirty |= fn(i, block_[i - block_lo]);
       if (dirty) {
-        arr_.write_block(bi,
-                         std::span<const std::uint64_t>(buf.data(), io.count));
+        arr_.write_block(
+            bi, std::span<const std::uint64_t>(block_.data(), io.count));
       }
     }
   }
 
  private:
   ExtArray<std::uint64_t> arr_;
+  std::vector<std::uint64_t> block_;  // update_range's block
 };
 
 }  // namespace aem

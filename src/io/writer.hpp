@@ -16,6 +16,7 @@
 #include <cstddef>
 #include <exception>
 #include <limits>
+#include <span>
 
 #include "core/ext_array.hpp"
 
@@ -57,6 +58,19 @@ class Writer {
     assert(!full());
     buf_[buf_fill_++] = v;
     if (buf_fill_ == limit_) flush_block();
+  }
+
+  /// Appends `vals` in order, exactly as pushing them one by one would:
+  /// the same blocks are written, at the same element counts.
+  void append(std::span<const T> vals) {
+    assert(vals.size() <= remaining());
+    while (!vals.empty()) {
+      const std::size_t take = std::min(vals.size(), limit_ - buf_fill_);
+      std::copy_n(vals.data(), take, buf_.data() + buf_fill_);
+      buf_fill_ += take;
+      vals = vals.subspan(take);
+      if (buf_fill_ == limit_) flush_block();
+    }
   }
 
   /// Flushes any buffered partial block.  Idempotent.

@@ -11,8 +11,8 @@
 //    so consumption is positional (per-run cursors), needing no watermark
 //    and supporting arbitrary push/pop interleaving.  The round stages its
 //    cut in the structure that holds merge_runs' OUT
-//    (sort/segment_heap.hpp): one ascending segment per run, emitted into
-//    the cache by a k-way merge of the segments;
+//    (sort/staged_batch.hpp): one contiguous position range per run,
+//    emitted into the cache by a merge of the ranges;
 //  * external runs organized in levels of width m_eff = M/(4B): when a
 //    level fills, its runs are merged by the paper's Section 3 merge
 //    (merge_runs, Theorem 3.2 cost) into one run of the next level.
@@ -53,9 +53,12 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/ext_array.hpp"
@@ -63,7 +66,7 @@
 #include "io/writer.hpp"
 #include "sort/budget.hpp"
 #include "sort/merge.hpp"
-#include "sort/segment_heap.hpp"
+#include "sort/staged_batch.hpp"
 #include "util/math.hpp"
 
 namespace aem {
@@ -295,35 +298,25 @@ class ExtPriorityQueue {
   /// seed two blocks per run, then repeatedly extend the run whose
   /// last-loaded element is smallest, until no run can still contribute.
   void refill() {
-    struct Cand {
-      T val;
-      std::size_t level, index, pos;
-    };
-    auto cand_less = [this](const Cand& a, const Cand& b) {
-      if (less_(a.val, b.val)) return true;
-      if (less_(b.val, a.val)) return false;
-      if (a.level != b.level) return a.level < b.level;
-      if (a.index != b.index) return a.index < b.index;
-      return a.pos < b.pos;
-    };
-    // The staged cut: the min_cap_ smallest candidates fed so far (a strict
-    // total order, so exactly what a bounded ordered set would keep), one
-    // ascending segment per run, numbered in (level, index) order.
-    std::size_t remaining = 0;
-    for (const auto& level : levels_)
-      for (const Run& r : level) remaining += r.remaining();
-    sort_detail::SegmentHeap<Cand, decltype(cand_less)> out(
-        min_cap_, remaining, total_runs(), cand_less);
+    // The staged cut: the min_cap_ smallest candidates fed so far, one
+    // contiguous position range per run.  Runs are numbered in (level,
+    // index) order, so the occurrence order (value, run number, position)
+    // is strict and total, and the cut is exactly what a bounded ordered
+    // set would keep.
+    using Occ = sort_detail::Occ<T>;
+    const sort_detail::OccLess<T, Less> occ_less(less_);
+    sort_detail::StagedBatch<T, Less> out(min_cap_, total_runs(), less_);
     MemoryReservation out_res(mach_.ledger(), min_cap_);
     MemoryReservation block_res(mach_.ledger(), mach_.B());  // one block
 
     struct RunCursor {
       std::size_t level, index;
-      std::size_t source;    // the run's number in the cut
+      std::uint32_t source;  // the run's number in the cut
       std::size_t frontier;  // first unread element this refill
-      Cand last;             // last element fed (valid once frontier moved)
+      Occ last;              // last element fed (valid once frontier moved)
     };
     std::vector<RunCursor> heads;
+    std::vector<std::pair<std::size_t, std::size_t>> run_of;  // per number
 
     // Survivor bound (Lemma 3.1 argument, see file comment): a head can
     // stay a candidate for extension only while its last-fed element sits
@@ -344,8 +337,9 @@ class ExtPriorityQueue {
       return !out.admits(rc.last);
     };
 
-    // Feeds [frontier, frontier + elems) of a run into `out`, advancing the
-    // frontier and recording the last fed element.
+    // Feeds the blocks holding [frontier, frontier + elems) of a run into
+    // `out`, advancing the frontier past them and recording the last fed
+    // element.
     auto feed = [&](RunCursor& rc, std::size_t elems) {
       Run& r = levels_[rc.level][rc.index];
       const std::size_t upto = std::min(r.length, rc.frontier + elems);
@@ -354,11 +348,10 @@ class ExtPriorityQueue {
         const BlockView<T> v = r.data.view_block(bi);
         const std::size_t lo = static_cast<std::size_t>(bi) * mach_.B();
         const std::size_t hi = std::min(lo + v.size(), r.length);
-        for (std::size_t p = rc.frontier; p < hi; ++p) {
-          Cand c{v[p - lo], rc.level, rc.index, p};
-          out.offer(rc.source, c);
-          rc.last = c;
-        }
+        out.fold(rc.source, rc.frontier,
+                 v.span().subspan(rc.frontier - lo, hi - rc.frontier),
+                 v.ticket());
+        rc.last = Occ{v[hi - 1 - lo], rc.source, hi - 1};
         rc.frontier = hi;
       }
     };
@@ -371,9 +364,10 @@ class ExtPriorityQueue {
     // elements from the cut — so when the table would outgrow the bound it
     // is re-pruned first; only CURRENT survivors count against head_cap
     // (the +1 in head_cap covers the just-pushed transient).
-    std::size_t source = 0;
     for (std::size_t L = 0; L < kMaxLevels; ++L)
-      for (std::size_t i = 0; i < levels_[L].size(); ++i, ++source) {
+      for (std::size_t i = 0; i < levels_[L].size(); ++i) {
+        const auto source = static_cast<std::uint32_t>(run_of.size());
+        run_of.emplace_back(L, i);
         Run& r = levels_[L][i];
         if (r.remaining() == 0) continue;
         RunCursor rc{L, i, source, r.cursor, {}};
@@ -397,18 +391,22 @@ class ExtPriorityQueue {
       if (heads.empty()) break;
       auto j = std::min_element(heads.begin(), heads.end(),
                                 [&](const RunCursor& a, const RunCursor& b) {
-                                  return cand_less(a.last, b.last);
+                                  return occ_less(a.last, b.last);
                                 });
       feed(*j, mach_.B());
     }
 
     // Consume: candidates per run are a prefix; advance cursors.
     min_cache_.clear();
-    out.drain([&](const Cand& c) {
-      min_cache_.push_back(c.val);
-      Run& r = levels_[c.level][c.index];
-      r.cursor = std::max(r.cursor, c.pos + 1);
-    });
+    out.drain(
+        [&](std::span<const T> vals) {
+          min_cache_.insert(min_cache_.end(), vals.begin(), vals.end());
+        },
+        [&](const auto& c) {
+          const auto [L, i] = run_of[c.source];
+          Run& r = levels_[L][i];
+          r.cursor = std::max(r.cursor, c.pos + c.values.size());
+        });
     if (min_cache_.empty() && total_runs() > 0) {
       // All runs fully consumed: drop them.
       for (auto& level : levels_) level.clear();

@@ -9,10 +9,13 @@
 //      (they may not fit in memory when omega > B) and read up to TWO blocks
 //      per run, folding unconsumed occurrences into the staged batch OUT
 //      (capacity Mout, larger elements evicted as smaller ones arrive);
-//      OUT is host-side, one ascending segment per run (segment_heap.hpp):
-//      "is this element among the Mout smallest" is one comparison with its
-//      O(1) maximum, the largest segment tail, and it never holds more than
-//      the Mout occurrences the round reserves on the ledger;
+//      OUT is host-side, one contiguous position range per run
+//      (staged_batch.hpp): "is this element among the Mout smallest" is one
+//      comparison with its O(1) maximum, the largest range tail, a block's
+//      unconsumed stretch is folded with one copy while OUT has room, and
+//      OUT never holds more than the Mout occurrences the round reserves on
+//      the ledger (its values are host copies of delivered bytes, the
+//      licence of MODEL.md section 3);
 //   B. active-run identification — re-read the same <= 2 blocks per run
 //      (the paper's trick to avoid storing per-run state for all d runs) and
 //      keep the runs that might still contribute: more unread blocks AND
@@ -20,10 +23,11 @@
 //      most m_eff = Mout/B such runs, which is asserted;
 //   C. merging — repeatedly pick the active run whose last-loaded element is
 //      smallest and read its next block, until no run is active;
-//   D. output — write OUT to the destination in order (a k-way merge of its
-//      per-run segments, not a sort), advance the global consumption
-//      watermark, and advance b[i] past every block whose last element was
-//      just output (at most one charged pointer update per consumed block
+//   D. output — write OUT to the destination in order (a branch-free
+//      pairwise merge of its per-run ranges, appended to the Writer as
+//      spans), advance the global consumption watermark, and advance b[i]
+//      past every block whose last element was just output, right after
+//      that element (at most one charged pointer update per consumed block
 //      over the whole merge: the O(n) amortization of Section 3.1).
 //
 // Consumption is defined by the watermark: an occurrence is consumed iff it
@@ -47,8 +51,8 @@
 #include "sort/budget.hpp"
 #include "sort/loser_tree.hpp"
 #include "sort/occ.hpp"
-#include "sort/segment_heap.hpp"
 #include "sort/sink.hpp"
+#include "sort/staged_batch.hpp"
 
 namespace aem {
 
@@ -74,7 +78,7 @@ class MergeJob {
         occ_less_(less),
         sink_(dst, dst_begin, dst_begin + total_length(runs), key_eq(),
               combine),
-        out_(budget_.out_batch, total_length(runs), runs.size(), occ_less_),
+        out_(budget_.out_batch, runs.size(), less),
         tree_(0, occ_less_) {
     validate();
   }
@@ -136,10 +140,12 @@ class MergeJob {
   }
 
   /// Reads absolute block `abs_block` (charged) and returns run r's last
-  /// occurrence in it; with `fold`, also offers its unconsumed occurrences
-  /// to OUT.  A read delivers the stored bytes, so the block is sorted and
-  /// the offers stop at the first occurrence OUT does not admit: every
-  /// later one is larger, and OUT's maximum does not move meanwhile.
+  /// occurrence in it; with `fold`, also folds its unconsumed occurrences
+  /// into OUT.  The consumed ones are a prefix of the run, so only that
+  /// prefix is compared with the watermark.  A read delivers the stored
+  /// bytes, so the block is sorted and the fold stops at the first
+  /// occurrence OUT does not admit: every later one is larger, and OUT's
+  /// maximum does not move meanwhile.
   Occ<T> read_into(std::uint32_t r, std::uint64_t abs_block, bool fold = true) {
     const BlockView<T> v = src_.view_block(abs_block);
     const std::size_t lo = static_cast<std::size_t>(abs_block) * mach_.B();
@@ -148,15 +154,14 @@ class MergeJob {
     if (first >= end)
       throw std::logic_error("merge: read a block with no in-range elements");
     if (fold) {
-      for (std::size_t pos = first; pos < end; ++pos) {
-        const Occ<T> o{v[pos - lo], r, pos, v.ticket()};
-        if (watermark_.has_value() && !occ_less_(*watermark_, o))
-          continue;  // already consumed
-        if (!out_.admits(o)) break;
-        out_.offer(r, o);
-      }
+      std::size_t pos = first;
+      if (watermark_.has_value())
+        while (pos < end &&
+               !occ_less_(*watermark_, Occ<T>{v[pos - lo], r, pos}))
+          ++pos;  // already consumed
+      out_.fold(r, pos, v.span().subspan(pos - lo, end - pos), v.ticket());
     }
-    return Occ<T>{v[end - 1 - lo], r, end - 1, v.ticket()};
+    return Occ<T>{v[end - 1 - lo], r, end - 1};
   }
 
   /// One round: returns the number of source occurrences consumed.
@@ -237,16 +242,19 @@ class MergeJob {
     watermark_ = out_.max();  // the batch's last element
     const std::size_t B = mach_.B();
     const bool mark = mach_.tracing() && src_.has_atom_extractor();
-    out_.drain([&](const Occ<T>& o) {
-      // Lemma 4.3 use-sets: the read whose copy reached the output batch is
-      // the one that consumes the atom from its block.
-      if (mark && o.ticket.valid())
-        mach_.trace()->mark_used(o.ticket, src_.atom_id(o.val));
-      sink_.push(o.val);
-      const bool block_last =
-          (o.pos % B == B - 1) || (o.pos == runs_[o.run].end - 1);
-      if (block_last) bptr.set(o.run, o.pos / B + 1);
-    });
+    out_.drain(
+        [&](std::span<const T> vals) { sink_.append(vals); },
+        [&](const typename Batch::Chunk& c) {
+          // Lemma 4.3 use-sets: the read whose copy reached the output batch
+          // is the one that consumes the atom from its block.
+          if (mark && c.ticket.valid())
+            for (const T& v : c.values)
+              mach_.trace()->mark_used(c.ticket, src_.atom_id(v));
+          // A chunk lies inside one block, so a block-last element ends one.
+          const std::uint64_t last = c.pos + c.values.size() - 1;
+          if (last % B == B - 1 || last == runs_[c.source].end - 1)
+            bptr.set(c.source, last / B + 1);
+        });
     return emitted;
   }
 
@@ -258,7 +266,8 @@ class MergeJob {
   CombineSink<T, std::function<bool(const T&, const T&)>, Combine> sink_;
   // OUT, the staged batch, and Phase C's selection state (actives and
   // their loser tree); their storage is reused by every round.
-  SegmentHeap<Occ<T>, OccLess<T, Less>> out_;
+  using Batch = StagedBatch<T, Less>;
+  Batch out_;
   using Tree = LoserTree<Occ<T>, OccLess<T, Less>>;
   std::vector<Active> actives_;
   Tree tree_;

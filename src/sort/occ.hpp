@@ -22,8 +22,6 @@
 
 #include <cstdint>
 
-#include "core/trace.hpp"
-
 namespace aem::sort_detail {
 
 template <class T>
@@ -31,10 +29,6 @@ struct Occ {
   T val{};
   std::uint32_t run = 0;
   std::uint64_t pos = 0;  // absolute element index in the level's source array
-  /// Trace ticket of the read that loaded this occurrence (only meaningful
-  /// while tracing).  When the occurrence reaches the output batch, that
-  /// read is the one that "uses" the atom in the sense of Lemma 4.3.
-  IoTicket ticket{};
 };
 
 /// Strict total order on occurrences induced by a strict weak order on keys.

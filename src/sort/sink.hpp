@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <type_traits>
 
 #include "core/ext_array.hpp"
@@ -41,6 +42,16 @@ class CombineSink {
     } else {
       writer_.push(v);
       ++written_;
+    }
+  }
+
+  /// push(v) for every v in `vals`, in order.
+  void append(std::span<const T> vals) {
+    if constexpr (kCombining) {
+      for (const T& v : vals) push(v);
+    } else {
+      writer_.append(vals);
+      written_ += vals.size();
     }
   }
 

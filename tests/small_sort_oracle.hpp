@@ -37,7 +37,10 @@ std::size_t offer_loop_small_sort(const ExtArray<T>& src, std::size_t begin,
 
   Machine& mach = src.machine();
   const SortBudget budget = SortBudget::from(mach);
-  using Occ = sort_detail::Occ<T>;
+  // An occurrence plus the trace ticket of the read that loaded it.
+  struct Occ : sort_detail::Occ<T> {
+    IoTicket ticket{};
+  };
   using OccLess = sort_detail::OccLess<T, Less>;
   const OccLess occ_less(less);
   auto key_eq = [occ_less](const T& a, const T& b) {
@@ -57,7 +60,7 @@ std::size_t offer_loop_small_sort(const ExtArray<T>& src, std::size_t begin,
     while (!scan.done()) {
       const std::size_t pos = scan.position();
       const T val = scan.next();
-      Occ o{val, /*run=*/0, pos, scan.last_ticket()};
+      Occ o{{val, /*run=*/0, pos}, scan.last_ticket()};
       if (watermark.has_value() && !occ_less(*watermark, o)) continue;
       if (out.size() < cap) {
         out.insert(o);

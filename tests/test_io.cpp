@@ -2,7 +2,12 @@
 // both functional correctness and exact I/O-cost accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <numeric>
+#include <span>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/ext_array.hpp"
@@ -11,6 +16,8 @@
 #include "io/ext_pointer_array.hpp"
 #include "io/scanner.hpp"
 #include "io/writer.hpp"
+#include "trace_fnv.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -154,6 +161,47 @@ TEST(WriterTest, ScanCopyPipeline) {
   EXPECT_EQ(dst.unsafe_host_view(), src.unsafe_host_view());
 }
 
+TEST(WriterTest, AppendMatchesPushes) {
+  // Spans of random length (empty ones too), crossing several blocks, into
+  // aligned and unaligned ranges (the read-modify-write path at either
+  // end): the same bytes, charges and trace as pushing one at a time.
+  aem::util::Rng rng(3102);
+  for (const auto& [begin, end] :
+       std::vector<std::pair<std::size_t, std::size_t>>{
+           {0, 100}, {3, 100}, {10, 14}, {5, 61}, {16, 16}, {7, 8}}) {
+    for (int trial = 0; trial < 8; ++trial) {
+      std::vector<std::uint64_t> vals(end - begin);
+      for (std::uint64_t& v : vals) v = 1000 + rng.next() % 1000;
+      auto run = [&](bool by_span) {
+        Machine mach(cfg());
+        mach.enable_trace();
+        ExtArray<std::uint64_t> arr(mach, 100, "out");
+        std::vector<std::uint64_t> host(100);
+        std::iota(host.begin(), host.end(), 0);
+        arr.unsafe_host_fill(host);
+        arr.set_atom_extractor([](const std::uint64_t& v) { return v; });
+        Writer<std::uint64_t> w(arr, begin, end);
+        for (std::size_t i = 0; i < vals.size();) {
+          if (!by_span) {
+            w.push(vals[i++]);
+            continue;
+          }
+          const std::size_t len =
+              std::min<std::size_t>(rng.next() % 25, vals.size() - i);
+          w.append(std::span<const std::uint64_t>(vals.data() + i, len));
+          i += len;
+        }
+        w.finish();
+        return std::make_tuple(arr.unsafe_host_view(), mach.cost(),
+                               mach.stats().reads,
+                               aem::test::trace_hash(*mach.trace()));
+      };
+      EXPECT_EQ(run(false), run(true)) << "range [" << begin << ", " << end
+                                       << ") trial " << trial;
+    }
+  }
+}
+
 TEST(CursorTest, CachesCurrentBlock) {
   Machine mach(cfg());
   auto arr = make_iota(mach, 64);
@@ -202,6 +250,17 @@ TEST(PointerArrayTest, GetSetRoundTrip) {
   EXPECT_EQ(mach.stats().writes, 1u);
   EXPECT_EQ(ptrs.get(13), 77u);
   EXPECT_EQ(ptrs.get(12), 0u);
+}
+
+TEST(PointerArrayTest, SetHoldsOneBlockOfMemory) {
+  Machine mach(cfg());  // B = 8
+  ExtPointerArray ptrs(mach, 20, "b");
+  const std::size_t before = mach.ledger().used();
+  mach.ledger().reset_high_water();
+  ptrs.set(13, 77);
+  ptrs.set(2, 5);
+  EXPECT_EQ(mach.ledger().high_water(), before + 8);
+  EXPECT_EQ(mach.ledger().used(), before);
 }
 
 TEST(PointerArrayTest, ForEachStreamsOnce) {

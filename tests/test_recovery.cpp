@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/ext_array.hpp"
@@ -251,6 +252,29 @@ TEST(RecoveryRemapTest, RetiredBlocksMigrateToSparesPreservingData) {
     EXPECT_EQ(e.spare_capacity(), 4u);
     EXPECT_EQ(a.spares_used(), 4u);
   }
+}
+
+TEST(RecoveryRemapTest, HostFillAfterARemapReachesTheSpare) {
+  // Restaging an array whose block 0 already lives in a spare: the block's
+  // reads go to the spare slot, so the fill must write the new bytes there
+  // as well as into the native region it checksums.
+  Machine mach(cfg(64, 8, 4));
+  FaultConfig c;
+  c.endurance = 1;
+  c.spare_blocks = 4;
+  mach.install_faults(c);
+  ExtArray<std::uint64_t> a(mach, 16, "a");
+  const std::vector<std::uint64_t> payload(8, 3);
+  a.write_block(0, payload);
+  a.write_block(0, payload);  // the native block retires: block 0 remaps
+  ASSERT_EQ(a.remapped_blocks(), 1u);
+  a.unsafe_host_fill(std::vector<std::uint64_t>(16, 5));
+  std::vector<std::uint64_t> got(8);
+  for (std::uint64_t bi : {0u, 1u}) {
+    a.read_block(bi, std::span<std::uint64_t>(got));
+    EXPECT_EQ(got, std::vector<std::uint64_t>(8, 5)) << "block " << bi;
+  }
+  EXPECT_EQ(mach.faults()->stats().checksum_failures, 0u);
 }
 
 TEST(RecoveryRemapTest, TornWritesAreRepairedByVerify) {

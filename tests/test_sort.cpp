@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <span>
 #include <tuple>
 #include <vector>
 
@@ -13,6 +15,7 @@
 #include "sort/budget.hpp"
 #include "sort/merge.hpp"
 #include "sort/mergesort.hpp"
+#include "sort/sink.hpp"
 #include "sort/small_sort.hpp"
 #include "util/rng.hpp"
 
@@ -34,6 +37,53 @@ ExtArray<std::uint64_t> stage(Machine& mach,
   ExtArray<std::uint64_t> arr(mach, host.size(), name);
   arr.unsafe_host_fill(host);
   return arr;
+}
+
+/// A keyed element: CombineSink folds adjacent equal keys by adding vals.
+struct KeyedVal {
+  std::uint64_t key = 0, val = 0;
+  friend bool operator==(const KeyedVal&, const KeyedVal&) = default;
+};
+
+/// Writes `in` through a CombineSink into a fresh array, by push or by
+/// append of random-length spans; returns the output, its count and Q.
+template <class Combine>
+std::tuple<std::vector<KeyedVal>, std::size_t, std::uint64_t> sink_through(
+    const std::vector<KeyedVal>& in, Combine combine, bool by_span,
+    util::Rng& rng) {
+  Machine mach(cfg(64, 8, 4));
+  ExtArray<KeyedVal> out(mach, in.size() + 3, "out");
+  auto eq = [](const KeyedVal& a, const KeyedVal& b) { return a.key == b.key; };
+  sort_detail::CombineSink<KeyedVal, decltype(eq), Combine> sink(
+      out, 3, out.size(), eq, combine);
+  for (std::size_t i = 0; i < in.size();) {
+    const std::size_t len =
+        by_span ? std::min<std::size_t>(rng.next() % 20, in.size() - i) : 1;
+    if (by_span) {
+      sink.append(std::span<const KeyedVal>(in.data() + i, len));
+    } else {
+      sink.push(in[i]);
+    }
+    i += len;
+  }
+  const std::size_t written = sink.finish();
+  return {out.unsafe_host_view(), written, mach.cost()};
+}
+
+TEST(CombineSinkTest, AppendMatchesPush) {
+  util::Rng rng(3103);
+  auto add = [](KeyedVal& acc, const KeyedVal& next) { acc.val += next.val; };
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<KeyedVal> in(1 + rng.next() % 120);
+    for (KeyedVal& v : in) v = KeyedVal{rng.next() % 8, rng.next() % 100};
+    std::sort(in.begin(), in.end(), [](const KeyedVal& a, const KeyedVal& b) {
+      return a.key < b.key;
+    });
+    EXPECT_EQ(sink_through(in, add, false, rng),
+              sink_through(in, add, true, rng));
+    EXPECT_EQ(sink_through(in, nullptr, false, rng),
+              sink_through(in, nullptr, true, rng));
+  }
 }
 
 TEST(BudgetTest, SplitsMemory) {
