@@ -160,8 +160,6 @@ class ExtArray : private BlockCache::Sink {
       repoint_cache_sink();
       stale_all_views();
       o.stale_all_views();
-      ++write_gen_;
-      ++o.write_gen_;
     }
     return *this;
   }
@@ -235,7 +233,6 @@ class ExtArray : private BlockCache::Sink {
 #ifndef NDEBUG
     ++guard_->writes[bi];
 #endif
-    ++write_gen_;
     if (BlockCache* bc = mach_->cache()) {
       // A rewrite of a resident block, or a write-allocate without fetching
       // (the whole block is overwritten): no device I/O yet.  Insert first
@@ -259,7 +256,6 @@ class ExtArray : private BlockCache::Sink {
     if (elems <= data_.size()) return;
     const std::size_t old_blocks = blocks();
     stale_all_views();
-    ++write_gen_;
     data_.resize(elems);
     if (rec_ != nullptr) {
       if (!rec_->remap.empty() && blocks() > rec_->spare_base)
@@ -305,7 +301,6 @@ class ExtArray : private BlockCache::Sink {
       throw std::invalid_argument("unsafe_host_fill: size mismatch");
     drop_cache_entries();
     stale_all_views();
-    ++write_gen_;
     for (std::size_t i = 0; i < src.size(); ++i) data_[i] = src[i];
     if (rec_ == nullptr) return;
     for (const auto& [bi, slot] : rec_->remap.mapping())
@@ -313,12 +308,6 @@ class ExtArray : private BlockCache::Sink {
                   rec_->spare[static_cast<std::size_t>(slot)].data());
     refresh_block_meta(0);
   }
-
-  /// Counts the calls that can change what a read delivers: write_block,
-  /// grow_to, unsafe_host_fill and a move into or out of this array (reads
-  /// never move it).  A host copy of delivered blocks taken at generation g
-  /// still equals a fresh read while the generation is g.
-  std::uint64_t write_generation() const { return write_gen_; }
 
   // --- fault-injection observability --------------------------------------
   /// Logical blocks currently redirected to spares (0 when no faults).
@@ -605,7 +594,6 @@ class ExtArray : private BlockCache::Sink {
   mutable std::unique_ptr<Recovery> rec_;
   // Scratch for staging a write-back payload under fault injection.
   std::vector<T> write_back_buf_;
-  std::uint64_t write_gen_ = 0;  // see write_generation()
 #ifndef NDEBUG
   std::shared_ptr<detail::ViewGuard> guard_ =
       std::make_shared<detail::ViewGuard>();

@@ -17,6 +17,8 @@
 #include <exception>
 #include <limits>
 #include <span>
+#include <stdexcept>
+#include <string>
 
 #include "core/ext_array.hpp"
 
@@ -28,14 +30,17 @@ class Writer {
   static constexpr std::size_t npos = std::numeric_limits<std::size_t>::max();
 
   /// Writes into arr[begin, end) sequentially.  end == npos means
-  /// arr.size().  The array must be pre-sized (grow_to) to cover the range.
+  /// arr.size().  The array must be pre-sized (grow_to) to cover the range:
+  /// throws std::out_of_range unless begin <= end <= arr.size().
   Writer(ExtArray<T>& arr, std::size_t begin = 0, std::size_t end = npos)
       : arr_(&arr),
         buf_(arr.machine(), arr.machine().B()),
         pos_(begin),
         end_(end == npos ? arr.size() : end),
         limit_(fill_limit()) {
-    assert(pos_ <= end_ && end_ <= arr.size());
+    if (pos_ > end_ || end_ > arr.size())
+      throw std::out_of_range("Writer: range end " + std::to_string(end_) +
+                              " past the array or before its begin");
   }
 
   Writer(Writer&&) noexcept = default;

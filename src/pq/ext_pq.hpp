@@ -11,8 +11,10 @@
 //    so consumption is positional (per-run cursors), needing no watermark
 //    and supporting arbitrary push/pop interleaving.  The round stages its
 //    cut in the structure that holds merge_runs' OUT
-//    (sort/staged_batch.hpp): one contiguous position range per run,
-//    emitted into the cache by a merge of the ranges;
+//    (sort/staged_batch.hpp): one contiguous position range per run, held
+//    as views of the delivered blocks (refill never writes a run, so they
+//    stay valid until its drain) and emitted into the cache by a merge of
+//    the ranges;
 //  * external runs organized in levels of width m_eff = M/(4B): when a
 //    level fills, its runs are merged by the paper's Section 3 merge
 //    (merge_runs, Theorem 3.2 cost) into one run of the next level.

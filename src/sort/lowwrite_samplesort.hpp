@@ -282,8 +282,9 @@ class LowWriteSampleSortJob {
 
 }  // namespace sort_detail
 
-/// Sorts `in` into `out` with the read-favoring sample sort (see header
-/// comment).  NOT stable.  Delegates to aem_sample_sort whenever the
+/// Sorts `in` into `out`, a different array (std::invalid_argument
+/// otherwise), with the read-favoring sample sort (see header comment).
+/// NOT stable.  Delegates to aem_sample_sort whenever the
 /// budget fanout already fits residently (always at omega == 1), making
 /// the omega = 1 variant charge-identical to its classical counterpart.
 template <class T, class Less = std::less<T>>
@@ -291,6 +292,8 @@ void aem_lowwrite_sample_sort(const ExtArray<T>& in, ExtArray<T>& out,
                               Less less = {}) {
   if (in.size() != out.size())
     throw std::invalid_argument("aem_lowwrite_sample_sort: size mismatch");
+  if (&in == &out)
+    throw std::invalid_argument("aem_lowwrite_sample_sort: out is the input array");
   Machine& mach = in.machine();
   const SortBudget budget = SortBudget::from(mach);
   const std::size_t resident_cap =

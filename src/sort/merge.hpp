@@ -12,10 +12,11 @@
 //      OUT is host-side, one contiguous position range per run
 //      (staged_batch.hpp): "is this element among the Mout smallest" is one
 //      comparison with its O(1) maximum, the largest range tail, a block's
-//      unconsumed stretch is folded with one copy while OUT has room, and
-//      OUT never holds more than the Mout occurrences the round reserves on
-//      the ledger (its values are host copies of delivered bytes, the
-//      licence of MODEL.md section 3);
+//      unconsumed stretch is folded as one view of the delivered block
+//      while OUT has room, and OUT never holds more than the Mout
+//      occurrences the round reserves on the ledger (the views stay valid
+//      until Phase D because dst is never src, which is checked; MODEL.md
+//      section 3);
 //   B. active-run identification — re-read the same <= 2 blocks per run
 //      (the paper's trick to avoid storing per-run state for all d runs) and
 //      keep the runs that might still contribute: more unread blocks AND
@@ -80,6 +81,8 @@ class MergeJob {
               combine),
         out_(budget_.out_batch, runs.size(), less),
         tree_(0, occ_less_) {
+    if (&dst == &src)
+      throw std::invalid_argument("merge: dst is the source array");
     validate();
   }
 
@@ -279,9 +282,10 @@ class MergeJob {
 
 /// Merges sorted `runs` of `src` into dst[dst_begin, ...).  Each run must be
 /// sorted under `less` and begin at a block-aligned offset; dst must be a
-/// different array with room for the merged output.  With a Combine
-/// callable, adjacent key-equal elements are folded; returns the number of
-/// elements written (the total input length when not combining).
+/// different array (std::invalid_argument otherwise) with room for the
+/// merged output.  With a Combine callable, adjacent key-equal elements are
+/// folded; returns the number of elements written (the total input length
+/// when not combining).
 ///
 /// Cost (Theorem 3.2, for d <= omega * m runs totalling N elements):
 /// O(omega(n + m)) reads and O(n + m) writes.  Phase C selects with a

@@ -81,12 +81,15 @@ inline std::vector<RunBounds> make_chunks(std::size_t n, std::size_t chunk) {
   return runs;
 }
 
-/// Sorts `in` into `out` (same size, distinct arrays) with the Section 3
-/// AEM mergesort.  Stable.  Allocates one scratch array of the same size.
+/// Sorts `in` into `out` (same size, distinct arrays: std::invalid_argument
+/// otherwise) with the Section 3 AEM mergesort.  Stable.  Allocates one
+/// scratch array of the same size.
 template <class T, class Less = std::less<T>>
 void aem_merge_sort(const ExtArray<T>& in, ExtArray<T>& out, Less less = {}) {
   if (in.size() != out.size())
     throw std::invalid_argument("aem_merge_sort: size mismatch");
+  if (&in == &out)
+    throw std::invalid_argument("aem_merge_sort: out is the input array");
   const std::size_t n = in.size();
   if (n == 0) return;
 
@@ -122,14 +125,7 @@ void aem_merge_sort(const ExtArray<T>& in, ExtArray<T>& out, Less less = {}) {
   }
 
   auto merge_phase = mach.phase("sort.merge");
-  ExtArray<T>* cur = first;
-  ExtArray<T>* next = other;
-  while (runs.size() > 1) {
-    runs = merge_level(*cur, std::span<const RunBounds>(runs), *next,
-                       budget.fanout, less);
-    std::swap(cur, next);
-  }
-  if (cur != &out)
+  if (merge_all_runs(first, std::move(runs), first, other, less).first != &out)
     throw std::logic_error("aem_merge_sort: parity bookkeeping error");
 }
 

@@ -175,12 +175,15 @@ class SampleSortJob {
 
 }  // namespace sort_detail
 
-/// Sorts `in` into `out` with AEM sample sort (see header comment for the
-/// cost discussion).  NOT stable (bucket classification ignores provenance).
+/// Sorts `in` into `out`, a different array (std::invalid_argument
+/// otherwise), with AEM sample sort (see header comment for the cost
+/// discussion).  NOT stable (bucket classification ignores provenance).
 template <class T, class Less = std::less<T>>
 void aem_sample_sort(const ExtArray<T>& in, ExtArray<T>& out, Less less = {}) {
   if (in.size() != out.size())
     throw std::invalid_argument("aem_sample_sort: size mismatch");
+  if (&in == &out)
+    throw std::invalid_argument("aem_sample_sort: out is the input array");
   sort_detail::SampleSortJob<T, Less> job(in, out, less);
   job.run();
 }

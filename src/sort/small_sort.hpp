@@ -6,22 +6,18 @@
 // reserves Mout staged elements and one scan block, reads every block of
 // the range, and writes the next Mout occurrences of the (value, position)
 // order: R' * n' reads and n' (+ R') writes.  The host selects each round's
-// slice from one offset permutation of a copy of the range, in occurrence
-// order (host_sort.hpp: a radix for unsigned keys under std::less; MODEL.md
-// §3, host recomputation).  Reads deliver the stored bytes, so a round
-// compares its blocks with the copy only when src was written since the
-// copy was read (an aliased output).  A round whose blocks do differ
-// rebuilds the copy and its order, and resumes just above the watermark,
-// kept as a (value, offset) pair because the copy changed.
+// slice from one offset permutation of a copy of the range, taken from
+// round 0's reads and ordered once, in occurrence order (host_sort.hpp: a
+// radix for unsigned keys under std::less; MODEL.md section 3, host
+// recomputation).  dst must not be src, so the copy equals what every later
+// round's reads deliver.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <span>
 #include <stdexcept>
-#include <type_traits>
 #include <vector>
 
 #include "core/ext_array.hpp"
@@ -39,15 +35,16 @@ namespace aem {
 ///
 /// Intended for ranges of at most SortBudget::base elements (the paper's
 /// N' <= omega*M); larger ranges cost ceil(N'/Mout) passes over the input,
-/// and ranges of 2^32 elements or more throw std::length_error.
+/// and ranges of 2^32 elements or more throw std::length_error.  dst must be
+/// a different array from src (std::invalid_argument otherwise).
 template <class T, class Less, class Combine = std::nullptr_t>
 std::size_t small_sort(const ExtArray<T>& src, std::size_t begin,
                        std::size_t end, ExtArray<T>& dst,
                        std::size_t dst_begin, Less less, Combine combine = {}) {
-  static_assert(std::is_trivially_copyable_v<T>,
-                "small_sort compares delivered blocks bytewise");
   if (end < begin || end > src.size())
     throw std::invalid_argument("small_sort: bad range");
+  if (&dst == &src)
+    throw std::invalid_argument("small_sort: dst is the source array");
   const std::size_t total = end - begin;
   if (total > UINT32_MAX)
     throw std::length_error("small_sort: range of 2^32 or more elements");
@@ -61,57 +58,28 @@ std::size_t small_sort(const ExtArray<T>& src, std::size_t begin,
   sort_detail::CombineSink<T, decltype(key_eq), Combine> sink(
       dst, dst_begin, dst_begin + total, key_eq, combine);
 
-  // Host scratch: the range as delivered (the copy each round's blocks are
-  // compared against), its offsets in occurrence order, and the read
-  // tickets.
+  // Host scratch: the range as round 0 delivered it, its offsets in
+  // occurrence order, and each round's read tickets.
   std::vector<T> vals(total);
   std::vector<std::uint32_t> order;
   const std::size_t first = begin / B;  // the range's first block
   std::vector<IoTicket> tickets(mach.n_of(end) - first);
-  struct Mark {
-    T val;
-    std::uint32_t off;
-  };
-  // upper_bound's comparison: is the watermark below offset o's occurrence?
-  auto mark_below = [less, &vals](const Mark& m, std::uint32_t o) {
-    return less(m.val, vals[o]) || (!less(vals[o], m.val) && m.off < o);
-  };
-
-  std::size_t consumed = 0;
-  std::size_t next = 0;  // order[next]: the first occurrence above the mark
-  Mark mark{};           // the watermark: the last emitted occurrence
-  std::uint64_t copied_gen = 0;  // src's write generation when vals was read
-  while (consumed < total) {
+  const bool record_use = mach.tracing() && src.has_atom_extractor();
+  for (std::size_t next = 0; next < total;) {
     MemoryReservation out_res(mach.ledger(), budget.small_batch);
     MemoryReservation block_res(mach.ledger(), B);  // the scan block
-    bool changed = consumed == 0;
-    const bool recheck = changed || src.write_generation() != copied_gen;
     for (std::size_t t = 0; t < tickets.size(); ++t) {
       const BlockView<T> v = src.view_block(first + t);
       tickets[t] = v.ticket();
-      if (!recheck) continue;
+      if (next > 0) continue;
       const std::size_t lo = std::max(begin, (first + t) * B);
       const std::size_t hi = std::min(end, (first + t) * B + v.size());
-      const T* got = v.span().data() + (lo - (first + t) * B);
-      T* have = vals.data() + (lo - begin);
-      if (changed || std::memcmp(have, got, (hi - lo) * sizeof(T)) != 0) {
-        std::memcpy(have, got, (hi - lo) * sizeof(T));
-        changed = true;
-      }
+      std::copy_n(v.span().data() + (lo - (first + t) * B), hi - lo,
+                  vals.data() + (lo - begin));
     }
-    copied_gen = src.write_generation();
-    if (changed) {
+    if (next == 0)
       sort_detail::host_sort(std::span<const T>(vals), less, order);
-      if (consumed > 0)  // resume just above the watermark
-        next = std::upper_bound(order.begin(), order.end(), mark,
-                                mark_below) -
-               order.begin();
-    }
-    const std::size_t batch =
-        std::min({budget.small_batch, total - consumed, total - next});
-    if (batch == 0)
-      throw std::logic_error("small_sort: no progress (corrupt watermark)");
-    const bool record_use = mach.tracing() && src.has_atom_extractor();
+    const std::size_t batch = std::min(budget.small_batch, total - next);
     for (std::size_t i = next; i < next + batch; ++i) {
       const std::uint32_t off = order[i];
       const IoTicket tk = tickets[(begin + off) / B - first];
@@ -120,8 +88,6 @@ std::size_t small_sort(const ExtArray<T>& src, std::size_t begin,
       sink.push(vals[off]);
     }
     next += batch;
-    consumed += batch;
-    mark = {vals[order[next - 1]], order[next - 1]};
   }
   return sink.finish();
 }

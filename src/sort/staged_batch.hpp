@@ -13,9 +13,9 @@
 //  * fold(source, pos, values, ticket) offers positions pos, pos + 1, ...
 //    of one block read and stops at the first one the batch does not admit
 //    (every later one is larger, and the maximum does not move meanwhile).
-//    While the batch has room, the admitted prefix is appended with one
-//    copy and one sift; once it is full, each further element evicts the
-//    maximum.  A fold continues its source's range (asserted): a source
+//    While the batch has room, the admitted prefix becomes one chunk
+//    (below) with one sift; once it is full, each further element evicts
+//    the maximum.  A fold continues its source's range (asserted): a source
 //    that lost its tail to eviction offers only larger positions later,
 //    and those stay above the maximum, which only falls while the batch
 //    stays full, so its range never gains again before the drain;
@@ -32,19 +32,19 @@
 // that set's order, so every "below the max" decision, and hence every
 // charged I/O, is the same.
 //
-// Host storage.  The values are host copies of delivered bytes (the licence
-// of MODEL.md section 3), appended to one flat arena per (source, block
-// read) "chunk": its first position, arena offset, kept count, the read's
-// trace ticket and the source's previous chunk.  Evictions shorten chunks
-// and leave dead arena slots.  Before a fold of n values would take the
-// arena past 4*cap slots, the live chunks (at most cap values) are copied
-// into a second arena, grouped by source; so the arena never holds more
-// than 4*cap + n slots, the chunk table never more records than the arena
-// has slots, and the copying costs O(cap + sources kept) per 3*cap
-// appended slots.  drain() adds two merge buffers of size() values and
-// tags each, and the batch keeps O(1) words per source.  The simulated
-// footprint is exactly the `cap` elements each caller reserves on the
-// ledger before filling the batch.
+// Host storage.  The batch keeps views, not copies, of what it folds: each
+// (source, block read) "chunk" is a record of its first position, a
+// pointer to the folded values, its kept count, the read's trace ticket and
+// the source's previous chunk, so folded values must stay unchanged until
+// the next drain() or clear().  The sort kernels never write an array they
+// read (merge_runs rejects dst == src; the PQ refill reads runs it does not
+// write), and a read delivers the stored bytes by reference, valid until
+// that block is written.  Evictions shorten chunks; the chunk table holds
+// one record per fold that kept anything, until the next drain or clear.
+// drain() copies the kept values once, grouped by source, into the first of
+// two merge buffers of size() values and tags each, and the batch keeps
+// O(1) words per source.  The simulated footprint is exactly the `cap`
+// elements each caller reserves on the ledger before filling the batch.
 #pragma once
 
 #include <algorithm>
@@ -101,21 +101,17 @@ class StagedBatch {
     return {src.lo, src.lo + src.size};
   }
 
-  /// Arena slots in use, kept or dead: at most 4*cap + the longest fold.
-  std::size_t arena_slots() const { return arena_.size(); }
-
   /// Offers `values` as positions pos, pos + 1, ... of `source`, delivered
   /// by the read `ticket`; keeps the admitted prefix, evicting the maximum
   /// for each element kept while full.  Returns the number kept.  The
   /// values must ascend and lie above everything `source` offered since the
-  /// last drain.
+  /// last drain, and stay unchanged until the next drain() or clear().
   std::size_t fold(std::size_t source, std::uint64_t pos,
                    std::span<const T> values, IoTicket ticket = {}) {
     const std::size_t n = values.size();
     if (n == 0) return 0;
-    if (arena_.size() + n > 4 * cap_) compact();
     const auto s = static_cast<std::uint32_t>(source);
-    // While there is room every element is admitted: one copy, one sift.
+    // While there is room every element is admitted: one chunk, one sift.
     std::size_t kept = std::min(n, cap_ - size_);
     if (kept > 0) open_chunk(s, pos, values.first(kept), ticket);
     for (; kept < n; ++kept) {
@@ -124,8 +120,7 @@ class StagedBatch {
       if (kept == 0) {
         open_chunk(s, pos, values.first(1), ticket);
       } else {
-        // This fold's chunk is the source's tail and still ends the arena.
-        arena_.push_back(values[kept]);
+        // This fold's chunk is the source's tail: it keeps one more value.
         ++recs_[srcs_[s].tail].count;
         ++srcs_[s].size;
         ++size_;
@@ -144,18 +139,36 @@ class StagedBatch {
   template <class Emit, class ChunkEnd>
   void drain(Emit&& emit, ChunkEnd&& chunk_end) {
     if (empty()) return;
-    list_sources();
+    order_.clear();
+    for (const Tail& t : heap_) order_.push_back(t.source);
     std::sort(order_.begin(), order_.end());
-    gather();  // each source one arena range, in ascending order
     const std::size_t n = size_, k = order_.size();
     for (std::size_t r = 0; r < 2; ++r) {
       vals_[r].resize(n);
       tags_[r].resize(n);
     }
-    for (std::size_t r = 0; r < k; ++r)
+    // Gather: rank r's kept values, copied into one range of the first
+    // buffer in position order.  Its chunks are walked from the tail, and
+    // each one's link is turned to its successor, so that the replay walks
+    // them forward from cursor_[r].
+    bounds_.assign(1, 0);
+    cursor_.resize(k);
+    for (std::size_t r = 0; r < k; ++r) {
+      bounds_.push_back(bounds_[r] + srcs_[order_[r]].size);
+      T* to = vals_[0].data() + bounds_[r + 1];
+      std::size_t succ = kNil;
+      for (std::size_t c = srcs_[order_[r]].tail; c != kNil;) {
+        Rec& rec = recs_[c];
+        to -= rec.count;
+        std::copy_n(rec.vals, rec.count, to);
+        const std::size_t prev = std::exchange(rec.link, succ);
+        succ = std::exchange(c, prev);
+      }
+      cursor_[r] = succ;
       std::fill(tags_[0].data() + bounds_[r], tags_[0].data() + bounds_[r + 1],
                 static_cast<std::uint32_t>(r));
-    const T* vals = arena_.data();
+    }
+    const T* vals = vals_[0].data();
     const std::uint32_t* tags = tags_[0].data();
     // Pairwise passes: ranges 2i and 2i+1 merge into range i, the lower
     // ranks winning ties, until one range is left.
@@ -176,8 +189,7 @@ class StagedBatch {
       tags = tout;
     }
     // Replay: a chunk ends where its rank's count of remaining kept values
-    // in that chunk reaches zero.  A rank's chunks are consecutive records.
-    cursor_.assign(first_rec_.begin(), first_rec_.end());
+    // in that chunk reaches zero.
     left_.resize(k);
     for (std::size_t r = 0; r < k; ++r) left_[r] = recs_[cursor_[r]].count;
     std::size_t from = 0;
@@ -187,13 +199,10 @@ class StagedBatch {
       emit(std::span<const T>(vals + from, i + 1 - from));
       from = i + 1;
       const Rec& c = recs_[cursor_[r]];
-      chunk_end(Chunk{order_[r], c.pos,
-                      std::span<const T>(arena_.data() + c.off, c.count),
+      chunk_end(Chunk{order_[r], c.pos, std::span<const T>(c.vals, c.count),
                       c.ticket});
-      // The next record is the rank's next chunk, or (after its last one)
-      // another rank's, whose count this rank never decrements.
-      ++cursor_[r];
-      if (cursor_[r] < recs_.size()) left_[r] = recs_[cursor_[r]].count;
+      cursor_[r] = c.link;
+      if (cursor_[r] != kNil) left_[r] = recs_[cursor_[r]].count;
     }
     clear();
   }
@@ -202,7 +211,6 @@ class StagedBatch {
   void clear() {
     for (const Tail& t : heap_) srcs_[t.source] = Source{};
     heap_.clear();
-    arena_.clear();
     recs_.clear();
     size_ = 0;
   }
@@ -211,13 +219,13 @@ class StagedBatch {
   static constexpr std::size_t kNil = ~std::size_t{0};
   static constexpr std::uint32_t kNoSource = ~std::uint32_t{0};
 
-  /// One chunk: `count` kept values of one read, positions pos.. and arena
-  /// slots off.., linked to the source's previous chunk.
+  /// One chunk: `count` kept values of one read, positions pos.., linked
+  /// to the source's previous chunk (to its next one during drain()).
   struct Rec {
     std::uint64_t pos;
-    std::size_t off;
+    const T* vals;
     std::size_t count;
-    std::size_t prev;
+    std::size_t link;
     IoTicket ticket;
   };
 
@@ -248,8 +256,7 @@ class StagedBatch {
                               !less_.key_less()(values[0],
                                                 heap_[src.heap_pos].val))) &&
            "StagedBatch: a fold must continue its source's range");
-    recs_.push_back(Rec{pos, arena_.size(), values.size(), src.tail, ticket});
-    arena_.insert(arena_.end(), values.begin(), values.end());
+    recs_.push_back(Rec{pos, values.data(), values.size(), src.tail, ticket});
     if (src.size == 0) {
       src.lo = pos;
       src.heap_pos = static_cast<std::uint32_t>(heap_.size());
@@ -270,10 +277,10 @@ class StagedBatch {
     Rec& c = recs_[src.tail];
     --size_;
     --src.size;
-    if (--c.count == 0) src.tail = c.prev;
+    if (--c.count == 0) src.tail = c.link;
     if (src.size > 0) {
       const Rec& t = recs_[src.tail];
-      heap_[0].val = arena_[t.off + t.count - 1];
+      heap_[0].val = t.vals[t.count - 1];
       sift_down(0);
       return;
     }
@@ -284,49 +291,6 @@ class StagedBatch {
       place(0, last);
       sift_down(0);
     }
-  }
-
-  /// Drops the dead arena slots and chunk records.
-  void compact() {
-    list_sources();
-    gather();
-  }
-
-  /// Lists the non-empty sources in order_.
-  void list_sources() {
-    order_.clear();
-    for (const Tail& t : heap_) order_.push_back(t.source);
-  }
-
-  /// Copies the live chunks into the spare arena, grouped by source in
-  /// order_'s order and in position order within a source, and swaps the
-  /// arenas.  Fills bounds_ (each source's arena range) and first_rec_
-  /// (each one's first record).
-  void gather() {
-    spare_arena_.clear();
-    spare_recs_.clear();
-    bounds_.assign(1, 0);
-    first_rec_.clear();
-    for (const std::uint32_t s : order_) {
-      chain_.clear();
-      for (std::size_t c = srcs_[s].tail; c != kNil; c = recs_[c].prev)
-        chain_.push_back(c);
-      first_rec_.push_back(spare_recs_.size());
-      std::size_t prev = kNil;
-      for (auto it = chain_.rbegin(); it != chain_.rend(); ++it) {
-        Rec c = recs_[*it];
-        const T* from = arena_.data() + c.off;
-        c.off = spare_arena_.size();
-        c.prev = prev;
-        spare_arena_.insert(spare_arena_.end(), from, from + c.count);
-        prev = spare_recs_.size();
-        spare_recs_.push_back(c);
-      }
-      srcs_[s].tail = prev;
-      bounds_.push_back(spare_arena_.size());
-    }
-    arena_.swap(spare_arena_);
-    recs_.swap(spare_recs_);
   }
 
   /// Merges [lo, mid) and [mid, hi) of (vals, tags) into out/tout at lo,
@@ -390,16 +354,12 @@ class StagedBatch {
   std::size_t cap_;
   OccLess<T, Less> less_;
   std::size_t size_ = 0;
-  std::vector<T> arena_;
   std::vector<Rec> recs_;
   std::vector<Source> srcs_;         // per source
   std::vector<Tail> heap_;           // non-empty sources, max-heap by tail
-  // compact() and drain() scratch, reused every round.
-  std::vector<T> spare_arena_;
-  std::vector<Rec> spare_recs_;
-  std::vector<std::size_t> chain_;
+  // drain() scratch, reused every round.
   std::vector<std::uint32_t> order_;
-  std::vector<std::size_t> bounds_, first_rec_, cursor_, left_;
+  std::vector<std::size_t> bounds_, cursor_, left_;
   std::vector<T> vals_[2];
   std::vector<std::uint32_t> tags_[2];
 };

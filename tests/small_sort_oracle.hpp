@@ -4,11 +4,8 @@
 // Every round reserves Mout staged occurrences, scans the whole range with a
 // Scanner, offers each occurrence above the watermark to a bounded ordered
 // set of Mout (the std::set batch the sort goldens were first recorded
-// with), then emits the set in (value, position) order.  It carries one
-// fix the shipped kernel also has: a round's batch is capped at the elements
-// still owed to the output, so a round that reads back bytes an aliased
-// output changed, with extra occurrences above the watermark, cannot push
-// past the output range.
+// with), then emits the set in (value, position) order.  src and dst must
+// be different arrays, as the shipped kernel requires.
 #pragma once
 
 #include <algorithm>
@@ -53,7 +50,6 @@ std::size_t offer_loop_small_sort(const ExtArray<T>& src, std::size_t begin,
   std::size_t consumed = 0;
   while (consumed < total) {
     MemoryReservation out_res(mach.ledger(), budget.small_batch);
-    const std::size_t cap = std::min(budget.small_batch, total - consumed);
     std::set<Occ, OccLess> out(occ_less);
 
     Scanner<T> scan(src, begin, end);
@@ -62,7 +58,7 @@ std::size_t offer_loop_small_sort(const ExtArray<T>& src, std::size_t begin,
       const T val = scan.next();
       Occ o{{val, /*run=*/0, pos}, scan.last_ticket()};
       if (watermark.has_value() && !occ_less(*watermark, o)) continue;
-      if (out.size() < cap) {
+      if (out.size() < budget.small_batch) {
         out.insert(o);
       } else if (occ_less(o, *out.rbegin())) {
         out.erase(std::prev(out.end()));

@@ -489,34 +489,6 @@ TEST(ExtArrayTest, AtomExtractorRecordsWrites) {
   EXPECT_EQ(tr->op(0).atoms[7], 107u);
 }
 
-TEST(ExtArrayTest, WriteGenerationMovesOnWritesNotReads) {
-  Config cfg = small_config();
-  cfg.cache.capacity_blocks = 1;  // reads below evict a dirty block
-  Machine mach(cfg);
-  ExtArray<int> arr(mach, 16, "a");
-  EXPECT_EQ(arr.write_generation(), 0u);
-  Buffer<int> buf(mach, 8);
-  arr.view_block(0);
-  arr.read_block(1, buf.span());
-  EXPECT_EQ(arr.write_generation(), 0u);  // reads never move it
-  arr.write_block(0, std::span<const int>(buf.data(), 8));
-  EXPECT_EQ(arr.write_generation(), 1u);  // even when only the pool is dirtied
-  arr.read_block(1, buf.span());          // evicts and writes back block 0
-  EXPECT_EQ(mach.stats().writes, 1u);
-  EXPECT_EQ(arr.write_generation(), 1u);
-  arr.grow_to(8);  // no growth, no change
-  EXPECT_EQ(arr.write_generation(), 1u);
-  arr.grow_to(24);
-  EXPECT_EQ(arr.write_generation(), 2u);
-  arr.unsafe_host_fill(std::vector<int>(24, 3));
-  EXPECT_EQ(arr.write_generation(), 3u);
-  ExtArray<int> moved(std::move(arr));
-  EXPECT_EQ(moved.write_generation(), 1u);
-  EXPECT_EQ(arr.write_generation(), 4u);  // NOLINT(bugprone-use-after-move)
-  moved = ExtArray<int>(mach, 8, "b");
-  EXPECT_EQ(moved.write_generation(), 2u);
-}
-
 TEST(ExtArrayTest, BufferRegistersWithLedger) {
   Machine mach(small_config());  // M = 64
   EXPECT_EQ(mach.ledger().used(), 0u);

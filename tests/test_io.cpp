@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <numeric>
 #include <span>
+#include <stdexcept>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -132,6 +133,17 @@ TEST(WriterTest, UnalignedRangeDoesReadModifyWrite) {
   EXPECT_EQ(host[10], -1);  // overwritten
   EXPECT_EQ(host[13], -1);
   EXPECT_EQ(host[14], 14);  // preserved
+}
+
+TEST(WriterTest, RejectsARangePastTheArray) {
+  // A range end past the array would take pushes the array cannot hold.
+  Machine mach(cfg(64, 16, 4));
+  ExtArray<int> arr(mach, 20, "out");
+  EXPECT_THROW(Writer<int>(arr, 0, 32), std::out_of_range);
+  EXPECT_THROW(Writer<int>(arr, 12, 11), std::out_of_range);
+  EXPECT_THROW(Writer<int>(arr, 21), std::out_of_range);
+  EXPECT_NO_THROW(Writer<int>(arr, 20, 20));
+  EXPECT_EQ(mach.cost(), 0u);
 }
 
 TEST(WriterTest, FinishIsIdempotent) {

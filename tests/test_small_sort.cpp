@@ -3,10 +3,8 @@
 // host (small_sort_oracle.hpp), under a custom key order (host_sort's record
 // sort) and under std::less (its radix).  The two must agree on every
 // output byte, the return value, Q_r / Q_w, the ledger high-water mark and
-// the full trace — including in-place runs whose rounds read back bytes the
-// previous round wrote, which is what the kernel's per-round block
-// comparison is for.  Verified read faults cost retries but leave the
-// output exactly the fault-free one.
+// the full trace.  Verified read faults cost retries but leave the output
+// exactly the fault-free one.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -199,41 +197,6 @@ TEST(SmallSortDiffTest, MatchesTheOfferLoopOnEveryVariantUnderStdLess) {
   static_assert(sort_detail::kRadixOrder<std::uint64_t,
                                          std::less<std::uint64_t>>);
   diff_grid(std::less<std::uint64_t>{}, "std::less");
-}
-
-/// Sorts `keys` onto itself with small_sort and with the offer loop, and
-/// checks that both leave the same bytes at the same cost.
-template <class Less>
-void expect_in_place_matches(const std::vector<std::uint64_t>& keys,
-                             Less less, const std::string& label) {
-  auto in_place = [&](auto kernel) {
-    Machine mach(cfg());
-    ExtArray<std::uint64_t> a(mach, keys.size(), "a");
-    a.unsafe_host_fill(keys);
-    a.set_atom_extractor(identity_atom);
-    return observe(mach, a, [&] { return kernel(a); });
-  };
-  const Outcome got = in_place([&](auto& a) {
-    return small_sort(a, 0, keys.size(), a, 0, less);
-  });
-  const Outcome want = in_place([&](auto& a) {
-    return test::offer_loop_small_sort(a, 0, keys.size(), a, 0, less);
-  });
-  expect_same(got, want, label);
-  EXPECT_NE(got.out, keys) << label;
-}
-
-// Sorting an array onto itself: round 0's output blocks overwrite the input
-// that round 1 reads back, so later rounds see changed bytes.  No fault is
-// injected, so only the write generation tells small_sort to re-compare.
-// The result is not a sort, but both kernels must produce the same one.
-TEST(SmallSortDiffTest, InPlaceMatchesTheOfferLoop) {
-  expect_in_place_matches(duplicate_keys(1500, 4242), KeyLess{}, "KeyLess");
-}
-
-TEST(SmallSortDiffTest, InPlaceMatchesTheOfferLoopUnderStdLess) {
-  expect_in_place_matches(duplicate_keys(1500, 4242),
-                          std::less<std::uint64_t>{}, "std::less");
 }
 
 }  // namespace

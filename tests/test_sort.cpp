@@ -13,8 +13,10 @@
 #include "core/ext_array.hpp"
 #include "core/machine.hpp"
 #include "sort/budget.hpp"
+#include "sort/lowwrite_samplesort.hpp"
 #include "sort/merge.hpp"
 #include "sort/mergesort.hpp"
+#include "sort/samplesort.hpp"
 #include "sort/sink.hpp"
 #include "sort/small_sort.hpp"
 #include "util/rng.hpp"
@@ -388,6 +390,38 @@ TEST(MergeSortTest, SizeMismatchRejected) {
   ExtArray<std::uint64_t> in(mach, 16, "in");
   ExtArray<std::uint64_t> out(mach, 8, "out");
   EXPECT_THROW(aem_merge_sort(in, out), std::invalid_argument);
+}
+
+// A sort kernel never reads an array it writes: every sort, and the two
+// kernels below them, rejects an output that is its input before any I/O,
+// whatever the size (M = 256, B = 16, omega = 4: n = 300 and 2,000 take
+// the sample sorts' base case and the mergesort's merge, 20,000 their
+// recursion and a three-level merge).
+TEST(SortAliasingTest, EveryKernelRejectsAnAliasedOutput) {
+  using Key = std::uint64_t;
+  const std::less<Key> less;
+  for (const std::size_t n : {300u, 2000u, 20000u}) {
+    Machine mach(cfg(256, 16, 4));
+    util::Rng rng(n);
+    std::vector<Key> host(n);
+    for (Key& x : host) x = rng.next();
+    ExtArray<Key> a = stage(mach, host);
+    const std::vector<RunBounds> runs = make_chunks(n, 512);
+    auto rejects = [&](const char* what, auto call) {
+      mach.reset_stats();
+      EXPECT_THROW(call(), std::invalid_argument) << what << " n=" << n;
+      EXPECT_EQ(mach.cost(), 0u) << what << " n=" << n;
+      EXPECT_TRUE(a.unsafe_host_view() == host) << what << " n=" << n;
+    };
+    rejects("aem_merge_sort", [&] { aem_merge_sort(a, a, less); });
+    rejects("aem_sample_sort", [&] { aem_sample_sort(a, a, less); });
+    rejects("aem_lowwrite_sample_sort",
+            [&] { aem_lowwrite_sample_sort(a, a, less); });
+    rejects("small_sort", [&] { small_sort(a, 0, n, a, 0, less); });
+    rejects("merge_runs", [&] {
+      merge_runs(a, std::span<const RunBounds>(runs), a, 0, less);
+    });
+  }
 }
 
 // Degenerate driver shapes: inputs at and around the small-sort base

@@ -6,6 +6,8 @@
 // the sources interleave, and drain it in the set's order with every chunk
 // reported right after its last element, so the kernels' "below the staged
 // max" decisions, their output and their pointer updates cannot change.
+// The batch keeps views of what it folds, so every folded value here lives
+// until the drain.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -108,8 +110,9 @@ void fold_both(Batch& b, RefBatch& ref, std::size_t source, std::uint64_t pos,
   }
 }
 
+/// Folds one key, which must outlive the next drain or clear.
 void offer_both(Batch& b, RefBatch& ref, std::size_t source,
-                std::uint64_t pos, Key key, std::size_t sources = 0) {
+                std::uint64_t pos, const Key& key, std::size_t sources = 0) {
   fold_both(b, ref, source, pos, std::span<const Key>(&key, 1), sources);
 }
 
@@ -184,7 +187,9 @@ std::vector<Offer> ascending_offers(aem::util::Rng& rng, std::size_t n,
 /// Offers ascending_offers(...) to both structures, then checks the drain.
 void check_round(Batch& b, RefBatch& ref, aem::util::Rng& rng, std::size_t n,
                  std::uint64_t key_range, std::size_t sources) {
-  for (const Offer& o : ascending_offers(rng, n, key_range, sources))
+  const std::vector<Offer> offers =
+      ascending_offers(rng, n, key_range, sources);
+  for (const Offer& o : offers)
     ASSERT_NO_FATAL_FAILURE(offer_both(b, ref, o.source, o.pos, o.key));
   expect_drains_to(b, ref);
 }
@@ -238,13 +243,17 @@ TEST(BoundedHeapTest, SourceWhoseTailWasEvictedStaysOut) {
   // range, even when emptied, never grows again before the drain.
   Batch b(2, 2, KeyLess{});
   RefBatch ref(2);
-  for (const Offer& o :
-       {Offer{0, 0, 10}, Offer{0, 1, 20}, Offer{1, 0, 1}, Offer{1, 1, 2}})
+  const std::array<Offer, 6> offers = {Offer{0, 0, 10}, Offer{0, 1, 20},
+                                       Offer{1, 0, 1},  Offer{1, 1, 2},
+                                       Offer{0, 2, 30}, Offer{1, 2, 3}};
+  for (std::size_t i = 0; i < offers.size(); ++i) {
+    // After the first four, source 1 has evicted both of source 0's.
+    if (i == 4) {
+      EXPECT_FALSE(b.admits(Occ{30, 0, 2}));
+    }
+    const Offer& o = offers[i];
     ASSERT_NO_FATAL_FAILURE(offer_both(b, ref, o.source, o.pos, o.key, 2));
-  // Source 1 evicted both of source 0's elements.
-  EXPECT_FALSE(b.admits(Occ{30, 0, 2}));
-  ASSERT_NO_FATAL_FAILURE(offer_both(b, ref, 0, 2, 30, 2));
-  ASSERT_NO_FATAL_FAILURE(offer_both(b, ref, 1, 2, 3, 2));
+  }
   expect_drains_to(b, ref);
 }
 
@@ -253,10 +262,9 @@ TEST(BoundedHeapTest, ManyEqualKeysKeepSmallestTieBreakers) {
   // sources arrive descending, one element each, so every offer after the
   // tenth evicts.
   Batch b(10, 100, KeyLess{});
-  for (std::size_t s = 100; s-- > 0;) {
-    const Key seven = 7;
+  const Key seven = 7;
+  for (std::size_t s = 100; s-- > 0;)
     b.fold(s, 0, std::span<const Key>(&seven, 1));
-  }
   std::vector<std::uint32_t> sources;
   b.drain([](std::span<const Key>) {},
           [&](const Batch::Chunk& c) { sources.push_back(c.source); });
@@ -269,7 +277,8 @@ TEST(BoundedHeapTest, CapacityOneKeepsTheMinimum) {
   for (std::size_t sources : {1u, 5u}) {
     Batch b(1, sources, KeyLess{});
     RefBatch ref(1);
-    for (const Offer& o : ascending_offers(rng, 200, 50, sources)) {
+    const std::vector<Offer> offers = ascending_offers(rng, 200, 50, sources);
+    for (const Offer& o : offers) {
       ASSERT_NO_FATAL_FAILURE(
           offer_both(b, ref, o.source, o.pos, o.key, sources));
       EXPECT_EQ(b.size(), 1u);
@@ -282,11 +291,11 @@ TEST(BoundedHeapTest, CapacityAboveOfferCountKeepsEverything) {
   aem::util::Rng rng(1303);
   Batch b(1000, 3, KeyLess{});
   RefBatch ref(1000);
-  for (const Offer& o : ascending_offers(rng, 40, 5, 3))
+  const std::vector<Offer> offers = ascending_offers(rng, 40, 5, 3);
+  for (const Offer& o : offers)
     ASSERT_NO_FATAL_FAILURE(offer_both(b, ref, o.source, o.pos, o.key, 3));
   EXPECT_EQ(b.size(), 40u);
   EXPECT_FALSE(b.full());
-  EXPECT_EQ(b.arena_slots(), 40u);  // nothing evicted, nothing dead
   expect_drains_to(b, ref);
 }
 
@@ -300,11 +309,11 @@ TEST(BoundedHeapTest, ReuseAfterClearAcrossRounds) {
     RefBatch ref(32);
     const std::size_t n = 10 + 17 * static_cast<std::size_t>(round % 10);
     if (round % 3 == 2) {
-      for (const Offer& o : ascending_offers(rng, n, 7, 4))
+      const std::vector<Offer> offers = ascending_offers(rng, n, 7, 4);
+      for (const Offer& o : offers)
         b.fold(o.source, o.pos, std::span<const Key>(&o.key, 1));
       b.clear();
       EXPECT_TRUE(b.empty());
-      EXPECT_EQ(b.arena_slots(), 0u);
       continue;
     }
     check_round(b, ref, rng, n, round % 2 == 0 ? 4 : 1u << 20, 4);
@@ -314,7 +323,8 @@ TEST(BoundedHeapTest, ReuseAfterClearAcrossRounds) {
 TEST(BoundedHeapTest, SortedIsAscending) {
   aem::util::Rng rng(1305);
   Batch b(256, 8, KeyLess{});
-  for (const Offer& o : ascending_offers(rng, 4096, 97, 8))
+  const std::vector<Offer> offers = ascending_offers(rng, 4096, 97, 8);
+  for (const Offer& o : offers)
     b.fold(o.source, o.pos, std::span<const Key>(&o.key, 1));
   std::vector<Occ> batch;
   b.drain([](std::span<const Key>) {},
@@ -343,15 +353,16 @@ TEST(BoundedHeapTest, SortedEqualsTheBoundedSetInBothRegimes) {
                           Regime{512, 20000, 5}, Regime{8192, 60000, 2}}) {
     Batch b(r.cap, r.offers, KeyLess{});
     RefBatch ref(r.cap);
+    std::vector<Key> keys(r.offers);
+    for (Key& key : keys) key = rng.next() % r.key_range;
     std::uint64_t replaced = 0;
     for (std::size_t id = 0; id < r.offers; ++id) {
       // Descending sources: every later equal key sorts first, so a full
       // batch keeps evicting its maximum.
       const std::size_t source = r.offers - 1 - id;
-      const Key key = rng.next() % r.key_range;
-      const Occ o{key, static_cast<std::uint32_t>(source), 0};
+      const Occ o{keys[id], static_cast<std::uint32_t>(source), 0};
       replaced += b.full() && b.admits(o);
-      b.fold(source, 0, std::span<const Key>(&key, 1));
+      b.fold(source, 0, std::span<const Key>(&keys[id], 1));
       ref.offer(o);
     }
     ASSERT_EQ(b.full(), r.cap <= r.offers);
@@ -363,9 +374,10 @@ TEST(BoundedHeapTest, SortedEqualsTheBoundedSetInBothRegimes) {
 }
 
 TEST(BoundedHeapTest, RetainedStorageStaysBoundedOverManyRounds) {
-  // 200 rounds, alternating slowly rising sources (few evictions) with
-  // sources spread over a wide key range: the arena, dead slots included,
-  // never holds more than 4 * cap + 1 slots for single-element folds.
+  // 200 rounds on one batch, alternating slowly rising sources (few
+  // evictions) with sources spread over a wide key range: the chunk table
+  // and the drain buffers are reused every round, and each round keeps and
+  // drains exactly what the reference does.
   aem::util::Rng rng(1309);
   constexpr std::size_t kCap = 300, kSources = 6, kOffers = 1000;
   Batch b(kCap, kSources, KeyLess{});
@@ -383,10 +395,8 @@ TEST(BoundedHeapTest, RetainedStorageStaysBoundedOverManyRounds) {
         offers.push_back(Offer{s, pos[s]++, tail[s]});
       }
     }
-    for (const Offer& o : offers) {
+    for (const Offer& o : offers)
       ASSERT_NO_FATAL_FAILURE(offer_both(b, ref, o.source, o.pos, o.key));
-      ASSERT_LE(b.arena_slots(), 4 * kCap + 1);
-    }
     expect_drains_to(b, ref);
   }
 }
@@ -398,9 +408,8 @@ TEST(BoundedHeapTest, RejectsZeroCapacity) {
 TEST(StagedBatchTest, DifferentialAgainstBoundedSet) {
   // Random caps, heavy duplicates, sources folding block-sized stretches
   // of their ascending runs in random interleavings, several rounds per
-  // batch: after every fold the kept set (each source's range), the
-  // maximum and the arena bound are checked, and every drain against the
-  // reference's order.
+  // batch: after every fold the kept set (each source's range) and the
+  // maximum are checked, and every drain against the reference's order.
   aem::util::Rng rng(3101);
   constexpr std::size_t kBlock = 16;
   for (int trial = 0; trial < 60; ++trial) {
@@ -427,7 +436,6 @@ TEST(StagedBatchTest, DifferentialAgainstBoundedSet) {
         ASSERT_NO_FATAL_FAILURE(fold_both(
             b, ref, s, 500 + next[s],
             std::span<const Key>(runs[s].data() + next[s], len), sources));
-        ASSERT_LE(b.arena_slots(), 4 * cap + kBlock);
         next[s] += len;
         left -= len;
       }
@@ -436,25 +444,34 @@ TEST(StagedBatchTest, DifferentialAgainstBoundedSet) {
   }
 }
 
-TEST(StagedBatchTest, ArenaStaysBoundedUnderConstantEviction) {
-  // Each source's run lies below the previous source's, so every fold of
-  // a full batch evicts: without compaction the arena would hold every
-  // element folded in a round (here 64 sources x 48), not 4 * cap + B.
-  constexpr std::size_t kCap = 48, kBlock = 16, kSources = 64;
-  Batch b(kCap, kSources, KeyLess{});
-  for (int round = 0; round < 20; ++round) {
-    RefBatch ref(kCap);
-    for (std::size_t s = 0; s < kSources; ++s)
-      for (std::uint64_t blk = 0; blk < 4; ++blk) {
-        std::vector<Key> keys(kBlock);
-        for (std::size_t i = 0; i < kBlock; ++i)
-          keys[i] = (kSources - s) * 1000 + blk * kBlock + i;
-        ASSERT_NO_FATAL_FAILURE(
-            fold_both(b, ref, s, blk * kBlock, keys, kSources));
-        ASSERT_LE(b.arena_slots(), 4 * kCap + kBlock);
-      }
-    ASSERT_NO_FATAL_FAILURE(expect_drains_to(b, ref));
+TEST(StagedBatchTest, ChunkValuesAreTheFoldedStorage) {
+  // The batch copies nothing at fold time: every drained chunk's values are
+  // the very elements folded, at their positions in the caller's run, even
+  // after evictions shortened the chunk.
+  aem::util::Rng rng(3102);
+  constexpr std::size_t kCap = 40, kSources = 5, kBlock = 8;
+  std::vector<std::vector<Key>> runs(kSources);
+  for (auto& run : runs) {
+    run.resize(64);
+    for (Key& v : run) v = rng.next() % 500;
+    std::sort(run.begin(), run.end());
   }
+  Batch b(kCap, kSources, KeyLess{});
+  RefBatch ref(kCap);
+  for (std::size_t at = 0; at < 64; at += kBlock)
+    for (std::size_t s = 0; s < kSources; ++s)
+      ASSERT_NO_FATAL_FAILURE(fold_both(
+          b, ref, s, at, std::span<const Key>(runs[s].data() + at, kBlock)));
+  ASSERT_TRUE(b.full());
+  std::size_t chunks = 0;
+  b.drain([](std::span<const Key>) {},
+          [&](const Batch::Chunk& c) {
+            ++chunks;
+            const std::vector<Key>& run = runs[c.source];
+            EXPECT_EQ(c.values.data(), run.data() + c.pos);
+            EXPECT_LE(c.pos + c.values.size(), run.size());
+          });
+  EXPECT_GT(chunks, 0u);
 }
 
 TEST(StagedBatchTest, OneChunkPerFoldEvenWhenContiguous) {
