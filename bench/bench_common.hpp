@@ -180,4 +180,20 @@ void sweep_table(const BenchIo& io, std::size_t points, util::Table& t,
          io.metrics);
 }
 
+/// A bench's exit status from its rows' PASS verdicts, one per row in point
+/// order (empty: the row passed): prints a `FAIL: <verdict>` line on stderr
+/// per failed row, and returns 1 if any row failed.  Stdout is untouched.
+inline int report_fails(const std::string& bench,
+                        const std::vector<std::string>& fails) {
+  bool ok = true;
+  for (const std::string& f : fails) {
+    if (f.empty()) continue;
+    std::cerr << "FAIL: " << f << "\n";
+    ok = false;
+  }
+  if (ok) return 0;
+  std::cerr << bench << ": FAILED (a row broke its PASS criterion)\n";
+  return 1;
+}
+
 }  // namespace aem::bench

@@ -5,7 +5,11 @@
 // through the unit-cost flash model, and report measured volume against the
 // lemma's bound, plus the classical flash permuting lower bound
 // (Corollary 4.4's other ingredient).
+//
+// PASS criteria (hard guards, exit 1 on violation): in every row
+// vol/bound <= 1, destroyed = 0 and flash_volume >= flash_LB.
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -26,7 +30,9 @@ struct Point {
   std::uint64_t w;
 };
 
-void run_case(const Point& pt, harness::PointContext& ctx) {
+/// Runs one point; sets `fail` to a diagnostic if its row breaks a PASS
+/// criterion.
+void run_case(const Point& pt, harness::PointContext& ctx, std::string& fail) {
   const auto [use_sort, N, M, B, w] = pt;
   Machine mach(make_config(M, B, w));
   auto atoms = util::distinct_keys(N, ctx.rng());
@@ -43,9 +49,12 @@ void run_case(const Point& pt, harness::PointContext& ctx) {
     naive_permute(in, std::span<const std::uint64_t>(dest), out);
   }
   auto trace = mach.take_trace();
-  ctx.metrics(mach, std::string("E7 ") + (use_sort ? "sort" : "naive") +
-                        " N=" + std::to_string(N) + " B=" + std::to_string(B) +
-                        " omega=" + std::to_string(w));
+  const std::string label = std::string("E7 ") +
+                            (use_sort ? "sort" : "naive") +
+                            " N=" + std::to_string(N) +
+                            " B=" + std::to_string(B) +
+                            " omega=" + std::to_string(w);
+  ctx.metrics(mach, label);
   auto r = flash::simulate_permutation_trace(
       *trace, std::span<const std::uint64_t>(atoms), in.id(), B, w);
 
@@ -59,6 +68,12 @@ void run_case(const Point& pt, harness::PointContext& ctx) {
            util::fmt(r.total_volume()), util::fmt(bound, 0),
            util::fmt_ratio(double(r.total_volume()), bound, 3),
            util::fmt(flash_lb, 0), util::fmt(r.destroyed_atoms)});
+  const double volume = double(r.total_volume());
+  if (volume > bound || r.destroyed_atoms != 0 || volume < flash_lb)
+    fail = label + ": flash_volume " + util::fmt(r.total_volume()) +
+           ", lemma_bound " + util::fmt(bound, 0) + ", flash_LB " +
+           util::fmt(flash_lb, 0) + ", destroyed " +
+           util::fmt(r.destroyed_atoms);
 }
 
 }  // namespace
@@ -84,15 +99,16 @@ int main(int argc, char** argv) try {
   // omega — the Lemma 4.3 precondition).
   for (std::uint64_t w : {4, 16})
     for (bool s : {false, true}) grid.push_back({s, 1 << 13, 256, 32, w});
+  std::vector<std::string> fails(grid.size());
   sweep_table(io, grid.size(), t, [&](harness::PointContext& ctx) {
-    run_case(grid[ctx.index()], ctx);
+    run_case(grid[ctx.index()], ctx, fails[ctx.index()]);
   });
   emit(t, "Flash-model replay of permutation programs:", io.csv);
 
   std::cout << "PASS criterion: vol/bound <= 1 in every row (the lemma),\n"
                "destroyed = 0 (atom conservation), and flash_volume >=\n"
                "flash_LB (the classical bound the reduction transfers).\n";
-  return 0;
+  return report_fails("bench_e7_flash_sim", fails);
 }
 catch (const std::exception& e) {
   // CLI/env parse errors (and any other unhandled failure) exit with a

@@ -2,7 +2,7 @@
 //
 // The AEM model prices writes at omega because NVM cells wear and fail; a
 // real device therefore runs its algorithms on top of a recovery layer
-// (verify-after-write, checksum-verified reads, bounded retry, wear-level
+// (verify-after-write, checked reads, bounded retry, wear-level
 // remap).  This experiment makes that price visible: mergesort runs under a
 // deterministic fault schedule while every retry and verification read is
 // charged through the normal accounting, and the table reports the

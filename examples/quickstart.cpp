@@ -101,7 +101,7 @@ int main(int argc, char** argv) try {
   // 6. The same sort on a FAULTY device.  Real NVM is why writes cost
   //    omega: cells wear out, writes tear or silently corrupt.  Installing
   //    a FaultPolicy turns those failure modes on (deterministically, from
-  //    a seed); the ExtArray recovery layer — checksummed reads,
+  //    a seed); the ExtArray recovery layer — checked reads,
   //    verify-after-write, bounded retries — keeps the algorithm oblivious,
   //    and every extra read and omega-priced rewrite lands in Q.
   Machine faulty(cfg);

@@ -11,11 +11,14 @@
 // reader that only looks holds a MemoryReservation of B for its block.
 //
 // When the machine has a FaultPolicy installed (core/faults.hpp), ExtArray
-// is also the device's recovery layer: blocks carry checksums, reads verify
-// and retry on corruption, writes verify-after-write and rewrite on failure
-// (every retry charged through the normal accounting), retired blocks are
-// transparently migrated to spares via a wear-leveling RemapTable
-// (core/remap.hpp).  A read that returns delivers the last successfully
+// is also the device's recovery layer: every block carries a known-corrupt
+// flag (a perfect device-side ECC), reads check it and retry on failure,
+// writes verify-after-write and rewrite on failure (every retry charged
+// through the normal accounting), and retired blocks are transparently
+// migrated to spares via a wear-leveling RemapTable (core/remap.hpp).  A
+// failed write attempt sets the flag and leaves the stored bytes alone, so
+// each block has one copy, in the array's own storage, whatever its
+// physical block.  A read that returns delivers the last successfully
 // written bytes, by reference like a fault-free one, or it throws
 // FaultError.  Algorithms run unmodified; they only see the extra charged
 // I/Os.  With no policy installed, the code path is byte-identical to the
@@ -38,13 +41,11 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -70,7 +71,7 @@ namespace detail {
 /// Assert-enabled builds: an array's change counters, stamped into and
 /// re-checked by each BlockView, which shares their ownership.
 struct ViewGuard {
-  std::uint64_t epoch = 0;  // grow_to, unsafe_host_fill, move, destruction
+  std::uint64_t epoch = 0;  // unsafe_host_fill, move, destruction
   std::unordered_map<std::uint64_t, std::uint64_t> writes;  // per block
 
   std::array<std::uint64_t, 2> stamp(std::uint64_t bi) const {
@@ -84,9 +85,8 @@ struct ViewGuard {
 /// One charged block read, delivered by reference (ExtArray::view_block):
 /// the block's elements and the read's trace ticket (invalid for a pool hit
 /// or with tracing off; under fault injection, the final attempt's).  Valid
-/// until a write to the same block, or the array's grow_to /
-/// unsafe_host_fill / move / destruction; assert-enabled builds check that
-/// on every element access.
+/// until a write to the same block, or the array's unsafe_host_fill / move /
+/// destruction; assert-enabled builds check that on every element access.
 template <class T>
 class BlockView {
  public:
@@ -123,14 +123,6 @@ class BlockView {
 
 template <class T>
 class ExtArray : private BlockCache::Sink {
-  /// Checksums hash object representations, so they are only sound for
-  /// types whose value determines every byte (no padding, no NaN aliasing).
-  /// For other types the recovery layer falls back to per-block
-  /// known-corrupt flags — the simulator knows what it corrupted, which
-  /// models a perfect device-side ECC without hashing indeterminate bytes.
-  static constexpr bool kChecksummable =
-      std::has_unique_object_representations_v<T>;
-
  public:
   /// An empty, machine-less array (useful as a moved-from placeholder).
   /// Any block operation on it throws std::logic_error.
@@ -195,10 +187,11 @@ class ExtArray : private BlockCache::Sink {
     return std::min(B, data_.size() - begin);
   }
 
-  /// Reads block `bi` by reference: a view of the stored block (its native
-  /// region, pool frame or spare slot).  Charges one read I/O — plus, under
-  /// fault injection, one read per checksum-triggered retry; a block-cache
-  /// hit charges nothing.
+  /// Reads block `bi` by reference: a view of the block's one stored copy
+  /// (its native region, which is also its pool frame and, once remapped,
+  /// its spare's data).  Charges one read I/O — plus, under fault
+  /// injection, one read per failed check; a block-cache hit charges
+  /// nothing.
   BlockView<T> view_block(std::uint64_t bi) const {
     BlockView<T> v = deliver(bi, block_elems(bi));
 #ifndef NDEBUG
@@ -250,26 +243,6 @@ class ExtArray : private BlockCache::Sink {
     return BlockIo{count, t};
   }
 
-  /// Grows the array to `elems` elements (new space default-initialized).
-  /// Free in the model: this only reserves external address space.
-  void grow_to(std::size_t elems) {
-    if (elems <= data_.size()) return;
-    const std::size_t old_blocks = blocks();
-    stale_all_views();
-    data_.resize(elems);
-    if (rec_ != nullptr) {
-      if (!rec_->remap.empty() && blocks() > rec_->spare_base)
-        throw std::logic_error(
-            "ExtArray::grow_to: cannot grow past the spare region after "
-            "blocks were remapped");
-      if (rec_->remap.empty()) rec_->spare_base = blocks();
-      // Re-stamp from the previously-last block: growth turns a partial
-      // block into a full one (its checksum changes) and appends fresh
-      // default-initialized blocks.
-      refresh_block_meta(old_blocks == 0 ? 0 : old_blocks - 1);
-    }
-  }
-
   /// Registers an atom-id extractor used to annotate traced writes
   /// (Lemma 4.3 machinery).  Pass nullptr to disable.
   void set_atom_extractor(std::function<std::uint64_t(const T&)> fn) {
@@ -285,28 +258,23 @@ class ExtArray : private BlockCache::Sink {
 
   /// Debug/verification access to the raw contents.  NOT charged — only for
   /// test assertions and host-side conformation metadata, never inside a
-  /// measured algorithm.  Under fault injection this is the *native* block
-  /// region; remapped blocks live in the spare region, so measured reads
-  /// remain the one honest access path.
+  /// measured algorithm.  Under fault injection a block whose last write
+  /// failed keeps its old bytes here while reads of it throw, so measured
+  /// reads remain the one honest access path.
   const std::vector<T>& unsafe_host_view() const { return data_; }
 
   /// Uncharged bulk initialization, used to stage problem inputs before a
   /// measured run begins (the input's presence in external memory is the
   /// problem statement, not part of the algorithm's cost).  Restaging drops
-  /// any cached blocks of this array (uncharged — it replaces them), and a
-  /// block remapped to a spare gets the new bytes in its spare slot too,
-  /// where its reads go.
+  /// any cached blocks of this array (uncharged — it replaces them) and
+  /// clears every block's known-corrupt flag; remapped blocks stay remapped.
   void unsafe_host_fill(std::span<const T> src) {
     if (src.size() != data_.size())
       throw std::invalid_argument("unsafe_host_fill: size mismatch");
     drop_cache_entries();
     stale_all_views();
     for (std::size_t i = 0; i < src.size(); ++i) data_[i] = src[i];
-    if (rec_ == nullptr) return;
-    for (const auto& [bi, slot] : rec_->remap.mapping())
-      std::copy_n(native(bi), block_elems(bi),
-                  rec_->spare[static_cast<std::size_t>(slot)].data());
-    refresh_block_meta(0);
+    if (rec_ != nullptr) rec_->bad.assign(blocks(), 0);
   }
 
   // --- fault-injection observability --------------------------------------
@@ -322,21 +290,10 @@ class ExtArray : private BlockCache::Sink {
   /// Per-array device-side recovery state, created lazily on the first
   /// transfer under an installed FaultPolicy.
   struct Recovery {
-    explicit Recovery(std::size_t spare_capacity) : remap(spare_capacity) {}
+    Recovery(std::size_t spare_capacity, std::size_t blocks)
+        : remap(spare_capacity), bad(blocks, 0) {}
     RemapTable remap;
-    // Spare-block storage, one B-element slot each; a slot never moves, so
-    // views into it outlive later remaps.
-    std::vector<std::vector<T>> spare;
-    std::size_t spare_base = 0;   // physical id of spare slot 0
-    std::vector<std::uint64_t> sums;   // per-logical-block checksums
-    std::vector<std::uint8_t> dirty;   // fallback: known-corrupt blocks
-  };
-
-  /// Physical location backing logical block `bi`: the charge id the
-  /// machine sees and the storage the data actually lives in.
-  struct PhysLoc {
-    std::uint64_t charge;
-    T* data;
+    std::vector<std::uint8_t> bad;  // per logical block: last write failed
   };
 
   void check_attached() const {
@@ -366,11 +323,9 @@ class ExtArray : private BlockCache::Sink {
   // The cached bytes live in the NATIVE region of data_ (the pool's RAM
   // copy); the cache itself holds only metadata.  Invariant: while a block
   // is resident, data_'s native region holds its current contents — writes
-  // store their payload there, and write-backs read it back out.  For
-  // remapped blocks the device copy lives in the spare region, and every
-  // write that lands in a spare slot stores its payload in the native
-  // region too, so a verified spare and its native region agree and the
-  // native region is exactly the pool frame.
+  // store their payload there, and write-backs read it back out.  The
+  // native region is also the device copy of the block, remapped or not:
+  // a failed write-back attempt changes no bytes, so the frame survives it.
 
   T* native(std::uint64_t bi) const {
     return const_cast<T*>(data_.data()) +
@@ -416,163 +371,94 @@ class ExtArray : private BlockCache::Sink {
   /// remap when a policy is installed).
   void cache_write_back(std::uint64_t bi) override {
     const std::size_t count = block_elems(bi);
+    const std::span<const T> payload(native(bi), count);  // already stored
     FaultPolicy* fp = mach_->faults();
-    if (fp == nullptr || !fp->injects_faults()) {
-      // Payload already sits in the native region; just charge the write.
-      IoTicket t = mach_->on_write(id_, bi);
-      annotate_atoms(t, std::span<const T>(native(bi), count), count);
+    if (fp != nullptr && fp->injects_faults()) {
+      faulty_write(*fp, bi, payload, count);
       return;
     }
-    // The faulty write path mutates the located device region in place, so
-    // stage the intended payload out of the (aliasing) native region.
-    write_back_buf_.assign(native(bi), native(bi) + count);
-    faulty_write(*fp, bi, std::span<const T>(write_back_buf_), count);
+    annotate_atoms(mach_->on_write(id_, bi), payload, count);
   }
 
   Recovery& recovery(const FaultPolicy& fp) const {
-    if (rec_ == nullptr) {
-      rec_ = std::make_unique<Recovery>(fp.config().spare_blocks);
-      rec_->spare_base = blocks();
-      refresh_block_meta(0);
-    }
+    if (rec_ == nullptr)
+      rec_ = std::make_unique<Recovery>(fp.config().spare_blocks, blocks());
     return *rec_;
   }
 
-  /// (Re)computes checksum / dirty metadata for blocks [first, blocks()).
-  /// Host-side bookkeeping of the device's ECC metadata — uncharged.
-  void refresh_block_meta(std::size_t first) const {
-    const std::size_t n = blocks();
-    if constexpr (kChecksummable) {
-      rec_->sums.resize(n);
-      const std::size_t B = mach_->B();
-      for (std::size_t bi = first; bi < n; ++bi) {
-        const std::size_t begin = bi * B;
-        const std::size_t count = std::min(B, data_.size() - begin);
-        rec_->sums[bi] =
-            fault_checksum(data_.data() + begin, count * sizeof(T));
-      }
-    } else {
-      rec_->dirty.assign(n, 0);
-    }
-  }
-
-  PhysLoc locate(std::uint64_t bi) const {
+  /// The physical block the machine charges for logical block `bi`: its
+  /// own id, or spare slot s's id blocks() + s once remapped.
+  std::uint64_t charge_id(std::uint64_t bi) const {
     if (rec_ != nullptr && !rec_->remap.empty()) {
       const std::uint64_t slot = rec_->remap.slot_of(bi);
-      if (slot != RemapTable::npos)
-        return PhysLoc{rec_->spare_base + slot,
-                       rec_->spare[static_cast<std::size_t>(slot)].data()};
+      if (slot != RemapTable::npos) return blocks() + slot;
     }
-    return PhysLoc{bi, const_cast<T*>(data_.data()) +
-                           static_cast<std::size_t>(bi) * mach_->B()};
+    return bi;
   }
 
-  /// Flips one byte of the block's object representation (the simulated bit
-  /// rot).  The mask is drawn from the fault schedule, so corruption is as
-  /// reproducible as the faults themselves.
-  static void corrupt(T* elems, std::size_t count, std::uint64_t r) {
-    static_assert(std::is_trivially_copyable_v<T>,
-                  "fault injection requires trivially copyable elements");
-    auto* bytes = reinterpret_cast<unsigned char*>(elems);
-    const std::size_t nbytes = count * sizeof(T);
-    bytes[r % nbytes] ^=
-        static_cast<unsigned char>(1 | ((r >> 8) & 0xff));
-  }
-
-  /// True if the stored bytes `data` of block `bi` pass the device's read
-  /// check.
-  bool stored_clean(const Recovery& rec, std::uint64_t bi, const T* data,
-                    std::size_t count) const {
-    if constexpr (kChecksummable) {
-      return fault_checksum(data, count * sizeof(T)) == rec.sums[bi];
-    } else {
-      return rec.dirty[bi] == 0;
-    }
-  }
+  // faulty_read and faulty_write stay out of line: inlined, they grow the
+  // fault-free dispatch in deliver and write_block, which perfbench's
+  // fault-free workloads measure as a few percent slower per call.
 
   /// A verified read: a view of the stored block once one attempt passes
-  /// the check, one charged read per attempt.  A transient fault would
-  /// flip one byte of the transfer at an offset the next draw picks; any
-  /// one-byte flip changes fault_checksum, so the attempt fails its check
-  /// whatever the draw, and nothing is flipped.
-  BlockView<T> faulty_read(FaultPolicy& fp, std::uint64_t bi,
-                           std::size_t count) const {
+  /// the check, one charged read per attempt.  An attempt fails if the
+  /// block's last write failed, or if a transient fault hits the transfer
+  /// (it would flip one byte at an offset the next draw picks; the device
+  /// ECC catches any flip, so nothing is flipped, but the draw is made).
+  [[gnu::noinline]] BlockView<T> faulty_read(FaultPolicy& fp,
+                                             std::uint64_t bi,
+                                             std::size_t count) const {
     const Recovery& rec = recovery(fp);
     for (std::size_t attempt = 0;; ++attempt) {
-      const PhysLoc loc = locate(bi);
-      const IoTicket t = mach_->on_read(id_, loc.charge);
+      const IoTicket t = mach_->on_read(id_, charge_id(bi));
       const bool transient = fp.draw_read_fault();
       if (transient) (void)fp.draw_u64();
-      if (!transient && stored_clean(rec, bi, loc.data, count))
-        return BlockView<T>(loc.data, count, t);
+      if (!transient && rec.bad[bi] == 0)
+        return BlockView<T>(native(bi), count, t);
       fp.note_checksum_failure();
       if (attempt >= fp.config().max_retries)
         throw FaultError(/*is_write=*/false, id_, bi, attempt + 1,
-                         "checksum mismatch persists (stored block corrupt "
+                         "read check keeps failing (stored block corrupt "
                          "or fault rate too high for the retry budget)");
       fp.note_read_retry();
     }
   }
 
-  BlockIo faulty_write(FaultPolicy& fp, std::uint64_t bi,
-                       std::span<const T> src, std::size_t count) {
+  /// A verified write.  Only an attempt that stores the payload changes
+  /// bytes (`src` may be the native region itself, from a write-back); a
+  /// silent, torn or retired attempt marks the block bad instead.  Silent
+  /// and torn attempts still draw the corruption offset / torn prefix
+  /// length they would apply, so the fault schedule does not move.
+  [[gnu::noinline]] BlockIo faulty_write(FaultPolicy& fp, std::uint64_t bi,
+                                         std::span<const T> src,
+                                         std::size_t count) {
     Recovery& rec = recovery(fp);
-    const std::size_t B = mach_->B();
     std::size_t attempt = 0;  // failures on the current physical block
     for (;;) {
-      const PhysLoc loc = locate(bi);
-      const IoTicket t = mach_->on_write(id_, loc.charge);
+      const std::uint64_t charge = charge_id(bi);
+      const IoTicket t = mach_->on_write(id_, charge);
       annotate_atoms(t, src, count);
-      const bool on_retired = fp.record_write(id_, loc.charge);
+      const bool on_retired = fp.record_write(id_, charge);
       const FaultKind fault =
           on_retired ? FaultKind::kRetiredBlock : fp.draw_write_fault();
-
-      // Apply the attempt to the stored bytes.
-      bool stored_ok = false;
-      switch (fault) {
-        case FaultKind::kNone:
-          for (std::size_t i = 0; i < count; ++i) loc.data[i] = src[i];
-          stored_ok = true;
-          break;
-        case FaultKind::kSilentWrite:
-          for (std::size_t i = 0; i < count; ++i) loc.data[i] = src[i];
-          corrupt(loc.data, count, fp.draw_u64());
-          break;
-        case FaultKind::kTornWrite: {
-          // Only a prefix persists; the tail keeps its old contents.
-          const std::size_t torn = fp.draw_u64() % count;
-          for (std::size_t i = 0; i < torn; ++i) loc.data[i] = src[i];
-          break;
-        }
-        default:  // kRetiredBlock: the write does not take at all
-          break;
-      }
-      // Device ECC metadata is computed from the *intended* payload, so a
-      // later read of a corrupt block fails its check.
-      if constexpr (kChecksummable) {
-        rec.sums[bi] = fault_checksum(src.data(), count * sizeof(T));
-      } else {
-        rec.dirty[bi] = stored_ok ? 0 : 1;
-      }
+      if (fault == FaultKind::kSilentWrite || fault == FaultKind::kTornWrite)
+        (void)fp.draw_u64();
+      const bool stored = fault == FaultKind::kNone;
+      if (stored && src.data() != native(bi))
+        std::copy(src.begin(), src.end(), native(bi));
+      rec.bad[bi] = stored ? 0 : 1;
 
       // Verify-after-write: one charged read-back, itself subject to
       // transient read faults.
-      mach_->on_read(id_, loc.charge);
+      mach_->on_read(id_, charge);
       const bool readback_corrupt = fp.draw_read_fault();
-      if (stored_ok && !readback_corrupt) {
-        // Attempts that failed before a remap may have left other bytes in
-        // the native region, which is a resident block's pool frame.
-        if (loc.data != native(bi))
-          std::copy(src.begin(), src.end(), native(bi));
-        return BlockIo{count, t};
-      }
+      if (stored && !readback_corrupt) return BlockIo{count, t};
       fp.note_verify_failure();
 
-      if (fp.retired(id_, loc.charge)) {
+      if (fp.retired(id_, charge)) {
         // Permanent failure: migrate this logical block to a spare and
         // retry there with a fresh retry budget.
-        rec.remap.remap(bi);  // hands out slots in order: spare.size()
-        rec.spare.emplace_back(B);
+        rec.remap.remap(bi);
         fp.note_remap();
         attempt = 0;
         continue;
@@ -592,8 +478,6 @@ class ExtArray : private BlockCache::Sink {
   std::function<std::uint64_t(const T&)> atom_of_;
   // Mutable: reads must be able to lazily create recovery state and retry.
   mutable std::unique_ptr<Recovery> rec_;
-  // Scratch for staging a write-back payload under fault injection.
-  std::vector<T> write_back_buf_;
 #ifndef NDEBUG
   std::shared_ptr<detail::ViewGuard> guard_ =
       std::make_shared<detail::ViewGuard>();

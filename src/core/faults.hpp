@@ -6,12 +6,11 @@
 // modes, deterministically:
 //
 //  * transient read faults  — a read's transfer is corrupted this one time;
-//    its checksum check fails, the stored block is intact and a (charged)
+//    its read check fails, the stored block is intact and a (charged)
 //    retry succeeds;
 //  * silent write faults    — the write "succeeds" but the stored block is
-//    corrupted; only verification (read-back or checksum) can tell;
-//  * torn write faults      — only a prefix of the block is persisted, the
-//    tail keeps its previous contents;
+//    corrupted; only verification (read-back or a read check) can tell;
+//  * torn write faults      — only a prefix of the block is persisted;
 //  * endurance retirement   — after `endurance` lifetime writes a physical
 //    block wears out permanently: further writes to it do not take effect
 //    and the recovery layer must migrate the block to a spare (core/remap);
@@ -22,11 +21,14 @@
 // an identical (seed, config, program) triple reproduces the exact same
 // fault schedule bit for bit — fault runs are as replayable as clean ones.
 //
-// The policy itself only *decides*; data corruption happens in ExtArray
-// (core/ext_array.hpp), which owns the stored bytes, and the recovery layer
-// there (checksums, verify-after-write, bounded retry, remap to spares)
-// charges every retry through the normal Machine accounting path, so the
-// omega-weighted price of robustness shows up in Q like any other I/O.
+// The policy itself only *decides*; ExtArray (core/ext_array.hpp), which
+// owns the stored bytes, acts on the decisions.  It models a perfect
+// device-side ECC: a failed write attempt marks its block known-corrupt
+// (and changes no bytes) until a write succeeds, and a read check fails on
+// a known-corrupt block or a transient fault.  Its recovery layer
+// (verify-after-write, bounded retry, remap to spares) charges every retry
+// through the normal Machine accounting path, so the omega-weighted price
+// of robustness shows up in Q like any other I/O.
 #pragma once
 
 #include <cstddef>
@@ -97,7 +99,7 @@ struct FaultStats {
   std::uint64_t read_retries = 0;
   std::uint64_t write_retries = 0;
   std::uint64_t verify_failures = 0;    // verify-after-write mismatches
-  std::uint64_t checksum_failures = 0;  // read-side checksum mismatches
+  std::uint64_t checksum_failures = 0;  // failed read checks
   std::uint64_t retired_blocks = 0;     // blocks past the endurance budget
   std::uint64_t remaps = 0;             // retired blocks migrated to spares
 
@@ -123,8 +125,8 @@ struct RecoveryStats {
 /// loses power after exactly `after_writes()` charged writes.  Host-side
 /// state of the interrupted computation must be considered lost; external
 /// state persists only up to the crash discipline of the writing layer
-/// (KvStore's manifest, ExtArray checksums).  The machine's counters stay
-/// valid and include the cut write.
+/// (KvStore's manifest, ExtArray's verified writes).  The machine's
+/// counters stay valid and include the cut write.
 class CrashError : public std::runtime_error {
  public:
   CrashError(std::uint64_t after_writes, IoStats at);
@@ -158,14 +160,14 @@ class FaultError : public std::runtime_error {
   std::size_t attempts_;
 };
 
-/// The per-block checksum of the recovery layer (exposed for tests): an
+/// The checksum of KvStore's manifest slots (store/kv_store.hpp): an
 /// FNV-1a-style hash over 8-byte words, h = (h ^ w) * FNV_prime, run in
 /// four independent lanes over each 32-byte chunk, the lanes then folded
 /// into h the same way, with a word-wise and then byte-wise tail for
 /// lengths that are not a multiple of 32.  Every step is a bijection in
 /// both h (the prime is odd) and w, so a change confined to one word —
-/// every single-byte corruption the fault layer injects — always changes
-/// the result.  Zero bytes hash to the FNV offset basis.
+/// any single-byte corruption — always changes the result.  Zero bytes
+/// hash to the FNV offset basis.
 std::uint64_t fault_checksum(const void* data, std::size_t bytes);
 
 /// The seed-driven fault schedule plus endurance bookkeeping.  Installed on
@@ -186,7 +188,7 @@ class FaultPolicy {
   /// True if any fault kind can actually fire (rates or endurance set).
   /// A crash-only schedule does NOT count: a power cut interrupts the
   /// program but never corrupts a completed transfer, so it must not switch
-  /// ExtArray onto the checksummed path (whose extra verify charges would
+  /// ExtArray onto the verified path (whose extra verify charges would
   /// break the crash-unarmed byte-identity guarantee).
   bool injects_faults() const {
     return read_thresh_ != 0 || silent_thresh_ != 0 || torn_thresh_ != 0 ||

@@ -64,10 +64,6 @@ class RemapTable {
   std::size_t spares_used() const { return used_; }
   std::size_t spare_capacity() const { return capacity_; }
 
-  const std::unordered_map<std::uint64_t, std::uint64_t>& mapping() const {
-    return map_;
-  }
-
  private:
   std::size_t capacity_;
   std::size_t used_ = 0;

@@ -38,10 +38,6 @@ class BlockCursor {
     return view_[elem - lo_];
   }
 
-  /// Drops the resident block, forcing the next access to re-read.  Used
-  /// when the underlying array may have been written through another path.
-  void invalidate() { view_ = BlockView<T>(); }
-
   /// Ticket of the most recent charged read.
   IoTicket last_ticket() const { return view_.ticket(); }
 

@@ -30,8 +30,9 @@ class Writer {
   static constexpr std::size_t npos = std::numeric_limits<std::size_t>::max();
 
   /// Writes into arr[begin, end) sequentially.  end == npos means
-  /// arr.size().  The array must be pre-sized (grow_to) to cover the range:
-  /// throws std::out_of_range unless begin <= end <= arr.size().
+  /// arr.size().  Throws std::out_of_range unless begin <= end <=
+  /// arr.size(); a flush that would write past `end` throws it too, writes
+  /// nothing and drops the buffered elements.
   Writer(ExtArray<T>& arr, std::size_t begin = 0, std::size_t end = npos)
       : arr_(&arr),
         buf_(arr.machine(), arr.machine().B()),
@@ -54,13 +55,8 @@ class Writer {
            "Writer destroyed with unflushed data");
   }
 
-  std::size_t position() const { return pos_ + buf_fill_; }
-  std::size_t remaining() const { return end_ - position(); }
-  bool full() const { return position() >= end_; }
-
   /// Appends one element; flushes automatically on block boundaries.
   void push(const T& v) {
-    assert(!full());
     buf_[buf_fill_++] = v;
     if (buf_fill_ == limit_) flush_block();
   }
@@ -68,7 +64,6 @@ class Writer {
   /// Appends `vals` in order, exactly as pushing them one by one would:
   /// the same blocks are written, at the same element counts.
   void append(std::span<const T> vals) {
-    assert(vals.size() <= remaining());
     while (!vals.empty()) {
       const std::size_t take = std::min(vals.size(), limit_ - buf_fill_);
       std::copy_n(vals.data(), take, buf_.data() + buf_fill_);
@@ -85,6 +80,11 @@ class Writer {
 
  private:
   void flush_block() {
+    if (buf_fill_ > end_ - pos_) {  // once per block: push is a hot path
+      buf_fill_ = 0;  // dropped, so a later push cannot overrun the buffer
+      throw std::out_of_range("Writer: flush past the range end " +
+                              std::to_string(end_));
+    }
     const std::size_t B = arr_->machine().B();
     const std::uint64_t bi = pos_ / B;
     const std::size_t block_off = pos_ % B;

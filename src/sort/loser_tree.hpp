@@ -104,9 +104,6 @@ class LoserTree {
     return alive_[w] ? w : npos;
   }
 
-  /// The winner's key; only meaningful while winner() != npos.
-  const Key& winner_key() const { return keys_[losers_[0]]; }
-
  private:
   /// Does contestant a beat (rank strictly before) contestant b?
   /// Alive beats dead; between two alive, smaller key wins and ties go to

@@ -30,7 +30,7 @@
 //
 // Builds are optionally crash-consistent (StoreConfig::manifest_interval):
 // a checksummed two-slot manifest — the classic alternating-superblock
-// discipline, FNV-1a validated like the ExtArray recovery checksums —
+// discipline, FNV-1a validated (core/faults.hpp fault_checksum) —
 // records the build frontier, and recover() turns a mid-build power cut
 // (core/faults.hpp CrashError) into a charged resume instead of a loss.
 // Reliability cost model: docs/MODEL.md section 15; measured by
@@ -79,9 +79,6 @@ struct Slot {
 
   friend bool operator==(const Slot&, const Slot&) = default;
 };
-// The log is subject to fault-injection checksumming, which needs every
-// byte of the representation to be value-determined.
-static_assert(std::has_unique_object_representations_v<Slot>);
 
 /// Key order; ties (duplicate keys) are left in input order by the stable
 /// mergesort, which is what gives get() its last-insert-wins semantics.

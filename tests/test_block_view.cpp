@@ -174,9 +174,9 @@ TEST(BlockViewTest, ChargesAndDeliversExactlyWhatReadBlockDoes) {
 }
 
 TEST(BlockViewTest, ViewAliasesStoredBlockUnderInjectedFaults) {
-  // With no block remapped every view is of the native region: fault-free,
-  // under read faults (a faulted attempt is retried, never delivered), and
-  // through the pool on a miss and on a hit.
+  // Every view is of the native region: fault-free, under read faults (a
+  // faulted attempt is retried, never delivered), and through the pool on
+  // a miss and on a hit.  Remapped blocks: ViewOfARemappedBlock... below.
   for (const bool with_cache : {false, true})
     for (const bool with_faults : {false, true}) {
       SCOPED_TRACE(testing::Message() << "cache " << with_cache << " faults "
@@ -195,9 +195,10 @@ TEST(BlockViewTest, ViewAliasesStoredBlockUnderInjectedFaults) {
     }
 }
 
-TEST(BlockViewTest, ViewOfASpareBlockOutlivesOtherRemaps) {
-  // Block 0 lives in a spare slot; remapping every other block adds spare
-  // slots one by one, and none may move the one block 0's view points at.
+TEST(BlockViewTest, ViewOfARemappedBlockOutlivesOtherRemaps) {
+  // Block 0 is remapped to a spare, but its bytes stay in its native
+  // region, which its view aliases; remapping every other block moves no
+  // bytes, so the view stays valid and keeps block 0's payload.
   Machine mach(base_cfg());
   mach.install_faults(wear(1));
   const std::size_t B = mach.B();
@@ -211,7 +212,7 @@ TEST(BlockViewTest, ViewOfASpareBlockOutlivesOtherRemaps) {
   write(0, 2);  // block 0 retires and moves to a spare
   ASSERT_EQ(arr.remapped_blocks(), 1u);
   const BlockView<std::uint64_t> v = arr.view_block(0);
-  EXPECT_NE(v.span().data(), arr.unsafe_host_view().data());
+  EXPECT_EQ(v.span().data(), arr.unsafe_host_view().data());
   for (std::uint64_t bi = 1; bi < arr.blocks(); ++bi) {
     write(bi, 10 + bi);
     write(bi, 20 + bi);
@@ -307,16 +308,12 @@ TEST(BlockViewDeathTest, WriteToAViewedBlockMakesTheViewStale) {
   EXPECT_DEATH((void)page[3], "fresh");
 }
 
-TEST(BlockViewDeathTest, GrowthAndMoveMakeViewsStale) {
+TEST(BlockViewDeathTest, MoveMakesViewsStale) {
   Machine mach(base_cfg());
   ExtArray<std::uint64_t> arr(mach, 32, "a");
   const BlockView<std::uint64_t> first = arr.view_block(0);
-  const BlockView<std::uint64_t> other = arr.view_block(1);
   (void)arr.view_block(0);  // reads never stale a view
   EXPECT_EQ(first[0], 0u);
-
-  arr.grow_to(64);
-  EXPECT_DEATH((void)other.span(), "fresh");
 
   const BlockView<std::uint64_t> before = arr.view_block(0);
   ExtArray<std::uint64_t> moved(std::move(arr));

@@ -11,6 +11,7 @@
 #include <map>
 #include <set>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -492,6 +493,36 @@ TEST(CacheFaultTest, RemappedWriteBackLeavesThePayloadInThePoolFrame) {
     EXPECT_EQ(mach.cache()->stats().read_hits, 1u);
     EXPECT_EQ(back, buf);
   }
+}
+
+TEST(CacheFaultTest, ExhaustedWriteBackKeepsThePoolFrame) {
+  // Every write-back attempt fails, so the flush throws and block 0 stays
+  // resident and dirty; its pool frame must still hold the payload, which
+  // the next read (a pool hit) delivers.  With endurance 1 the attempts
+  // also retire the block and its spares until the pool runs dry.
+  for (const bool wear : {false, true})
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE(testing::Message() << "wear " << wear << " seed " << seed);
+      Machine mach(cached_cfg(64, 8, 4, 4));
+      FaultConfig fc;
+      fc.seed = seed;
+      fc.silent_write_rate = 1.0;
+      if (wear) {
+        fc.endurance = 1;
+        fc.spare_blocks = 4;
+      }
+      mach.install_faults(fc);
+      ExtArray<int> arr(mach, 64, "a");
+      std::vector<int> buf(8);
+      for (int i = 0; i < 8; ++i) buf[i] = 70 + i;
+      arr.write_block(0, std::span<const int>(buf));
+      EXPECT_THROW(mach.flush_cache(), std::runtime_error);
+      EXPECT_EQ(mach.cache()->resident_dirty(), 1u);
+      std::vector<int> back(8);
+      arr.read_block(0, std::span<int>(back));
+      EXPECT_EQ(mach.cache()->stats().read_hits, 1u);
+      EXPECT_EQ(back, buf);
+    }
 }
 
 TEST(CacheFaultTest, CrashDuringFlushLeavesConsistentStateAndRetries) {

@@ -451,17 +451,6 @@ TEST(ExtArrayTest, ReadIntoTooSmallBufferThrows) {
   EXPECT_THROW(arr.read_block(0, tiny.span()), std::invalid_argument);
 }
 
-TEST(ExtArrayTest, GrowToIsFree) {
-  Machine mach(small_config());
-  ExtArray<int> arr(mach, 8, "a");
-  auto before = mach.stats();
-  arr.grow_to(64);
-  EXPECT_EQ(arr.size(), 64u);
-  EXPECT_EQ(mach.stats(), before);
-  arr.grow_to(32);  // never shrinks
-  EXPECT_EQ(arr.size(), 64u);
-}
-
 TEST(ExtArrayTest, HostFillDoesNotCharge) {
   Machine mach(small_config());
   ExtArray<int> arr(mach, 8, "a");

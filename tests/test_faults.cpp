@@ -161,10 +161,10 @@ TEST(FaultChecksumTest, SensitiveToEveryByte) {
   EXPECT_EQ(fault_checksum(a, 0), 0xCBF29CE484222325ull);  // FNV basis
 }
 
-// Every single-byte flip — the only corruption corrupt() injects for read
-// and silent-write faults — must change the checksum, on a full 64-Slot
-// store block (the four-lane path) and on every short length (the word and
-// byte tails, and lane chunks followed by both).
+// Every single-byte flip of a KvStore manifest slot must change its
+// checksum; checked on a full 64-Slot store block (the four-lane path) and
+// on every short length (the word and byte tails, and lane chunks followed
+// by both).
 TEST(FaultChecksumTest, EverySingleByteFlipIsDetected) {
   const unsigned char masks[] = {0x01, 0x80, 0xFF, 0x5A, 0xA5, 0x10};
   auto expect_flips_detected = [&](std::vector<unsigned char> bytes) {

@@ -146,6 +146,33 @@ TEST(WriterTest, RejectsARangePastTheArray) {
   EXPECT_EQ(mach.cost(), 0u);
 }
 
+TEST(WriterTest, RejectsPushesPastTheRangeEnd) {
+  // Writer(arr, 0, 16) with B = 16 holds one block.  Twenty values, pushed
+  // or appended, would spill four into arr[16..19]: the flush that would
+  // write them throws, and only the first block is written.
+  Machine mach(cfg(64, 16, 4));
+  auto arr = make_iota(mach, 64);
+  const std::vector<int> vals(20, -1);
+  for (const bool by_span : {false, true}) {
+    SCOPED_TRACE(by_span);
+    mach.reset_stats();
+    EXPECT_THROW(
+        {
+          Writer<int> w(arr, 0, 16);
+          if (by_span) {
+            w.append(vals);
+          } else {
+            for (const int v : vals) w.push(v);
+          }
+          w.finish();
+        },
+        std::out_of_range);
+    EXPECT_EQ(mach.stats(), (IoStats{0, 1}));
+    const auto& host = arr.unsafe_host_view();
+    for (int i = 0; i < 64; ++i) EXPECT_EQ(host[i], i < 16 ? -1 : i);
+  }
+}
+
 TEST(WriterTest, FinishIsIdempotent) {
   Machine mach(cfg());
   ExtArray<int> arr(mach, 8, "out");
@@ -227,19 +254,6 @@ TEST(CursorTest, CachesCurrentBlock) {
   EXPECT_EQ(mach.stats().reads, 2u);
   EXPECT_EQ(cur.at(2), 2);  // back to block 0: re-read
   EXPECT_EQ(mach.stats().reads, 3u);
-}
-
-TEST(CursorTest, InvalidateForcesReread) {
-  Machine mach(cfg());
-  auto arr = make_iota(mach, 16);
-  BlockCursor<int> cur(arr);
-  cur.at(0);
-  mach.reset_stats();
-  cur.at(1);
-  EXPECT_EQ(mach.stats().reads, 0u);
-  cur.invalidate();
-  cur.at(1);
-  EXPECT_EQ(mach.stats().reads, 1u);
 }
 
 TEST(PointerArrayTest, InitializationCost) {

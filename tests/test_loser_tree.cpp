@@ -119,7 +119,6 @@ TEST(LoserTree, ExhaustedRunRevivesOnRestage) {
   tree.set_key(0, 1);  // the "exhausted run refill" of a staged merge
   tree.update(0);
   EXPECT_EQ(tree.winner(), 0u);
-  EXPECT_EQ(tree.winner_key(), 1u);
 }
 
 TEST(LoserTree, MatchesSortAcrossShapes) {

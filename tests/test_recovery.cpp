@@ -255,9 +255,8 @@ TEST(RecoveryRemapTest, RetiredBlocksMigrateToSparesPreservingData) {
 }
 
 TEST(RecoveryRemapTest, HostFillAfterARemapReachesTheSpare) {
-  // Restaging an array whose block 0 already lives in a spare: the block's
-  // reads go to the spare slot, so the fill must write the new bytes there
-  // as well as into the native region it checksums.
+  // Restaging an array whose block 0 is already remapped to a spare: its
+  // reads are charged to the spare, and deliver the restaged bytes.
   Machine mach(cfg(64, 8, 4));
   FaultConfig c;
   c.endurance = 1;
@@ -349,9 +348,9 @@ TEST(RecoveryErrorTest, UnrecoverableWriteThrowsFaultError) {
 }
 
 TEST(RecoveryErrorTest, WriteOutOfRetriesLeavesABlockNoReadReturns) {
-  // A write that exhausts max_retries throws and leaves the stored block
-  // corrupt.  A later read never returns those bytes: the checksum catches
-  // them on every (charged) attempt until the retry budget runs out.
+  // A write that exhausts max_retries throws and leaves the block known
+  // corrupt.  A later read never returns: its check fails on every
+  // (charged) attempt until the retry budget runs out.
   Machine mach(cfg(64, 8, 1));
   FaultConfig c;
   c.seed = 17;
@@ -374,6 +373,33 @@ TEST(RecoveryErrorTest, WriteOutOfRetriesLeavesABlockNoReadReturns) {
   EXPECT_EQ(mach.stats().reads - after_write.reads, 3u);
   EXPECT_EQ(mach.faults()->stats().checksum_failures, 3u);
   EXPECT_EQ(mach.faults()->stats().read_faults, 0u);  // the block, not a read
+}
+
+TEST(RecoveryErrorTest, ExhaustedTornWriteNeverDeliversItsPayload) {
+  // P2 differs from the staged P1 only in element 0, so a torn attempt
+  // that persists element 0 leaves exactly P2's bytes behind.  The write
+  // still failed (it throws), so a read must throw rather than deliver P2;
+  // restaging the array makes it readable again.
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(seed);
+    Machine mach(cfg(64, 8, 4));
+    FaultConfig c;
+    c.seed = seed;
+    c.torn_write_rate = 1.0;
+    c.max_retries = 0;
+    mach.install_faults(c);
+    ExtArray<std::uint64_t> a(mach, 8, "a");
+    std::vector<std::uint64_t> p(8, 1);
+    a.unsafe_host_fill(p);
+    p[0] = 2;
+    EXPECT_THROW(a.write_block(0, std::span<const std::uint64_t>(p)),
+                 FaultError);
+    std::vector<std::uint64_t> dst(8);
+    EXPECT_THROW(a.read_block(0, std::span<std::uint64_t>(dst)), FaultError);
+    a.unsafe_host_fill(p);
+    a.read_block(0, std::span<std::uint64_t>(dst));
+    EXPECT_EQ(dst, p);
+  }
 }
 
 }  // namespace

@@ -46,7 +46,7 @@ TEST(CrashScheduleTest, FiresAtExactWriteOnceAndRearmsOnReset) {
   mach.install_faults(c);
   EXPECT_TRUE(mach.faults()->crash_armed());
   // A crash-only schedule is not fault injection: it must not flip
-  // ExtArray onto the checksummed path.
+  // ExtArray onto the verified path.
   EXPECT_FALSE(mach.faults()->injects_faults());
 
   mach.on_write(0, 0);
