@@ -113,6 +113,7 @@ int main(int argc, char** argv) try {
     emit(t, "Machine-shape sweep (N=2^16, omega=16):", io.csv);
   }
 
+  std::vector<std::string> fails;  // one per Lemma 3.1 row
   {
     // Lemma 3.1, empirically: across machines, the maximum number of
     // simultaneously active runs observed in any round vs the bound m_eff.
@@ -125,6 +126,7 @@ int main(int argc, char** argv) try {
     std::vector<Point> grid;
     for (std::size_t M : {128, 256, 1024})
       for (std::uint64_t w : {1, 8, 64}) grid.push_back({M, w});
+    fails.resize(grid.size());
     sweep_table(io, grid.size(), t, [&](harness::PointContext& ctx) {
       const auto [M, w] = grid[ctx.index()];
       const std::size_t B = 16, N = 1 << 16;
@@ -155,6 +157,12 @@ int main(int argc, char** argv) try {
                util::fmt(std::uint64_t(stats.rounds)),
                util::fmt(std::uint64_t(stats.max_active_runs)),
                util::fmt(std::uint64_t(budget.m_eff))});
+      if (stats.max_active_runs > budget.m_eff)
+        fails[ctx.index()] =
+            "E1 Lemma 3.1 M=" + std::to_string(M) + " omega=" +
+            std::to_string(w) + ": max_active " +
+            std::to_string(stats.max_active_runs) + " > m_eff_bound " +
+            std::to_string(budget.m_eff);
     });
     emit(t, "Lemma 3.1 witnessed: active runs per round never exceed "
             "m_eff = Mout/B:", io.csv);
@@ -163,7 +171,7 @@ int main(int argc, char** argv) try {
   std::cout << "PASS criterion: ratio columns bounded by a small constant,\n"
                "flat in N, and flat across omega = B; max_active <= m_eff\n"
                "in every Lemma 3.1 row.\n";
-  return 0;
+  return report_fails("bench_e1_merge", fails);
 }
 catch (const std::exception& e) {
   // CLI/env parse errors (and any other unhandled failure) exit with a

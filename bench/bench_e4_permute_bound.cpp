@@ -24,7 +24,7 @@ struct Point {
   std::uint64_t w;
 };
 
-void run_case(const Point& pt, harness::PointContext& ctx) {
+void run_case(const Point& pt, harness::PointContext& ctx, std::string& fail) {
   const auto [N, M, B, w] = pt;
   const std::string tag = " N=" + std::to_string(N) + " M=" + std::to_string(M) +
                           " B=" + std::to_string(B) + " omega=" + std::to_string(w);
@@ -65,6 +65,9 @@ void run_case(const Point& pt, harness::PointContext& ctx) {
            util::fmt(naive_cost), util::fmt(sort_cost), util::fmt(lb, 0),
            util::fmt_ratio(double(best), lb, 2), to_string(picked),
            bounds::permute_bound_applicable(p) ? "yes" : "no"});
+  if (!(double(best) >= lb))
+    fail = "E4" + tag + ": min(naive, sort) = " + util::fmt(best) +
+           " < lower_bound " + util::fmt(lb, 0);
 }
 
 }  // namespace
@@ -77,6 +80,7 @@ int main(int argc, char** argv) try {
          "Theorem 4.5: permutation cost >= min{N, omega n log_{omega m} n}; "
          "upper bounds match within constants");
 
+  std::vector<std::string> fails;  // one per row, in table order
   {
     util::Table t({"N", "M", "B", "omega", "naive", "sort", "lower_bound",
                    "best/LB", "dispatcher", "thm_applies"});
@@ -84,8 +88,9 @@ int main(int argc, char** argv) try {
     const std::size_t n_max = io.full ? (1u << 18) : (1u << 16);
     for (std::size_t N = 1 << 12; N <= n_max; N <<= 1)
       grid.push_back({N, 256, 16, 8});
+    fails.resize(grid.size());
     sweep_table(io, grid.size(), t, [&](harness::PointContext& ctx) {
-      run_case(grid[ctx.index()], ctx);
+      run_case(grid[ctx.index()], ctx, fails[ctx.index()]);
     });
     emit(t, "Scaling in N (M=256, B=16, omega=8):", io.csv);
   }
@@ -96,15 +101,17 @@ int main(int argc, char** argv) try {
     std::vector<Point> grid;
     for (std::uint64_t w : {1, 4, 16, 64, 256, 1024})
       grid.push_back({1 << 14, 128, 8, w});
+    const std::size_t first = fails.size();
+    fails.resize(first + grid.size());
     sweep_table(io, grid.size(), t, [&](harness::PointContext& ctx) {
-      run_case(grid[ctx.index()], ctx);
+      run_case(grid[ctx.index()], ctx, fails[first + ctx.index()]);
     });
     emit(t, "Scaling in omega (N=2^14, M=128, B=8):", io.csv);
   }
 
   std::cout << "PASS criterion: best/LB bounded (tightness); every row has\n"
                "measured cost >= the lower bound (soundness).\n";
-  return 0;
+  return report_fails("bench_e4_permute_bound", fails);
 }
 catch (const std::exception& e) {
   // CLI/env parse errors (and any other unhandled failure) exit with a

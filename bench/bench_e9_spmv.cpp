@@ -63,7 +63,7 @@ Costs run_both(const Point& pt, harness::PointContext& ctx) {
   return c;
 }
 
-void run_case(const Point& pt, harness::PointContext& ctx) {
+void run_case(const Point& pt, harness::PointContext& ctx, std::string& fail) {
   Costs c = run_both(pt, ctx);
   bounds::SpmvParams p{.N = pt.N, .delta = pt.delta, .M = pt.M, .B = pt.B,
                        .omega = pt.w};
@@ -75,12 +75,20 @@ void run_case(const Point& pt, harness::PointContext& ctx) {
            c.sorted < c.naive ? "sort" : "naive", util::fmt(lb, 0),
            util::fmt_ratio(double(best), lb, 2),
            bounds::spmv_bound_applicable(p) ? "yes" : "no"});
+  if (!(double(best) >= lb))
+    fail = "E9 N=" + std::to_string(pt.N) + " delta=" +
+           std::to_string(pt.delta) + " omega=" + std::to_string(pt.w) +
+           ": min(naive, sort) = " + util::fmt(best) + " < Thm5.1_LB " +
+           util::fmt(lb, 0);
 }
 
+/// Sweeps `grid` into `t`, appending one verdict per row to `fails`.
 void sweep_points(const BenchIo& io, const std::vector<Point>& grid,
-                  util::Table& t) {
+                  util::Table& t, std::vector<std::string>& fails) {
+  const std::size_t first = fails.size();
+  fails.resize(first + grid.size());
   sweep_table(io, grid.size(), t, [&](harness::PointContext& ctx) {
-    run_case(grid[ctx.index()], ctx);
+    run_case(grid[ctx.index()], ctx, fails[first + ctx.index()]);
   });
 }
 
@@ -94,6 +102,7 @@ int main(int argc, char** argv) try {
                "O(omega h log_{omega m}(N/max{delta,B}) + omega n) vs "
                "Theorem 5.1");
 
+  std::vector<std::string> fails;  // one per row, in table order
   {
     util::Table t({"N", "delta", "omega", "naive", "sort", "winner",
                    "Thm5.1_LB", "best/LB", "thm_applies"});
@@ -101,7 +110,7 @@ int main(int argc, char** argv) try {
     std::vector<Point> grid;
     for (std::uint64_t delta : {1, 2, 4, 8, 16, 32})
       grid.push_back({N, delta, 256, 16, 4});
-    sweep_points(io, grid, t);
+    sweep_points(io, grid, t, fails);
     emit(t, "Sweep delta (M=256, B=16, omega=4):", io.csv);
   }
 
@@ -114,7 +123,7 @@ int main(int argc, char** argv) try {
     std::vector<Point> grid;
     for (std::uint64_t w : {1, 2, 4, 8, 16, 64, 256})
       grid.push_back({1 << 13, 4, 1024, 64, w});
-    sweep_points(io, grid, t);
+    sweep_points(io, grid, t, fails);
     emit(t, "Sweep omega (N=2^13, delta=4, B=64): naive takes over as "
             "writes dominate:", io.csv);
   }
@@ -126,13 +135,13 @@ int main(int argc, char** argv) try {
     const std::uint64_t n_max = io.full ? (1 << 16) : (1 << 14);
     for (std::uint64_t N = 1 << 11; N <= n_max; N <<= 1)
       grid.push_back({N, 4, 256, 16, 4});
-    sweep_points(io, grid, t);
+    sweep_points(io, grid, t, fails);
     emit(t, "Scaling in N (delta=4, omega=4):", io.csv);
   }
 
   std::cout << "PASS criterion: best/LB bounded; winner flips from sort to\n"
                "naive as omega grows; every measured cost >= the bound.\n";
-  return 0;
+  return report_fails("bench_e9_spmv", fails);
 }
 catch (const std::exception& e) {
   // CLI/env parse errors (and any other unhandled failure) exit with a

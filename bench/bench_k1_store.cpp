@@ -128,11 +128,11 @@ CellResult run_cell(const StoreWorkload& w, const Cell& c,
 
   ctx.row({util::fmt(std::uint64_t(c.records)), util::fmt(c.omega),
            to_string(c.index), util::fmt(std::uint64_t(c.cache_cap)),
-           util::fmt(r.sm.build_writes), util::fmt(r.sm.build_cost),
+           util::fmt(r.sm.build.writes), util::fmt(r.sm.build_cost),
            util::fmt(r.sm.index_bits_per_page, 2),
            util::fmt(static_cast<double>(r.get_cost) / kGets, 3),
-           util::fmt(static_cast<double>(r.sm.get_log_reads) / kGets, 3),
-           util::fmt(r.sm.max_get_log_reads), util::fmt(r.sm.get_hits)});
+           util::fmt(static_cast<double>(r.sm.stats.get_log_reads) / kGets, 3),
+           util::fmt(r.sm.stats.max_get_log_reads), util::fmt(r.sm.stats.get_hits)});
   return r;
 }
 
@@ -196,29 +196,29 @@ int main(int argc, char** argv) try {
       std::cerr << "FAIL: " << tag << ": full scan missed records\n";
       ok = false;
     }
-    if (r.sm.build_writes == 0) {
+    if (r.sm.build.writes == 0) {
       std::cerr << "FAIL: " << tag << ": construction reported zero writes\n";
       ok = false;
     }
-    if (r.sm.gets == 0 || r.sm.index_bits == 0) {
+    if (r.sm.stats.gets == 0 || r.sm.index_bits == 0) {
       std::cerr << "FAIL: " << tag << ": served no gets or built an empty "
                 << "index\n";
       ok = false;
     }
-    if (c.index == IndexKind::kFence && r.sm.max_get_log_reads > 1) {
+    if (c.index == IndexKind::kFence && r.sm.stats.max_get_log_reads > 1) {
       std::cerr << "FAIL: " << tag << ": a fence get took "
-                << r.sm.max_get_log_reads << " log reads (bound: 1)\n";
+                << r.sm.stats.max_get_log_reads << " log reads (bound: 1)\n";
       ok = false;
     }
     if (c.index == IndexKind::kCompact) {
-      if (r.sm.max_get_log_reads > 4) {
+      if (r.sm.stats.max_get_log_reads > 4) {
         std::cerr << "FAIL: " << tag << ": compact probe walk reached "
-                  << r.sm.max_get_log_reads << " log reads (bound: 4)\n";
+                  << r.sm.stats.max_get_log_reads << " log reads (bound: 4)\n";
         ok = false;
       }
-      if (r.sm.get_log_reads * 4 > r.sm.gets * 5) {
+      if (r.sm.stats.get_log_reads * 4 > r.sm.stats.gets * 5) {
         std::cerr << "FAIL: " << tag << ": compact gets average "
-                  << static_cast<double>(r.sm.get_log_reads) / r.sm.gets
+                  << static_cast<double>(r.sm.stats.get_log_reads) / r.sm.stats.gets
                   << " log reads (bound: 1.25)\n";
         ok = false;
       }
@@ -238,8 +238,8 @@ int main(int argc, char** argv) try {
                 << fence->sm.index_bits << " bits)\n";
       ok = false;
     }
-    if (compact->sm.build_reads != fence->sm.build_reads ||
-        compact->sm.build_writes != fence->sm.build_writes) {
+    if (compact->sm.build.reads != fence->sm.build.reads ||
+        compact->sm.build.writes != fence->sm.build.writes) {
       std::cerr << "FAIL: " << tag << ": construction I/O depends on the "
                 << "index flavor (host-side index build must be I/O-free)\n";
       ok = false;

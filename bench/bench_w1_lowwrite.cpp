@@ -78,7 +78,7 @@ const char* winner(std::uint64_t variant, std::uint64_t baseline) {
 }
 
 std::uint64_t wear_horizon(const Machine& mach) {
-  const Machine::WearStats ws = mach.wear_stats();
+  const WearStats ws = mach.wear_stats();
   return ws.max_writes == 0 ? 0 : kEndurance / ws.max_writes;
 }
 

@@ -215,17 +215,18 @@ int main(int argc, char** argv) try {
     engine.run();
 
     const TrafficMetrics tm = engine.metrics_section();
+    const traffic::EngineStats& es = tm.stats;
     std::cout << "\nserving a zipf request stream (25% puts, Q budget "
               << ec.q_budget << " per " << ec.window_requests
               << "-request window):\n"
-              << "  served : " << tm.served << " / " << tm.generated
-              << " requests (" << tm.rejected << " rejected, rate "
+              << "  served : " << es.served << " / " << es.generated
+              << " requests (" << es.rejected << " rejected, rate "
               << tm.rejection_rate << ")\n"
-              << "  Q      : " << tm.cost << " charged ("
+              << "  Q      : " << es.cost << " charged ("
               << engine.throughput_mille() << " served per 1000 Q)\n"
               << "  per-request Q: p50=" << tm.q_p50 << " p99=" << tm.q_p99
               << " p999=" << tm.q_p999 << " max=" << tm.q_max << "\n";
-    if (tm.served + tm.rejected != tm.generated) {
+    if (es.served + es.rejected != es.generated) {
       std::cerr << "FAIL: served + rejected != generated\n";
       return 1;
     }

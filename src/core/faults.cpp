@@ -33,17 +33,6 @@ void check_rate(const char* name, double rate) {
 
 }  // namespace
 
-const char* to_string(FaultKind k) {
-  switch (k) {
-    case FaultKind::kNone: return "none";
-    case FaultKind::kTransientRead: return "transient-read";
-    case FaultKind::kSilentWrite: return "silent-write";
-    case FaultKind::kTornWrite: return "torn-write";
-    case FaultKind::kRetiredBlock: return "retired-block";
-  }
-  return "?";
-}
-
 void FaultConfig::validate() const {
   check_rate("read_fault_rate", read_fault_rate);
   check_rate("silent_write_rate", silent_write_rate);

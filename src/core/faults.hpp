@@ -5,12 +5,13 @@
 // simulator's perfect device into one that actually exhibits those failure
 // modes, deterministically:
 //
-//  * transient read faults  — a read's transfer is corrupted this one time;
-//    its read check fails, the stored block is intact and a (charged)
-//    retry succeeds;
-//  * silent write faults    — the write "succeeds" but the stored block is
-//    corrupted; only verification (read-back or a read check) can tell;
-//  * torn write faults      — only a prefix of the block is persisted;
+//  * transient read faults  — one read attempt fails its check; the stored
+//    block is intact and a (charged) retry succeeds;
+//  * silent write faults    — the write reports success but does not take:
+//    the block is left known-corrupt, so its read-back or next read check
+//    fails;
+//  * torn write faults      — likewise a failed attempt (a real device
+//    would persist a prefix; the simulator only marks the block);
 //  * endurance retirement   — after `endurance` lifetime writes a physical
 //    block wears out permanently: further writes to it do not take effect
 //    and the recovery layer must migrate the block to a spare (core/remap);
@@ -41,16 +42,15 @@
 
 namespace aem {
 
-/// What (if anything) the device does to one attempted operation.
+/// What (if anything) the device does to one attempted write.  Every kind
+/// but kNone is a failed attempt: it marks the block known-corrupt and
+/// changes no bytes.
 enum class FaultKind : std::uint8_t {
   kNone,
-  kTransientRead,  // the transfer corrupted; stored data intact
-  kSilentWrite,    // stored data corrupted; write reports success
-  kTornWrite,      // only a prefix of the block is persisted
-  kRetiredBlock,   // block past its endurance budget; write does not take
+  kSilentWrite,   // the write reports success but does not take
+  kTornWrite,     // a real device would persist only a prefix
+  kRetiredBlock,  // block past its endurance budget; write does not take
 };
-
-const char* to_string(FaultKind k);
 
 struct FaultConfig {
   /// Seed of the deterministic fault schedule.
@@ -204,7 +204,10 @@ class FaultPolicy {
   bool draw_read_fault();
   /// kNone, kSilentWrite, or kTornWrite (one draw decides).
   FaultKind draw_write_fault();
-  /// Raw draw used to pick corruption offsets / torn prefix lengths.
+  /// Raw draw made after each transient read fault and each silent or torn
+  /// write.  It once picked the corrupted byte or torn prefix; failed
+  /// attempts no longer change bytes, and the draw is kept only so the
+  /// fault schedule does not move.
   std::uint64_t draw_u64();
 
   // --- endurance ----------------------------------------------------------

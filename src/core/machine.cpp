@@ -126,38 +126,14 @@ void Machine::submit(std::span<const BlockOp> ops) {
   }
 }
 
-Machine::WearStats Machine::wear_stats() const {
-  WearStats ws;
-  if (!wear_) return ws;
-  std::uint64_t total = 0;
-  for (const auto& blocks : *wear_) {
-    for (std::uint64_t count : blocks) {
-      if (count == 0) continue;
-      ++ws.blocks_written;
-      total += count;
-      if (count > ws.max_writes) ws.max_writes = count;
-    }
-  }
-  if (ws.blocks_written != 0)
-    ws.mean_writes =
-        static_cast<double>(total) / static_cast<double>(ws.blocks_written);
-  return ws;
-}
-
-std::vector<Machine::ArrayWear> Machine::wear_by_array() const {
+std::vector<ArrayWear> Machine::wear_by_array() const {
   std::vector<ArrayWear> out;
   if (!wear_) return out;
   for (std::size_t a = 0; a < wear_->size(); ++a) {
-    const auto& blocks = (*wear_)[a];
-    ArrayWear aw;
-    aw.array = static_cast<std::uint32_t>(a);
-    for (std::uint64_t count : blocks) {
-      if (count == 0) continue;
-      ++aw.blocks_written;
-      aw.writes += count;
-      if (count > aw.max_writes) aw.max_writes = count;
-    }
-    if (aw.blocks_written != 0) out.push_back(aw);
+    ArrayWear aw = wear_row(static_cast<std::uint32_t>(a), (*wear_)[a]);
+    if (aw.blocks_written == 0) continue;
+    if (a < arrays_.size()) aw.name = arrays_[a];
+    out.push_back(std::move(aw));
   }
   return out;
 }

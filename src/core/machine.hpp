@@ -114,21 +114,10 @@ class Machine {
   void enable_wear_tracking() { wear_.emplace(); }
   bool wear_tracking() const { return wear_.has_value(); }
 
-  struct WearStats {
-    std::uint64_t blocks_written = 0;  // distinct (array, block) targets
-    std::uint64_t max_writes = 0;      // to the most-written block
-    double mean_writes = 0.0;          // across written blocks
-  };
-  WearStats wear_stats() const;
-
-  /// Per-array wear profile (empty when wear tracking is off).
-  struct ArrayWear {
-    std::uint32_t array = 0;
-    std::uint64_t blocks_written = 0;
-    std::uint64_t writes = 0;
-    std::uint64_t max_writes = 0;
-  };
+  /// One row per written array, by id (empty when wear tracking is off);
+  /// `name` is empty for an id no array registered.
   std::vector<ArrayWear> wear_by_array() const;
+  WearStats wear_stats() const { return total_wear(wear_by_array()); }
 
   // --- fault injection & endurance (core/faults) ---------------------------
   /// Installs (replacing any previous) a deterministic fault policy: from

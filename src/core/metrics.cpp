@@ -80,21 +80,8 @@ MetricsSnapshot snapshot_metrics(const Machine& mach, std::string label) {
   }
 
   s.wear_enabled = mach.wear_tracking();
-  if (s.wear_enabled) {
-    const Machine::WearStats ws = mach.wear_stats();
-    s.wear_blocks_written = ws.blocks_written;
-    s.wear_max_writes = ws.max_writes;
-    s.wear_mean_writes = ws.mean_writes;
-    for (const Machine::ArrayWear& aw : mach.wear_by_array()) {
-      ArrayWearMetrics m;
-      m.array = aw.array;
-      if (aw.array < mach.array_count()) m.name = mach.array_name(aw.array);
-      m.blocks_written = aw.blocks_written;
-      m.writes = aw.writes;
-      m.max_writes = aw.max_writes;
-      s.wear_arrays.push_back(std::move(m));
-    }
-  }
+  s.wear_arrays = mach.wear_by_array();
+  s.wear = total_wear(s.wear_arrays);
 
   if (const FaultPolicy* fp = mach.faults()) {
     s.faults_enabled = true;
@@ -132,12 +119,7 @@ MetricsSnapshot snapshot_metrics(const Machine& mach, std::string label) {
       row.io = dev.stats();
       row.cost = dev.cost();
       row.wear_enabled = dev.wear_tracking();
-      if (row.wear_enabled) {
-        const Machine::WearStats ws = dev.wear_stats();
-        row.wear_blocks_written = ws.blocks_written;
-        row.wear_max_writes = ws.max_writes;
-        row.wear_mean_writes = ws.mean_writes;
-      }
+      row.wear = dev.wear_stats();
       s.sharding.devices.push_back(std::move(row));
     }
     for (const OutageSpec& o : sm->shard_config().outages) {
@@ -148,12 +130,7 @@ MetricsSnapshot snapshot_metrics(const Machine& mach, std::string label) {
       om.down_at = o.down_at;
       om.up_at = o.up_at;
       om.down_now = sm->device_down(o.device);
-      const OutageStats& ost = sm->outage_stats(o.device);
-      om.wait_rounds = ost.wait_rounds;
-      om.backoff_ios = ost.backoff_ios;
-      om.failed_reads = ost.failed_reads;
-      om.queued_writes = ost.queued_writes;
-      om.drained_writes = ost.drained_writes;
+      om.stats = sm->outage_stats(o.device);
       om.pending_writes = sm->pending_writes(o.device);
       s.reliability.outages.push_back(std::move(om));
     }
@@ -199,12 +176,12 @@ void write_json(std::ostream& os, const MetricsSnapshot& s) {
   os << "]";
 
   os << ",\"wear\":{\"enabled\":" << fmt_bool(s.wear_enabled)
-     << ",\"blocks_written\":" << s.wear_blocks_written
-     << ",\"max_writes\":" << s.wear_max_writes
-     << ",\"mean_writes\":" << fmt_double(s.wear_mean_writes)
+     << ",\"blocks_written\":" << s.wear.blocks_written
+     << ",\"max_writes\":" << s.wear.max_writes
+     << ",\"mean_writes\":" << fmt_double(s.wear.mean_writes)
      << ",\"arrays\":[";
   for (std::size_t i = 0; i < s.wear_arrays.size(); ++i) {
-    const ArrayWearMetrics& m = s.wear_arrays[i];
+    const ArrayWear& m = s.wear_arrays[i];
     if (i != 0) os << ",";
     os << "{\"name\":\"" << json_escape(m.name) << "\",\"array\":" << m.array
        << ",\"blocks_written\":" << m.blocks_written
@@ -278,23 +255,24 @@ void write_json(std::ostream& os, const MetricsSnapshot& s) {
          << ",\"io\":{\"reads\":" << d.io.reads
          << ",\"writes\":" << d.io.writes << ",\"cost\":" << d.cost << "}"
          << ",\"wear\":{\"enabled\":" << fmt_bool(d.wear_enabled)
-         << ",\"blocks_written\":" << d.wear_blocks_written
-         << ",\"max_writes\":" << d.wear_max_writes
-         << ",\"mean_writes\":" << fmt_double(d.wear_mean_writes) << "}}";
+         << ",\"blocks_written\":" << d.wear.blocks_written
+         << ",\"max_writes\":" << d.wear.max_writes
+         << ",\"mean_writes\":" << fmt_double(d.wear.mean_writes) << "}}";
     }
     os << "]}";
   }
 
   {
-    const StoreMetrics& st = s.store;
-    os << ",\"store\":{\"enabled\":" << fmt_bool(st.enabled)
-       << ",\"index\":\"" << json_escape(st.index) << "\""
-       << ",\"records\":" << st.records
-       << ",\"log_blocks\":" << st.log_blocks
-       << ",\"payload_words\":" << st.payload_words
-       << ",\"payload_blocks\":" << st.payload_blocks
-       << ",\"index_bits\":" << st.index_bits
-       << ",\"index_bits_per_page\":" << fmt_double(st.index_bits_per_page)
+    const StoreMetrics& sm = s.store;
+    const store::StoreStats& st = sm.stats;
+    os << ",\"store\":{\"enabled\":" << fmt_bool(sm.enabled)
+       << ",\"index\":\"" << json_escape(sm.index) << "\""
+       << ",\"records\":" << sm.records
+       << ",\"log_blocks\":" << sm.log_blocks
+       << ",\"payload_words\":" << sm.payload_words
+       << ",\"payload_blocks\":" << sm.payload_blocks
+       << ",\"index_bits\":" << sm.index_bits
+       << ",\"index_bits_per_page\":" << fmt_double(sm.index_bits_per_page)
        << ",\"gets\":" << st.gets << ",\"get_hits\":" << st.get_hits
        << ",\"get_log_reads\":" << st.get_log_reads
        << ",\"get_payload_reads\":" << st.get_payload_reads
@@ -305,9 +283,9 @@ void write_json(std::ostream& os, const MetricsSnapshot& s) {
        << ",\"put_log_reads\":" << st.put_log_reads
        << ",\"put_writes\":" << st.put_writes
        << ",\"orphaned_words\":" << st.orphaned_words
-       << ",\"build\":{\"reads\":" << st.build_reads
-       << ",\"writes\":" << st.build_writes
-       << ",\"cost\":" << st.build_cost << "}}";
+       << ",\"build\":{\"reads\":" << sm.build.reads
+       << ",\"writes\":" << sm.build.writes
+       << ",\"cost\":" << sm.build_cost << "}}";
   }
 
   {
@@ -327,11 +305,11 @@ void write_json(std::ostream& os, const MetricsSnapshot& s) {
          << ",\"device\":" << o.device << ",\"down_at\":" << o.down_at
          << ",\"up_at\":" << o.up_at
          << ",\"down_now\":" << fmt_bool(o.down_now)
-         << ",\"wait_rounds\":" << o.wait_rounds
-         << ",\"backoff_ios\":" << o.backoff_ios
-         << ",\"failed_reads\":" << o.failed_reads
-         << ",\"queued_writes\":" << o.queued_writes
-         << ",\"drained_writes\":" << o.drained_writes
+         << ",\"wait_rounds\":" << o.stats.wait_rounds
+         << ",\"backoff_ios\":" << o.stats.backoff_ios
+         << ",\"failed_reads\":" << o.stats.failed_reads
+         << ",\"queued_writes\":" << o.stats.queued_writes
+         << ",\"drained_writes\":" << o.stats.drained_writes
          << ",\"pending_writes\":" << o.pending_writes << "}";
     }
     os << "]}";
@@ -339,21 +317,22 @@ void write_json(std::ostream& os, const MetricsSnapshot& s) {
 
   {
     const TrafficMetrics& tm = s.traffic;
+    const traffic::EngineStats& es = tm.stats;
     os << ",\"traffic\":{\"enabled\":" << fmt_bool(tm.enabled)
        << ",\"dist\":\"" << json_escape(tm.dist) << "\""
-       << ",\"generated\":" << tm.generated << ",\"served\":" << tm.served
-       << ",\"rejected\":" << tm.rejected
+       << ",\"generated\":" << es.generated << ",\"served\":" << es.served
+       << ",\"rejected\":" << es.rejected
        << ",\"rejection_rate\":" << fmt_double(tm.rejection_rate)
-       << ",\"gets\":" << tm.gets << ",\"puts\":" << tm.puts
-       << ",\"scans\":" << tm.scans
-       << ",\"io\":{\"reads\":" << tm.reads << ",\"writes\":" << tm.writes
-       << ",\"cost\":" << tm.cost << "}"
+       << ",\"gets\":" << es.gets << ",\"puts\":" << es.puts
+       << ",\"scans\":" << es.scans
+       << ",\"io\":{\"reads\":" << es.io.reads
+       << ",\"writes\":" << es.io.writes << ",\"cost\":" << es.cost << "}"
        << ",\"q\":{\"p50\":" << tm.q_p50 << ",\"p99\":" << tm.q_p99
        << ",\"p999\":" << tm.q_p999 << ",\"max\":" << tm.q_max
        << ",\"mean\":" << fmt_double(tm.q_mean) << "}"
        << ",\"imbalance\":" << fmt_double(tm.imbalance)
        << ",\"wear_horizon\":" << tm.wear_horizon
-       << ",\"windows\":" << tm.windows << ",\"q_budget\":" << tm.q_budget
+       << ",\"windows\":" << es.windows << ",\"q_budget\":" << tm.q_budget
        << "}";
   }
 
@@ -402,17 +381,18 @@ void check_metrics(const MetricsSnapshot& s) {
          num(r.recovery.scans) + ", reliability.outages = " +
          num(r.outages.size()));
   const TrafficMetrics& t = s.traffic;
+  const traffic::EngineStats& es = t.stats;
   if (t.enabled) {
-    if (t.served + t.rejected != t.generated)
-      fail("traffic.served + traffic.rejected = " + num(t.served) + " + " +
-           num(t.rejected) + " != traffic.generated = " + num(t.generated));
+    if (es.served + es.rejected != es.generated)
+      fail("traffic.served + traffic.rejected = " + num(es.served) + " + " +
+           num(es.rejected) + " != traffic.generated = " + num(es.generated));
     if (t.q_p50 > t.q_p99 || t.q_p99 > t.q_p999 || t.q_p999 > t.q_max)
       fail("traffic.q not monotone: p50 = " + num(t.q_p50) + ", p99 = " +
            num(t.q_p99) + ", p999 = " + num(t.q_p999) +
            ", max = " + num(t.q_max));
-  } else if (t.generated != 0 || t.cost != 0) {
+  } else if (es.generated != 0 || es.cost != 0) {
     fail("traffic disabled with residue: traffic.generated = " +
-         num(t.generated) + ", traffic.io.cost = " + num(t.cost));
+         num(es.generated) + ", traffic.io.cost = " + num(es.cost));
   }
 }
 

@@ -10,6 +10,12 @@
 // schema).  The schema is documented in docs/MODEL.md section 8 and
 // versioned by the "schema" field: kSchema changes when a key is removed,
 // renamed or changes meaning, never for an added key.
+//
+// Each counter is declared once, in the struct its layer keeps, and the
+// sections embed those structs whole: IoStats, WearStats, ArrayWear and
+// OutageStats (core/stats.hpp), FaultStats, CacheStats, and the store's
+// and traffic engine's StoreStats and EngineStats, declared below because
+// their layers sit above this header.
 #pragma once
 
 #include <cstdint>
@@ -24,19 +30,59 @@
 
 namespace aem {
 
+namespace store {
+
+/// Access counters of one store (block-read call counts on the store's
+/// arrays — equal to charged reads at cache capacity 0; with a cache some
+/// of them are free pool hits, visible in the machine's own deltas).
+struct StoreStats {
+  std::uint64_t gets = 0;
+  std::uint64_t get_hits = 0;
+  std::uint64_t get_log_reads = 0;      // log-block reads across all gets
+  std::uint64_t get_payload_reads = 0;  // payload-block reads across all gets
+  std::uint64_t max_get_log_reads = 0;  // worst single get (probe-walk length)
+  std::uint64_t scans = 0;
+  std::uint64_t scan_records = 0;  // records visited across all scans
+  std::uint64_t puts = 0;
+  std::uint64_t put_hits = 0;       // puts that found (and updated) their key
+  std::uint64_t put_log_reads = 0;  // log-block reads across all puts
+  std::uint64_t put_writes = 0;     // log-block writes across all puts
+  /// Payload words stranded by puts that overwrote a spilled value with an
+  /// inline one — dead weight a compacting rebuild would reclaim.
+  std::uint64_t orphaned_words = 0;
+
+  friend bool operator==(const StoreStats&, const StoreStats&) = default;
+};
+
+}  // namespace store
+
+namespace traffic {
+
+/// Counters of one engine run.  io/cost are charged frontend deltas across
+/// run() (including the final cache flush on a stream that served work).
+struct EngineStats {
+  std::uint64_t generated = 0;
+  std::uint64_t served = 0;
+  std::uint64_t rejected = 0;
+  std::uint64_t gets = 0;
+  std::uint64_t puts = 0;
+  std::uint64_t scans = 0;
+  std::uint64_t get_hits = 0;
+  std::uint64_t put_hits = 0;
+  std::uint64_t windows = 0;
+  IoStats io;
+  std::uint64_t cost = 0;
+
+  friend bool operator==(const EngineStats&, const EngineStats&) = default;
+};
+
+}  // namespace traffic
+
 class Machine;
 
 struct PhaseMetrics {
   std::string name;
   IoStats io;
-};
-
-struct ArrayWearMetrics {
-  std::string name;  // empty if the array id is unknown to the machine
-  std::uint32_t array = 0;
-  std::uint64_t blocks_written = 0;
-  std::uint64_t writes = 0;
-  std::uint64_t max_writes = 0;
 };
 
 /// One row per backend device of a ShardedMachine (core/sharding.hpp).
@@ -49,9 +95,7 @@ struct ShardDeviceMetrics {
   IoStats io;                       // native transfer counts
   std::uint64_t cost = 0;           // reads + write_cost * writes, per device
   bool wear_enabled = false;
-  std::uint64_t wear_blocks_written = 0;
-  std::uint64_t wear_max_writes = 0;
-  double wear_mean_writes = 0.0;
+  WearStats wear;
 };
 
 /// The `sharding` section: per-device rows plus totals.  Default-state
@@ -66,8 +110,8 @@ struct ShardingMetrics {
   std::vector<ShardDeviceMetrics> devices;
 };
 
-/// The `store` section: KV-store layout, index size, and serving
-/// counters.  The machine knows nothing about stores, so snapshot_metrics
+/// The `store` section: KV-store layout, index size, serving counters and
+/// build bill.  The machine knows nothing about stores, so snapshot_metrics
 /// leaves this default (`enabled == false`); benches that measure a store
 /// attach it by hand (`snap.store = store.metrics_section()`).
 struct StoreMetrics {
@@ -79,36 +123,20 @@ struct StoreMetrics {
   std::uint64_t payload_blocks = 0;
   std::uint64_t index_bits = 0;
   double index_bits_per_page = 0.0;
-  std::uint64_t gets = 0;
-  std::uint64_t get_hits = 0;
-  std::uint64_t get_log_reads = 0;
-  std::uint64_t get_payload_reads = 0;
-  std::uint64_t max_get_log_reads = 0;
-  std::uint64_t scans = 0;
-  std::uint64_t scan_records = 0;
-  std::uint64_t puts = 0;
-  std::uint64_t put_hits = 0;
-  std::uint64_t put_log_reads = 0;
-  std::uint64_t put_writes = 0;
-  std::uint64_t orphaned_words = 0;
-  std::uint64_t build_reads = 0;
-  std::uint64_t build_writes = 0;
+  store::StoreStats stats;
+  IoStats build;  // charged I/O of the build
   std::uint64_t build_cost = 0;
 };
 
 /// One row per device with a configured outage window (`reliability`
-/// section; core/sharding.hpp OutageSpec/OutageStats).
+/// section; core/sharding.hpp OutageSpec).
 struct OutageMetrics {
   std::string name;  // "dev0", "dev1", ...
   std::uint64_t device = 0;
   std::uint64_t down_at = 0;
-  std::uint64_t up_at = 0;        // 0 = never recovers
-  bool down_now = false;          // inside the window at snapshot time
-  std::uint64_t wait_rounds = 0;
-  std::uint64_t backoff_ios = 0;  // charged frontend poll reads
-  std::uint64_t failed_reads = 0;
-  std::uint64_t queued_writes = 0;
-  std::uint64_t drained_writes = 0;
+  std::uint64_t up_at = 0;  // 0 = never recovers
+  bool down_now = false;    // inside the window at snapshot time
+  OutageStats stats;
   std::uint64_t pending_writes = 0;  // still queued at snapshot time
 };
 
@@ -136,17 +164,9 @@ struct ReliabilityMetrics {
 struct TrafficMetrics {
   bool enabled = false;
   std::string dist;  // "uniform" | "zipf" | "hotset"
-  std::uint64_t generated = 0;
-  std::uint64_t served = 0;
-  std::uint64_t rejected = 0;       // admission-control rejections
-  double rejection_rate = 0.0;      // rejected / generated (the SLO metric)
-  std::uint64_t gets = 0;
-  std::uint64_t puts = 0;
-  std::uint64_t scans = 0;
-  std::uint64_t reads = 0;   // charged frontend reads across the run
-  std::uint64_t writes = 0;  // charged frontend writes across the run
-  std::uint64_t cost = 0;    // charged frontend Q across the run
-  std::uint64_t q_p50 = 0;   // per-request charged-Q percentiles
+  traffic::EngineStats stats;   // get_hits and put_hits are not written
+  double rejection_rate = 0.0;  // rejected / generated (the SLO metric)
+  std::uint64_t q_p50 = 0;      // per-request charged-Q percentiles
   std::uint64_t q_p99 = 0;
   std::uint64_t q_p999 = 0;
   std::uint64_t q_max = 0;
@@ -155,7 +175,6 @@ struct TrafficMetrics {
   /// Stream replays until the hottest device block retires (0 = no
   /// endurance configured or no writes observed).
   std::uint64_t wear_horizon = 0;
-  std::uint64_t windows = 0;   // admission windows entered
   std::uint64_t q_budget = 0;  // per-window Q budget (0 = off)
 };
 
@@ -186,12 +205,10 @@ struct MetricsSnapshot {
   // phases (only those that performed I/O, in registration order)
   std::vector<PhaseMetrics> phases;
 
-  // wear
+  // wear (total_wear of the rows)
   bool wear_enabled = false;
-  std::uint64_t wear_blocks_written = 0;
-  std::uint64_t wear_max_writes = 0;
-  double wear_mean_writes = 0.0;
-  std::vector<ArrayWearMetrics> wear_arrays;
+  WearStats wear;
+  std::vector<ArrayWear> wear_arrays;
 
   // faults (fault-injection config and counters; `faults.enabled` is false
   // — and the counters zero — when no FaultPolicy is installed)

@@ -62,7 +62,6 @@ class RemapTable {
   /// Spare slots consumed over the table's lifetime (>= active(): a block
   /// remapped twice burned two spares).
   std::size_t spares_used() const { return used_; }
-  std::size_t spare_capacity() const { return capacity_; }
 
  private:
   std::size_t capacity_;

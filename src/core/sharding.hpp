@@ -67,17 +67,6 @@ struct OutageSpec {
   std::uint64_t up_at = 0;    // 0 = never recovers
 };
 
-/// Degraded-serving counters of one device's outage handling (metrics
-/// reliability section).
-struct OutageStats {
-  std::uint64_t wait_rounds = 0;     // read retry rounds spent waiting
-  std::uint64_t backoff_ios = 0;     // charged frontend poll reads
-  std::uint64_t failed_reads = 0;    // reads that exhausted the retry budget
-  std::uint64_t queued_writes = 0;   // native writes deferred while down
-  std::uint64_t drained_writes = 0;  // deferred writes replayed on recovery
-  friend bool operator==(const OutageStats&, const OutageStats&) = default;
-};
-
 /// Configuration for a ShardedMachine: the frontend (logical) machine the
 /// algorithm sees, plus one Config per backend device.
 struct ShardConfig {

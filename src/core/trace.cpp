@@ -1,6 +1,8 @@
 #include "core/trace.hpp"
 
 #include <cassert>
+#include <map>
+#include <ranges>
 
 namespace aem {
 
@@ -37,6 +39,16 @@ std::uint64_t Trace::cost(std::uint64_t omega) const {
   std::uint64_t q = 0;
   for (const auto& op : ops_) q += op.cost(omega);
   return q;
+}
+
+std::vector<ArrayWear> wear_from_trace(const Trace& trace) {
+  std::map<std::uint32_t, std::map<std::uint64_t, std::uint64_t>> writes;
+  for (const TraceOp& op : trace.ops())
+    if (op.kind == OpKind::kWrite) ++writes[op.array][op.block];
+  std::vector<ArrayWear> rows;
+  for (const auto& [array, blocks] : writes)
+    rows.push_back(wear_row(array, std::views::values(blocks)));
+  return rows;
 }
 
 }  // namespace aem

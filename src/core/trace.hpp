@@ -75,4 +75,10 @@ class Trace {
   std::vector<TraceOp> ops_;
 };
 
+/// The write wear of a trace's program, one unnamed row per written array
+/// in id order — what Machine::wear_by_array reports for a wear-tracked run
+/// of the same program, names aside.  Counts are kept sparse: a rewritten
+/// trace (rounds::make_round_based) writes array id 2^32 - 1.
+std::vector<ArrayWear> wear_from_trace(const Trace& trace);
+
 }  // namespace aem

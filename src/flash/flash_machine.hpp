@@ -44,6 +44,20 @@ struct FlashConfig {
   }
 };
 
+/// The transfers a FlashMachine charged, in operations and in elements.
+struct FlashCounts {
+  std::uint64_t read_ops = 0;   // small-block reads issued
+  std::uint64_t write_ops = 0;  // big-block writes issued
+  std::uint64_t read_volume = 0;
+  std::uint64_t write_volume = 0;
+  std::uint64_t scan_volume = 0;  // the 2N normalization pre-pass
+
+  /// Total I/O volume in elements — the quantity Lemma 4.3 bounds.
+  std::uint64_t total_volume() const {
+    return read_volume + write_volume + scan_volume;
+  }
+};
+
 class FlashMachine {
  public:
   explicit FlashMachine(FlashConfig cfg) : cfg_(cfg) { cfg_.validate(); }
@@ -51,41 +65,26 @@ class FlashMachine {
   const FlashConfig& config() const { return cfg_; }
 
   /// Charges one small-block read.
-  void read_small() {
-    ++read_ops_;
-    read_volume_ += cfg_.read_block;
-  }
+  void read_small() { read_small(1); }
   /// Charges `count` small-block reads.
   void read_small(std::uint64_t count) {
-    read_ops_ += count;
-    read_volume_ += count * cfg_.read_block;
+    counts_.read_ops += count;
+    counts_.read_volume += count * cfg_.read_block;
   }
   /// Charges one big-block write.
   void write_big() {
-    ++write_ops_;
-    write_volume_ += cfg_.write_block;
+    ++counts_.write_ops;
+    counts_.write_volume += cfg_.write_block;
   }
   /// Charges `elems` elements of sequential scan volume (the normalization
   /// pre-pass reads and rewrites the input once: 2N elements).
-  void scan(std::uint64_t elems) { scan_volume_ += elems; }
+  void scan(std::uint64_t elems) { counts_.scan_volume += elems; }
 
-  std::uint64_t read_ops() const { return read_ops_; }
-  std::uint64_t write_ops() const { return write_ops_; }
-  std::uint64_t read_volume() const { return read_volume_; }
-  std::uint64_t write_volume() const { return write_volume_; }
-  std::uint64_t scan_volume() const { return scan_volume_; }
-  /// Total I/O volume in elements — the quantity Lemma 4.3 bounds.
-  std::uint64_t total_volume() const {
-    return read_volume_ + write_volume_ + scan_volume_;
-  }
+  const FlashCounts& counts() const { return counts_; }
 
  private:
   FlashConfig cfg_;
-  std::uint64_t read_ops_ = 0;
-  std::uint64_t write_ops_ = 0;
-  std::uint64_t read_volume_ = 0;
-  std::uint64_t write_volume_ = 0;
-  std::uint64_t scan_volume_ = 0;
+  FlashCounts counts_;
 };
 
 }  // namespace aem::flash

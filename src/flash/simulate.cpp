@@ -154,11 +154,7 @@ FlashSimResult simulate_permutation_trace(
     flash.read_small(last - first);
   }
 
-  result.read_ops = flash.read_ops();
-  result.write_ops = flash.write_ops();
-  result.read_volume = flash.read_volume();
-  result.write_volume = flash.write_volume();
-  result.scan_volume = flash.scan_volume();
+  static_cast<FlashCounts&>(result) = flash.counts();
   return result;
 }
 

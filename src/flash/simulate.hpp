@@ -31,21 +31,13 @@
 
 namespace aem::flash {
 
-struct FlashSimResult {
-  std::uint64_t N = 0;           // permutation size
-  std::uint64_t aem_cost = 0;    // Q of the original AEM program
-  std::uint64_t read_ops = 0;    // small-block reads issued
-  std::uint64_t write_ops = 0;   // big-block writes issued
-  std::uint64_t read_volume = 0;
-  std::uint64_t write_volume = 0;
-  std::uint64_t scan_volume = 0;  // the 2N normalization pre-pass
+/// The simulation's flash counts plus what they are measured against.
+struct FlashSimResult : FlashCounts {
+  std::uint64_t N = 0;         // permutation size
+  std::uint64_t aem_cost = 0;  // Q of the original AEM program
   /// Atoms that were overwritten while never consumed (0 for a correct
   /// permutation program; non-zero flags a destroyed-atom bug).
   std::uint64_t destroyed_atoms = 0;
-
-  std::uint64_t total_volume() const {
-    return read_volume + write_volume + scan_volume;
-  }
   /// The Lemma 4.3 bound on the volume: 2N + 2*Q*B/omega.
   double volume_bound(std::uint64_t B, std::uint64_t omega) const {
     return 2.0 * static_cast<double>(N) +

@@ -156,28 +156,6 @@ inline const char* to_string(RecoveryReport::Outcome o) {
   return "?";
 }
 
-/// Access counters of one store (block-read call counts on the store's
-/// arrays — equal to charged reads at cache capacity 0; with a cache some
-/// of them are free pool hits, visible in the machine's own deltas).
-struct StoreStats {
-  std::uint64_t gets = 0;
-  std::uint64_t get_hits = 0;
-  std::uint64_t get_log_reads = 0;      // log-block reads across all gets
-  std::uint64_t get_payload_reads = 0;  // payload-block reads across all gets
-  std::uint64_t max_get_log_reads = 0;  // worst single get (probe-walk length)
-  std::uint64_t scans = 0;
-  std::uint64_t scan_records = 0;  // records visited across all scans
-  std::uint64_t puts = 0;
-  std::uint64_t put_hits = 0;       // puts that found (and updated) their key
-  std::uint64_t put_log_reads = 0;  // log-block reads across all puts
-  std::uint64_t put_writes = 0;     // log-block writes across all puts
-  /// Payload words stranded by puts that overwrote a spilled value with an
-  /// inline one — dead weight a compacting rebuild would reclaim.
-  std::uint64_t orphaned_words = 0;
-
-  friend bool operator==(const StoreStats&, const StoreStats&) = default;
-};
-
 class KvStore {
  public:
   explicit KvStore(Machine& mach, StoreConfig cfg = {})
@@ -238,9 +216,7 @@ class KvStore {
     // Deferred cache write-backs belong to construction, not to the first
     // query that would otherwise evict them.
     mach.flush_cache();
-    const IoStats after = mach.stats();
-    build_reads_ = after.reads - before.reads;
-    build_writes_ = after.writes - before.writes;
+    build_io_ = mach.stats() - before;
     build_cost_ = mach.cost() - cost_before;
     built_ = true;
   }
@@ -571,9 +547,10 @@ class KvStore {
   /// lifetime: the padded Eytzinger footprint under kFence (>= one word per
   /// log page, < 2n + 1), the Elias–Fano words under kCompact.
   std::size_t index_resident_words() const { return index_res_.elems(); }
-  std::uint64_t build_reads() const { return build_reads_; }
-  std::uint64_t build_writes() const { return build_writes_; }
+  std::uint64_t build_reads() const { return build_io_.reads; }
+  std::uint64_t build_writes() const { return build_io_.writes; }
   std::uint64_t build_cost() const { return build_cost_; }
+  /// Access counters (StoreStats is declared in core/metrics.hpp).
   const StoreStats& stats() const { return stats_; }
   void reset_stats() { stats_ = StoreStats{}; }
 
@@ -595,20 +572,8 @@ class KvStore {
             ? 0.0
             : static_cast<double>(index_bits_) /
                   static_cast<double>(log_blocks());
-    m.gets = stats_.gets;
-    m.get_hits = stats_.get_hits;
-    m.get_log_reads = stats_.get_log_reads;
-    m.get_payload_reads = stats_.get_payload_reads;
-    m.max_get_log_reads = stats_.max_get_log_reads;
-    m.scans = stats_.scans;
-    m.scan_records = stats_.scan_records;
-    m.puts = stats_.puts;
-    m.put_hits = stats_.put_hits;
-    m.put_log_reads = stats_.put_log_reads;
-    m.put_writes = stats_.put_writes;
-    m.orphaned_words = stats_.orphaned_words;
-    m.build_reads = build_reads_;
-    m.build_writes = build_writes_;
+    m.stats = stats_;
+    m.build = build_io_;
     m.build_cost = build_cost_;
     return m;
   }
@@ -952,8 +917,7 @@ class KvStore {
   MemoryReservation index_res_;
   std::uint64_t index_bits_ = 0;
 
-  std::uint64_t build_reads_ = 0;
-  std::uint64_t build_writes_ = 0;
+  IoStats build_io_;
   std::uint64_t build_cost_ = 0;
   StoreStats stats_;
 };

@@ -63,24 +63,6 @@ struct EngineConfig {
   std::uint64_t endurance = 0;
 };
 
-/// Counters of one engine run.  io/cost are charged frontend deltas across
-/// run() (including the final cache flush on a stream that served work).
-struct EngineStats {
-  std::uint64_t generated = 0;
-  std::uint64_t served = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t gets = 0;
-  std::uint64_t puts = 0;
-  std::uint64_t scans = 0;
-  std::uint64_t get_hits = 0;
-  std::uint64_t put_hits = 0;
-  std::uint64_t windows = 0;
-  IoStats io;
-  std::uint64_t cost = 0;
-
-  friend bool operator==(const EngineStats&, const EngineStats&) = default;
-};
-
 class TrafficEngine {
  public:
   /// Binds the engine to a BUILT store and the machine it lives on.
@@ -135,11 +117,11 @@ class TrafficEngine {
     // Deferred write-backs belong to the stream that dirtied them, not to
     // whatever runs next.  A stream that served nothing flushed nothing.
     if (stats_.served != 0) mach_->flush_cache();
-    stats_.io.reads = mach_->stats().reads - before.reads;
-    stats_.io.writes = mach_->stats().writes - before.writes;
+    stats_.io = mach_->stats() - before;
     stats_.cost = mach_->cost() - cost_before;
   }
 
+  /// Run counters (EngineStats is declared in core/metrics.hpp).
   const EngineStats& stats() const { return stats_; }
   const QHistogram& histogram() const { return hist_; }
   const RequestGen& generator() const { return gen_; }
@@ -209,16 +191,8 @@ class TrafficEngine {
     TrafficMetrics m;
     m.enabled = true;
     m.dist = to_string(cfg_.traffic.dist);
-    m.generated = stats_.generated;
-    m.served = stats_.served;
-    m.rejected = stats_.rejected;
+    m.stats = stats_;
     m.rejection_rate = rejection_rate();
-    m.gets = stats_.gets;
-    m.puts = stats_.puts;
-    m.scans = stats_.scans;
-    m.reads = stats_.io.reads;
-    m.writes = stats_.io.writes;
-    m.cost = stats_.cost;
     m.q_p50 = hist_.percentile(5000);
     m.q_p99 = hist_.percentile(9900);
     m.q_p999 = hist_.percentile(9990);
@@ -226,7 +200,6 @@ class TrafficEngine {
     m.q_mean = hist_.mean();
     m.imbalance = imbalance();
     m.wear_horizon = wear_horizon();
-    m.windows = stats_.windows;
     m.q_budget = cfg_.q_budget;
     return m;
   }

@@ -35,12 +35,12 @@ TEST(FlashMachineTest, VolumeAccounting) {
   m.read_small(3);
   m.write_big();
   m.scan(100);
-  EXPECT_EQ(m.read_ops(), 4u);
-  EXPECT_EQ(m.write_ops(), 1u);
-  EXPECT_EQ(m.read_volume(), 16u);
-  EXPECT_EQ(m.write_volume(), 16u);
-  EXPECT_EQ(m.scan_volume(), 100u);
-  EXPECT_EQ(m.total_volume(), 132u);
+  EXPECT_EQ(m.counts().read_ops, 4u);
+  EXPECT_EQ(m.counts().write_ops, 1u);
+  EXPECT_EQ(m.counts().read_volume, 16u);
+  EXPECT_EQ(m.counts().write_volume, 16u);
+  EXPECT_EQ(m.counts().scan_volume, 100u);
+  EXPECT_EQ(m.counts().total_volume(), 132u);
 }
 
 struct SimSetup {

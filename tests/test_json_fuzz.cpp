@@ -388,7 +388,7 @@ TEST(JsonFuzzTest, NonFiniteDoublesSerializeAsNull) {
   s.store.enabled = true;
   s.store.index = "fence";
   s.store.index_bits_per_page = std::numeric_limits<double>::quiet_NaN();
-  s.wear_mean_writes = std::numeric_limits<double>::infinity();
+  s.wear.mean_writes = std::numeric_limits<double>::infinity();
   s.sharding.enabled = true;
   s.sharding.wear_spread = -std::numeric_limits<double>::infinity();
   JsonValue root;

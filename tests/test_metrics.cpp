@@ -12,6 +12,8 @@
 #include "core/ext_array.hpp"
 #include "core/machine.hpp"
 #include "core/metrics.hpp"
+#include "sort/mergesort.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -60,8 +62,8 @@ TEST(MetricsTest, SnapshotCapturesMachineState) {
   EXPECT_EQ(s.phases[0].io.writes, 3u);
 
   EXPECT_TRUE(s.wear_enabled);
-  EXPECT_EQ(s.wear_blocks_written, 2u);  // alpha block 0, beta block 3
-  EXPECT_EQ(s.wear_max_writes, 2u);
+  EXPECT_EQ(s.wear.blocks_written, 2u);  // alpha block 0, beta block 3
+  EXPECT_EQ(s.wear.max_writes, 2u);
   ASSERT_EQ(s.wear_arrays.size(), 2u);
   EXPECT_EQ(s.wear_arrays[0].name, "alpha");
   EXPECT_EQ(s.wear_arrays[0].writes, 2u);
@@ -211,6 +213,226 @@ TEST(MetricsTest, DefaultSnapshotPinsEveryKey) {
   EXPECT_EQ(to_json(s), want);
 }
 
+// Every field set to a distinct value, in key order (1, 2, 3, ...; doubles
+// end in .5), with one row in each list: a field written under another
+// field's key — put_hits under "get_hits", say — breaks the ascending run.
+// DefaultSnapshotPinsEveryKey sees only zeros and cannot tell them apart.
+TEST(MetricsTest, EveryCounterReachesItsOwnKey) {
+  MetricsSnapshot s;
+  s.label = "all";
+  s.memory_elems = 1;
+  s.block_elems = 2;
+  s.write_cost = 3;
+  s.io = IoStats{4, 5};
+  s.cost = 6;
+  s.ledger_used = 7;
+  s.ledger_high_water = 8;
+  s.ledger_poisoned = true;
+  s.ledger_over_released = 9;
+  s.phases.push_back(PhaseMetrics{"p", IoStats{10, 11}});
+  s.wear_enabled = true;
+  s.wear.blocks_written = 12;
+  s.wear.max_writes = 13;
+  s.wear.mean_writes = 14.5;
+  s.wear_arrays.push_back({"w", 15, 16, 17, 18});
+  s.faults_enabled = true;
+  s.fault_config.seed = 19;
+  s.fault_config.read_fault_rate = 0.25;
+  s.fault_config.silent_write_rate = 0.125;
+  s.fault_config.torn_write_rate = 0.0625;
+  s.fault_config.endurance = 20;
+  s.fault_config.spare_blocks = 21;
+  s.fault_config.max_retries = 22;
+  s.fault_stats.read_faults = 23;
+  s.fault_stats.silent_write_faults = 24;
+  s.fault_stats.torn_write_faults = 25;
+  s.fault_stats.retired_writes = 26;
+  s.fault_stats.read_retries = 27;
+  s.fault_stats.write_retries = 28;
+  s.fault_stats.verify_failures = 29;
+  s.fault_stats.checksum_failures = 30;
+  s.fault_stats.retired_blocks = 31;
+  s.fault_stats.remaps = 32;
+  s.cache_enabled = true;
+  s.cache_config.policy = CachePolicy::kCleanFirst;
+  s.cache_config.capacity_blocks = 33;
+  s.cache_window = 34;
+  s.cache_stats.read_hits = 35;
+  s.cache_stats.read_misses = 36;
+  s.cache_stats.write_hits = 37;
+  s.cache_stats.write_misses = 38;
+  s.cache_stats.evictions_clean = 39;
+  s.cache_stats.evictions_dirty = 40;
+  s.cache_stats.write_backs = 41;
+  s.cache_stats.flushes = 42;
+  s.cache_stats.invalidated_dirty = 43;
+  s.cache_resident = 44;
+  s.cache_resident_dirty = 45;
+  s.sharding.enabled = true;
+  s.sharding.placement = "range";
+  s.sharding.chunk_blocks = 46;
+  s.sharding.total_io = IoStats{47, 48};
+  s.sharding.total_cost = 49;
+  s.sharding.wear_spread = 50.5;
+  ShardDeviceMetrics& dev = s.sharding.devices.emplace_back();
+  dev.name = "dev0";
+  dev.memory_elems = 51;
+  dev.block_elems = 52;
+  dev.write_cost = 53;
+  dev.amplification = 54;
+  dev.io = IoStats{55, 56};
+  dev.cost = 57;
+  dev.wear_enabled = true;
+  dev.wear.blocks_written = 58;
+  dev.wear.max_writes = 59;
+  dev.wear.mean_writes = 60.5;
+  s.store.enabled = true;
+  s.store.index = "compact";
+  s.store.records = 61;
+  s.store.log_blocks = 62;
+  s.store.payload_words = 63;
+  s.store.payload_blocks = 64;
+  s.store.index_bits = 65;
+  s.store.index_bits_per_page = 66.5;
+  s.store.stats.gets = 67;
+  s.store.stats.get_hits = 68;
+  s.store.stats.get_log_reads = 69;
+  s.store.stats.get_payload_reads = 70;
+  s.store.stats.max_get_log_reads = 71;
+  s.store.stats.scans = 72;
+  s.store.stats.scan_records = 73;
+  s.store.stats.puts = 74;
+  s.store.stats.put_hits = 75;
+  s.store.stats.put_log_reads = 76;
+  s.store.stats.put_writes = 77;
+  s.store.stats.orphaned_words = 78;
+  s.store.build.reads = 79;
+  s.store.build.writes = 80;
+  s.store.build_cost = 81;
+  s.reliability.enabled = true;
+  s.reliability.crash_after_writes = 82;
+  s.reliability.crashes = 83;
+  s.reliability.recovery = RecoveryStats{84, 85, 86, 87};
+  OutageMetrics& out = s.reliability.outages.emplace_back();
+  out.name = "dev1";
+  out.device = 88;
+  out.down_at = 89;
+  out.up_at = 90;
+  out.down_now = true;
+  out.stats.wait_rounds = 91;
+  out.stats.backoff_ios = 92;
+  out.stats.failed_reads = 93;
+  out.stats.queued_writes = 94;
+  out.stats.drained_writes = 95;
+  out.pending_writes = 96;
+  s.traffic.enabled = true;
+  s.traffic.dist = "zipf";
+  s.traffic.stats.generated = 97;
+  s.traffic.stats.served = 98;
+  s.traffic.stats.rejected = 99;
+  s.traffic.rejection_rate = 100.5;
+  s.traffic.stats.gets = 101;
+  s.traffic.stats.puts = 102;
+  s.traffic.stats.scans = 103;
+  s.traffic.stats.io.reads = 104;
+  s.traffic.stats.io.writes = 105;
+  s.traffic.stats.cost = 106;
+  s.traffic.q_p50 = 107;
+  s.traffic.q_p99 = 108;
+  s.traffic.q_p999 = 109;
+  s.traffic.q_max = 110;
+  s.traffic.q_mean = 111.5;
+  s.traffic.imbalance = 112.5;
+  s.traffic.wear_horizon = 113;
+  s.traffic.stats.windows = 114;
+  s.traffic.q_budget = 115;
+  s.trace_enabled = true;
+  s.trace_ops = 116;
+  s.arrays.push_back("a");
+  const std::string want =
+      "{\"schema\":\"" + std::string(MetricsSnapshot::kSchema) +
+      "\",\"label\":\"all\","
+      "\"config\":{\"memory_elems\":1,\"block_elems\":2,\"write_cost\":3},"
+      "\"io\":{\"reads\":4,\"writes\":5,\"total\":9,\"cost\":6},"
+      "\"ledger\":{\"used\":7,\"high_water\":8,\"poisoned\":true,"
+      "\"over_released\":9},"
+      "\"phases\":[{\"name\":\"p\",\"io\":{\"reads\":10,\"writes\":11}}],"
+      "\"wear\":{\"enabled\":true,\"blocks_written\":12,\"max_writes\":13,"
+      "\"mean_writes\":14.5,\"arrays\":[{\"name\":\"w\",\"array\":15,"
+      "\"blocks_written\":16,\"writes\":17,\"max_writes\":18}]},"
+      "\"faults\":{\"enabled\":true,\"seed\":19,\"read_fault_rate\":0.25,"
+      "\"silent_write_rate\":0.125,\"torn_write_rate\":0.0625,"
+      "\"endurance\":20,\"spare_blocks\":21,\"max_retries\":22,"
+      "\"injected\":{\"read\":23,\"silent_write\":24,\"torn_write\":25,"
+      "\"retired_write\":26},\"recovery\":{\"read_retries\":27,"
+      "\"write_retries\":28,\"verify_failures\":29,\"checksum_failures\":30,"
+      "\"retired_blocks\":31,\"remaps\":32}},"
+      "\"cache\":{\"enabled\":true,\"policy\":\"clean-first\","
+      "\"capacity_blocks\":33,\"clean_window\":34,\"read_hits\":35,"
+      "\"read_misses\":36,\"write_hits\":37,\"write_misses\":38,"
+      "\"evictions_clean\":39,\"evictions_dirty\":40,\"write_backs\":41,"
+      "\"flushes\":42,\"invalidated_dirty\":43,\"resident\":44,"
+      "\"resident_dirty\":45},"
+      "\"sharding\":{\"enabled\":true,\"placement\":\"range\",\"devices\":1,"
+      "\"chunk_blocks\":46,\"total\":{\"reads\":47,\"writes\":48,"
+      "\"cost\":49},\"wear_spread\":50.5,\"per_device\":[{\"name\":\"dev0\","
+      "\"memory_elems\":51,\"block_elems\":52,\"write_cost\":53,"
+      "\"amplification\":54,\"io\":{\"reads\":55,\"writes\":56,\"cost\":57},"
+      "\"wear\":{\"enabled\":true,\"blocks_written\":58,\"max_writes\":59,"
+      "\"mean_writes\":60.5}}]},"
+      "\"store\":{\"enabled\":true,\"index\":\"compact\",\"records\":61,"
+      "\"log_blocks\":62,\"payload_words\":63,\"payload_blocks\":64,"
+      "\"index_bits\":65,\"index_bits_per_page\":66.5,\"gets\":67,"
+      "\"get_hits\":68,\"get_log_reads\":69,\"get_payload_reads\":70,"
+      "\"max_get_log_reads\":71,\"scans\":72,\"scan_records\":73,"
+      "\"puts\":74,\"put_hits\":75,\"put_log_reads\":76,\"put_writes\":77,"
+      "\"orphaned_words\":78,"
+      "\"build\":{\"reads\":79,\"writes\":80,\"cost\":81}},"
+      "\"reliability\":{\"enabled\":true,\"crash_after_writes\":82,"
+      "\"crashes\":83,"
+      "\"recovery\":{\"scans\":84,\"reads\":85,\"writes\":86,\"cost\":87},"
+      "\"outages\":[{\"name\":\"dev1\",\"device\":88,\"down_at\":89,"
+      "\"up_at\":90,\"down_now\":true,\"wait_rounds\":91,\"backoff_ios\":92,"
+      "\"failed_reads\":93,\"queued_writes\":94,\"drained_writes\":95,"
+      "\"pending_writes\":96}]},"
+      "\"traffic\":{\"enabled\":true,\"dist\":\"zipf\",\"generated\":97,"
+      "\"served\":98,\"rejected\":99,\"rejection_rate\":100.5,\"gets\":101,"
+      "\"puts\":102,\"scans\":103,"
+      "\"io\":{\"reads\":104,\"writes\":105,\"cost\":106},"
+      "\"q\":{\"p50\":107,\"p99\":108,\"p999\":109,\"max\":110,"
+      "\"mean\":111.5},"
+      "\"imbalance\":112.5,\"wear_horizon\":113,\"windows\":114,"
+      "\"q_budget\":115},"
+      "\"trace\":{\"enabled\":true,\"ops\":116},\"arrays\":[\"a\"]}";
+  EXPECT_EQ(to_json(s), want);
+}
+
+// aem_trace's wear section is wear_from_trace of the recorded program: it
+// must report the wear the live machine counted, array names aside.
+TEST(MetricsTest, TraceWearMatchesLiveWear) {
+  Machine mach(small_config());
+  mach.enable_wear_tracking();
+  mach.enable_trace();
+  const std::size_t N = 512;
+  util::Rng rng(3);
+  ExtArray<std::uint64_t> in(mach, N, "in");
+  in.unsafe_host_fill(util::random_keys(N, rng));
+  ExtArray<std::uint64_t> out(mach, N, "out");
+  aem_merge_sort(in, out);
+  mach.on_write(out.id(), 0);  // a block written more than once
+  ASSERT_GT(mach.wear_stats().max_writes, 1u);
+
+  std::vector<ArrayWear> live = mach.wear_by_array();
+  ASSERT_GE(live.size(), 2u);  // the sort's run scratch and the output
+  for (ArrayWear& row : live) {
+    EXPECT_FALSE(row.name.empty()) << row.array;
+    row.name.clear();
+  }
+  const std::vector<ArrayWear> traced = wear_from_trace(*mach.trace());
+  EXPECT_EQ(traced, live);
+  EXPECT_EQ(total_wear(traced), mach.wear_stats());
+}
+
 // One row per identity: a hand-built snapshot that breaks it is rejected,
 // and the message names the label and every field the identity involves.
 TEST(CheckMetricsTest, RejectsEachBrokenIdentityNamingItsFields) {
@@ -223,9 +445,9 @@ TEST(CheckMetricsTest, RejectsEachBrokenIdentityNamingItsFields) {
   };
   const auto traffic = [](MetricsSnapshot& s) {
     s.traffic.enabled = true;
-    s.traffic.generated = 10;
-    s.traffic.served = 8;
-    s.traffic.rejected = 2;
+    s.traffic.stats.generated = 10;
+    s.traffic.stats.served = 8;
+    s.traffic.stats.rejected = 2;
   };
   MetricsSnapshot ok;
   EXPECT_NO_THROW(check_metrics(ok));
@@ -252,14 +474,15 @@ TEST(CheckMetricsTest, RejectsEachBrokenIdentityNamingItsFields) {
        {"reliability.recovery.scans = 1"}},
       {[](auto& s) { s.reliability.outages.emplace_back(); },
        {"reliability.outages = 1"}},
-      {[&](auto& s) { traffic(s); s.traffic.served = 7; },
+      {[&](auto& s) { traffic(s); s.traffic.stats.served = 7; },
        {"traffic.served", "traffic.rejected", "traffic.generated = 10"}},
       {[&](auto& s) { traffic(s); s.traffic.q_p50 = 5; },
        {"traffic.q", "p50 = 5", "p99 = 0"}},
       {[&](auto& s) { traffic(s); s.traffic.q_p999 = 9; s.traffic.q_p99 = 9; },
        {"traffic.q", "p999 = 9", "max = 0"}},
-      {[](auto& s) { s.traffic.generated = 4; }, {"traffic.generated = 4"}},
-      {[](auto& s) { s.traffic.cost = 6; }, {"traffic.io.cost = 6"}},
+      {[](auto& s) { s.traffic.stats.generated = 4; },
+       {"traffic.generated = 4"}},
+      {[](auto& s) { s.traffic.stats.cost = 6; }, {"traffic.io.cost = 6"}},
   };
   for (std::size_t i = 0; i < cases.size(); ++i) {
     MetricsSnapshot s;

@@ -407,7 +407,7 @@ TEST(OutageTest, ReadsWaitWritesQueueAndDrainWithExactAccounting) {
   EXPECT_TRUE(s.reliability.enabled);
   ASSERT_EQ(s.reliability.outages.size(), 1u);
   EXPECT_EQ(s.reliability.outages[0].device, 1u);
-  EXPECT_EQ(s.reliability.outages[0].drained_writes, os.drained_writes);
+  EXPECT_EQ(s.reliability.outages[0].stats.drained_writes, os.drained_writes);
 }
 
 TEST(ReliabilityZeroCostTest, UnhitCrashPointAndUnopenedOutageAreFree) {

@@ -235,7 +235,7 @@ TEST(ShardedMachineTest, AmplificationSplitsCoarseBlocksOntoFineDevices) {
   wm.enable_device_wear_tracking();
   const std::uint32_t wa = wm.register_array("x");
   wm.on_write(wa, 3);
-  const Machine::WearStats ws = wm.device(1).wear_stats();
+  const WearStats ws = wm.device(1).wear_stats();
   EXPECT_EQ(ws.blocks_written, 4u);
   EXPECT_EQ(ws.max_writes, 1u);
 }
@@ -313,7 +313,7 @@ TEST(ShardedMachineTest, ExtArrayTrafficRoutesThroughDevices) {
   EXPECT_EQ(mach.device(0).stats().writes, 4u);  // blocks 0,2,4,6
   EXPECT_EQ(mach.device(1).stats().writes, 4u);  // blocks 1,3,5,7
   EXPECT_DOUBLE_EQ(mach.wear_spread(), 1.0);
-  const Machine::WearStats w0 = mach.device(0).wear_stats();
+  const WearStats w0 = mach.device(0).wear_stats();
   EXPECT_EQ(w0.blocks_written, 4u);  // locals 0..3
 }
 

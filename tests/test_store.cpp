@@ -543,9 +543,9 @@ TEST(KvStoreTest, MetricsSectionReflectsStoreState) {
   EXPECT_EQ(snap.store.records, kv.records());
   EXPECT_EQ(snap.store.log_blocks, kv.log_blocks());
   EXPECT_EQ(snap.store.index_bits, kv.index_bits());
-  EXPECT_EQ(snap.store.gets, 1u);
-  EXPECT_EQ(snap.store.scans, 1u);
-  EXPECT_EQ(snap.store.scan_records, kv.records());
+  EXPECT_EQ(snap.store.stats.gets, 1u);
+  EXPECT_EQ(snap.store.stats.scans, 1u);
+  EXPECT_EQ(snap.store.stats.scan_records, kv.records());
   const std::string j = to_json(snap);
   EXPECT_NE(j.find(MetricsSnapshot::kSchema), std::string::npos);
   EXPECT_NE(j.find("\"store\":{\"enabled\":true,\"index\":\"compact\""),

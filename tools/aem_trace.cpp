@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <new>
 
 #include "core/metrics.hpp"
@@ -41,29 +40,9 @@ aem::MetricsSnapshot trace_metrics(const aem::Trace& trace,
   s.cost = trace.cost(omega);
   s.trace_enabled = true;
   s.trace_ops = trace.size();
-
-  // Wear reconstruction: count writes per (array, block).
-  std::map<std::uint32_t, std::map<std::uint64_t, std::uint64_t>> wear;
-  for (const TraceOp& op : trace.ops())
-    if (op.kind == OpKind::kWrite) ++wear[op.array][op.block];
   s.wear_enabled = true;
-  std::uint64_t total = 0;
-  for (const auto& [array, blocks] : wear) {
-    ArrayWearMetrics aw;
-    aw.array = array;
-    for (const auto& [block, count] : blocks) {
-      ++aw.blocks_written;
-      aw.writes += count;
-      aw.max_writes = std::max(aw.max_writes, count);
-    }
-    s.wear_blocks_written += aw.blocks_written;
-    s.wear_max_writes = std::max(s.wear_max_writes, aw.max_writes);
-    total += aw.writes;
-    s.wear_arrays.push_back(std::move(aw));
-  }
-  if (s.wear_blocks_written != 0)
-    s.wear_mean_writes =
-        static_cast<double>(total) / static_cast<double>(s.wear_blocks_written);
+  s.wear_arrays = wear_from_trace(trace);
+  s.wear = total_wear(s.wear_arrays);
   return s;
 }
 
