@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -36,6 +37,13 @@ class BlockCursor {
         throw std::out_of_range("BlockCursor: element past the array end");
     }
     return view_[elem - lo_];
+  }
+
+  /// The resident block from global index `elem` to its end, loading the
+  /// block exactly as at(elem) does.
+  std::span<const T> rest(std::size_t elem) {
+    at(elem);
+    return view_.span().subspan(elem - lo_);
   }
 
   /// Ticket of the most recent charged read.

@@ -61,6 +61,18 @@ inline constexpr bool kRadixOrder =
     (kRadixKeyType<T> &&
      (std::is_same_v<Less, std::less<T>> || std::is_same_v<Less, std::less<>>));
 
+/// The radix key of `v` under a kRadixOrder order: the declared key, or
+/// the value itself.
+template <class T, class Less>
+  requires kRadixOrder<T, Less>
+std::uint64_t radix_key_of(const T& v) {
+  if constexpr (DeclaresRadixKey<T, Less>) {
+    return Less::radix_key(v);
+  } else {
+    return v;
+  }
+}
+
 /// Fills `perm`, already sized to keys.size(), with the offsets of `keys`
 /// in stable ascending key order.
 template <class K>

@@ -684,42 +684,55 @@ class KvStore {
   /// pages; the partial payload block is synced first (its next flush then
   /// pays the read-modify-write a real device would), so the recorded
   /// frontier is genuinely on device.  start_record must be page-aligned.
+  ///
+  /// A page at a time: one view of the sorted page (charged as a Scanner
+  /// would charge it), its copy rewritten on the host, each spilled value
+  /// appended to the payload Writer as spans of its input blocks, then the
+  /// rewritten page appended to the log Writer.  That is the reads and
+  /// writes of streaming record by record, in the same order.
   void layout_stream(const ExtArray<Slot>& sorted,
                      const ExtArray<std::uint64_t>& in_payload,
                      std::size_t start_record, std::uint64_t start_word,
                      std::vector<std::uint64_t>& fences) {
     Machine& mach = *mach_;
     const std::size_t B = mach.B();
-    Scanner<Slot> in(sorted, start_record, records_);
+    MemoryReservation in_page(mach.ledger(), B);  // the resident sorted page
     Writer<Slot> out(log_, start_record);
     Writer<std::uint64_t> pay(payload_, static_cast<std::size_t>(start_word));
     // Input payload positions arrive in key order, i.e. scattered: each
     // block switch is one charged read; words of one block are free.
     BlockCursor<std::uint64_t> gather(in_payload);
-    std::size_t idx = start_record;
+    std::vector<Slot> page;  // host copy of the page being rewritten
+    page.reserve(B);
     std::uint64_t next_word = start_word;
     const std::size_t every = cfg_.manifest_interval * B;  // in records
-    while (!in.done()) {
+    for (std::size_t idx = start_record; idx < records_; idx += B) {
       if (every != 0 && idx != start_record && idx % every == 0) {
         pay.finish();  // sync the partial payload block under the frontier
         commit_manifest(kPhaseLayout, idx, next_word);
       }
-      Slot s = in.next();
-      if (idx % B == 0) fences.push_back(s.key);
-      if (s.len >= 2) {
+      const std::span<const Slot> in = sorted.view_block(idx / B).span();
+      page.assign(in.begin(), in.end());
+      fences.push_back(page.front().key);
+      for (Slot& s : page) {
+        if (s.len < 2) continue;
         const std::uint64_t src = s.pos;
         if (src + s.len > in_payload.size())
           throw std::out_of_range(
               "KvStore::build: spilled record points past the payload "
               "input");
         s.pos = next_word;
-        for (std::uint64_t w = 0; w < s.len; ++w)
-          pay.push(gather.at(src + w));
+        for (std::uint64_t w = 0; w < s.len;) {
+          const std::span<const std::uint64_t> words = gather.rest(src + w);
+          const std::size_t take = static_cast<std::size_t>(
+              std::min<std::uint64_t>(words.size(), s.len - w));
+          pay.append(words.first(take));
+          w += take;
+        }
         next_word += s.len;
         if (s.len > max_value_words_) max_value_words_ = s.len;
       }
-      out.push(s);
-      ++idx;
+      out.append(page);
     }
     out.finish();
     pay.finish();

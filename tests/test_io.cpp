@@ -7,6 +7,7 @@
 #include <numeric>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -254,6 +255,78 @@ TEST(CursorTest, CachesCurrentBlock) {
   EXPECT_EQ(mach.stats().reads, 2u);
   EXPECT_EQ(cur.at(2), 2);  // back to block 0: re-read
   EXPECT_EQ(mach.stats().reads, 3u);
+}
+
+TEST(CursorTest, RestSpansTheResidentBlockFromAnElement) {
+  Machine mach(cfg());  // B = 8
+  auto arr = make_iota(mach, 20);
+  mach.reset_stats();
+  BlockCursor<int> cur(arr);
+  const std::span<const int> a = cur.rest(3);
+  EXPECT_EQ(std::vector<int>(a.begin(), a.end()),
+            (std::vector<int>{3, 4, 5, 6, 7}));
+  EXPECT_EQ(cur.rest(6).size(), 2u);  // block 0 is resident: no read
+  EXPECT_EQ(mach.stats().reads, 1u);
+  const std::span<const int> tail = cur.rest(17);  // the partial last block
+  EXPECT_EQ(std::vector<int>(tail.begin(), tail.end()),
+            (std::vector<int>{17, 18, 19}));
+  EXPECT_EQ(mach.stats().reads, 2u);
+  EXPECT_THROW(cur.rest(20), std::out_of_range);
+}
+
+TEST(FreshStorageTest, ZeroFilledAndPartialBlockWritesAroundTwoMiB) {
+  // ExtArray's constructor reserves, advises the 2 MiB-aligned interior for
+  // huge pages, then zero-fills: arrays just below, at and just above 2 MiB
+  // of storage read back zeros, and a Writer whose range ends inside a live
+  // block (read-modify-write) and one that ends in the array's partial last
+  // block write exactly their ranges.
+  constexpr std::size_t kTwoMiB = std::size_t{1} << 21;
+  constexpr std::size_t kB = 64;
+  for (const std::size_t n :
+       {kTwoMiB / sizeof(std::uint64_t) - 1, kTwoMiB / sizeof(std::uint64_t),
+        kTwoMiB / sizeof(std::uint64_t) + 1}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    Machine mach(cfg(4 * kB, kB, 4));
+    ExtArray<std::uint64_t> arr(mach, n, "fresh");
+    const std::vector<std::uint64_t>& host = arr.unsafe_host_view();
+    ASSERT_EQ(host.size(), n);
+    EXPECT_TRUE(std::all_of(host.begin(), host.end(),
+                            [](std::uint64_t v) { return v == 0; }));
+    Scanner<std::uint64_t> scan(arr);
+    bool zeros = true;
+    while (!scan.done()) zeros = zeros && scan.next() == 0;
+    EXPECT_TRUE(zeros);
+    EXPECT_EQ(mach.stats().reads, mach.n_of(n));
+
+    // [mid, mid + B + B/2) ends halfway into a zero block: its flush reads
+    // the block, merges and writes it whole.
+    std::vector<std::uint64_t> want(n, 0);
+    const std::size_t mid = (n / 2) / kB * kB;
+    mach.reset_stats();
+    {
+      Writer<std::uint64_t> w(arr, mid, mid + kB + kB / 2);
+      for (std::size_t i = mid; i < mid + kB + kB / 2; ++i) {
+        w.push(i + 1);
+        want[i] = i + 1;
+      }
+      w.finish();
+    }
+    EXPECT_EQ(mach.stats().reads, 1u);
+    EXPECT_EQ(mach.stats().writes, 2u);
+    // The last (possibly partial) block, from its first element.
+    const std::size_t last = (n - 1) / kB * kB;
+    {
+      Writer<std::uint64_t> w(arr, last);
+      for (std::size_t i = last; i < n; ++i) {
+        w.push(~i);
+        want[i] = ~i;
+      }
+      w.finish();
+    }
+    EXPECT_EQ(mach.stats().reads, 1u);
+    EXPECT_EQ(mach.stats().writes, 3u);
+    EXPECT_TRUE(host == want);
+  }
 }
 
 TEST(PointerArrayTest, InitializationCost) {

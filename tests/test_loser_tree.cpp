@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <random>
 #include <string>
 #include <vector>
@@ -137,6 +138,60 @@ TEST(LoserTree, MatchesSortAcrossShapes) {
   }
 }
 
+/// std::less's order without its name, so the tree compares keys through
+/// the order instead of packing them into ranks.
+struct PlainLess {
+  bool operator()(std::uint64_t a, std::uint64_t b) const { return a < b; }
+};
+
+TEST(LoserTree, PackedRanksSelectLikeKeyComparisons) {
+  // std::less<uint64_t> has a radix key, so its tree packs (exhausted, key,
+  // index) into one rank; PlainLess takes the compare path.  Both must pick
+  // the same contestant at every step, through ties, exhaustion, revival
+  // and the largest key.
+  util::Rng rng(17);
+  for (std::size_t k : {1u, 2u, 3u, 7u, 31u, 33u}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    LoserTree<std::uint64_t, std::less<std::uint64_t>> packed(k);
+    LoserTree<std::uint64_t, PlainLess> plain(k);
+    std::vector<std::vector<std::uint64_t>> runs(k);
+    for (auto& r : runs) {
+      const std::size_t len = rng.next() % 9;
+      for (std::size_t j = 0; j < len; ++j)
+        r.push_back(rng.next() % 3 == 0 ? UINT64_MAX : rng.next() % 4);
+      std::sort(r.begin(), r.end());
+    }
+    std::vector<std::size_t> pos(k, 0);
+    const auto stage = [&](std::size_t i) {
+      if (pos[i] == runs[i].size()) {
+        packed.set_exhausted(i);
+        plain.set_exhausted(i);
+      } else {
+        packed.set_key(i, runs[i][pos[i]]);
+        plain.set_key(i, runs[i][pos[i]]);
+      }
+    };
+    for (std::size_t i = 0; i < k; ++i) stage(i);
+    packed.rebuild();
+    plain.rebuild();
+    std::size_t steps = 0;
+    for (std::size_t i = plain.winner(); i != Tree::npos; i = plain.winner()) {
+      ASSERT_EQ(packed.winner(), i);
+      ++pos[i];
+      stage(i);
+      packed.update(i);
+      plain.update(i);
+      if (++steps == 5 && pos[0] == runs[0].size() && !runs[0].empty()) {
+        pos[0] = runs[0].size() - 1;  // revive run 0 with its last key
+        stage(0);
+        packed.rebuild();
+        plain.rebuild();
+      }
+    }
+    EXPECT_EQ(packed.winner(), Tree::npos);
+  }
+}
+
 // --- I/O invariance: loser-tree selection never moves a charged I/O ------
 
 struct KernelRun {
@@ -264,6 +319,102 @@ TEST(MergeKernelInvariance, EmMergeGroupQExactlyUnchangedAcrossGrid) {
       }
     }
   }
+}
+
+/// A record ordered by `key` alone, through a declared radix key; `tag`
+/// tells equal keys apart, so the output shows the tie order.
+struct Rec {
+  std::uint64_t key = 0;
+  std::uint64_t tag = 0;
+  friend bool operator==(const Rec&, const Rec&) = default;
+};
+
+struct RecKeyLess {
+  bool operator()(const Rec& a, const Rec& b) const { return a.key < b.key; }
+  static std::uint64_t radix_key(const Rec& r) { return r.key; }
+};
+
+template <class T>
+struct TracedMerge {
+  std::uint64_t trace = 0;
+  std::uint64_t reads = 0, writes = 0, high_water = 0;
+  std::vector<T> out;
+};
+
+/// Merges k sorted runs of keys mod 8 (ties cross runs) on a traced
+/// machine with `merge(in, runs, out)`.  Run lengths are any element count
+/// up to 3B + B/2, so runs share blocks and end mid-block, and every third
+/// run is empty; the array's last block is short.  `make(key, tag)` builds
+/// an element.
+template <class T, class Less, class Make, class Merge>
+TracedMerge<T> traced_merge(std::size_t k, std::size_t B, std::uint64_t seed,
+                            Less less, Make make, Merge merge) {
+  Machine mach(cfg_of((k + 2) * B + 4 * k, B, 16));
+  util::Rng rng(seed);
+  std::vector<T> host;
+  std::vector<RunBounds> runs;
+  for (std::size_t r = 0; r < k; ++r) {
+    const std::size_t len = r % 3 == 1 ? 0 : rng.next() % (3 * B + B / 2 + 1);
+    std::vector<T> run;
+    for (std::size_t j = 0; j < len; ++j)
+      run.push_back(make(rng.next() % 8, host.size() + j));
+    std::stable_sort(run.begin(), run.end(), less);
+    runs.push_back(RunBounds{host.size(), host.size() + len});
+    host.insert(host.end(), run.begin(), run.end());
+  }
+  if (host.size() % B == 0) {  // keep the last block short
+    runs.back().end += 1;
+    host.push_back(make(7, host.size()));
+  }
+  ExtArray<T> in(mach, host.size(), "runs");
+  in.unsafe_host_fill(host);
+  ExtArray<T> out(mach, host.size(), "out");
+  mach.reset_stats();
+  mach.ledger().reset_high_water();
+  mach.enable_trace();
+  merge(in, std::span<const RunBounds>(runs), out);
+  return {test::trace_hash(*mach.trace()), mach.stats().reads,
+          mach.stats().writes, mach.ledger().high_water(),
+          out.unsafe_host_view()};
+}
+
+template <class T, class Less, class Make>
+void expect_trace_matches_oracle(Less less, Make make) {
+  for (std::size_t k : {1u, 2u, 31u, 33u}) {
+    for (std::size_t B : {4u, 8u}) {
+      SCOPED_TRACE("k=" + std::to_string(k) + " B=" + std::to_string(B));
+      const std::uint64_t seed = 3000 * k + B;
+      const TracedMerge<T> scan = traced_merge<T>(
+          k, B, seed, less, make, [&](auto& in, auto runs, auto& out) {
+            test::scan_merge_group(in, runs, out, 0, less);
+          });
+      const TracedMerge<T> tree = traced_merge<T>(
+          k, B, seed, less, make, [&](auto& in, auto runs, auto& out) {
+            sort_detail::em_merge_group(in, runs, out, 0, less);
+          });
+      EXPECT_EQ(tree.trace, scan.trace);
+      EXPECT_EQ(tree.reads, scan.reads);
+      EXPECT_EQ(tree.writes, scan.writes);
+      EXPECT_EQ(tree.high_water, scan.high_water);
+      EXPECT_TRUE(tree.out == scan.out);
+      EXPECT_TRUE(std::is_sorted(tree.out.begin(), tree.out.end(), less));
+    }
+  }
+}
+
+TEST(MergeKernelInvariance, EmMergeGroupTraceMatchesTheScanOracle) {
+  // Op by op: the same reads and writes, in the same order, as the O(k)
+  // scan over one Scanner per run, and the same stable output.
+  expect_trace_matches_oracle<std::uint64_t>(
+      std::less<std::uint64_t>{},
+      [](std::uint64_t key, std::size_t) { return key; });
+  const auto rec = [](std::uint64_t key, std::size_t tag) {
+    return Rec{key, tag};
+  };
+  expect_trace_matches_oracle<Rec>(RecKeyLess{}, rec);
+  // The same order without a radix key: the tree's compare path.
+  expect_trace_matches_oracle<Rec>(
+      [](const Rec& a, const Rec& b) { return a.key < b.key; }, rec);
 }
 
 TEST(MergeKernelInvariance, FullSortsAgreeAcrossKernels) {
