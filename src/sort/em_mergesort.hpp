@@ -158,12 +158,14 @@ void em_merge_sort(const ExtArray<T>& in, ExtArray<T>& out, Less less = {}) {
     // pushing them one by one.  Chunks start on block boundaries.  The
     // order is host_sort's offset permutation (a radix when `less` has
     // a radix key, else a (value, offset) record sort), which equals a
-    // stable sort's; the permutation and the gathered block are uncharged
-    // simulator scratch (MODEL.md §3), allocated once for all runs.
+    // stable sort's; the permutation, host_sort's scratch and the gathered
+    // block are uncharged simulator scratch (MODEL.md §3), allocated once
+    // for all runs.
     auto phase = mach.phase("em_sort.runs");
     Buffer<T> chunk(mach, run_len);
     std::vector<std::uint32_t> order;
     order.reserve(run_len);
+    sort_detail::HostSortScratch<T> host;
     std::vector<T> block(B);
     for (const RunBounds& r : runs) {
       const std::size_t fill = r.length();
@@ -173,7 +175,7 @@ void em_merge_sort(const ExtArray<T>& in, ExtArray<T>& out, Less less = {}) {
         std::copy(blk.begin(), blk.end(), chunk.data() + (p - r.begin));
       }
       sort_detail::host_sort(std::span<const T>(chunk.data(), fill), less,
-                             order);
+                             order, host);
       Writer<T> w(*first, r.begin, r.end);
       for (std::size_t i = 0; i < fill; i += B) {
         const std::size_t count = std::min(B, fill - i);

@@ -71,7 +71,7 @@ class LowWriteSampleSortJob {
     const std::size_t n = in_.size();
     if (n == 0) return;
     if (n <= budget_.base) {
-      small_sort(in_, 0, n, out_, 0, less_);
+      small_sort(base_scratch_, in_, 0, n, out_, 0, less_, nullptr);
       return;
     }
     ExtArray<T> a(mach_, n, "lwsamplesort.a");
@@ -95,7 +95,8 @@ class LowWriteSampleSortJob {
                unsigned depth) {
     if (range.length() == 0) return;
     if (range.length() <= budget_.base || depth >= kMaxDepth) {
-      small_sort(cur, range.begin, range.end, out_, range.begin, less_);
+      small_sort(base_scratch_, cur, range.begin, range.end, out_,
+                 range.begin, less_, nullptr);
       return;
     }
     auto buckets = distribute(cur, range, other);
@@ -278,6 +279,7 @@ class LowWriteSampleSortJob {
   ExtArray<T>& out_;
   Less less_;
   SortBudget budget_;
+  SmallSortScratch<T> base_scratch_;  // every base case's host scratch
 };
 
 }  // namespace sort_detail

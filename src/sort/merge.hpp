@@ -41,7 +41,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <functional>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -77,8 +76,8 @@ class MergeJob {
         runs_(runs.begin(), runs.end()),
         budget_(SortBudget::from(mach_)),
         occ_less_(less),
-        sink_(dst, dst_begin, dst_begin + total_length(runs), key_eq(),
-              combine),
+        sink_(dst, dst_begin, dst_begin + total_length(runs),
+              KeyEq{occ_less_}, combine),
         out_(budget_.out_batch, runs.size(), less),
         tree_(0, occ_less_) {
     if (&dst == &src)
@@ -119,9 +118,11 @@ class MergeJob {
     return t;
   }
 
-  auto key_eq() const {
-    return [ol = occ_less_](const T& a, const T& b) { return ol.equiv(a, b); };
-  }
+  /// Key equality under the order, for the sink's combiner.
+  struct KeyEq {
+    OccLess<T, Less> ol;
+    bool operator()(const T& a, const T& b) const { return ol.equiv(a, b); }
+  };
 
   void validate() const {
     if (runs_.size() > (std::size_t{1} << 31))
@@ -266,7 +267,7 @@ class MergeJob {
   std::vector<RunBounds> runs_;
   SortBudget budget_;
   OccLess<T, Less> occ_less_;
-  CombineSink<T, std::function<bool(const T&, const T&)>, Combine> sink_;
+  CombineSink<T, KeyEq, Combine> sink_;
   // OUT, the staged batch, and Phase C's selection state (actives and
   // their loser tree); their storage is reused by every round.
   using Batch = StagedBatch<T, Less>;

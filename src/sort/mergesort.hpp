@@ -120,8 +120,10 @@ void aem_merge_sort(const ExtArray<T>& in, ExtArray<T>& out, Less less = {}) {
 
   {
     auto base_phase = mach.phase("sort.base");
+    sort_detail::SmallSortScratch<T> base_scratch;
     for (const RunBounds& r : runs)
-      small_sort(in, r.begin, r.end, *first, r.begin, less);
+      sort_detail::small_sort(base_scratch, in, r.begin, r.end, *first,
+                              r.begin, less, nullptr);
   }
 
   auto merge_phase = mach.phase("sort.merge");

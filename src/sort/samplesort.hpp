@@ -52,7 +52,7 @@ class SampleSortJob {
     const std::size_t n = in_.size();
     if (n == 0) return;
     if (n <= budget_.base) {
-      small_sort(in_, 0, n, out_, 0, less_);
+      small_sort(base_scratch_, in_, 0, n, out_, 0, less_, nullptr);
       return;
     }
     ExtArray<T> a(mach_, n, "samplesort.a");
@@ -72,7 +72,8 @@ class SampleSortJob {
       // Depth guard: pathological splitter degeneration (e.g. all-equal
       // keys) falls back to the multi-pass base sort, which is always
       // correct (just costlier for oversized ranges).
-      small_sort(cur, range.begin, range.end, out_, range.begin, less_);
+      small_sort(base_scratch_, cur, range.begin, range.end, out_,
+                 range.begin, less_, nullptr);
       return;
     }
     auto buckets = distribute(cur, range, other);
@@ -171,6 +172,7 @@ class SampleSortJob {
   Less less_;
   SortBudget budget_;
   std::size_t fanout_;
+  SmallSortScratch<T> base_scratch_;  // every base case's host scratch
 };
 
 }  // namespace sort_detail

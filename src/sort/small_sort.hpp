@@ -8,9 +8,16 @@
 // order: R' * n' reads and n' (+ R') writes.  The host selects each round's
 // slice from one offset permutation of a copy of the range, taken from
 // round 0's reads and ordered once, in occurrence order (host_sort.hpp: a
-// radix for unsigned keys under std::less; MODEL.md section 3, host
+// radix for an order with a radix key; MODEL.md section 3, host
 // recomputation).  dst must not be src, so the copy equals what every later
-// round's reads deliver.
+// round's reads deliver.  A round's slice is emitted a destination block at a
+// time: gathered from the copy, then appended to the sink, with the same
+// writes and trace use-sets as pushing it element by element.
+//
+// The copy, the permutation, the read tickets, the gathered block and
+// host_sort's buffers are uncharged host scratch (SmallSortScratch), held for
+// one sort call: aem_merge_sort, the sample sorts and sort_spmv pass one to
+// every base case they run, and the public small_sort makes its own.
 #pragma once
 
 #include <algorithm>
@@ -27,20 +34,26 @@
 
 namespace aem {
 
-/// Sorts src[begin, end) into dst starting at dst_begin.
-///
-/// With a Combine callable, adjacent key-equal elements (under `less`) are
-/// folded into one; the return value is the number of elements written
-/// (== end - begin when not combining).  The sort is stable.
-///
-/// Intended for ranges of at most SortBudget::base elements (the paper's
-/// N' <= omega*M); larger ranges cost ceil(N'/Mout) passes over the input,
-/// and ranges of 2^32 elements or more throw std::length_error.  dst must be
-/// a different array from src (std::invalid_argument otherwise).
-template <class T, class Less, class Combine = std::nullptr_t>
-std::size_t small_sort(const ExtArray<T>& src, std::size_t begin,
+namespace sort_detail {
+
+/// small_sort's host scratch, for one sort call: a sort that runs many
+/// base cases keeps one and passes it to each, so the buffers are
+/// allocated once.  Nothing in it carries over from one range to the next.
+template <class T>
+struct SmallSortScratch {
+  std::vector<T> vals;               // the range as round 0 delivered it
+  std::vector<std::uint32_t> order;  // its offsets in occurrence order
+  std::vector<IoTicket> tickets;     // each round's read tickets
+  std::vector<T> block;              // one gathered output block
+  HostSortScratch<T> host;
+};
+
+/// aem::small_sort on the given scratch.
+template <class T, class Less, class Combine>
+std::size_t small_sort(SmallSortScratch<T>& scratch,
+                       const ExtArray<T>& src, std::size_t begin,
                        std::size_t end, ExtArray<T>& dst,
-                       std::size_t dst_begin, Less less, Combine combine = {}) {
+                       std::size_t dst_begin, Less less, Combine combine) {
   if (end < begin || end > src.size())
     throw std::invalid_argument("small_sort: bad range");
   if (&dst == &src)
@@ -55,15 +68,18 @@ std::size_t small_sort(const ExtArray<T>& src, std::size_t begin,
   auto key_eq = [less](const T& a, const T& b) {
     return !less(a, b) && !less(b, a);
   };
-  sort_detail::CombineSink<T, decltype(key_eq), Combine> sink(
-      dst, dst_begin, dst_begin + total, key_eq, combine);
+  CombineSink<T, decltype(key_eq), Combine> sink(dst, dst_begin,
+                                                 dst_begin + total, key_eq,
+                                                 combine);
 
-  // Host scratch: the range as round 0 delivered it, its offsets in
-  // occurrence order, and each round's read tickets.
-  std::vector<T> vals(total);
-  std::vector<std::uint32_t> order;
+  std::vector<T>& vals = scratch.vals;
+  const std::vector<std::uint32_t>& order = scratch.order;
+  std::vector<IoTicket>& tickets = scratch.tickets;
+  std::vector<T>& block = scratch.block;
+  vals.resize(total);
   const std::size_t first = begin / B;  // the range's first block
-  std::vector<IoTicket> tickets(mach.n_of(end) - first);
+  tickets.resize(mach.n_of(end) - first);
+  block.resize(B);
   const bool record_use = mach.tracing() && src.has_atom_extractor();
   for (std::size_t next = 0; next < total;) {
     MemoryReservation out_res(mach.ledger(), budget.small_batch);
@@ -78,18 +94,51 @@ std::size_t small_sort(const ExtArray<T>& src, std::size_t begin,
                   vals.data() + (lo - begin));
     }
     if (next == 0)
-      sort_detail::host_sort(std::span<const T>(vals), less, order);
-    const std::size_t batch = std::min(budget.small_batch, total - next);
-    for (std::size_t i = next; i < next + batch; ++i) {
-      const std::uint32_t off = order[i];
-      const IoTicket tk = tickets[(begin + off) / B - first];
-      if (record_use && tk.valid())
-        mach.trace()->mark_used(tk, src.atom_id(vals[off]));
-      sink.push(vals[off]);
+      host_sort(std::span<const T>(vals), less, scratch.order, scratch.host);
+    // The round's slice, a destination block at a time: gather the values
+    // up to the next block boundary of dst (marking each one used by the
+    // read that delivered it), then append them, so every write follows
+    // the same marks as pushing one by one would.
+    const std::size_t stop = next + std::min(budget.small_batch, total - next);
+    for (std::size_t i = next; i < stop;) {
+      const std::size_t count = std::min(B - (dst_begin + i) % B, stop - i);
+      for (std::size_t j = 0; j < count; ++j) {
+        const std::uint32_t off = order[i + j];
+        if (record_use) {
+          const IoTicket tk = tickets[(begin + off) / B - first];
+          if (tk.valid()) mach.trace()->mark_used(tk, src.atom_id(vals[off]));
+        }
+        block[j] = vals[off];
+      }
+      sink.append(std::span<const T>(block.data(), count));
+      i += count;
     }
-    next += batch;
+    next = stop;
   }
   return sink.finish();
+}
+
+}  // namespace sort_detail
+
+/// Sorts src[begin, end) into dst starting at dst_begin.
+///
+/// With a Combine callable, adjacent key-equal elements (under `less`) are
+/// folded into one; the return value is the number of elements written
+/// (== end - begin when not combining).  The sort is stable.
+///
+/// Intended for ranges of at most SortBudget::base elements (the paper's
+/// N' <= omega*M); larger ranges cost ceil(N'/Mout) passes over the input,
+/// and ranges of 2^32 elements or more throw std::length_error.  dst must be
+/// a different array from src (std::invalid_argument otherwise).  A caller
+/// that sorts many ranges passes one sort_detail::SmallSortScratch to
+/// sort_detail::small_sort instead; this makes a scratch for the one call.
+template <class T, class Less, class Combine = std::nullptr_t>
+std::size_t small_sort(const ExtArray<T>& src, std::size_t begin,
+                       std::size_t end, ExtArray<T>& dst,
+                       std::size_t dst_begin, Less less, Combine combine = {}) {
+  sort_detail::SmallSortScratch<T> scratch;
+  return sort_detail::small_sort(scratch, src, begin, end, dst, dst_begin,
+                                 less, combine);
 }
 
 }  // namespace aem

@@ -102,10 +102,11 @@ void sort_multiply(const SparseMatrix<typename S::Value>& A,
   std::vector<RunBounds> runs;
   {
     auto phase = mach.phase("spmv.runs");
+    sort_detail::SmallSortScratch<RV> base_scratch;
     for (std::size_t begin = 0; begin < H; begin += budget.base) {
       const std::size_t end = std::min<std::size_t>(H, begin + budget.base);
-      const std::size_t written =
-          small_sort(products, begin, end, run_buf_a, begin, by_row, fold);
+      const std::size_t written = sort_detail::small_sort(
+          base_scratch, products, begin, end, run_buf_a, begin, by_row, fold);
       runs.push_back(RunBounds{begin, begin + written});
     }
   }

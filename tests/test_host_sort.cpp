@@ -3,6 +3,9 @@
 // (less, then offset), for every unsigned width and for the key shapes that
 // make the radix skip passes; an order's declared radix_key yields a stable
 // sort's permutation of records, and every declared key induces its order.
+// A distribution table covers the narrow and wide radix shapes (LSD digits,
+// bucket pass with insertion-sorted and radix-finished buckets) with fresh
+// and reused scratch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -262,6 +265,93 @@ TEST(HostSortTest, DeclaredRadixKeysAgreeWithTheirOrder) {
     expect_key_induces_order(w, draw(), LowByteLess{});
     if (HasFailure()) return;
   }
+}
+
+// --- the distribution table ---------------------------------------------
+
+/// Wraps a key so that the order declares it: the radix path through a
+/// copied key array.
+struct Boxed {
+  std::uint64_t key = 0;
+  std::uint64_t tag = 0;  // ignored by the order, so ties show
+};
+struct BoxedLess {
+  bool operator()(const Boxed& a, const Boxed& b) const {
+    return a.key < b.key;
+  }
+  static std::uint64_t radix_key(const Boxed& b) { return b.key; }
+};
+static_assert(kRadixOrder<Boxed, BoxedLess>);
+
+/// n keys of the named distribution.  "bits33" and "bits34" vary in exactly
+/// that many bits (the narrow shape's limit and one past it) once n >= 2.
+std::vector<std::uint64_t> distribution(const std::string& name,
+                                        std::size_t n, aem::util::Rng& rng) {
+  std::vector<std::uint64_t> v(n);
+  for (std::uint64_t& x : v) x = rng.next();
+  if (name == "mod 1000") {
+    for (std::uint64_t& x : v) x %= 1000;
+  } else if (name == "all equal") {
+    std::fill(v.begin(), v.end(), 0x5a5a5a5a5a5a5a5aull);
+  } else if (name == "sorted") {
+    std::sort(v.begin(), v.end());
+  } else if (name == "reversed") {
+    std::sort(v.begin(), v.end(), std::greater<>{});
+  } else if (name == "two clusters") {
+    // Two values of the top bits, so each holds about half the keys.
+    for (std::uint64_t& x : v)
+      x = (x & 1 ? 0xF000000000000000ull : 0x1000000000000000ull) |
+          (x >> 24);
+  } else if (name == "third clustered") {
+    // A third of the keys share their top bits: one large bucket beside
+    // many small ones.
+    for (std::size_t i = 0; i < n; i += 3)
+      v[i] = 0x5000000000000000ull | (v[i] >> 24);
+  } else if (name == "log-skewed") {
+    for (std::uint64_t& x : v) x >>= rng.below(64);
+  } else if (name == "bits33" || name == "bits34") {
+    const unsigned bits = name == "bits33" ? 33 : 34;
+    for (std::uint64_t& x : v) x >>= 64 - bits;
+    if (n >= 2) {
+      v[0] = 0;
+      v[n - 1] = (std::uint64_t{1} << bits) - 1;
+    }
+  }
+  return v;
+}
+
+TEST(HostSortTest, DistributionTableMatchesStableSort) {
+  const std::string names[] = {"uniform",         "mod 1000",   "all equal",
+                               "sorted",          "reversed",   "two clusters",
+                               "third clustered", "log-skewed", "bits33",
+                               "bits34"};
+  // Both sides of the insertion-only size (32), bucket digits of 3 to 16
+  // bits, and one size past the 16-bit cap.
+  const std::size_t sizes[] = {0,    1,    2,           31,
+                               32,   33,   34,          1000,
+                               4099, 1u << 16, (1u << 19) + 5};
+  aem::sort_detail::HostSortScratch<std::uint64_t> words_scratch;
+  aem::sort_detail::HostSortScratch<Boxed> boxed_scratch;
+  aem::util::Rng rng(2024);
+  for (const std::string& name : names)
+    for (const std::size_t n : sizes) {
+      const std::string label = name + " n=" + std::to_string(n);
+      const std::vector<std::uint64_t> keys = distribution(name, n, rng);
+      const auto want = stable_reference(keys, std::less<std::uint64_t>{});
+      EXPECT_EQ(sorted_by(keys, std::less<std::uint64_t>{}), want) << label;
+      std::vector<std::uint32_t> perm{7};
+      host_sort(std::span<const std::uint64_t>(keys),
+                std::less<std::uint64_t>{}, perm, words_scratch);
+      EXPECT_EQ(perm, want) << label << " (reused scratch)";
+
+      std::vector<Boxed> boxed(n);
+      for (std::size_t i = 0; i < n; ++i) boxed[i] = Boxed{keys[i], i};
+      EXPECT_EQ(sorted_by(boxed, BoxedLess{}), want) << label << " (declared)";
+      host_sort(std::span<const Boxed>(boxed), BoxedLess{}, perm,
+                boxed_scratch);
+      EXPECT_EQ(perm, want) << label << " (declared, reused scratch)";
+      if (HasFailure()) return;
+    }
 }
 
 }  // namespace

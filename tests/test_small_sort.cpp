@@ -4,7 +4,8 @@
 // sort) and under std::less (its radix).  The two must agree on every
 // output byte, the return value, Q_r / Q_w, the ledger high-water mark and
 // the full trace.  Verified read faults cost retries but leave the output
-// exactly the fault-free one.
+// exactly the fault-free one.  One scratch reused across calls gives
+// exactly what a fresh scratch gives, call by call.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -197,6 +198,51 @@ TEST(SmallSortDiffTest, MatchesTheOfferLoopOnEveryVariantUnderStdLess) {
   static_assert(sort_detail::kRadixOrder<std::uint64_t,
                                          std::less<std::uint64_t>>);
   diff_grid(std::less<std::uint64_t>{}, "std::less");
+}
+
+// One SmallSortScratch reused across calls on ranges that shrink and then
+// grow, with and without a combiner, under tracing: every call must match a
+// call that makes its own scratch in output bytes, Q and trace.  A stale
+// value, permutation entry, ticket or count left by a larger range shows
+// as a difference.
+template <class Less>
+void reuse_grid(Less less, const std::string& order) {
+  const Range ranges[] = {{0, 1500, 1500}, {5, 700, 777}, {3, 64, 64},
+                          {0, 9, 9},       {8, 40, 40},   {1, 1497, 1500},
+                          {0, 1500, 1500}};
+  sort_detail::SmallSortScratch<std::uint64_t> scratch;
+  for (const Variant v : {Variant::kPlain, Variant::kLru6})
+    for (bool dup : {false, true})
+      for (const Range& r : ranges)
+        for (bool combining : {false, true}) {
+          const std::vector<std::uint64_t> keys =
+              dup ? duplicate_keys(r.n, 31 + r.n) : uniform_keys(r.n, 5 + r.n);
+          auto fresh = [&](auto& in, auto& out) {
+            return combining ? small_sort(in, r.begin, r.end, out, 0, less,
+                                          AddPayload{})
+                             : small_sort(in, r.begin, r.end, out, 0, less);
+          };
+          auto reused = [&](auto& in, auto& out) {
+            return combining
+                       ? sort_detail::small_sort(scratch, in, r.begin, r.end,
+                                                 out, 0, less, AddPayload{})
+                       : sort_detail::small_sort(scratch, in, r.begin, r.end,
+                                                 out, 0, less, nullptr);
+          };
+          const std::string label =
+              order + " variant " + std::to_string(static_cast<int>(v)) +
+              " range [" + std::to_string(r.begin) + "," +
+              std::to_string(r.end) + ")" + (dup ? " dup" : " uniform") +
+              (combining ? " combine" : "");
+          const Outcome got = run(v, keys, r, reused);
+          expect_same(got, run(v, keys, r, fresh), label);
+          EXPECT_TRUE(got.error.empty()) << label << ": " << got.error;
+        }
+}
+
+TEST(SmallSortScratchTest, ReusedScratchMatchesAFreshOne) {
+  reuse_grid(KeyLess{}, "KeyLess");
+  reuse_grid(std::less<std::uint64_t>{}, "std::less");
 }
 
 }  // namespace
