@@ -25,18 +25,20 @@
 //     so ties stay in offset order with no tie-break.  One pass counts those
 //     digits at once; a pass whose digit is the same for every key moves
 //     nothing and is skipped;
-//   * wide keys: one stable scatter of the offsets by the top
-//     ~log2(n) - 2 bits of the width (at most 16), so a bucket averages 4 to
-//     8 offsets on uniform keys.  A bucket of at most 32 offsets is then
-//     insertion-sorted by key; a larger one is finished by the LSD radix
-//     over the bits below the bucket's digit.  When more than half of the
-//     offsets would land in larger buckets (clustered or skewed keys), the
-//     scatter is skipped and the LSD radix runs over the whole width;
-//   * at most 32 keys: one insertion sort.
+//   * wide keys, more than 32 of them: one stable scatter of the offsets by
+//     the top ~log2(n) - 2 bits of the width (at most 16), so a bucket
+//     averages 4 to 8 offsets on uniform keys.  Each bucket is then finished
+//     at a cost that tracks its size: up to 32 offsets by an insertion sort
+//     on key, up to 256 by std::sort of (key, offset) pairs held on the
+//     stack, and a larger one by the LSD radix over the bits below the
+//     bucket's digit (its 2048-entry count tables are paid for only there).
+//     When more than half of the offsets would land in buckets of over 32
+//     (clustered or skewed keys), the scatter is skipped and the LSD radix
+//     runs over the whole width.
 //
 // Every shape is stable, so all yield the same permutation.  Host memory:
-// the permutation, one scratch permutation, the count tables, and the key
-// array of a declared key.
+// the permutation, one scratch permutation, the count tables, the key array
+// of a declared key, and at most 256 stack pairs.
 //
 // Every other order falls back to one std::sort of (value, offset)
 // records, then copies the offsets out.  Both paths yield the same
@@ -113,6 +115,7 @@ inline constexpr unsigned kDigitBits = 11;
 inline constexpr std::size_t kDigitValues = std::size_t{1} << kDigitBits;
 inline constexpr unsigned kNarrowBits = 3 * kDigitBits;
 inline constexpr std::size_t kInsertionMax = 32;
+inline constexpr std::size_t kCompareMax = 256;
 inline constexpr unsigned kMaxBucketBits = 16;
 
 /// Stably sorts the at most kInsertionMax offsets `ofs` by key.
@@ -132,6 +135,17 @@ void insertion_order(std::span<const K> keys, std::span<std::uint32_t> ofs) {
     held[j] = k;
     ofs[j] = o;
   }
+}
+
+/// Sorts the at most kCompareMax offsets `ofs` by (key, offset), which is
+/// their stable key order.
+template <class K>
+void compare_order(std::span<const K> keys, std::span<std::uint32_t> ofs) {
+  std::pair<K, std::uint32_t> held[kCompareMax];
+  const std::size_t n = ofs.size();
+  for (std::size_t i = 0; i < n; ++i) held[i] = {keys[ofs[i]], ofs[i]};
+  std::sort(held, held + n);
+  for (std::size_t i = 0; i < n; ++i) ofs[i] = held[i].second;
 }
 
 /// Stably reorders the offsets `ofs`, whose keys agree on every bit from
@@ -164,11 +178,12 @@ void lsd_order(std::span<const K> keys, std::span<std::uint32_t> ofs,
   if (from.data() != ofs.data()) std::copy(from.begin(), from.end(), ofs.begin());
 }
 
-/// The bucket pass over keys wider than kNarrowBits: scatters the offsets
-/// stably by bits [width - bits, width), then sorts each bucket.  Returns
-/// false, having written nothing, when more than half of the offsets would
-/// land in buckets of over kInsertionMax (clustered or skewed keys): the
-/// LSD radix over the whole width is cheaper then.
+/// The bucket pass over more than kInsertionMax keys wider than
+/// kNarrowBits: scatters the offsets stably by bits [width - bits, width),
+/// then sorts each bucket.  Returns false, having written nothing, when more
+/// than half of the offsets would land in buckets of over kInsertionMax
+/// (clustered or skewed keys): the LSD radix over the whole width is cheaper
+/// then.
 template <class K, class T>
 bool bucket_order(std::span<const K> keys, std::vector<std::uint32_t>& perm,
                   HostSortScratch<T>& s, unsigned width) {
@@ -200,10 +215,12 @@ bool bucket_order(std::span<const K> keys, std::vector<std::uint32_t>& perm,
          fetched < to; ++fetched)
       __builtin_prefetch(&keys[perm[fetched]]);
     const std::span<std::uint32_t> ofs(perm.data() + begin, end - begin);
-    if (ofs.size() > kInsertionMax) {
+    if (ofs.size() > kCompareMax) {
       s.tmp.resize(n);
       lsd_order(keys, ofs, std::span<std::uint32_t>(s.tmp).first(ofs.size()),
                 shift, s.counts);
+    } else if (ofs.size() > kInsertionMax) {
+      compare_order(keys, ofs);
     } else if (ofs.size() > 1) {
       insertion_order(keys, ofs);
     }
@@ -218,6 +235,7 @@ template <class K, class T>
 void radix_order(std::span<const K> keys, std::vector<std::uint32_t>& perm,
                  HostSortScratch<T>& s) {
   const std::size_t n = keys.size();
+  if (n == 0) return;
   K any = 0;
   K all = static_cast<K>(~K{0});
   for (const K k : keys) {
@@ -230,13 +248,9 @@ void radix_order(std::span<const K> keys, std::vector<std::uint32_t>& perm,
       bucket_order(keys, perm, s, width))
     return;
   std::iota(perm.begin(), perm.end(), std::uint32_t{0});
-  if (n <= kInsertionMax) {
-    insertion_order(keys, std::span<std::uint32_t>(perm));
-  } else {
-    s.tmp.resize(n);
-    lsd_order(keys, std::span<std::uint32_t>(perm),
-              std::span<std::uint32_t>(s.tmp), width, s.counts);
-  }
+  s.tmp.resize(n);
+  lsd_order(keys, std::span<std::uint32_t>(perm),
+            std::span<std::uint32_t>(s.tmp), width, s.counts);
 }
 
 /// Fills `perm` with the offsets 0 .. vals.size()-1 in occurrence order:

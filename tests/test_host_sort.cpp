@@ -4,7 +4,8 @@
 // make the radix skip passes; an order's declared radix_key yields a stable
 // sort's permutation of records, and every declared key induces its order.
 // A distribution table covers the narrow and wide radix shapes (LSD digits,
-// bucket pass with insertion-sorted and radix-finished buckets) with fresh
+// bucket pass with insertion-sorted, comparison-sorted and radix-finished
+// buckets) with fresh
 // and reused scratch.
 #include <gtest/gtest.h>
 
@@ -307,6 +308,22 @@ std::vector<std::uint64_t> distribution(const std::string& name,
     // many small ones.
     for (std::size_t i = 0; i < n; i += 3)
       v[i] = 0x5000000000000000ull | (v[i] >> 24);
+  } else if (name == "mid buckets" || name == "wide buckets") {
+    // About 45% of the keys in groups that share their top 16 bits (the
+    // bucket digit from n = 2^19 on, and a prefix of it below): groups of 33
+    // to 64 keys, or of 129 to 384 (both sides of the 256-offset limit of a
+    // comparison-sorted bucket).  A group's low 48 bits take about size/2
+    // hashed values, so they vary in every digit and repeat.  The rest stay
+    // uniform; then a shuffle.
+    const bool mid = name == "mid buckets";
+    const std::size_t grouped = n * 45 / 100;
+    for (std::size_t i = 0; i < grouped;) {
+      const std::uint64_t top = rng.next() & 0xFFFF000000000000ull;
+      const std::size_t size = mid ? rng.range(33, 64) : rng.range(129, 384);
+      for (std::size_t j = 0; j < size && i < grouped; ++j, ++i)
+        v[i] = top | ((v[i] % (size / 2) + 1) * 0x9E3779B97F4A7C15ull >> 16);
+    }
+    rng.shuffle(v);
   } else if (name == "log-skewed") {
     for (std::uint64_t& x : v) x >>= rng.below(64);
   } else if (name == "bits33" || name == "bits34") {
@@ -323,10 +340,11 @@ std::vector<std::uint64_t> distribution(const std::string& name,
 TEST(HostSortTest, DistributionTableMatchesStableSort) {
   const std::string names[] = {"uniform",         "mod 1000",   "all equal",
                                "sorted",          "reversed",   "two clusters",
-                               "third clustered", "log-skewed", "bits33",
+                               "third clustered", "mid buckets",
+                               "wide buckets",    "log-skewed", "bits33",
                                "bits34"};
-  // Both sides of the insertion-only size (32), bucket digits of 3 to 16
-  // bits, and one size past the 16-bit cap.
+  // Both sides of the bucket-pass switch (more than 32 keys), bucket digits
+  // of 3 to 16 bits, and one size past the 16-bit cap.
   const std::size_t sizes[] = {0,    1,    2,           31,
                                32,   33,   34,          1000,
                                4099, 1u << 16, (1u << 19) + 5};
