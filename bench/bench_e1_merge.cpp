@@ -5,7 +5,10 @@
 // report measured reads/writes against the bound's closed form; the
 // read/bound and write/bound columns must stay bounded (flat in N) for the
 // theorem to hold, and must stay flat as omega crosses B (the paper's
-// improvement over the omega < B mergesort of Blelloch et al.).
+// improvement over the omega < B mergesort of Blelloch et al.).  Writes
+// are checked exactly: every row must charge 2*ceil(N/B) + ceil(d/B) of
+// them (Section 3.1's output, pointer-update and pointer-init writes), or
+// the bench prints a FAIL: line and exits 1.
 #include <algorithm>
 #include <iostream>
 #include <vector>
@@ -25,7 +28,11 @@ struct Row {
   std::uint64_t omega;
 };
 
-void run_case(const Row& r, harness::PointContext& ctx) {
+/// Merges one row's runs and adds its table row; `fail` gets a verdict when
+/// the writes break Section 3.1's identity: every output block is written
+/// once, every consumed block's b[i] is read-modified-written once, and the
+/// d pointers are initialized once, so writes = 2*ceil(N/B) + ceil(d/B).
+void run_case(const Row& r, harness::PointContext& ctx, std::string& fail) {
   Machine mach(make_config(r.M, r.B, r.omega));
   const SortBudget budget = SortBudget::from(mach);
 
@@ -62,6 +69,14 @@ void run_case(const Row& r, harness::PointContext& ctx) {
            util::fmt(mach.stats().reads), util::fmt(mach.stats().writes),
            util::fmt_ratio(double(mach.stats().reads), read_bound),
            util::fmt_ratio(double(mach.stats().writes), write_bound)});
+  const std::uint64_t want = 2 * util::ceil_div(host.size(), r.B) +
+                             util::ceil_div(runs.size(), r.B);
+  if (mach.stats().writes != want)
+    fail = "E1 N=" + std::to_string(host.size()) + " M=" +
+           std::to_string(r.M) + " B=" + std::to_string(r.B) + " omega=" +
+           std::to_string(r.omega) + ": writes " +
+           std::to_string(mach.stats().writes) + " != 2*ceil(N/B) + " +
+           "ceil(runs/B) = " + std::to_string(want);
 }
 
 }  // namespace
@@ -72,6 +87,7 @@ int main(int argc, char** argv) try {
 
   banner("E1",
          "Theorem 3.2: d-way merge costs O(omega(n+m)) reads, O(n+m) writes");
+  std::vector<std::string> fails;  // one per row, in table order
 
   {
     util::Table t({"N", "M", "B", "omega", "runs", "reads", "writes",
@@ -80,8 +96,10 @@ int main(int argc, char** argv) try {
     const std::size_t n_max = io.full ? (1u << 19) : (1u << 17);
     for (std::size_t N = 1 << 14; N <= n_max; N <<= 1)
       for (std::uint64_t w : {1, 4, 16, 64}) grid.push_back({N, 256, 16, w});
+    const std::size_t first = fails.size();
+    fails.resize(first + grid.size());
     sweep_table(io, grid.size(), t, [&](harness::PointContext& ctx) {
-      run_case(grid[ctx.index()], ctx);
+      run_case(grid[ctx.index()], ctx, fails[first + ctx.index()]);
     });
     emit(t, "Scaling in N and omega (M=256, B=16):", io.csv);
   }
@@ -92,8 +110,10 @@ int main(int argc, char** argv) try {
     std::vector<Row> grid;
     for (std::uint64_t w : {1, 2, 8, 16, 32, 64, 128, 256})
       grid.push_back({1 << 16, 128, 16, w});
+    const std::size_t first = fails.size();
+    fails.resize(first + grid.size());
     sweep_table(io, grid.size(), t, [&](harness::PointContext& ctx) {
-      run_case(grid[ctx.index()], ctx);
+      run_case(grid[ctx.index()], ctx, fails[first + ctx.index()]);
     });
     emit(t,
          "Crossing omega = B = 16 (the regime the paper's merge newly "
@@ -107,13 +127,14 @@ int main(int argc, char** argv) try {
     std::vector<Row> grid;
     for (std::size_t M : {128, 256, 512, 1024})
       for (std::size_t B : {8, 16}) grid.push_back({1 << 16, M, B, 16});
+    const std::size_t first = fails.size();
+    fails.resize(first + grid.size());
     sweep_table(io, grid.size(), t, [&](harness::PointContext& ctx) {
-      run_case(grid[ctx.index()], ctx);
+      run_case(grid[ctx.index()], ctx, fails[first + ctx.index()]);
     });
     emit(t, "Machine-shape sweep (N=2^16, omega=16):", io.csv);
   }
 
-  std::vector<std::string> fails;  // one per Lemma 3.1 row
   {
     // Lemma 3.1, empirically: across machines, the maximum number of
     // simultaneously active runs observed in any round vs the bound m_eff.
@@ -126,7 +147,8 @@ int main(int argc, char** argv) try {
     std::vector<Point> grid;
     for (std::size_t M : {128, 256, 1024})
       for (std::uint64_t w : {1, 8, 64}) grid.push_back({M, w});
-    fails.resize(grid.size());
+    const std::size_t first = fails.size();
+    fails.resize(first + grid.size());
     sweep_table(io, grid.size(), t, [&](harness::PointContext& ctx) {
       const auto [M, w] = grid[ctx.index()];
       const std::size_t B = 16, N = 1 << 16;
@@ -158,7 +180,7 @@ int main(int argc, char** argv) try {
                util::fmt(std::uint64_t(stats.max_active_runs)),
                util::fmt(std::uint64_t(budget.m_eff))});
       if (stats.max_active_runs > budget.m_eff)
-        fails[ctx.index()] =
+        fails[first + ctx.index()] =
             "E1 Lemma 3.1 M=" + std::to_string(M) + " omega=" +
             std::to_string(w) + ": max_active " +
             std::to_string(stats.max_active_runs) + " > m_eff_bound " +

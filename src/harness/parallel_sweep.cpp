@@ -11,17 +11,6 @@
 
 namespace aem::harness {
 
-namespace {
-
-std::uint64_t splitmix64(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9E3779B97F4A7C15ull);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
-
 std::uint64_t derive_seed(std::uint64_t base_seed, std::uint64_t index) {
   // The base seed goes through a full SplitMix64 avalanche BEFORE the index
   // is folded in.  A linear fold (`base ^ index * K`) admits structural
@@ -35,8 +24,8 @@ std::uint64_t derive_seed(std::uint64_t base_seed, std::uint64_t index) {
   // even residual collisions across sweeps cannot correlate beyond the
   // first word.
   std::uint64_t state = base_seed;
-  state = splitmix64(state) ^ index;
-  return splitmix64(state);
+  state = util::splitmix64(state) ^ index;
+  return util::splitmix64(state);
 }
 
 bool seed_streams_independent(std::uint64_t base_seed, std::size_t points,

@@ -27,6 +27,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "core/machine.hpp"
 #include "util/math.hpp"
@@ -48,6 +50,18 @@ struct SortBudget {
   std::size_t small_batch;  // small-sort batch = M/2 (only OUT + two blocks)
   std::size_t base;         // small-sort chunk, omega * small_batch (saturated)
 
+  /// The base-case sort's staged batch, (M/2/B)*B: the small_sort batch and
+  /// em_merge_sort's run length.  Throws std::invalid_argument when it is
+  /// empty (M < 2B), so no sort loops over empty batches.
+  static std::size_t small_batch_of(const Machine& mach) {
+    const std::size_t batch = (mach.M() / 2 / mach.B()) * mach.B();
+    if (batch == 0)
+      throw std::invalid_argument(
+          "sorts require M >= 2B (got M=" + std::to_string(mach.M()) +
+          ", B=" + std::to_string(mach.B()) + ")");
+    return batch;
+  }
+
   /// Throws std::invalid_argument unless M >= 8B — the smallest memory for
   /// which the merge's Mout + active table + transient blocks provably fit
   /// in M under the strict ledger (see the header comment).
@@ -65,7 +79,7 @@ struct SortBudget {
     const std::uint64_t d = util::mul_sat(mach.omega(), b.m_eff);
     b.fanout = static_cast<std::size_t>(
         std::clamp<std::uint64_t>(d, 2, kMaxFanout));
-    b.small_batch = (mach.M() / 2 / B) * B;
+    b.small_batch = small_batch_of(mach);
     // base saturates at size_t max rather than wrapping: a wrapped base of 0
     // would spin make_chunks forever, and a small wrapped base silently
     // misroutes inputs past the N' <= omega*M base case.  Saturation errs

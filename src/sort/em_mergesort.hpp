@@ -9,6 +9,11 @@
 //
 // (bounds::predicted_oblivious_penalty).  Experiment E3 measures exactly
 // this gap, which is the paper's motivation for omega-aware sorting.
+//
+// Run formation is small_sort (sort/small_sort.hpp) over chunks of one
+// small_sort batch, (M/2/B)*B elements, so every call is the one-round case
+// of the Lemma 4.2 base case: one read per block and one write per block.
+// The merge passes are em_merge_group's k-way merges below.
 #pragma once
 
 #include <algorithm>
@@ -22,9 +27,9 @@
 #include "core/ext_array.hpp"
 #include "io/writer.hpp"
 #include "sort/budget.hpp"
-#include "sort/host_sort.hpp"
 #include "sort/loser_tree.hpp"
 #include "sort/mergesort.hpp"
+#include "sort/small_sort.hpp"
 #include "util/math.hpp"
 
 namespace aem {
@@ -133,13 +138,13 @@ template <class T, class Less = std::less<T>>
 void em_merge_sort(const ExtArray<T>& in, ExtArray<T>& out, Less less = {}) {
   if (in.size() != out.size())
     throw std::invalid_argument("em_merge_sort: size mismatch");
+  if (&in == &out)
+    throw std::invalid_argument("em_merge_sort: out is the input array");
   const std::size_t n = in.size();
   if (n == 0) return;
 
   Machine& mach = in.machine();
-  const std::size_t B = mach.B();
-  std::size_t run_len = (mach.M() / 2 / B) * B;
-  if (run_len < B) run_len = B;
+  const std::size_t run_len = SortBudget::small_batch_of(mach);
   const std::size_t fanout = em_merge_fanout(mach);
 
   auto runs = make_chunks(n, run_len);
@@ -150,40 +155,11 @@ void em_merge_sort(const ExtArray<T>& in, ExtArray<T>& out, Less less = {}) {
   ExtArray<T>* other = (levels % 2 == 1) ? &out : &scratch;
 
   {
-    // Run formation, a block at a time: read a chunk into the charged
-    // Buffer (one view per block, copied whole, with B reserved for the
-    // resident block), order it on the host, and write it back out in that
-    // order: B elements of chunk[order[i]] are gathered, then appended to
-    // the Writer, which writes the same blocks at the same counts as
-    // pushing them one by one.  Chunks start on block boundaries.  The
-    // order is host_sort's offset permutation (a radix when `less` has
-    // a radix key, else a (value, offset) record sort), which equals a
-    // stable sort's; the permutation, host_sort's scratch and the gathered
-    // block are uncharged simulator scratch (MODEL.md §3), allocated once
-    // for all runs.
     auto phase = mach.phase("em_sort.runs");
-    Buffer<T> chunk(mach, run_len);
-    std::vector<std::uint32_t> order;
-    order.reserve(run_len);
-    sort_detail::HostSortScratch<T> host;
-    std::vector<T> block(B);
-    for (const RunBounds& r : runs) {
-      const std::size_t fill = r.length();
-      MemoryReservation in_block(mach.ledger(), B);
-      for (std::size_t p = r.begin; p < r.end; p += B) {
-        const std::span<const T> blk = in.view_block(p / B).span();
-        std::copy(blk.begin(), blk.end(), chunk.data() + (p - r.begin));
-      }
-      sort_detail::host_sort(std::span<const T>(chunk.data(), fill), less,
-                             order, host);
-      Writer<T> w(*first, r.begin, r.end);
-      for (std::size_t i = 0; i < fill; i += B) {
-        const std::size_t count = std::min(B, fill - i);
-        for (std::size_t j = 0; j < count; ++j) block[j] = chunk[order[i + j]];
-        w.append(std::span<const T>(block.data(), count));
-      }
-      w.finish();
-    }
+    sort_detail::SmallSortScratch<T> host;
+    for (const RunBounds& r : runs)
+      sort_detail::small_sort(host, in, r.begin, r.end, *first, r.begin, less,
+                              nullptr);
   }
 
   auto phase = mach.phase("em_sort.merge");

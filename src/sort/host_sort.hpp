@@ -1,8 +1,7 @@
-// The host-side occurrence order of the sort family's in-memory sorts
-// (small_sort's rounds and em_merge_sort's run formation; MODEL.md §3, host
-// recomputation): an offset permutation of the values, ordered by `less`
-// and then by offset, so it is strict and total and equal keys keep their
-// input order.
+// The host-side occurrence order of small_sort, the sort family's one
+// in-memory sort (MODEL.md §3, host recomputation): an offset permutation
+// of the values, ordered by `less` and then by offset, so it is strict and
+// total and equal keys keep their input order.
 //
 // An order has a radix key when it declares one, or when it is std::less
 // over an unsigned T (the identity key).  To declare one, the order defines
@@ -287,14 +286,6 @@ void host_sort(std::span<const T> vals, Less less,
               });
     for (std::size_t i = 0; i < n; ++i) perm[i] = recs[i].off;
   }
-}
-
-/// host_sort with a scratch of its own.
-template <class T, class Less>
-void host_sort(std::span<const T> vals, Less less,
-               std::vector<std::uint32_t>& perm) {
-  HostSortScratch<T> scratch;
-  host_sort(vals, less, perm, scratch);
 }
 
 }  // namespace aem::sort_detail

@@ -63,7 +63,7 @@ std::size_t small_sort(SmallSortScratch<T>& scratch,
     throw std::length_error("small_sort: range of 2^32 or more elements");
 
   Machine& mach = src.machine();
-  const SortBudget budget = SortBudget::from(mach);
+  const std::size_t batch = SortBudget::small_batch_of(mach);
   const std::size_t B = mach.B();
   auto key_eq = [less](const T& a, const T& b) {
     return !less(a, b) && !less(b, a);
@@ -82,7 +82,7 @@ std::size_t small_sort(SmallSortScratch<T>& scratch,
   block.resize(B);
   const bool record_use = mach.tracing() && src.has_atom_extractor();
   for (std::size_t next = 0; next < total;) {
-    MemoryReservation out_res(mach.ledger(), budget.small_batch);
+    MemoryReservation out_res(mach.ledger(), batch);
     MemoryReservation block_res(mach.ledger(), B);  // the scan block
     for (std::size_t t = 0; t < tickets.size(); ++t) {
       const BlockView<T> v = src.view_block(first + t);
@@ -99,7 +99,7 @@ std::size_t small_sort(SmallSortScratch<T>& scratch,
     // up to the next block boundary of dst (marking each one used by the
     // read that delivered it), then append them, so every write follows
     // the same marks as pushing one by one would.
-    const std::size_t stop = next + std::min(budget.small_batch, total - next);
+    const std::size_t stop = next + std::min(batch, total - next);
     for (std::size_t i = next; i < stop;) {
       const std::size_t count = std::min(B - (dst_begin + i) % B, stop - i);
       for (std::size_t j = 0; j < count; ++j) {

@@ -44,6 +44,10 @@ class Rng {
   std::uint64_t s_[4];
 };
 
+/// One SplitMix64 step: advances `state` and returns its mixed output.  It
+/// seeds Rng and derives harness::derive_seed's per-point seeds.
+std::uint64_t splitmix64(std::uint64_t& state);
+
 /// A uniformly random permutation of {0, ..., n-1}.
 std::vector<std::uint64_t> random_permutation(std::uint64_t n, Rng& rng);
 

@@ -228,35 +228,33 @@ TEST(FuzzPointerArray, AgainstHostVector) {
     const std::size_t B = 1 + rng.below(16);
     Machine mach(cfg(8 * B + 64, B, 2));
     const std::size_t n = 1 + rng.below(120);
-    ExtPointerArray ptrs(mach, n, "p");
-    std::vector<std::uint64_t> ref(n, 0);
+    std::vector<std::uint64_t> ref(n);
+    for (std::uint64_t& v : ref) v = rng.next();
+    ExtPointerArray ptrs(mach, n, "p", [&](std::size_t i) { return ref[i]; });
+    // Entries [lo, hi) stream back as ref holds them, at one read a block.
+    const auto check = [&](std::size_t lo, std::size_t hi) {
+      const IoStats before = mach.stats();
+      std::size_t next = lo;
+      ptrs.for_each(lo, hi, [&](std::size_t j, std::uint64_t v) {
+        EXPECT_EQ(j, next++);
+        EXPECT_EQ(v, ref[j]);
+      });
+      EXPECT_EQ(next, hi);
+      const std::uint64_t blocks = lo == hi ? 0 : (hi - 1) / B - lo / B + 1;
+      EXPECT_EQ(mach.stats().reads - before.reads, blocks);
+      EXPECT_EQ(mach.stats().writes, before.writes);
+    };
     for (int op = 0; op < 80; ++op) {
       const std::size_t i = rng.below(n);
-      switch (rng.below(3)) {
-        case 0: {
-          const std::uint64_t v = rng.next();
-          ptrs.set(i, v);
-          ref[i] = v;
-          break;
-        }
-        case 1:
-          ASSERT_EQ(ptrs.get(i), ref[i]);
-          break;
-        default: {
-          const std::size_t hi = i + rng.below(n - i + 1);
-          ptrs.update_range(i, hi, [&](std::size_t j, std::uint64_t& v) {
-            EXPECT_EQ(v, ref[j]);
-            if (j % 2 == 0) {
-              v += 1;
-              ref[j] += 1;
-              return true;
-            }
-            return false;
-          });
-        }
+      if (rng.below(2) == 0) {
+        const std::uint64_t v = rng.next();
+        ptrs.set(i, v);
+        ref[i] = v;
+      } else {
+        check(i, i + rng.below(n - i + 1));
       }
     }
-    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(ptrs.get(i), ref[i]);
+    check(0, n);
   }
 }
 

@@ -50,7 +50,8 @@ std::vector<std::uint32_t> reference(const std::vector<T>& vals, Less less) {
 template <class T, class Less>
 std::vector<std::uint32_t> sorted_by(const std::vector<T>& vals, Less less) {
   std::vector<std::uint32_t> perm{7, 7, 7};  // stale contents are replaced
-  host_sort(std::span<const T>(vals), less, perm);
+  aem::sort_detail::HostSortScratch<T> scratch;
+  host_sort(std::span<const T>(vals), less, perm, scratch);
   return perm;
 }
 

@@ -329,31 +329,41 @@ TEST(FreshStorageTest, ZeroFilledAndPartialBlockWritesAroundTwoMiB) {
   }
 }
 
+std::uint64_t zero(std::size_t) { return 0; }
+
+/// Entry i of `ptrs`, streamed by for_each (one charged read).
+std::uint64_t entry(ExtPointerArray& ptrs, std::size_t i) {
+  std::uint64_t got = 0;
+  ptrs.for_each(i, i + 1, [&](std::size_t, std::uint64_t v) { got = v; });
+  return got;
+}
+
 TEST(PointerArrayTest, InitializationCost) {
   Machine mach(cfg());  // B = 8
   mach.reset_stats();
-  ExtPointerArray ptrs(mach, 20, "b");
+  ExtPointerArray ptrs(mach, 20, "b", zero);
   // ceil(20/8) = 3 block writes, no reads.
   EXPECT_EQ(mach.stats().writes, 3u);
   EXPECT_EQ(mach.stats().reads, 0u);
   EXPECT_EQ(ptrs.size(), 20u);
-  EXPECT_EQ(ptrs.get(13), 0u);
+  EXPECT_EQ(entry(ptrs, 13), 0u);
 }
 
 TEST(PointerArrayTest, GetSetRoundTrip) {
   Machine mach(cfg());
-  ExtPointerArray ptrs(mach, 20, "b");
+  ExtPointerArray ptrs(mach, 20, "b", zero);
   mach.reset_stats();
   ptrs.set(13, 77);
   EXPECT_EQ(mach.stats().reads, 1u);
   EXPECT_EQ(mach.stats().writes, 1u);
-  EXPECT_EQ(ptrs.get(13), 77u);
-  EXPECT_EQ(ptrs.get(12), 0u);
+  EXPECT_EQ(entry(ptrs, 13), 77u);
+  EXPECT_EQ(entry(ptrs, 12), 0u);
+  EXPECT_THROW(ptrs.set(20, 1), std::out_of_range);
 }
 
 TEST(PointerArrayTest, SetHoldsOneBlockOfMemory) {
   Machine mach(cfg());  // B = 8
-  ExtPointerArray ptrs(mach, 20, "b");
+  ExtPointerArray ptrs(mach, 20, "b", zero);
   const std::size_t before = mach.ledger().used();
   mach.ledger().reset_high_water();
   ptrs.set(13, 77);
@@ -364,7 +374,7 @@ TEST(PointerArrayTest, SetHoldsOneBlockOfMemory) {
 
 TEST(PointerArrayTest, ForEachStreamsOnce) {
   Machine mach(cfg());
-  ExtPointerArray ptrs(mach, 24, "b");
+  ExtPointerArray ptrs(mach, 24, "b", zero);
   for (std::size_t i = 0; i < 24; ++i) ptrs.set(i, i * 10);
   mach.reset_stats();
   std::vector<std::uint64_t> seen;
@@ -377,27 +387,9 @@ TEST(PointerArrayTest, ForEachStreamsOnce) {
   EXPECT_EQ(mach.stats().writes, 0u);
 }
 
-TEST(PointerArrayTest, UpdateRangeWritesOnlyDirtyBlocks) {
-  Machine mach(cfg());
-  ExtPointerArray ptrs(mach, 24, "b");
-  mach.reset_stats();
-  // Touch only entries in the middle block (indices 8..15).
-  ptrs.update_range(0, 24, [&](std::size_t i, std::uint64_t& v) {
-    if (i >= 8 && i < 16) {
-      v = 1;
-      return true;
-    }
-    return false;
-  });
-  EXPECT_EQ(mach.stats().reads, 3u);
-  EXPECT_EQ(mach.stats().writes, 1u);  // only the dirty block
-  EXPECT_EQ(ptrs.get(8), 1u);
-  EXPECT_EQ(ptrs.get(7), 0u);
-}
-
 TEST(PointerArrayTest, SubrangeStreaming) {
   Machine mach(cfg());
-  ExtPointerArray ptrs(mach, 32, "b");
+  ExtPointerArray ptrs(mach, 32, "b", zero);
   mach.reset_stats();
   std::size_t count = 0;
   ptrs.for_each(10, 14, [&](std::size_t, std::uint64_t) { ++count; });

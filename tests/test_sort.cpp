@@ -13,6 +13,7 @@
 #include "core/ext_array.hpp"
 #include "core/machine.hpp"
 #include "sort/budget.hpp"
+#include "sort/em_mergesort.hpp"
 #include "sort/lowwrite_samplesort.hpp"
 #include "sort/merge.hpp"
 #include "sort/mergesort.hpp"
@@ -414,6 +415,7 @@ TEST(SortAliasingTest, EveryKernelRejectsAnAliasedOutput) {
       EXPECT_TRUE(a.unsafe_host_view() == host) << what << " n=" << n;
     };
     rejects("aem_merge_sort", [&] { aem_merge_sort(a, a, less); });
+    rejects("em_merge_sort", [&] { em_merge_sort(a, a, less); });
     rejects("aem_sample_sort", [&] { aem_sample_sort(a, a, less); });
     rejects("aem_lowwrite_sample_sort",
             [&] { aem_lowwrite_sample_sort(a, a, less); });

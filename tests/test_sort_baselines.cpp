@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "bounds/sort_bounds.hpp"
@@ -13,6 +15,7 @@
 #include "sort/em_mergesort.hpp"
 #include "sort/mergesort.hpp"
 #include "sort/samplesort.hpp"
+#include "sort/small_sort.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -60,6 +63,42 @@ TEST(EmMergeSortTest, EdgeSizes) {
     std::sort(expect.begin(), expect.end());
     EXPECT_EQ(out.unsafe_host_view(), expect) << "n=" << n;
   }
+}
+
+// em's domain reaches below the Section 3 sorts' M >= 8B: at M = 4B its
+// runs are one block pair and its merge is 2-way, and it charges what it
+// charged when run formation was its own loop (pins recorded then).  Below
+// 4B it throws (never hangs): the merge does not fit at 3B, run formation
+// at 2B, and at M = B the run length (M/2/B)*B is empty.
+TEST(EmMergeSortTest, SmallMemoryDomain) {
+  const std::size_t B = 16, n = 1000;
+  util::Rng rng(37);
+  std::vector<std::uint64_t> keys(n);
+  for (std::uint64_t& k : keys) k = rng.next() % 100;
+  {
+    Machine mach(cfg(4 * B, B, 4));
+    auto in = stage(mach, keys);
+    ExtArray<std::uint64_t> out(mach, n, "out");
+    mach.reset_stats();
+    mach.ledger().reset_high_water();
+    em_merge_sort(in, out);
+    auto expect = keys;
+    std::sort(expect.begin(), expect.end());
+    EXPECT_EQ(out.unsafe_host_view(), expect);
+    EXPECT_EQ(mach.stats().reads, 378u);
+    EXPECT_EQ(mach.stats().writes, 378u);
+    EXPECT_EQ(mach.ledger().high_water(), 64u);
+  }
+  for (const std::size_t M : {B, 2 * B, 3 * B}) {
+    Machine mach(cfg(M, B, 4));
+    auto in = stage(mach, keys);
+    ExtArray<std::uint64_t> out(mach, n, "out");
+    EXPECT_ANY_THROW(em_merge_sort(in, out)) << "M=" << M;
+  }
+  Machine mach(cfg(B, B, 4));
+  auto in = stage(mach, keys);
+  ExtArray<std::uint64_t> out(mach, n, "out");
+  EXPECT_ANY_THROW(small_sort(in, 0, n, out, 0, std::less<std::uint64_t>{}));
 }
 
 TEST(EmMergeSortTest, WritesScaleWithReads) {

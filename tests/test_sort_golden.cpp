@@ -251,22 +251,22 @@ const Golden kGolden[] = {
     {"aem_merge_sort", 2, D, {1937, 940, 272, 0xe1e7cea6d4af250cull}},
     {"aem_merge_sort", 3, U, {5615, 1501, 72, 0x6ba97e86b48a7b18ull}},
     {"aem_merge_sort", 3, D, {5722, 1501, 72, 0xcd6795c7f1a1011dull}},
-    {"em_merge_sort", 0, U, {564, 564, 88, 0xbcce2b5dfc37878dull}},
-    {"em_merge_sort", 0, D, {564, 564, 88, 0x84295c6191b9d931ull}},
-    {"em_merge_sort", 1, U, {564, 564, 160, 0x36602e63fdfdb3c1ull}},
-    {"em_merge_sort", 1, D, {564, 564, 160, 0x9223522cb44cc775ull}},
-    {"em_merge_sort", 2, U, {626, 626, 272, 0x2660651eec7732caull}},
-    {"em_merge_sort", 2, D, {626, 626, 272, 0xe7d16839d18a873aull}},
-    {"em_merge_sort", 3, U, {1500, 1500, 100, 0x58c22a7e1a82e951ull}},
-    {"em_merge_sort", 3, D, {1500, 1500, 100, 0xeba50971df3f2c81ull}},
-    {"em_merge_sort_radix", 0, U, {564, 564, 88, 0xbcce2b5dfc37878dull}},
-    {"em_merge_sort_radix", 0, D, {564, 564, 88, 0x7b2b73be3173a00dull}},
-    {"em_merge_sort_radix", 1, U, {564, 564, 160, 0x36602e63fdfdb3c1ull}},
-    {"em_merge_sort_radix", 1, D, {564, 564, 160, 0x21346da93746a39dull}},
-    {"em_merge_sort_radix", 2, U, {626, 626, 272, 0x2660651eec7732caull}},
-    {"em_merge_sort_radix", 2, D, {626, 626, 272, 0x6a34bd74c8162006ull}},
-    {"em_merge_sort_radix", 3, U, {1500, 1500, 100, 0x58c22a7e1a82e951ull}},
-    {"em_merge_sort_radix", 3, D, {1500, 1500, 100, 0x95c253d56fe14151ull}},
+    {"em_merge_sort", 0, U, {564, 564, 88, 0x0bf3ae47384411a1ull}},
+    {"em_merge_sort", 0, D, {564, 564, 88, 0xfe8a5246b696c5daull}},
+    {"em_merge_sort", 1, U, {564, 564, 160, 0x3fb56f37e7145c99ull}},
+    {"em_merge_sort", 1, D, {564, 564, 160, 0x0a9b3bc0723cf7baull}},
+    {"em_merge_sort", 2, U, {626, 626, 272, 0xb3d467298816cdecull}},
+    {"em_merge_sort", 2, D, {626, 626, 272, 0xbb00efe50ac93190ull}},
+    {"em_merge_sort", 3, U, {1500, 1500, 100, 0x122c7569bacf1d2bull}},
+    {"em_merge_sort", 3, D, {1500, 1500, 100, 0x1ddb5f0ee1d10723ull}},
+    {"em_merge_sort_radix", 0, U, {564, 564, 88, 0x0bf3ae47384411a1ull}},
+    {"em_merge_sort_radix", 0, D, {564, 564, 88, 0x892358f4483a574eull}},
+    {"em_merge_sort_radix", 1, U, {564, 564, 160, 0x3fb56f37e7145c99ull}},
+    {"em_merge_sort_radix", 1, D, {564, 564, 160, 0x175505ad399b917aull}},
+    {"em_merge_sort_radix", 2, U, {626, 626, 272, 0xb3d467298816cdecull}},
+    {"em_merge_sort_radix", 2, D, {626, 626, 272, 0x5d20d2b2cd7acc8cull}},
+    {"em_merge_sort_radix", 3, U, {1500, 1500, 100, 0x122c7569bacf1d2bull}},
+    {"em_merge_sort_radix", 3, D, {1500, 1500, 100, 0x1f44ac7b064bd71bull}},
     {"heap_legacy", 0, U, {4113, 1819, 85, 0x18cb869acedc0e8aull}},
     {"heap_legacy", 0, D, {3930, 1819, 85, 0xa1c8cae9fd1956f2ull}},
     {"heap_legacy", 1, U, {4140, 1819, 157, 0x21a2306b9aa72e8aull}},
@@ -356,14 +356,14 @@ const Golden kVerifiedGolden[] = {
     {"aem_merge_sort", 2, D, {2882, 942, 272, 0x36b4dd48b2187b83ull}},
     {"aem_merge_sort", 3, U, {7134, 1510, 72, 0xeb0da06a46156557ull}},
     {"aem_merge_sort", 3, D, {7238, 1505, 72, 0x3c25efa755c3ac5full}},
-    {"em_merge_sort", 0, U, {1131, 565, 88, 0x735cbd102c2d23cfull}},
-    {"em_merge_sort", 0, D, {1130, 564, 88, 0x91f880ff1d97af9eull}},
-    {"em_merge_sort", 1, U, {1132, 566, 160, 0x2b0b51b8b42113aaull}},
-    {"em_merge_sort", 1, D, {1131, 565, 160, 0x85512de337378307ull}},
-    {"em_merge_sort", 2, U, {1255, 627, 272, 0x4ca9d7ca51bb4a7aull}},
-    {"em_merge_sort", 2, D, {1254, 626, 272, 0x54e1c79434fed21aull}},
-    {"em_merge_sort", 3, U, {3006, 1504, 100, 0xe97f0f284bff48c7ull}},
-    {"em_merge_sort", 3, D, {3008, 1503, 100, 0x98ccb094ab51ac80ull}},
+    {"em_merge_sort", 0, U, {1131, 565, 88, 0x41181ce27769d973ull}},
+    {"em_merge_sort", 0, D, {1130, 564, 88, 0x49083f148caeb55dull}},
+    {"em_merge_sort", 1, U, {1132, 566, 160, 0xec7a3031d2c8ba0aull}},
+    {"em_merge_sort", 1, D, {1131, 565, 160, 0x0cd83d4dfc7f8f3cull}},
+    {"em_merge_sort", 2, U, {1255, 627, 272, 0xca0237891146f480ull}},
+    {"em_merge_sort", 2, D, {1254, 626, 272, 0x83bf5e9d56a57654ull}},
+    {"em_merge_sort", 3, U, {3006, 1504, 100, 0x182ce00bfcefa5a9ull}},
+    {"em_merge_sort", 3, D, {3008, 1503, 100, 0xe2e5dd02e245b41aull}},
     {"heap_legacy", 0, U, {5946, 1821, 85, 0x0a2c4b52fe7f70a0ull}},
     {"heap_legacy", 0, D, {5766, 1826, 85, 0xb3408cba88df1aa9ull}},
     {"heap_legacy", 1, U, {5977, 1828, 157, 0xddf601545405fc84ull}},
