@@ -88,51 +88,41 @@ int main(int argc, char** argv) try {
   banner("E1",
          "Theorem 3.2: d-way merge costs O(omega(n+m)) reads, O(n+m) writes");
   std::vector<std::string> fails;  // one per row, in table order
-
-  {
+  // One merge table; its rows' verdicts take the next grid.size() slots.
+  const auto merge_table = [&](const std::vector<Row>& grid,
+                               const std::string& title) {
     util::Table t({"N", "M", "B", "omega", "runs", "reads", "writes",
                    "reads/bound", "writes/bound"});
+    const std::size_t first = fails.size();
+    fails.resize(first + grid.size());
+    sweep_table(io, grid.size(), t, [&](harness::PointContext& ctx) {
+      run_case(grid[ctx.index()], ctx, fails[first + ctx.index()]);
+    });
+    emit(t, title, io.csv);
+  };
+
+  {
     std::vector<Row> grid;
     const std::size_t n_max = io.full ? (1u << 19) : (1u << 17);
     for (std::size_t N = 1 << 14; N <= n_max; N <<= 1)
       for (std::uint64_t w : {1, 4, 16, 64}) grid.push_back({N, 256, 16, w});
-    const std::size_t first = fails.size();
-    fails.resize(first + grid.size());
-    sweep_table(io, grid.size(), t, [&](harness::PointContext& ctx) {
-      run_case(grid[ctx.index()], ctx, fails[first + ctx.index()]);
-    });
-    emit(t, "Scaling in N and omega (M=256, B=16):", io.csv);
+    merge_table(grid, "Scaling in N and omega (M=256, B=16):");
   }
 
   {
-    util::Table t({"N", "M", "B", "omega", "runs", "reads", "writes",
-                   "reads/bound", "writes/bound"});
     std::vector<Row> grid;
     for (std::uint64_t w : {1, 2, 8, 16, 32, 64, 128, 256})
       grid.push_back({1 << 16, 128, 16, w});
-    const std::size_t first = fails.size();
-    fails.resize(first + grid.size());
-    sweep_table(io, grid.size(), t, [&](harness::PointContext& ctx) {
-      run_case(grid[ctx.index()], ctx, fails[first + ctx.index()]);
-    });
-    emit(t,
-         "Crossing omega = B = 16 (the regime the paper's merge newly "
-         "covers):",
-         io.csv);
+    merge_table(grid,
+                "Crossing omega = B = 16 (the regime the paper's merge newly "
+                "covers):");
   }
 
   {
-    util::Table t({"N", "M", "B", "omega", "runs", "reads", "writes",
-                   "reads/bound", "writes/bound"});
     std::vector<Row> grid;
     for (std::size_t M : {128, 256, 512, 1024})
       for (std::size_t B : {8, 16}) grid.push_back({1 << 16, M, B, 16});
-    const std::size_t first = fails.size();
-    fails.resize(first + grid.size());
-    sweep_table(io, grid.size(), t, [&](harness::PointContext& ctx) {
-      run_case(grid[ctx.index()], ctx, fails[first + ctx.index()]);
-    });
-    emit(t, "Machine-shape sweep (N=2^16, omega=16):", io.csv);
+    merge_table(grid, "Machine-shape sweep (N=2^16, omega=16):");
   }
 
   {
